@@ -17,8 +17,15 @@ from .catalog import NORM_RELATION_IDS, run_catalog
 from .forms import FormDataError
 
 
+class UsageError(Exception):
+    """A command-line parameter outside the range its command supports."""
+
+
 def _parse_fraction(s: str) -> F:
-    return F(s)
+    try:
+        return F(s)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {s!r}") from None
 
 
 def build_parser():
@@ -124,22 +131,31 @@ def cmd_verify(args):
 
 def cmd_qexp(args):
     from .eisenstein import EisensteinSpec, eisenstein_qexp
-    spec = EisensteinSpec(args.family, args.k, args.alpha, j=args.j)
+    try:
+        spec = EisensteinSpec(args.family, args.k, args.alpha, j=args.j)
+    except ValueError as exc:
+        raise UsageError(exc) from None
     series = eisenstein_qexp(spec, args.prec)
     print(series)
     return 0
 
 
 def cmd_dist(args):
-    from .siegel import distribution_check
+    from .siegel import distribution_args, distribution_check
     shapes = {"dist1": ((args.m, 0), (0, 1)),
               "dist2": ((1, 0), (0, args.m)),
               "dist3": ((args.m, 0), (0, args.m))}
     selected = shapes if args.shape == "all" else {args.shape: shapes[args.shape]}
+    if args.N < 1:
+        raise UsageError(f"--N must be positive, got {args.N}")
+    try:
+        for M in selected.values():
+            distribution_args(0, F(1, args.N), M, args.c)
+    except ValueError as exc:
+        raise UsageError(exc) from None
     entries = []
     for name, M in sorted(selected.items()):
-        ok, wit = distribution_check(0, F(1, args.N), M, args.c,
-                                     min(args.prec, 200))
+        ok, wit = distribution_check(0, F(1, args.N), M, args.c, args.prec)
         entries.append({"id": name,
                         "statement": f"matrix {M}, parameter 1/{args.N}, "
                                      f"c = {args.c}",
@@ -246,7 +262,12 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.prec < 0:
+            raise UsageError(f"--prec must be >= 0, got {args.prec}")
         return COMMANDS[args.command](args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except FormDataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from math import lcm
 
 from .poly import (QQ, cyclotomic_polynomial, poly_divmod, poly_trim,
                    poly_xgcd)
@@ -16,6 +17,46 @@ from .poly import (QQ, cyclotomic_polynomial, poly_divmod, poly_trim,
 
 def _as_int(c):
     return c.numerator if c.denominator == 1 else c
+
+
+def slot_bytes(bound: int) -> int:
+    """Bytes per slot for packed signed integers of absolute value <= bound."""
+    return (bound.bit_length() + 8) // 8
+
+
+def pack_slots(values, wb: int) -> int:
+    """sum_k values[k] * 2^(8 wb k) for ints with |v| < 2^(8 wb - 1), built
+    from bytes in linear time; to_bytes raises OverflowError on a value that
+    does not fit its slot."""
+    h = 1 << (8 * wb - 1)
+    raw = b"".join((v + h).to_bytes(wb, "little") for v in values)
+    return int.from_bytes(raw, "little") - _slot_offset(len(values), wb)
+
+
+def unpack_slots(x: int, count: int, wb: int) -> list:
+    """Slots 0..count-1 of x = sum_k s_k 2^(8 wb k), valid when those slots
+    satisfy |s_k| < 2^(8 wb - 1); higher slots may hold anything."""
+    h = 1 << (8 * wb - 1)
+    nbytes = count * wb
+    # adding h to every low slot makes each one a byte field in [0, 2^(8 wb))
+    low = (x + _slot_offset(count, wb)) & ((1 << (8 * nbytes)) - 1)
+    raw = low.to_bytes(nbytes, "little")
+    return [int.from_bytes(raw[i:i + wb], "little") - h
+            for i in range(0, nbytes, wb)]
+
+
+def truncate_slots(x: int, count: int, wb: int) -> int:
+    """sum_(k < count) s_k 2^(8 wb k) for x as in unpack_slots (count >= 1)."""
+    bits = 8 * wb * count
+    low = x & ((1 << bits) - 1)
+    # the true low part lies in (-2^(bits-1), 2^(bits-1)); the mask returned
+    # it modulo 2^bits
+    return low - (1 << bits) if low.bit_length() == bits else low
+
+
+def _slot_offset(count: int, wb: int) -> int:
+    return int.from_bytes((1 << (8 * wb - 1)).to_bytes(wb, "little") * count,
+                          "little")
 
 
 def euler_phi(n: int) -> int:
@@ -104,6 +145,56 @@ class CyclotomicField:
             _, r = poly_divmod(coeffs, self.modulus)
             coeffs = list(r)
         return CycloElt(self, self._pad(coeffs))
+
+    def rows(self, elts):
+        """(d, rows): the least d >= 1 with d*x integral for every x in elts,
+        and the coordinate vectors of the d*x as lists of ints."""
+        vecs = [self.coerce(x).coeffs for x in elts]
+        d = lcm(*{c.denominator for v in vecs for c in v})
+        return d, [[c.numerator * (d // c.denominator) for c in v] for v in vecs]
+
+    def elements(self, rows, d: int = 1):
+        """The elements with coordinate vectors row / d, for integer rows."""
+        if d == 1:
+            return [CycloElt(self, tuple(r)) for r in rows]
+        return [CycloElt(self, tuple(_as_int(Fraction(c, d)) for c in r))
+                for r in rows]
+
+    def mul_rows(self, a, b, n: int):
+        """The first n coefficient rows of the product of two q-series over
+        Z[zeta_L] given by their integer coefficient rows a and b.
+
+        Kronecker substitution: coordinate j of the coefficient of q^i goes
+        to slot i(2 phi - 1) + j of one int, so a single bigint product
+        yields every convolution sum without carries between slots; the
+        slots are then reduced modulo Phi_L.
+        """
+        if n <= 0:
+            return []
+        phi = self.phi
+        stride = 2 * phi - 1
+        square = b is a
+        a, b = a[:n], b[:n]
+        ma = max((abs(c) for r in a for c in r), default=0)
+        mb = ma if square else max((abs(c) for r in b for c in r), default=0)
+        # a product slot sums at most n * phi terms a_(i1,j1) * b_(i2,j2)
+        wb = slot_bytes(max(n * phi * ma * mb, ma, mb))
+        gap = [0] * (phi - 1)
+        x = pack_slots([c for r in a for c in r + gap], wb)
+        y = x if square else pack_slots([c for r in b for c in r + gap], wb)
+        slots = unpack_slots(x * y, n * stride, wb)
+        reducers = [(k, [(j, r) for j, r in enumerate(self._redrows[k]) if r])
+                    for k in range(phi, stride)]
+        out = []
+        for i in range(0, n * stride, stride):
+            row = slots[i:i + phi]
+            for k, red in reducers:
+                c = slots[i + k]
+                if c:
+                    for j, r in red:
+                        row[j] += c * r
+            out.append(row)
+        return out
 
     def reduce(self, dense):
         _, r = poly_divmod(dense, self.modulus)

@@ -66,12 +66,15 @@ def validate_spec(spec: EisensteinSpec):
 
 def _divisor_sum(n: int, wd: int, wq: int, zeta_pair):
     """sum_{d|n} d^wd (n/d)^wq * zeta_pair(d)."""
+    # int powers keep integral coefficients ints; a negative exponent needs
+    # Fraction powers, since int ** -k is a float
+    num = int if wd >= 0 and wq >= 0 else QQ
     total = None
     d = 1
     while d * d <= n:
         if n % d == 0:
             for dd in {d, n // d}:
-                term = zeta_pair(dd) * (QQ(dd) ** wd * QQ(n // dd) ** wq)
+                term = zeta_pair(dd) * (num(dd) ** wd * num(n // dd) ** wq)
                 total = term if total is None else total + term
         d += 1
     return total
@@ -149,7 +152,7 @@ def two_param_eisenstein(alpha, k1: int, k2: int, p: int, prec: int) -> QSeries:
         raise ValueError(f"p = {p} must not divide the parameter denominator {N}")
     F = CyclotomicField(N)
     a = int(alpha * N) % N if N > 1 else 0
-    eps = -((-1) ** (k1 + k2))
+    eps = 1 if (k1 + k2) % 2 else -1
 
     def zeta_pair(d):
         return F.zeta(a * d) + F.zeta(-a * d) * eps

@@ -9,7 +9,9 @@ truncation: a series knows coefficients of q^x for e <= x < e + prec.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
+from .cyclo import CyclotomicField
 from .poly import QQ
 
 
@@ -131,17 +133,10 @@ class QSeries:
             # scalar from the coefficient ring
             return QSeries(self.ring, self.lead, [c * other for c in self.coeffs])
         n = min(self.prec, other.prec)
-        out = [self.ring.zero()] * n
-        for i, a in enumerate(self.coeffs):
-            if i >= n:
-                break
-            if _z(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= n:
-                    break
-                if not _z(b):
-                    out[i + j] = out[i + j] + a * b
+        if type(self.ring) is CyclotomicField and other.ring is self.ring:
+            out = _packed_mul(self.ring, self.coeffs, other.coeffs, n)
+        else:
+            out = _schoolbook_mul(self.ring, self.coeffs, other.coeffs, n)
         return QSeries(self.ring, self.lead + other.lead, out,
                        unit=self.unit and other.unit)
 
@@ -162,15 +157,10 @@ class QSeries:
     def inverse(self) -> "QSeries":
         if not self.coeffs or _z(self.coeffs[0]):
             raise ValueError("inverse requires a unit series (nonzero lead coefficient)")
-        n = self.prec
-        c0inv = _inv(self.coeffs[0], self.ring)
-        out = [c0inv] + [self.ring.zero()] * (n - 1)
-        for k in range(1, n):
-            s = self.ring.zero()
-            for j in range(1, k + 1):
-                if j < len(self.coeffs) and not _z(self.coeffs[j]):
-                    s = s + self.coeffs[j] * out[k - j]
-            out[k] = -(c0inv * s)
+        if type(self.ring) is CyclotomicField:
+            out = _newton_inverse(self.ring, self.coeffs)
+        else:
+            out = _recurrence_inverse(self.ring, self.coeffs)
         return QSeries(self.ring, -self.lead, out, unit=True, normalize=False)
 
     def __truediv__(self, other):
@@ -268,10 +258,6 @@ def _z(c) -> bool:
     return not c
 
 
-def _all_zero(coeffs):
-    return all(_z(c) for c in coeffs)
-
-
 def _inv(c, ring):
     if isinstance(c, Fraction):
         return 1 / c
@@ -279,6 +265,70 @@ def _inv(c, ring):
     if callable(inv):
         return inv()
     return 1 / c
+
+
+def _schoolbook_mul(ring, a, b, n: int) -> list:
+    """The first n coefficients of the product, over any coefficient ring."""
+    out = [ring.zero()] * n
+    for i, x in enumerate(a[:n]):
+        if _z(x):
+            continue
+        for j, y in enumerate(b[:n - i]):
+            if not _z(y):
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _packed_mul(field, a, b, n: int) -> list:
+    """The first n coefficients of the product over Q(zeta_L), as one
+    Kronecker-packed integer product with the denominators cleared."""
+    da, ra = field.rows(a[:n])
+    db, rb = (da, ra) if b is a else field.rows(b[:n])
+    return field.elements(field.mul_rows(ra, rb, n), da * db)
+
+
+def _recurrence_inverse(ring, coeffs) -> list:
+    """Inverse of a unit series by the O(n^2) coefficient recurrence."""
+    n = len(coeffs)
+    c0inv = _inv(coeffs[0], ring)
+    out = [c0inv] + [ring.zero()] * (n - 1)
+    for k in range(1, n):
+        s = ring.zero()
+        for j in range(1, k + 1):
+            if not _z(coeffs[j]):
+                s = s + coeffs[j] * out[k - j]
+        out[k] = -(c0inv * s)
+    return out
+
+
+def _newton_inverse(field, coeffs) -> list:
+    """Inverse of a unit series over Q(zeta_L).
+
+    The series is scaled to constant term 1, so that a Siegel product
+    c_0 (1 + q Z[zeta][[q]]) inverts over Z[zeta].  Newton's iteration
+    y <- y - y (x y - 1) then doubles the number of known coefficients with
+    two packed products per step; rows are integers over a common
+    denominator.
+    """
+    n = len(coeffs)
+    c0inv = _inv(coeffs[0], field)
+    dx, x = field.rows([c * c0inv for c in coeffs])
+    dy, y = 1, [[1] + [0] * (field.phi - 1)]
+    m = 1
+    while m < n:
+        k = min(2 * m, n)
+        # x y = 1 + O(q^m): its rows m..k-1 are those of x y - 1
+        e = field.mul_rows(x, y, k)[m:]
+        t = field.mul_rows(y, e, k - m)
+        # y has denominator dy, t (rows m..k-1 of y (x y - 1)) dx dy^2
+        d = dx * dy * dy
+        y = [[c * dx * dy for c in r] for r in y] + [[-c for c in r] for r in t]
+        g = gcd(d, *(c for r in y for c in r)) if d > 1 else 1
+        dy = d // g
+        if g > 1:
+            y = [[c // g for c in r] for r in y]
+        m = k
+    return [c * c0inv for c in field.elements(y, dy)]
 
 
 def geometric_dlog(ring, n: int, x, prec: int) -> QSeries:

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add
 
-from .cyclo import CyclotomicField
+from .cyclo import CyclotomicField, slot_bytes, truncate_slots, unpack_slots
 from .eisenstein import EisensteinSpec, eisenstein_qexp
 from .poly import QQ
 from .qseries import QSeries
@@ -51,12 +52,9 @@ def siegel_scaled(alpha, beta, field: CyclotomicField, prec: int,
         raise ValueError(f"scale {scale} does not clear the fractional exponent {a_frac}")
     t = int(t)
     lead = bernoulli2(a_frac) / 2 * scale
-    s = QSeries.one(field, prec + 1)
-    # n = 0 factor: (1 - q^(scale*alpha) zeta^b)
-    if t == 0:
-        s = s * (field.one() - field.zeta(b))
-    else:
-        s = s.mul_one_minus(field.zeta(b), t)
+    # binomials (1 - zeta^c q^e) as pairs (c, e); the n = 0 factor
+    # (1 - q^(scale*alpha) zeta^b) is a constant when t = 0
+    factors = [(b, t)] if 0 < t <= prec else []
     n = 1
     while True:
         e1 = scale * n + t
@@ -64,11 +62,49 @@ def siegel_scaled(alpha, beta, field: CyclotomicField, prec: int,
         if e1 > prec and e2 > prec:
             break
         if 0 < e1 <= prec:
-            s = s.mul_one_minus(field.zeta(b), e1)
+            factors.append((b, e1))
         if 0 < e2 <= prec:
-            s = s.mul_one_minus(field.zeta(-b), e2)
+            factors.append((-b % L, e2))
         n += 1
+    s = QSeries(field, 0, field.elements(
+        _binomial_product(field, factors, max(prec, 0) + 1)), normalize=False)
+    if t == 0:
+        s = s * (field.one() - field.zeta(b))
     return QSeries(field, lead, s.coeffs, unit=True, normalize=False)
+
+
+def _binomial_product(field: CyclotomicField, factors, n: int) -> list:
+    """Integer coefficient rows of prod (1 - zeta^c q^e) over the pairs
+    (c, e) in factors (1 <= e < n), to n terms.
+
+    The product is kept as phi packed ints S_0 .. S_(phi-1), S_j holding the
+    coefficients of zeta^j with one q-power per slot.  Multiplying by zeta^c
+    sends zeta^j to the reduced vector of zeta^(j+c), a fixed integer map,
+    so a binomial costs about phi^2 bigint additions and shifts.
+
+    Slot width: every partial product, and zeta^c times one, has as
+    coefficient of q^i a signed sum of at most P_i = [q^i] prod (1 + q^e)
+    powers of zeta, each reducing to a vector with entries of absolute value
+    at most C; so no coordinate exceeds C * max P_i.
+    """
+    L, phi, powers = field.L, field.phi, field._powers
+    count = [1] + [0] * (n - 1)
+    for _, e in factors:
+        count[e:] = map(add, count[e:], count[:n - e])
+    wb = slot_bytes(max(abs(x) for row in powers for x in row) * max(count))
+    width = 8 * wb
+    images = [[(k, v) for k, v in enumerate(row) if v] for row in powers]
+    S = [1] + [0] * (phi - 1)
+    for c, e in factors:
+        T = [0] * phi
+        for j, s in enumerate(S):
+            if s:
+                for k, v in images[(j + c) % L]:
+                    T[k] += v * s
+        for k, t in enumerate(T):
+            if t:
+                S[k] -= truncate_slots(t, n - e, wb) << (width * e)
+    return [list(r) for r in zip(*(unpack_slots(s, n, wb) for s in S))]
 
 
 def siegel_scaled_c(alpha, beta, field, prec, scale, c: int) -> QSeries:
@@ -135,17 +171,7 @@ def distribution_check(alpha, beta, M, c: int, prec: int = 60):
     alpha = 0 is supported (the q-model of the units at the zero cusp).
     Returns (bool, witness).
     """
-    alpha = QQ(alpha) % 1
-    beta = QQ(beta) % 1
-    u, v = _diag_entries(M)
-    if alpha != 0:
-        raise ValueError("only alpha = 0 is supported in the q-expansion model")
-    if beta == 0:
-        raise ValueError("Siegel unit undefined at zero parameter")
-    N = beta.denominator
-    bnum = int(beta * N) % N
-    if gcd(c, 6 * u * v * N) != 1:
-        raise ValueError(f"c = {c} must be coprime to 6 and the orders involved")
+    u, v, N, bnum = distribution_args(alpha, beta, M, c)
     L = u * N
     field = CyclotomicField(L)
     lhs = siegel_scaled_c(0, beta, field, prec, u, c)
@@ -167,6 +193,23 @@ def distribution_check(alpha, beta, M, c: int, prec: int = 60):
                                            "rhs": str(rhs.coeffs[n])}
                     break
     return ok, witness
+
+
+def distribution_args(alpha, beta, M, c: int):
+    """(u, v, N, b) for M = diag(u, v) and beta = b/N in lowest terms, after
+    checking that distribution_check supports its arguments; raises
+    ValueError when it does not."""
+    alpha = QQ(alpha) % 1
+    beta = QQ(beta) % 1
+    u, v = _diag_entries(M)
+    if alpha != 0:
+        raise ValueError("only alpha = 0 is supported in the q-expansion model")
+    if beta == 0:
+        raise ValueError("Siegel unit undefined at zero parameter")
+    N = beta.denominator
+    if gcd(c, 6 * u * v * N) != 1:
+        raise ValueError(f"c = {c} must be coprime to 6 and the orders involved")
+    return u, v, N, int(beta * N) % N
 
 
 def _diag_entries(M):

@@ -106,3 +106,53 @@ def test_example_subcommand(capsys):
     assert rc == 0
     assert "x^4 + (6/17)x^3 + (-21/17)x^2 + (6/17)x + 1" in out
     assert "scan" in out and "[5]" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist-check", "--m", "2", "--N", "5", "--c", "5"],
+    ["dist-check", "--m", "0", "--N", "5", "--c", "7"],
+    ["dist-check", "--m", "2", "--N", "0", "--c", "7"],
+    ["dist-check", "--m", "2", "--N", "5", "--c", "7", "--prec", "-2"],
+    ["qexp", "--family", "F", "--k", "2", "--alpha", "0"],
+    ["qexp", "--family", "F", "--k", "2", "--alpha", "1/5", "--prec", "-3"],
+])
+def test_parameter_errors_exit_2(argv, capsys):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_zero_denominator_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["qexp", "--family", "F", "--k", "2", "--alpha", "1/0"])
+    assert exc.value.code == 2
+
+
+def test_dist_check_runs_requested_precision(monkeypatch, capsys):
+    import rankin.siegel
+    seen = []
+
+    def record(alpha, beta, M, c, prec):
+        seen.append(prec)
+        return True, None
+
+    monkeypatch.setattr(rankin.siegel, "distribution_check", record)
+    rc = main(["dist-check", "--m", "2", "--N", "5", "--c", "7",
+               "--prec", "250"])
+    assert rc == 0
+    assert seen == [250, 250, 250]
+
+
+def test_precision_error_in_a_check_is_not_a_usage_error(monkeypatch):
+    import rankin.siegel
+    from rankin.qseries import PrecisionError
+
+    def fail(*args):
+        raise PrecisionError("coefficient beyond the window")
+
+    monkeypatch.setattr(rankin.siegel, "distribution_check", fail)
+    with pytest.raises(PrecisionError):
+        main(["dist-check", "--m", "2", "--N", "5", "--c", "7"])

@@ -4,6 +4,8 @@ operators and the group-ring-valued twisted form."""
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rankin.cyclo import CyclotomicField
 from rankin.eisenstein import (EisensteinSpec, eisenstein_qexp, equivariant_gm,
@@ -12,7 +14,8 @@ from rankin.eisenstein import (EisensteinSpec, eisenstein_qexp, equivariant_gm,
                                universal_gauss_sum, _GmRing)
 from rankin.forms import load_bundled
 from rankin.qseries import QSeries, geometric_dlog
-from rankin.siegel import (distribution_check, dlog_matches_weight_two,
+from rankin.siegel import (bernoulli2, distribution_check,
+                           dlog_matches_weight_two, siegel_scaled,
                            siegel_unit_qexp)
 
 
@@ -125,6 +128,22 @@ class TestTwoParameterFamily:
         for n in range(0, 31, 3):
             assert s.coefficient(n).is_zero()
 
+    @pytest.mark.parametrize("k1,k2", [(-1, 3), (2, -3), (-2, 1)])
+    def test_negative_weight_is_exact(self, k1, k2):
+        K = CyclotomicField(5)
+        s = two_param_eisenstein(F(1, 5), k1, k2, 2, 12)
+        for c in s.coeffs:
+            assert all(isinstance(x, (int, F)) for x in c.coeffs)
+        # the defining divisor sum, with eps = -(-1)^(k1+k2) as a Fraction
+        eps = -(F(-1) ** (k1 + k2))
+        for n in (3, 9, 11):
+            expect = K.zero()
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    expect = expect + (K.zeta(d) + K.zeta(-d) * eps) * (
+                        F(d) ** k1 * F(n // d) ** k2)
+            assert s.coefficient(n) == expect
+
 
 class TestSiegelUnits:
     def test_zero_parameter_rejected(self):
@@ -177,6 +196,53 @@ class TestSiegelUnits:
         lhs = siegel_unit_qexp(alpha, c, 30)
         g = siegel_unit_qexp(alpha, None, 30)
         assert lhs == g ** (c * c - 1)
+
+
+def siegel_by_binomials(alpha, beta, field, prec, scale):
+    """The unit product built one binomial at a time with mul_one_minus."""
+    alpha, beta = F(alpha) % 1, F(beta) % 1
+    b = int(beta * field.L) % field.L
+    t = int(scale * alpha)
+    s = QSeries.one(field, prec + 1)
+    if t == 0:
+        s = s * (field.one() - field.zeta(b))
+    else:
+        s = s.mul_one_minus(field.zeta(b), t)
+    for n in range(1, prec + 1):
+        if 0 < scale * n + t <= prec:
+            s = s.mul_one_minus(field.zeta(b), scale * n + t)
+        if 0 < scale * n - t <= prec:
+            s = s.mul_one_minus(field.zeta(-b), scale * n - t)
+    return QSeries(field, bernoulli2(alpha) / 2 * scale, s.coeffs, unit=True,
+                   normalize=False)
+
+
+@st.composite
+def siegel_params(draw):
+    L = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 12, 35)))
+    scale = draw(st.integers(min_value=1, max_value=4))
+    alpha = F(draw(st.integers(min_value=0, max_value=scale - 1)), scale)
+    beta = F(draw(st.integers(min_value=0, max_value=L - 1)), L)
+    assume(alpha or beta)
+    return alpha, beta, CyclotomicField(L), draw(st.integers(0, 40)), scale
+
+
+class TestPackedSiegelProduct:
+    @given(siegel_params())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_binomial_loop(self, params):
+        fast = siegel_scaled(*params)
+        slow = siegel_by_binomials(*params)
+        assert fast.lead == slow.lead
+        assert [c.coeffs for c in fast.coeffs] == [c.coeffs for c in slow.coeffs]
+        assert str(fast) == str(slow)
+
+    @pytest.mark.parametrize("prec", [0, 1, 2])
+    def test_short_precisions(self, prec):
+        K = CyclotomicField(12)
+        for params in ((0, F(5, 12), K, prec, 1), (F(1, 3), F(1, 4), K, prec, 3),
+                       (F(2, 3), F(0), K, prec, 3)):
+            assert str(siegel_scaled(*params)) == str(siegel_by_binomials(*params))
 
 
 class TestDistribution:

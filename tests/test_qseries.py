@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankin.cyclo import CyclotomicField
-from rankin.qseries import PrecisionError, QSeries
+from rankin.qseries import (PrecisionError, QSeries, _recurrence_inverse,
+                            _schoolbook_mul)
 
 K = CyclotomicField(1)
 
@@ -90,3 +91,96 @@ class TestPrecision:
         d = a.qdq()
         assert d.coefficient(F(1, 12)) == K.coerce(F(1, 12))
         assert d.coefficient(F(13, 12)) == K.coerce(2 * F(13, 12))
+
+
+# -- packed paths over Q(zeta_L) against the schoolbook and recurrence oracles
+
+CONDUCTORS = (1, 2, 3, 4, 5, 12, 35)
+leads = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@st.composite
+def cyclo_series(draw, field=None, unit=False, max_prec=8):
+    """A series over Q(zeta_L) with rational coordinates, zero coefficients
+    (leading ones included) and a fractional or negative lead."""
+    K = field or CyclotomicField(draw(st.sampled_from(CONDUCTORS)))
+    prec = draw(st.integers(min_value=1 if unit else 0, max_value=max_prec))
+    coordinate = st.one_of(st.just(F(0)), rational)
+    coeffs = []
+    for _ in range(prec):
+        if draw(st.booleans()):
+            coeffs.append(K.zero())
+        else:
+            coeffs.append(K.from_coeffs(
+                [draw(coordinate) for _ in range(K.phi)]))
+    if unit and coeffs[0].is_zero():
+        coeffs[0] = K.coerce(draw(rational.filter(lambda x: x != 0)))
+    return QSeries(K, draw(leads), coeffs, unit=unit, normalize=False)
+
+
+def exact_view(s):
+    return s.lead, s.prec, tuple(c.coeffs for c in s.coeffs), str(s)
+
+
+def schoolbook(a, b):
+    n = min(a.prec, b.prec)
+    return QSeries(a.ring, a.lead + b.lead,
+                   _schoolbook_mul(a.ring, a.coeffs, b.coeffs, n),
+                   unit=a.unit and b.unit)
+
+
+@st.composite
+def cyclo_pairs(draw):
+    a = draw(cyclo_series())
+    return a, draw(cyclo_series(field=a.ring))
+
+
+class TestPackedPaths:
+    @given(cyclo_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_product_matches_schoolbook(self, pair):
+        a, b = pair
+        assert exact_view(a * b) == exact_view(schoolbook(a, b))
+
+    @given(cyclo_series())
+    @settings(max_examples=40, deadline=None)
+    def test_square_matches_schoolbook(self, a):
+        assert exact_view(a * a) == exact_view(schoolbook(a, a))
+
+    @pytest.mark.parametrize("L", CONDUCTORS)
+    @pytest.mark.parametrize("prec", [0, 1])
+    def test_zero_and_short_series(self, L, prec):
+        K = CyclotomicField(L)
+        zero = QSeries.zero(K, prec, lead=F(-1, 3))
+        other = QSeries(K, 2, [K.zeta(1) * F(-5, 2)] * 3)
+        for a, b in ((zero, other), (other, zero), (zero, zero)):
+            assert exact_view(a * b) == exact_view(schoolbook(a, b))
+
+    @pytest.mark.parametrize("L", [2, 12])
+    def test_slot_width_at_worst_case(self, L):
+        # equal-signed extreme coordinates make the convolution sums reach the
+        # slot bound; bit lengths 1..16 put it at every offset within a byte
+        K = CyclotomicField(L)
+        for bits in range(1, 17):
+            top = 2 ** bits - 1
+            a = QSeries(K, 0, [K.from_coeffs([top] * K.phi)] * 12)
+            b = QSeries(K, 0, [K.from_coeffs([-top] * K.phi)] * 9)
+            assert exact_view(a * b) == exact_view(schoolbook(a, b))
+            assert exact_view(a * a) == exact_view(schoolbook(a, a))
+
+    @given(cyclo_series(unit=True))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_matches_recurrence(self, a):
+        oracle = QSeries(a.ring, -a.lead, _recurrence_inverse(a.ring, a.coeffs),
+                         unit=True, normalize=False)
+        assert exact_view(a.inverse()) == exact_view(oracle)
+
+    def test_long_integral_inverse(self):
+        # enough terms for several Newton steps, over Z[zeta_12] with a
+        # non-unit constant term as in the Siegel products
+        K = CyclotomicField(12)
+        coeffs = [K.one() - K.zeta(5)] + [K.from_coeffs([(3 * i) % 7 - 3, i % 2, 0, -1])
+                                            for i in range(1, 40)]
+        oracle = _recurrence_inverse(K, coeffs)
+        s = QSeries(K, F(1, 12), coeffs, unit=True)
+        assert [c.coeffs for c in s.inverse().coeffs] == [c.coeffs for c in oracle]
