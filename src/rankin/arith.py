@@ -1,0 +1,124 @@
+"""The exact arithmetic every layer shares: factorization, Euler's phi,
+primes, the Chinese remainder theorem, square-and-multiply powers, inverses
+and Gauss-Jordan solves over Q.
+
+Stdlib only, and nothing from rankin, so any module may import it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+def factor(n: int):
+    """[(p, e), ...] with n = prod p^e and the primes increasing; [] when
+    n <= 1."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def prime_factors(n: int):
+    """The distinct primes dividing n, increasing; [n] exactly when n is
+    prime."""
+    return [p for p, _ in factor(n)]
+
+
+def euler_phi(n: int) -> int:
+    result = 1
+    for p, e in factor(n):
+        result *= (p - 1) * p ** (e - 1)
+    return result
+
+
+def primes_upto(B: int):
+    """The primes p <= B, by the sieve of Eratosthenes."""
+    if B < 2:
+        return []
+    sieve = bytearray([1]) * (B + 1)
+    out = []
+    for p in range(2, B + 1):
+        if sieve[p]:
+            out.append(p)
+            for q in range(p * p, B + 1, p):
+                sieve[q] = 0
+    return out
+
+
+def crt(pairs):
+    """The x in [0, prod of the moduli) with x = r mod m for every (r, m) in
+    ``pairs``; the moduli must be pairwise coprime (modulus 1 allowed)."""
+    x, m = 0, 1
+    for r, mod in pairs:
+        g = pow(m, -1, mod)
+        x = x + m * ((g * (r - x)) % mod)
+        m *= mod
+    return x
+
+
+def power(x, n: int, one):
+    """x^n for n >= 0 by square-and-multiply, starting from ``one``."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
+
+
+def inverse(c):
+    """1/c: an exact Fraction for int and Fraction, c.inverse() for ring
+    elements (never 1 / c, which would cost a product more)."""
+    if isinstance(c, (int, Fraction)):
+        return 1 / Fraction(c)
+    return c.inverse()
+
+
+def solve(mat, rhs, zero):
+    """A solution x of mat * x = rhs by Gauss-Jordan elimination, or None when
+    the system is inconsistent.
+
+    ``mat`` is an n x d list of rows over Q.  The entries of ``rhs`` are
+    Fractions or vectors over Q such as MPoly (anything with v * Fraction,
+    v - w and truth as "nonzero").  Free coordinates are set to ``zero``.
+    """
+    n = len(rhs)
+    d = len(mat[0]) if mat else 0
+    a = [list(row) for row in mat]
+    work = list(rhs)
+    pivots = []
+    row = 0
+    for col in range(d):
+        piv = next((r for r in range(row, n) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        work[row], work[piv] = work[piv], work[row]
+        pv = a[row][col]
+        a[row] = [x / pv for x in a[row]]
+        work[row] = work[row] * (1 / pv)
+        for r in range(n):
+            if r != row and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+                work[r] = work[r] - work[row] * f
+        pivots.append(col)
+        row += 1
+    if any(work[row:]):
+        return None
+    sol = [zero] * d
+    for r, col in enumerate(pivots):
+        sol[col] = work[r]
+    return sol

@@ -13,6 +13,7 @@ from fractions import Fraction as F
 
 from . import normrel as nr
 from . import operators as ops
+from .arith import primes_upto
 from .eisenstein import (EisensteinSpec, eisenstein_qexp, equivariant_gm,
                          hecke_T, p_depletion, two_param_eisenstein)
 from .forms import (congruence_prime_scan, load_bundled, p_stabilize,
@@ -206,7 +207,7 @@ def run_worked_example(cfg):
     out["minpoly"] = [str(c) for c in mp]
     out["minpoly_matches"] = mp == [F(1), F(6, 17), F(-21, 17), F(6, 17), F(1)]
     out["ratio_root_of_unity"] = is_ru
-    window = [p for p in range(5, 51) if all(p % q for q in range(2, p))]
+    window = [p for p in primes_upto(50) if p >= 5]
     scan = congruence_prime_scan(f, g, [g.character], cfg.get("scan_bound", 100),
                                  window)
     flagged = sorted({p for p, entries in scan.items()

@@ -21,6 +21,14 @@ class UsageError(Exception):
     """A command-line parameter outside the range its command supports."""
 
 
+def _checked(check, *args, **kwargs):
+    """check(*args, **kwargs), with a ValueError reported as a usage error."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(exc) from None
+
+
 def _parse_fraction(s: str) -> F:
     try:
         return F(s)
@@ -131,10 +139,7 @@ def cmd_verify(args):
 
 def cmd_qexp(args):
     from .eisenstein import EisensteinSpec, eisenstein_qexp
-    try:
-        spec = EisensteinSpec(args.family, args.k, args.alpha, j=args.j)
-    except ValueError as exc:
-        raise UsageError(exc) from None
+    spec = _checked(EisensteinSpec, args.family, args.k, args.alpha, j=args.j)
     series = eisenstein_qexp(spec, args.prec)
     print(series)
     return 0
@@ -148,11 +153,8 @@ def cmd_dist(args):
     selected = shapes if args.shape == "all" else {args.shape: shapes[args.shape]}
     if args.N < 1:
         raise UsageError(f"--N must be positive, got {args.N}")
-    try:
-        for M in selected.values():
-            distribution_args(0, F(1, args.N), M, args.c)
-    except ValueError as exc:
-        raise UsageError(exc) from None
+    for M in selected.values():
+        _checked(distribution_args, 0, F(1, args.N), M, args.c)
     entries = []
     for name, M in sorted(selected.items()):
         ok, wit = distribution_check(0, F(1, args.N), M, args.c, args.prec)
@@ -165,7 +167,9 @@ def cmd_dist(args):
 
 
 def cmd_hecke(args):
-    from .cosets import t_prime_square_identity, iwahori_index
+    from .cosets import (check_square_identity_args, iwahori_index,
+                         t_prime_square_identity)
+    _checked(check_square_identity_args, args.level, args.prime)
     rep = t_prime_square_identity(args.level, args.prime)
     entries = [{"id": "hecke-square",
                 "statement": f"T'^2 = S' + (p+1)<p^-1>R at level {args.level}, "
@@ -189,9 +193,14 @@ def cmd_hecke(args):
 
 
 def cmd_euler(args):
-    from .euler import hecke_polynomial, rankin_euler_factor, weil_check
+    from .euler import (check_good_prime, hecke_polynomial,
+                        rankin_euler_factor, weil_check)
     from .forms import ingest
     f, g = ingest(args.ffile), ingest(args.gfile)
+    if args.prime > min(f.bound, g.bound):
+        raise UsageError(f"--prime {args.prime} is beyond the coefficient "
+                         f"tables (n <= {min(f.bound, g.bound)})")
+    _checked(check_good_prime, f, g, args.prime)
     fac = rankin_euler_factor(f, g, args.prime)
     print(f"local factor at {args.prime}:")
     print(f"  {fac}")
@@ -235,10 +244,11 @@ def cmd_example(args):
 
 
 def cmd_otsuki(args):
-    from .otsuki import otsuki_trace_check
+    from .otsuki import otsuki_trace_check, trace_check_args
     fam = {2: ([F(1), F(-1)], [F(1), F(0), F(-1)]),
            3: ([F(1), F(-2)], [F(1), F(1)]),
            5: ([F(1), F(-1), F(2)], [F(1), F(3)])}
+    _checked(trace_check_args, args.m, args.ell, fam)
     ok, wit = otsuki_trace_check(args.m, args.ell, fam)
     entry = {"id": "otsuki-trace",
              "statement": f"weighted-trace identity at (m, ell) = "

@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+from .arith import crt, factor, prime_factors
 from .poly import QQ
 
 Mat = tuple  # (a, b, c, d)
@@ -45,32 +46,9 @@ ENUMERATION_BOUND = 10 ** 6  # largest |SL2(Z/M)| we are willing to materialize
 
 def sl2_order(m: int) -> int:
     n = m ** 3
-    mm, p = m, 2
-    while p * p <= mm:
-        if mm % p == 0:
-            n = n // (p * p) * (p * p - 1)
-            while mm % p == 0:
-                mm //= p
-        p += 1
-    if mm > 1:
-        n = n // (mm * mm) * (mm * mm - 1)
+    for p in prime_factors(m):
+        n = n // (p * p) * (p * p - 1)
     return n
-
-
-def _factor(m: int):
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if m > 1:
-        out.append((m, 1))
-    return out
 
 
 def _sl2_part(q: int, condition=None):
@@ -119,9 +97,6 @@ class CongSubgroup:
             return False
         return mat_mod(g, self.level) in self.elements
 
-    def contains_mod(self, g: Mat) -> bool:
-        return mat_mod(g, self.level) in self.elements
-
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -130,13 +105,13 @@ class CongSubgroup:
             raise ValueError(
                 f"|SL2(Z/{level})| = {sl2_order(level)} exceeds the enumeration "
                 f"bound {ENUMERATION_BOUND}")
-        parts = _factor(level)
+        parts = factor(level)
         per_prime = []
         for q, e in parts:
             per_prime.append(_sl2_part(q ** e))
         elements = []
         for combo in product(*per_prime):
-            g = _crt_mats(combo, [q ** e for q, e in parts], level)
+            g = _crt_mats(combo, [q ** e for q, e in parts])
             if condition(g):
                 elements.append(g)
         return cls(level, elements, check=False)
@@ -169,28 +144,13 @@ class CongSubgroup:
         return CongSubgroup.from_condition(
             M, lambda g: mat_mod(g, self.level) in self.elements)
 
-    def intersect(self, other: "CongSubgroup") -> "CongSubgroup":
-        L = self.level * other.level // gcd(self.level, other.level)
-        return CongSubgroup.from_condition(
-            L, lambda g: (mat_mod(g, self.level) in self.elements and
-                          mat_mod(g, other.level) in other.elements))
 
-
-def _crt_mats(mats, moduli, M):
+def _crt_mats(mats, moduli):
     out = []
     for i in range(4):
         pairs = [(m[i], q) for m, q in zip(mats, moduli)]
-        out.append(_crt_ints(pairs) % M)
+        out.append(crt(pairs))
     return tuple(out)
-
-
-def _crt_ints(pairs):
-    x, m = 0, 1
-    for r, mod in pairs:
-        g = pow(m, -1, mod)
-        x = x + m * ((g * (r - x)) % mod)
-        m *= mod
-    return x
 
 
 def lift_sl2(g: Mat, M: int) -> Mat:
@@ -365,6 +325,23 @@ def diamond_matrix(d: int, N: int) -> CosetMatrix:
     return CosetMatrix(g)
 
 
+def check_square_identity_args(N: int, p: int):
+    """Check that t_prime_square_identity supports (N, p): a positive level,
+    a prime p not dividing it, and |SL2(Z/N p^2)| within the enumeration
+    bound; raises ValueError when it does not."""
+    if N < 1:
+        raise ValueError(f"the level must be positive, got {N}")
+    if prime_factors(p) != [p]:
+        raise ValueError(f"p = {p} is not a prime")
+    if N % p == 0:
+        raise ValueError("p must not divide the level")
+    # multiplicative in coprime parts, and p^2 need not be factored
+    order = sl2_order(N) * p ** 3 * sl2_order(p)
+    if order > ENUMERATION_BOUND:
+        raise ValueError(f"|SL2(Z/{N * p * p})| = {order} exceeds the "
+                         f"enumeration bound {ENUMERATION_BOUND}")
+
+
 def t_prime_square_identity(N: int, p: int):
     """Decompose (T'_p)^2 = S'_p + (p+1) <p^-1> R_p by multiplicity counting.
 
@@ -373,8 +350,7 @@ def t_prime_square_identity(N: int, p: int):
     report['diamond'] records which diamond twist the degree-1 constituent
     realizes (it must be the one congruent to diag(p, p^-1}) mod N).
     """
-    if N % p == 0:
-        raise ValueError("p must not divide the level")
+    check_square_identity_args(N, p)
     gamma = CongSubgroup.gamma1(N)
     tp = CosetMatrix((p, 0, 0, 1))
     prod = double_coset_multiply(gamma, tp, tp)

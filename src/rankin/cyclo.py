@@ -11,6 +11,7 @@ import cmath
 from fractions import Fraction
 from math import lcm
 
+from .arith import euler_phi, power
 from .poly import (QQ, cyclotomic_polynomial, poly_divmod, poly_trim,
                    poly_xgcd)
 
@@ -57,21 +58,6 @@ def truncate_slots(x: int, count: int, wb: int) -> int:
 def _slot_offset(count: int, wb: int) -> int:
     return int.from_bytes((1 << (8 * wb - 1)).to_bytes(wb, "little") * count,
                           "little")
-
-
-def euler_phi(n: int) -> int:
-    result, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            result *= (p - 1) * p ** (e - 1)
-        p += 1
-    if m > 1:
-        result *= m - 1
-    return result
 
 
 class CyclotomicField:
@@ -301,14 +287,7 @@ class CycloElt:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, self.field.one())
 
     def inverse(self) -> "CycloElt":
         if self.is_zero():
@@ -328,12 +307,6 @@ class CycloElt:
     def to_complex(self) -> complex:
         z = self.field.complex_root()
         return sum(float(c) * z ** k for k, c in enumerate(self.coeffs))
-
-    def rational_part(self):
-        """The element as a Fraction, if it is rational."""
-        if any(self.coeffs[1:]):
-            raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
 
     def __str__(self):
         name = f"z_{self.field.L}"

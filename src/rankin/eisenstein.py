@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import CyclotomicField
+from .groupring import GroupRing
 from .poly import QQ
 from .qseries import QSeries
 from .zeta import polylog_negative, zeta_negative
@@ -272,12 +273,11 @@ def universal_gauss_sum(n: int, m: int, ring):
     return total
 
 
-class _GmRing:
+class _GmRing(GroupRing):
     """Group ring of (Z/m)^* over Q(zeta_m) tensor the coefficient field of a
     form, with a helper for powers of zeta_m."""
 
     def __init__(self, m: int, form_ring):
-        from .groupring import GroupRing
         from .quotring import QuotRing, join
         from .poly import cyclotomic_polynomial
         phi_m = cyclotomic_polynomial(m)
@@ -285,23 +285,8 @@ class _GmRing:
         lower = [-c for c in phi_m[:-1]]
         zring = QuotRing([("zm", deg, lower)])
         joint, self.embed_z, self.embed_f = join(zring, form_ring, "", "")
-        self.joint = joint
-        self.m = m
-        self.group_ring = GroupRing(m, joint)
-        self.units = self.group_ring.units
+        super().__init__(m, joint)
         self._zm = joint.gen("zm")
-
-    def zero(self):
-        return self.group_ring.zero()
-
-    def one(self):
-        return self.group_ring.one()
-
-    def coerce(self, x):
-        return self.group_ring.coerce(x)
-
-    def bracket(self, a, coeff=None):
-        return self.group_ring.bracket(a, coeff)
 
     def base_zeta(self, k: int):
         return self._zm ** (k % self.m)

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import prime_factors
 from .poly import MPoly, PolyRing, QQ, RatFunc
 from .quotring import QuotRing, join
 
@@ -75,8 +76,18 @@ def hecke_polynomial(form, p: int):
 
 def joint_coefficient_ring(f, g):
     """The tensor of the two coefficient rings with transport maps."""
-    joint, mf, mg = join(f.ring, g.ring, "f_", "g_")
-    return joint, mf, mg
+    return join(f.ring, g.ring, "f_", "g_")
+
+
+def check_good_prime(f, g, p: int):
+    """Check that p is a prime dividing neither level, as the good-prime
+    factor needs; raises BadPrimeError when it is not."""
+    if prime_factors(p) != [p]:
+        raise BadPrimeError(f"p = {p} is not a prime")
+    if (f.level * g.level) % p == 0:
+        raise BadPrimeError(
+            f"p = {p} divides the level of one of the forms; bad factors must "
+            "be supplied by the caller")
 
 
 def rankin_euler_factor(f, g, p: int) -> EulerFactor:
@@ -87,10 +98,7 @@ def rankin_euler_factor(f, g, p: int) -> EulerFactor:
 
     with A = a_p(f), B = a_p(g), ef = eps_f(p), eg = eps_g(p).
     """
-    if (f.level * g.level) % p == 0:
-        raise BadPrimeError(
-            f"p = {p} divides the level of one of the forms; bad factors must "
-            "be supplied by the caller")
+    check_good_prime(f, g, p)
     joint, mf, mg = joint_coefficient_ring(f, g)
     k, l = f.weight, g.weight
     A, B = mf(f.a(p)), mg(g.a(p))
@@ -171,7 +179,7 @@ def weil_check(factor: EulerFactor, p: int, k: int, l: int, tol: float = 1e-9) -
                 if isinstance(c, (int, Fraction)):
                     coeffs.append(mpmath.mpc(QQ(c).numerator) / QQ(c).denominator)
                 else:
-                    coeffs.append(_embed(c, emb))
+                    coeffs.append(_embed_mpoly_mp(c.rep, emb))
             # reciprocal roots: the ascending coefficient list read
             # leading-first is X^d P(1/X), monic since the constant term is 1
             while len(coeffs) > 1 and abs(coeffs[-1]) < mpmath.mpf(10) ** -40:
@@ -225,19 +233,6 @@ def _embed_mpoly_mp(p: MPoly, emb):
     return total
 
 
-def _embed(c, emb):
-    """Embed a QuotElt with the generator images in ``emb``."""
-    import mpmath
-    total = mpmath.mpc(0)
-    for e, coeff in c.rep.terms.items():
-        t = mpmath.mpc(coeff.numerator) / coeff.denominator
-        for name, kk in zip(c.ring.gen_names, e):
-            if kk:
-                t *= emb[name] ** kk
-        total += t
-    return total
-
-
 # ---------------------------------------------------------------------------
 # interpolation factors and the functional-equation symmetry
 # ---------------------------------------------------------------------------
@@ -251,9 +246,6 @@ class InterpFactors:
     modification: RatFunc          # 1 - beta/(p alpha)
     modification_star: RatFunc     # 1 - beta/alpha
     convolution: RatFunc           # four-binomial factor at twist j
-
-    def as_tuple(self):
-        return self.modification, self.modification_star, self.convolution
 
 
 def _binom(num: MPoly, den: MPoly) -> RatFunc:
@@ -373,7 +365,7 @@ def local_correction(fstream, gstream, N: int, bad_factors: dict,
     Returns (CorrectionPolynomial, certified: bool, residuals: dict).
     """
     one = ring.one() if ring is not None else QQ(1)
-    primes = sorted(_prime_divisors(N))
+    primes = prime_factors(N)
     certified = True
     residuals = {}
     local_polys = []
@@ -396,15 +388,14 @@ def local_correction(fstream, gstream, N: int, bad_factors: dict,
         if dbound + 1 > guard:
             raise ValueError(f"guard {guard} too small at p = {p}: "
                              f"need at least {dbound + 2}")
-        tail = [i for i in range(dbound + 1, guard + 1) if not _is_zero(prod[i])]
+        tail = [i for i in range(dbound + 1, guard + 1) if prod[i]]
         if tail:
             certified = False
             residuals[p] = {
                 "error": "polynomiality not certified",
                 "first_nonzero_degree": tail[0],
                 "series_head": [str(prod[i]) for i in range(tail[0] + 1)]}
-        local_polys.append({i: prod[i] for i in range(dbound + 1)
-                            if not _is_zero(prod[i])})
+        local_polys.append({i: prod[i] for i in range(dbound + 1) if prod[i]})
     terms = {tuple([0] * len(primes)): one}
     for idx, loc in enumerate(local_polys):
         new = {}
@@ -415,35 +406,13 @@ def local_correction(fstream, gstream, N: int, bad_factors: dict,
                 e = tuple(e)
                 v = v1 * v2
                 new[e] = new[e] + v if e in new else v
-        terms = {e: v for e, v in new.items() if not _is_zero(v)}
+        terms = {e: v for e, v in new.items() if v}
     return CorrectionPolynomial(primes, terms, one), certified, residuals
 
 
 def _stream_shift(stream, p, guard):
     """Index of the first nonzero prime-power coefficient (oldform dilation)."""
     for r in range(guard + 1):
-        if not _is_zero(stream(p, r)):
+        if stream(p, r):
             return r
     return 0
-
-
-def _prime_divisors(n: int):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _is_zero(x):
-    if x is None:
-        return True
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    return x.is_zero()

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+from .arith import factor, primes_upto
 from .poly import QQ, poly_divmod
 from .quotring import QuotRing, QuotElt, join
 
@@ -46,7 +47,6 @@ class DirichletChar:
             self._one = one
             return
         table = {1 % modulus if modulus > 1 else 1: one}
-        frontier = list(table)
         for _ in range(len(units) + 1):
             new = []
             for u in list(table):
@@ -83,44 +83,9 @@ class DirichletChar:
 
     def order(self) -> int:
         for k in range(1, len(self._table) + 1):
-            if all(_pow_val(v, k) == self._one for v in self._table.values()):
+            if all(v ** k == self._one for v in self._table.values()):
                 return k
         raise AssertionError("no order found")
-
-
-def _pow_val(v, k):
-    out = v
-    for _ in range(k - 1):
-        out = out * v
-    return out
-
-
-def quadratic_character(p: int, modulus: int) -> dict:
-    """Generator values of the quadratic-residue character of the odd prime p,
-    regarded modulo ``modulus`` (p | modulus); helper for building data."""
-    gens = _unit_group_generators(modulus)
-    return {g: QQ(1) if pow(g % p, (p - 1) // 2, p) == 1 else QQ(-1)
-            for g in gens}
-
-
-def _unit_group_generators(m: int):
-    """A (small, possibly redundant) generating set of (Z/m)^*."""
-    units = [a for a in range(1, m) if gcd(a, m) == 1] or [1]
-    gens = []
-    generated = {1 % m if m > 1 else 1}
-    for u in units:
-        if u in generated:
-            continue
-        gens.append(u)
-        frontier = set(generated)
-        for _ in range(len(units)):
-            new = {(x * g) % m for x in generated for g in gens} - generated
-            if not new:
-                break
-            generated |= new
-        if len(generated) == len(units):
-            break
-    return gens or [1]
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +114,7 @@ class Eigenform:
     def _extended(self, n: int) -> QuotElt:
         """Multiplicativity plus the prime-power recursion, beyond the table."""
         out = self.ring.one()
-        for p, e in _factorize(n):
+        for p, e in factor(n):
             out = out * self.prime_power(p, e)
         return out
 
@@ -160,12 +125,7 @@ class Eigenform:
             return self.ring.one()
         if p ** r in self.coefficients:
             return self.coefficients[p ** r]
-        ap = self.a(p)
-        scale = self.char_value(p) * QQ(p) ** (self.weight - 1)
-        prev2, prev1 = self.ring.one(), ap
-        for _ in range(r - 1):
-            prev2, prev1 = prev1, ap * prev1 - scale * prev2
-        return prev1
+        return self.prime_power_direct(p, r)
 
     def char_value(self, n: int) -> QuotElt:
         v = self.character.value(n)
@@ -179,7 +139,7 @@ class Eigenform:
         B = self.bound
         if 1 not in self.coefficients or not (self.coefficients[1] == 1):
             raise FormDataError("a_1 must be 1")
-        for p in _primes_upto(B):
+        for p in primes_upto(B):
             r = 2
             while p ** r <= B:
                 expect = self.prime_power_direct(p, r)
@@ -205,39 +165,6 @@ class Eigenform:
         for _ in range(r - 1):
             prev2, prev1 = prev1, ap * prev1 - scale * prev2
         return prev1
-
-    def gen_element(self):
-        name = self.ring.gen_names[0]
-        return self.ring.gen(name)
-
-
-def _factorize(n: int):
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def _primes_upto(B: int):
-    if B < 2:
-        return []
-    sieve = bytearray([1]) * (B + 1)
-    out = []
-    for p in range(2, B + 1):
-        if sieve[p]:
-            out.append(p)
-            for q in range(p * p, B + 1, p):
-                sieve[q] = 0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +356,7 @@ class PadicPlace:
             coeffs = [QQ(0)] * (d + 1)
             coeffs[d] = QQ(1)
             for k, cf in low.coefficients_in(name).items():
-                val = self._reduce_mpoly(cf, p)
-                coeffs[k] = coeffs[k] - val
+                coeffs[k] = coeffs[k] - self._reduce_mpoly(cf, self.roots, p)
             roots = [r for r in range(p) if _eval_mod(coeffs, r, p) == 0]
             sep = [r for r in roots if _eval_mod(_derivative(coeffs), r, p) != 0]
             if not sep:
@@ -440,12 +366,11 @@ class PadicPlace:
         self._lifted = dict(self.roots)
         self._lift_prec = 1
 
-    def _reduce_mpoly(self, mp, p, prec_pow=None):
-        mod = p if prec_pow is None else prec_pow
+    def _reduce_mpoly(self, mp, roots, mod):
+        """mp at the generator images ``roots``, modulo ``mod``."""
         total = 0
-        roots = self.roots if prec_pow is None else self._lifted
         for e, c in mp.terms.items():
-            if c.denominator % p == 0:
+            if c.denominator % self.p == 0:
                 raise FormDataError("denominator not prime to p in reduction")
             t = c.numerator * pow(c.denominator, -1, mod)
             for name, k in zip(self.ring.gen_names, e):
@@ -479,23 +404,14 @@ class PadicPlace:
         roots = dict(self._lifted)
         roots.update(lifted_prefix)
         for k, cf in low.coefficients_in(name).items():
-            total = 0
-            for e, c in cf.terms.items():
-                if c.denominator % self.p == 0:
-                    raise FormDataError("denominator not prime to p")
-                t = c.numerator * pow(c.denominator, -1, mod)
-                for nm, kk in zip(self.ring.gen_names, e):
-                    if kk:
-                        t *= pow(roots[nm], kk, mod)
-                total += t
-            h[k] = (h[k] - total) % mod
+            h[k] = (h[k] - self._reduce_mpoly(cf, roots, mod)) % mod
         hp = [(i * h[i]) % mod for i in range(1, d + 1)]
         return h, hp
 
     def reduce(self, x: QuotElt, k: int = 1) -> int:
         """The image of x in Z/p^k (denominators must be prime to p)."""
         self._ensure_precision(k)
-        return self._reduce_mpoly(x.rep, self.p, self.p ** k)
+        return self._reduce_mpoly(x.rep, self._lifted, self.p ** k)
 
     def valuation(self, x: QuotElt, max_prec: int = 64):
         """v_p of x at this place; None for (the image of) zero."""
@@ -757,7 +673,7 @@ def congruence_prime_scan(f: Eigenform, g: Eigenform, splitting_chars,
     """
     if f.ring.dimension != 1:
         raise FormDataError("scan expects the first form to have rational coefficients")
-    vs = [v for v in _primes_upto(bound)
+    vs = [v for v in primes_upto(bound)
           if all(chi.value(v) == 1 for chi in splitting_chars)]
     report = {}
     for p in window:
@@ -797,7 +713,7 @@ def hypothesis_report(f: Eigenform, g: Eigenform, p: int,
         if gcd(n, prod_mod) != 1:
             continue
         vf, vg = f.character.value(n), g.character.value(n)
-        if not (_times(vf, vg) == 1):
+        if not (vf * vg == 1):
             nontrivial = True
             break
     out["iii_char_nontrivial"] = ("PASS" if nontrivial else "FAIL",
@@ -833,10 +749,6 @@ def hypothesis_report(f: Eigenform, g: Eigenform, p: int,
         out.setdefault("ix_f_ordinary", ("FAIL", str(exc)))
         out.setdefault("x_ratio_not_root_of_unity", ("FAIL", str(exc)))
     return out
-
-
-def _times(a, b):
-    return a * b
 
 
 def _splitting_check(f: Eigenform, g: Eigenform, p: int):

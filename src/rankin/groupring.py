@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .arith import power
 from .poly import QQ
 
 
@@ -67,26 +68,6 @@ class GroupRing:
             raise TypeError("element of a different group ring")
         return GroupRingElt(self, {1 % self.m if self.m > 1 else 1: self.base.coerce(x)})
 
-    def from_dict(self, d: dict):
-        out = {}
-        for a, c in d.items():
-            key = a % self.m if self.m > 1 else 1
-            if self.m > 1 and gcd(key, self.m) != 1:
-                raise ValueError(f"{a} is not a unit modulo {self.m}")
-            c = self.base.coerce(c)
-            if key in out:
-                out[key] = out[key] + c
-            else:
-                out[key] = c
-        return GroupRingElt(self, {a: c for a, c in out.items() if not _is_zero(c)})
-
-
-def _is_zero(c):
-    if isinstance(c, Fraction):
-        return c == 0
-    z = getattr(c, "is_zero", None)
-    return z() if callable(z) else not c
-
 
 class GroupRingElt:
     __slots__ = ("ring", "coeffs")
@@ -118,7 +99,7 @@ class GroupRingElt:
         for a, c in other.coeffs.items():
             s = out.get(a)
             s = c if s is None else s + c
-            if _is_zero(s):
+            if not s:
                 out.pop(a, None)
             else:
                 out[a] = s
@@ -145,17 +126,16 @@ class GroupRingElt:
                     s = out.get(k)
                     prod = c * d
                     s = prod if s is None else s + prod
-                    if _is_zero(s):
+                    if not s:
                         out.pop(k, None)
                     else:
                         out[k] = s
             return GroupRingElt(self.ring, out)
         # scalar from the base ring (or coercible)
-        c0 = other if not isinstance(other, (int, Fraction)) else other
         out = {}
         for a, c in self.coeffs.items():
-            s = c * c0
-            if not _is_zero(s):
+            s = c * other
+            if s:
                 out[a] = s
         return GroupRingElt(self.ring, out)
 
@@ -164,22 +144,7 @@ class GroupRingElt:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers not supported in group rings")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def bracket_inverse_image(self):
-        """Apply [a] -> [a^-1] (the standard involution)."""
-        m = self.ring.m
-        out = {}
-        for a, c in self.coeffs.items():
-            out[pow(a, -1, m) if m > 1 else 1] = c
-        return GroupRingElt(self.ring, out)
+        return power(self, n, self.ring.one())
 
     def augmentation(self):
         """Image under [a] -> 1, landing in the base ring."""

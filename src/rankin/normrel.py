@@ -17,7 +17,9 @@ since norm composed with restriction is the field degree.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
+from .arith import crt, factor, prime_factors
 from .operators import (ONE, OP_RING, P, composite_norm_p2_closed,
                         composite_norm_p3_closed, higher_norm_step2,
                         higher_norm_step3, is_canonical_operator,
@@ -317,41 +319,6 @@ def a_ell_congruence_concrete(ell: int, af, ag, ef, eg) -> bool:
 # compatible twist systems
 # ---------------------------------------------------------------------------
 
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _is_squarefree(n: int) -> bool:
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
-
-
-def _crt(pairs):
-    """pairs: list of (residue, modulus) with pairwise coprime moduli."""
-    x, m = 0, 1
-    for r, mod in pairs:
-        if mod == 1:
-            continue
-        g = pow(m, -1, mod)
-        x = x + m * ((g * (r - x)) % mod)
-        m *= mod
-    return x % m if m > 1 else 0
-
-
 def build_twist_system(m_max: int, excluded=()):
     """Choose gamma_m in (Z/m)^* for squarefree m <= m_max coprime to the
     excluded set, with gamma_(m ell) = ell^-1 gamma_m mod m whenever ell is
@@ -359,13 +326,13 @@ def build_twist_system(m_max: int, excluded=()):
     factors via the Chinese remainder theorem; single-prime values are 1.
     Returns {m: gamma_m}.
     """
-    from math import gcd as _gcd
     gammas = {1: 1}
     ms = [m for m in range(2, m_max + 1)
-          if _is_squarefree(m) and all(_gcd(m, e) == 1 for e in excluded)]
-    ms.sort(key=lambda m: (len(_prime_factors(m)), m))
+          if all(e == 1 for _, e in factor(m))
+          and all(gcd(m, e) == 1 for e in excluded)]
+    ms.sort(key=lambda m: (len(prime_factors(m)), m))
     for m in ms:
-        primes = _prime_factors(m)
+        primes = prime_factors(m)
         if len(primes) == 1:
             gammas[m] = 1 % m
             continue
@@ -383,8 +350,8 @@ def build_twist_system(m_max: int, excluded=()):
             if len(vals) != 1:
                 raise AssertionError(f"inconsistent twist constraints at m={m}, q={q}")
             prime_pairs.append((vals.pop(), q))
-        gammas[m] = _crt(prime_pairs)
-        if _gcd(gammas[m], m) != 1:
+        gammas[m] = crt(prime_pairs)
+        if gcd(gammas[m], m) != 1:
             raise AssertionError(f"twist value not a unit at m={m}")
     return gammas
 
@@ -394,7 +361,7 @@ def twist_system_property_holds(gammas: dict, m_max: int) -> bool:
     for m, g in gammas.items():
         if m == 1:
             continue
-        for ell in _prime_factors(m):
+        for ell in prime_factors(m):
             rest = m // ell
             if rest == 1:
                 continue

@@ -31,7 +31,9 @@ ring), so no rational-function normalization is ever needed.
 
 from __future__ import annotations
 
-from .cyclo import euler_phi
+from math import gcd
+
+from .arith import euler_phi, prime_factors, solve
 from .poly import PolyRing, QQ, cyclotomic_polynomial, poly_divmod
 
 
@@ -98,6 +100,7 @@ class CycloCover:
         return out, den
 
     def apply_poly(self, coeffs, v: int, vec):
+        """F(sigma_hat_v) vec for F given by its coefficient list."""
         nums, den = vec
         out = [x * QQ(coeffs[0]) for x in nums]
         cur = (nums, den)
@@ -156,7 +159,7 @@ class CycloCover:
         nums, den = vec
         out = [self.ring.zero()] * self.M
         for t in range(1, self.M + 1):
-            if _gcd(t, self.M) != 1 or t % m != 1 % m:
+            if gcd(t, self.M) != 1 or t % m != 1 % m:
                 continue
             for k, x in enumerate(nums):
                 if not x.is_zero():
@@ -214,21 +217,13 @@ class CycloField:
         return out, den
 
     def sigma_hat(self, v: int, vec):
-        if _gcd(v, self.m) != 1:
+        if gcd(v, self.m) != 1:
             raise ValueError("field-level twisted Frobenius needs v prime to m")
         nums, den = self.apply_rational_matrix(self.frobenius_matrix(v % self.m), vec)
         t = self.ring.var(f"tau{v}")
         return [x * t for x in nums], den
 
-    def apply_poly(self, coeffs, v: int, vec):
-        nums, den = vec
-        out = [x * QQ(coeffs[0]) for x in nums]
-        cur = (nums, den)
-        for c in coeffs[1:]:
-            cur = self.sigma_hat(v, cur)
-            if QQ(c):
-                out = [a + b * QQ(c) for a, b in zip(out, cur[0])]
-        return out, den
+    apply_poly = CycloCover.apply_poly
 
     def solve_poly(self, coeffs, v: int, vec):
         if QQ(coeffs[0]) != 1:
@@ -267,26 +262,6 @@ def _mat_mul(a, b):
     return out
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def project_to_field(cover: CycloCover, m: int, vec):
     """Project a cover vector to Q(zeta_m) power-basis coordinates via
     e_k -> zeta_M^k, expressed in the zeta_m basis (m | M)."""
@@ -311,48 +286,18 @@ def project_to_field(cover: CycloCover, m: int, vec):
         dense = [QQ(0)] * ((k * step) % M) + [QQ(1)]
         _, r = poly_divmod(dense, modM)
         cols.append(list(r) + [QQ(0)] * (phiM - len(r)))
-    coords = _rational_coordinates(cols, big)
+    coords = solve([[cols[j][i] for j in range(field.phi)] for i in range(phiM)],
+                   big, cover.ring.zero())
+    if coords is None:
+        raise ValueError("vector does not lie in the subfield")
     return coords, den
-
-
-def _rational_coordinates(cols, total):
-    n = len(total)
-    d = len(cols)
-    a = [[QQ(cols[j][i]) for j in range(d)] for i in range(n)]
-    work = list(total)
-    pivots = []
-    row = 0
-    for col in range(d):
-        piv = next((r for r in range(row, n) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        work[row], work[piv] = work[piv], work[row]
-        pv = a[row][col]
-        a[row] = [x / pv for x in a[row]]
-        work[row] = work[row] * (1 / pv)
-        for r in range(n):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-                work[r] = work[r] - work[row] * f
-        pivots.append(col)
-        row += 1
-    for r in range(row, n):
-        if not work[r].is_zero():
-            raise ValueError("vector does not lie in the subfield")
-    ring = total[0].ring
-    sol = [ring.zero()] * d
-    for r, col in enumerate(pivots):
-        sol[col] = work[r]
-    return sol
 
 
 def corrected_element_cover(cover: CycloCover, m: int, families: dict):
     """x'_m upstairs: product over primes v | m of F_v^(-1) G_v applied to the
     class of zeta_m = e_(M/m)."""
     vec = cover.basis_vec(cover.M // m)
-    for v in _prime_factors(m):
+    for v in prime_factors(m):
         F, G = families[v]
         vec = cover.apply_poly(G, v, vec)
         vec = cover.solve_poly(F, v, vec)
@@ -365,24 +310,37 @@ def corrected_element(m: int, families: dict, ring: PolyRing):
     return project_to_field(cover, m, corrected_element_cover(cover, m, families))
 
 
+def trace_check_args(m: int, ell: int, families: dict):
+    """The primes dividing m*ell, after checking that otsuki_trace_check
+    supports its arguments; raises ValueError when it does not."""
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    if prime_factors(ell) != [ell]:
+        raise ValueError(f"ell = {ell} is not a prime")
+    if m % ell == 0:
+        raise ValueError("ell must not divide m")
+    if euler_phi(m * ell) > 16:
+        raise ValueError("phi(m*ell) must be at most 16")
+    primes = prime_factors(m * ell)
+    for v in primes:
+        if v not in families:
+            raise ValueError(f"no family (F_{v}, G_{v}) for the prime {v}")
+        F, G = families[v]
+        if QQ(F[0]) != 1 or QQ(G[0]) != 1:
+            raise ValueError("family polynomials must have constant term 1")
+    return primes
+
+
 def otsuki_trace_check(m: int, ell: int, families: dict,
                        literal_reading: bool = False):
     """Verify the one-level weighted-trace identity for x'_m.
 
     ``families`` maps each prime v | m*ell to (F_v, G_v) as rational
-    coefficient lists with constant term 1; ell must not divide m and
-    phi(m*ell) must be at most 16.  Returns (bool, witness).
+    coefficient lists with constant term 1; ell must be a prime not dividing
+    m and phi(m*ell) must be at most 16.  Returns (bool, witness).
     """
-    if ell in _prime_factors(m):
-        raise ValueError("ell must not divide m")
     M = m * ell
-    if euler_phi(M) > 16:
-        raise ValueError("phi(m*ell) must be at most 16")
-    for v in _prime_factors(M):
-        F, G = families[v]
-        if QQ(F[0]) != 1 or QQ(G[0]) != 1:
-            raise ValueError("family polynomials must have constant term 1")
-    ring = PolyRing(tuple(f"tau{v}" for v in sorted(_prime_factors(M))))
+    ring = PolyRing(tuple(f"tau{v}" for v in trace_check_args(m, ell, families)))
     cover = CycloCover(M, ring)
     x_big = corrected_element_cover(cover, M, families)
     lhs = project_to_field(cover, m, cover.galois_trace(m, x_big))

@@ -12,6 +12,8 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 
+from .arith import power
+
 QQ = Fraction
 
 
@@ -171,14 +173,7 @@ class MPoly:
         if n < 0:
             inv = self.monomial_inverse()
             return inv ** (-n)
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, self.ring.one())
 
     def monomial_inverse(self) -> "MPoly":
         """Inverse of a single-term polynomial whose variables are invertible."""
@@ -268,13 +263,6 @@ class MPoly:
                 q = q.shift(self.ring.names[i], k)
         return q
 
-    def divisible_by(self, other: "MPoly") -> bool:
-        try:
-            self.exact_div(other)
-            return True
-        except ValueError:
-            return False
-
     def subs(self, values: dict):
         """Evaluate with ``values`` mapping names to Fraction/int/MPoly/RatFunc.
 
@@ -307,7 +295,7 @@ class MPoly:
             t = None
             for i, k in enumerate(e):
                 if k:
-                    f = _pow_any(vals[self.ring.names[i]], k)
+                    f = vals[self.ring.names[i]] ** k
                     t = f if t is None else t * f
             term = c if t is None else t * c
             acc = term if acc is None else acc + term
@@ -345,12 +333,6 @@ class MPoly:
         return s.replace("+ -", "- ")
 
     __repr__ = __str__
-
-
-def _pow_any(v, k: int):
-    if isinstance(v, Fraction):
-        return v ** k
-    return v ** k
 
 
 def _exact_div_poly(a: MPoly, b: MPoly) -> MPoly:
@@ -401,6 +383,9 @@ class RatFunc:
 
     def is_zero(self):
         return self.num.is_zero()
+
+    def __bool__(self):
+        return not self.num.is_zero()
 
     def _coerce(self, other) -> "RatFunc":
         if isinstance(other, RatFunc):
@@ -559,17 +544,6 @@ def poly_divmod(p, q):
     return poly_trim(quot), poly_trim(r)
 
 
-def poly_gcd(p, q):
-    a, b = [QQ(x) for x in p], [QQ(x) for x in q]
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
 def poly_xgcd(p, q):
     """Return (g, u, v) with u*p + v*q = g, g monic."""
     a, b = [QQ(x) for x in p], [QQ(x) for x in q]
@@ -586,18 +560,6 @@ def poly_xgcd(p, q):
         ua = [c / lead for c in ua]
         va = [c / lead for c in va]
     return a, ua, va
-
-
-def poly_pow_mod(p, n, m):
-    """p(x)^n mod m(x)."""
-    result = [QQ(1)]
-    base = poly_divmod(p, m)[1]
-    while n:
-        if n & 1:
-            result = poly_divmod(poly_mul(result, base), m)[1]
-        base = poly_divmod(poly_mul(base, base), m)[1]
-        n >>= 1
-    return result
 
 
 _CYCLO_CACHE = {}

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .arith import inverse, power
 from .cyclo import CyclotomicField
 from .poly import QQ
 
@@ -28,7 +29,7 @@ class QSeries:
             # strip leading zeros so lead points at a nonzero coefficient
             # (unless the series is identically zero to this precision)
             shift = 0
-            while shift < len(coeffs) and _z(coeffs[shift]):
+            while shift < len(coeffs) and not coeffs[shift]:
                 shift += 1
             if shift and shift < len(coeffs):
                 lead += shift
@@ -39,7 +40,7 @@ class QSeries:
         self.lead = lead
         self.coeffs = coeffs
         self.unit = unit
-        if unit and coeffs and _z(coeffs[0]):
+        if unit and coeffs and not coeffs[0]:
             raise ValueError("unit series must have nonzero leading coefficient")
 
     # -- helpers -------------------------------------------------------------
@@ -145,17 +146,10 @@ class QSeries:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = QSeries.one(self.ring, self.prec)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, QSeries.one(self.ring, self.prec))
 
     def inverse(self) -> "QSeries":
-        if not self.coeffs or _z(self.coeffs[0]):
+        if not self.coeffs or not self.coeffs[0]:
             raise ValueError("inverse requires a unit series (nonzero lead coefficient)")
         if type(self.ring) is CyclotomicField:
             out = _newton_inverse(self.ring, self.coeffs)
@@ -176,7 +170,7 @@ class QSeries:
 
         def normalized(s):
             k = 0
-            while k < len(s.coeffs) and _z(s.coeffs[k]):
+            while k < len(s.coeffs) and not s.coeffs[k]:
                 k += 1
             return s.lead + k, s.coeffs[k:]
 
@@ -226,7 +220,7 @@ class QSeries:
     def __str__(self):
         inner = []
         for i, c in enumerate(self.coeffs):
-            if _z(c):
+            if not c:
                 continue
             cs = str(c)
             if any(op in cs for op in (" + ", " - ")) or cs.startswith("-"):
@@ -249,32 +243,14 @@ class PrecisionError(ValueError):
     pass
 
 
-def _z(c) -> bool:
-    if isinstance(c, Fraction):
-        return c == 0
-    z = getattr(c, "is_zero", None)
-    if callable(z):
-        return z()
-    return not c
-
-
-def _inv(c, ring):
-    if isinstance(c, Fraction):
-        return 1 / c
-    inv = getattr(c, "inverse", None)
-    if callable(inv):
-        return inv()
-    return 1 / c
-
-
 def _schoolbook_mul(ring, a, b, n: int) -> list:
     """The first n coefficients of the product, over any coefficient ring."""
     out = [ring.zero()] * n
     for i, x in enumerate(a[:n]):
-        if _z(x):
+        if not x:
             continue
         for j, y in enumerate(b[:n - i]):
-            if not _z(y):
+            if y:
                 out[i + j] = out[i + j] + x * y
     return out
 
@@ -290,12 +266,12 @@ def _packed_mul(field, a, b, n: int) -> list:
 def _recurrence_inverse(ring, coeffs) -> list:
     """Inverse of a unit series by the O(n^2) coefficient recurrence."""
     n = len(coeffs)
-    c0inv = _inv(coeffs[0], ring)
+    c0inv = inverse(coeffs[0])
     out = [c0inv] + [ring.zero()] * (n - 1)
     for k in range(1, n):
         s = ring.zero()
         for j in range(1, k + 1):
-            if not _z(coeffs[j]):
+            if coeffs[j]:
                 s = s + coeffs[j] * out[k - j]
         out[k] = -(c0inv * s)
     return out
@@ -311,7 +287,7 @@ def _newton_inverse(field, coeffs) -> list:
     denominator.
     """
     n = len(coeffs)
-    c0inv = _inv(coeffs[0], field)
+    c0inv = inverse(coeffs[0])
     dx, x = field.rows([c * c0inv for c in coeffs])
     dy, y = 1, [[1] + [0] * (field.phi - 1)]
     m = 1

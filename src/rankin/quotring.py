@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+from .arith import power, solve
 from .poly import MPoly, PolyRing, QQ
 
 
@@ -125,39 +126,6 @@ class QuotRing:
         terms = {e: QQ(c) for e, c in zip(self.basis(), v) if QQ(c)}
         return QuotElt(self, self.poly_ring.from_terms(terms))
 
-    def complex_embeddings(self):
-        """All ring homomorphisms to C, as dicts name -> complex root."""
-        import numpy as np
-        embeddings = [{}]
-        for name in self.gen_names:
-            d = self.degrees[name]
-            low = self.rewrites[name]
-            new = []
-            for emb in embeddings:
-                # h(g) = g^d - low, coefficients embedded via emb
-                coeffs = [0j] * (d + 1)
-                coeffs[d] = 1.0 + 0j
-                for k, cf in low.coefficients_in(name).items():
-                    coeffs[k] -= complex(_embed_mpoly(cf, emb))
-                roots = np.roots(list(reversed(coeffs)))
-                for r in roots:
-                    e2 = dict(emb)
-                    e2[name] = complex(r)
-                    new.append(e2)
-            embeddings = new
-        return embeddings
-
-
-def _embed_mpoly(p: MPoly, emb: dict) -> complex:
-    total = 0j
-    for e, c in p.terms.items():
-        t = complex(float(c.numerator) / float(c.denominator))
-        for i, k in enumerate(e):
-            if k:
-                t *= emb[p.ring.names[i]] ** k
-        total += t
-    return total
-
 
 class QuotElt:
     """Element of a QuotRing, stored as a reduced MPoly in the generators."""
@@ -219,14 +187,7 @@ class QuotElt:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, self.ring.one())
 
     def inverse(self) -> "QuotElt":
         ring = self.ring
@@ -240,7 +201,7 @@ class QuotElt:
         # solve sum_j x_j * cols[j] = e_1
         mat = [[cols[j][i] for j in range(n)] for i in range(n)]
         rhs = [QQ(1)] + [QQ(0)] * (n - 1)
-        sol = _solve_linear(mat, rhs)
+        sol = solve(mat, rhs, QQ(0))
         if sol is None:
             raise ZeroDivisor(f"{self} is a zero divisor in {ring}")
         return ring.from_vector(sol)
@@ -250,76 +211,25 @@ class QuotElt:
         as a dense Fraction list (constant first)."""
         ring = self.ring
         n = ring.dimension
-        rows = []  # reduced echelon rows: (vector, expression in power basis)
-        power = ring.one()
+        xd = ring.one()
         reprs = []
         for d in range(n + 1):
-            v = ring.to_vector(power)
+            v = ring.to_vector(xd)
             reprs.append(v)
             # attempt to express v as a combination of previous powers
             mat = [[reprs[j][i] for j in range(d)] for i in range(n)]
-            sol = _solve_linear_overdetermined(mat, v)
+            sol = solve(mat, v, QQ(0))
             if sol is not None:
-                # power^d = sum sol[j] * power^j  ->  minpoly
+                # self^d = sum sol[j] * self^j  ->  minpoly
                 coeffs = [-c for c in sol] + [QQ(1)]
                 return coeffs
-            power = power * self
+            xd = xd * self
         raise AssertionError("no minimal polynomial found (impossible)")
 
     def __str__(self):
         return str(self.rep)
 
     __repr__ = __str__
-
-
-def _solve_linear(mat, rhs):
-    """Solve a square system exactly; None if singular (no unique solution)."""
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
-
-
-def _solve_linear_overdetermined(mat, rhs):
-    """Solve mat * x = rhs with mat (n x d), exactly; None if inconsistent."""
-    n = len(rhs)
-    d = len(mat[0]) if mat and mat[0] else 0
-    if d == 0:
-        return None if any(rhs) else []
-    a = [mat[i][:] + [rhs[i]] for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(d):
-        piv = next((r for r in range(row, n) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        pv = a[row][col]
-        a[row] = [x / pv for x in a[row]]
-        for r in range(n):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, n):
-        if a[r][d]:
-            return None
-    # free coordinates (if any) set to zero
-    sol = [QQ(0)] * d
-    for r, col in enumerate(pivots):
-        sol[col] = a[r][d]
-    return sol
 
 
 def minpoly(x: QuotElt):

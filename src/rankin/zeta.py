@@ -61,7 +61,6 @@ def polylog_negative(m: int, x):
     """
     num, power = _polylog_neg_ratfunc(m)
     num_val = None
-    xp = None
     for k, c in enumerate(num):
         if not c:
             continue
@@ -71,12 +70,3 @@ def polylog_negative(m: int, x):
     one_minus = 1 - x if isinstance(x, Fraction) else (-x) + 1
     return num_val / one_minus ** power
 
-
-def zeta_star_negative(field, a: int, k: int):
-    """sum_{n>=1} zeta_L^{a n} n^{k-1} regularized: Li_{1-k}(zeta_L^a).
-
-    ``field`` is a CyclotomicField; requires zeta_L^a != 1 (a not 0 mod L).
-    """
-    if a % field.L == 0:
-        raise ValueError("parameter is 0 mod 1; use zeta_negative instead")
-    return polylog_negative(k - 1, field.zeta(a))

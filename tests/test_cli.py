@@ -7,6 +7,9 @@ import pytest
 from rankin.cli import main
 from rankin.forms import bundled_path
 
+F11 = str(bundled_path("f11.eigenform"))
+G26 = str(bundled_path("g26.eigenform"))
+
 
 def test_qexp_prints_constant_term(capsys):
     rc = main(["qexp", "--family", "F", "--k", "2", "--alpha", "1/5",
@@ -115,6 +118,18 @@ def test_example_subcommand(capsys):
     ["dist-check", "--m", "2", "--N", "5", "--c", "7", "--prec", "-2"],
     ["qexp", "--family", "F", "--k", "2", "--alpha", "0"],
     ["qexp", "--family", "F", "--k", "2", "--alpha", "1/5", "--prec", "-3"],
+    ["hecke-check", "--level", "0", "--prime", "2"],
+    ["hecke-check", "--level", "-3", "--prime", "2"],
+    ["hecke-check", "--level", "5", "--prime", "0"],
+    ["hecke-check", "--level", "5", "--prime", "4"],
+    ["hecke-check", "--level", "200", "--prime", "3"],
+    ["otsuki-check", "--m", "0"],
+    ["otsuki-check", "--m", "4", "--ell", "2"],
+    ["otsuki-check", "--ell", "4"],
+    ["otsuki-check", "--ell", "7"],
+    ["euler-factor", "--f", F11, "--g", G26, "--prime", "11"],
+    ["euler-factor", "--f", F11, "--g", G26, "--prime", "4"],
+    ["euler-factor", "--f", F11, "--g", G26, "--prime", "127"],
 ])
 def test_parameter_errors_exit_2(argv, capsys):
     rc = main(argv)

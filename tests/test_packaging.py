@@ -1,0 +1,34 @@
+"""The declared dependencies are exactly the third-party imports of the
+package, so installing it pulls in nothing unused and misses nothing."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")  # in the stdlib from Python 3.11
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _third_party_imports():
+    names = set()
+    for path in sorted((ROOT / "src" / "rankin").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+def _declared_dependencies():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", d).group().lower() for d in deps}
+
+
+def test_declared_dependencies_are_the_imports():
+    assert _third_party_imports() == _declared_dependencies() == {"mpmath"}

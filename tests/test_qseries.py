@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankin.cyclo import CyclotomicField
+from rankin.groupring import RATIONALS
 from rankin.qseries import (PrecisionError, QSeries, _recurrence_inverse,
                             _schoolbook_mul)
 
@@ -48,6 +49,12 @@ class TestAxioms:
     @settings(max_examples=20, deadline=None)
     def test_dlog_is_additive(self, a, b):
         assert (a * b).dlog() == a.dlog() + b.dlog()
+
+    def test_inverse_of_integer_series_is_exact(self):
+        s = QSeries(RATIONALS, 0, [2, 1, 0, 0])
+        for inv in (s.inverse(), s ** -1):
+            assert all(type(c) is F for c in inv.coeffs)
+            assert inv.coeffs == [F(1, 2), F(-1, 4), F(1, 8), F(-1, 16)]
 
 
 class TestPrecision:

@@ -2,14 +2,17 @@
 rings, group rings.  Ring axioms run as property tests on random elements."""
 
 from fractions import Fraction as F
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankin.arith import crt, euler_phi, factor, power, solve
 from rankin.cyclo import CyclotomicField
-from rankin.groupring import GroupRing, augment_mod
+from rankin.groupring import RATIONALS, GroupRing, augment_mod
 from rankin.poly import PolyRing, RatFunc, cyclotomic_polynomial, poly_divmod
+from rankin.qseries import QSeries
 from rankin.quotring import QuotRing, ZeroDivisor, join
 
 
@@ -34,6 +37,7 @@ class TestMPoly:
         x, y, _ = self.R.vars()
         assert RatFunc(x * x - y * y, x - y) == x + y
         assert RatFunc(x, y) != RatFunc(y, x)
+        assert RatFunc(x, y) and not RatFunc(x - x, y)
 
     def test_laurent_denominator_normalization(self):
         x, y, s = self.R.vars()
@@ -150,3 +154,125 @@ def test_cyclotomic_polynomials():
     for d in (1, 2, 3, 6):
         prod = poly_mul(prod, cyclotomic_polynomial(d))
     assert prod == [F(-1), F(0), F(0), F(0), F(0), F(0), F(1)]
+
+
+# ---------------------------------------------------------------------------
+# the shared arithmetic core
+# ---------------------------------------------------------------------------
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def _is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+@st.composite
+def coprime_moduli(draw):
+    moduli = []
+    for m in draw(st.lists(st.integers(1, 40), max_size=4)):
+        if all(gcd(m, other) == 1 for other in moduli):
+            moduli.append(m)
+    return moduli
+
+
+class TestArith:
+    @given(st.integers(1, 10 ** 6))
+    @settings(max_examples=200, deadline=None)
+    def test_factor_multiplies_back(self, n):
+        fac = factor(n)
+        primes = [p for p, _ in fac]
+        assert primes == sorted(set(primes))
+        assert all(_is_prime(p) and e >= 1 for p, e in fac)
+        assert prod(p ** e for p, e in fac) == n
+
+    @given(st.integers(1, 400))
+    @settings(max_examples=100, deadline=None)
+    def test_euler_phi_counts_units(self, n):
+        assert euler_phi(n) == sum(1 for a in range(n) if gcd(a, n) == 1)
+
+    @given(coprime_moduli(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_crt_matches_brute_force(self, moduli, data):
+        residues = [data.draw(st.integers(-100, 100)) for _ in moduli]
+        pairs = list(zip(residues, moduli))
+        found = [x for x in range(prod(moduli))
+                 if all((x - r) % m == 0 for r, m in pairs)]
+        assert [crt(pairs)] == found
+
+    def test_crt_with_modulus_one(self):
+        assert crt([(5, 1)]) == 0
+        assert crt([(3, 1), (4, 7), (0, 1)]) == 4
+
+    @given(st.integers(0, 7), small, st.lists(small, min_size=3, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_power_matches_repeated_multiplication(self, n, a, c):
+        K = CyclotomicField(5)
+        R = QuotRing([("t", 2, [F(2), F(0)])])
+        P = PolyRing(("x", "y"))
+        x, y = P.vars()
+        G = GroupRing(7, R)
+        t = R.gen("t")
+        cases = [
+            (a, F(1)),
+            (K.from_coeffs(c) + K.zeta(2), K.one()),
+            (t * a + c[0], R.one()),
+            (x * a + y * c[0] - c[1], P.one()),
+            (G.bracket(3, t + c[0]) + G.bracket(2, a), G.one()),
+            (QSeries(RATIONALS, 0, [c[0], a, F(1), c[1], c[2]]),
+             QSeries.one(RATIONALS, 5)),
+        ]
+        for elt, one in cases:
+            expect = one
+            for _ in range(n):
+                expect = expect * elt
+            assert power(elt, n, one) == expect
+            if not isinstance(elt, F):
+                assert elt ** n == expect
+
+    @staticmethod
+    def _times(mat, xs, zero):
+        out = []
+        for row in mat:
+            acc = zero
+            for m, v in zip(row, xs):
+                acc = acc + v * m
+            out.append(acc)
+        return out
+
+    @given(st.integers(1, 5), st.integers(1, 5), st.booleans(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_solve_consistent_and_inconsistent(self, n, d, polynomial, data):
+        P = PolyRing(("x", "y"))
+        x, y = P.vars()
+        mat = [[data.draw(small) for _ in range(d)] for _ in range(n)]
+        if polynomial:
+            zero = P.zero()
+            xs = [x * data.draw(small) + y * data.draw(small) + data.draw(small)
+                  for _ in range(d)]
+            bump = x + 1
+        else:
+            zero = F(0)
+            xs = [data.draw(small) for _ in range(d)]
+            bump = F(1)
+        rhs = self._times(mat, xs, zero)
+        sol = solve(mat, rhs, zero)
+        assert sol is not None and len(sol) == d
+        assert self._times(mat, sol, zero) == rhs
+        # a repeated equation with a different right-hand side
+        assert solve(mat + [mat[0]], rhs + [rhs[0] + bump], zero) is None
+        # a zero equation that asks for a nonzero value
+        assert solve(mat + [[F(0)] * d], rhs + [bump], zero) is None
+
+    @given(st.sampled_from([F(1), F(2), F(-3)]),
+           st.lists(small, min_size=3, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_zero_divisor_inverse_raises(self, root, c):
+        # Q[s]/((s-1)(s-2)(s+3)) splits: s - root kills an idempotent
+        R = QuotRing([("s", 3, [F(-6), F(7), F(0)])])
+        s = R.gen("s")
+        y = s * s * c[0] + s * c[1] + c[2]
+        with pytest.raises(ZeroDivisor):
+            ((s - root) * y).inverse()
+        unit = s * s + 5   # its values 6, 9, 14 at the roots are nonzero
+        assert unit * unit.inverse() == 1
