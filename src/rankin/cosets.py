@@ -3,7 +3,8 @@
 Congruence subgroups are materialized as explicit subsets of SL2(Z/L); for a
 coset computation with a determinant-n matrix everything happens modulo
 M = L*n, where both the integrality and the reduction of conjugates are
-decided.  No group theory beyond enumeration is trusted.
+decided.  No group theory beyond enumeration and the Chinese remainder
+theorem is trusted: SL2(Z/M) is the product of its prime-power parts.
 
 The Iwahori subgroup is the lower-triangular-mod-p one (upper-right entry
 divisible by p); its double cosets in SL2(Q_p) are detected by the four
@@ -13,12 +14,13 @@ arithmetic.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .arith import crt, factor, prime_factors
+from .arith import factor, prime_factors
 from .poly import QQ
 
 Mat = tuple  # (a, b, c, d)
@@ -51,15 +53,23 @@ def sl2_order(m: int) -> int:
     return n
 
 
-def _sl2_part(q: int, condition=None):
-    """All of SL2(Z/q) (q a prime power), optionally filtered."""
+def _sl2_parts(m: int):
+    """Per prime power q exactly dividing m (just 1 for m = 1): q and all of
+    SL2(Z/q), each element multiplied by the CRT idempotent e of q (e = 1
+    mod q, e = 0 mod m/q), so that g = sum of its scaled parts mod m."""
     out = []
-    for a, b, c, d in product(range(q), repeat=4):
-        if (a * d - b * c) % q == 1 % q:
-            g = (a, b, c, d)
-            if condition is None or condition(g):
-                out.append(g)
+    for q in [q ** e for q, e in factor(m)] or [1]:
+        e = m // q * pow(m // q, -1, q)
+        out.append((q, [tuple(e * v for v in g)
+                        for g in product(range(q), repeat=4)
+                        if (g[0] * g[3] - g[1] * g[2]) % q == 1 % q]))
     return out
+
+
+def _combine(scaled, m: int) -> Mat:
+    """The matrix mod m whose parts, already multiplied by their idempotents,
+    are ``scaled``: g = sum of e_i g_i mod m."""
+    return tuple(sum(col) % m for col in zip(*scaled))
 
 
 class CongSubgroup:
@@ -72,6 +82,7 @@ class CongSubgroup:
     def __init__(self, level: int, elements, check: bool = True):
         self.level = level
         self.elements = frozenset(mat_mod(g, level) for g in elements)
+        self._preimages = {}  # M -> to_level(M)
         if check:
             self._closure_certificate()
 
@@ -105,13 +116,10 @@ class CongSubgroup:
             raise ValueError(
                 f"|SL2(Z/{level})| = {sl2_order(level)} exceeds the enumeration "
                 f"bound {ENUMERATION_BOUND}")
-        parts = factor(level)
-        per_prime = []
-        for q, e in parts:
-            per_prime.append(_sl2_part(q ** e))
+        parts = [part for _, part in _sl2_parts(level)]
         elements = []
-        for combo in product(*per_prime):
-            g = _crt_mats(combo, [q ** e for q, e in parts])
+        for combo in product(*parts):
+            g = _combine(combo, level)
             if condition(g):
                 elements.append(g)
         return cls(level, elements, check=False)
@@ -134,23 +142,30 @@ class CongSubgroup:
         return cls.from_condition(N, lambda g: True)
 
     def to_level(self, M: int) -> "CongSubgroup":
-        """The preimage in SL2(Z/M) for L | M (strong approximation)."""
+        """The preimage in SL2(Z/M) for L | M (strong approximation), built
+        once per M: per prime power q^e exactly dividing M, group SL2(Z/q^e)
+        by its reduction mod gcd(q^e, L); each element's preimage is the
+        product of the fibers over its components, combined by CRT."""
+        if M in self._preimages:
+            return self._preimages[M]
         if M % self.level != 0:
             raise ValueError("target level must be a multiple of the level")
         if sl2_order(M) > ENUMERATION_BOUND:
             raise ValueError(
                 f"|SL2(Z/{M})| = {sl2_order(M)} exceeds the enumeration bound "
                 f"{ENUMERATION_BOUND}; required bound: reduce L*det^2")
-        return CongSubgroup.from_condition(
-            M, lambda g: mat_mod(g, self.level) in self.elements)
-
-
-def _crt_mats(mats, moduli):
-    out = []
-    for i in range(4):
-        pairs = [(m[i], q) for m, q in zip(mats, moduli)]
-        out.append(crt(pairs))
-    return tuple(out)
+        fibers = []
+        for q, part in _sl2_parts(M):
+            # l | q and e = 1 mod q: a scaled part reduces mod l as it is
+            l, fiber = gcd(q, self.level), defaultdict(list)
+            for g in part:
+                fiber[mat_mod(g, l)].append(g)
+            fibers.append((l, fiber))
+        elements = [_combine(combo, M) for gamma in self.elements
+                    for combo in product(*(fiber[mat_mod(gamma, l)]
+                                           for l, fiber in fibers))]
+        big = self._preimages[M] = CongSubgroup(M, elements, check=False)
+        return big
 
 
 def lift_sl2(g: Mat, M: int) -> Mat:
@@ -177,7 +192,8 @@ def lift_sl2(g: Mat, M: int) -> Mat:
     if s is None:
         raise AssertionError("no top-row adjustment found (input not in SL2?)")
     lift = (x + s * cc, y + s * dd, cc, dd)
-    assert mat_det(lift) == 1 and mat_mod(lift, M) == (a, b, c % M, d % M)
+    if mat_det(lift) != 1 or mat_mod(lift, M) != (a, b, c % M, d % M):
+        raise AssertionError(f"{lift} is not an SL2(Z) lift of {g} mod {M}")
     return lift
 
 
@@ -264,7 +280,8 @@ def coset_reps(gamma: CongSubgroup, alpha: CosetMatrix):
     # sanity: pairwise inequivalent
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
-            assert not same_right_coset(gamma, reps[i].entries, reps[j].entries)
+            if same_right_coset(gamma, reps[i].entries, reps[j].entries):
+                raise AssertionError(f"{reps[i]} and {reps[j]} share a coset")
     return reps
 
 
@@ -301,9 +318,10 @@ def double_coset_multiply(gamma: CongSubgroup, alpha: CosetMatrix,
             else:
                 outside.append((rep2, cnt2))
         counts = {c for _, c in inside}
-        assert len(counts) == 1, "multiplicity not constant on a double coset"
-        assert len(inside) == len(cell), \
-            "product does not cover a full double coset"
+        if len(counts) != 1:
+            raise AssertionError("multiplicity not constant on a double coset")
+        if len(inside) != len(cell):
+            raise AssertionError("product does not cover a full double coset")
         canonical = min(c.entries for c in cell)
         result.append((CosetMatrix(canonical), counts.pop(), len(cell)))
         remaining = outside
@@ -331,6 +349,9 @@ def check_square_identity_args(N: int, p: int):
     bound; raises ValueError when it does not."""
     if N < 1:
         raise ValueError(f"the level must be positive, got {N}")
+    if (N * p * p) ** 3 > 2 * ENUMERATION_BOUND:  # |SL2(Z/m)| > m^3 / 2
+        raise ValueError(f"|SL2(Z/{N * p * p})| exceeds the enumeration "
+                         f"bound {ENUMERATION_BOUND}")
     if prime_factors(p) != [p]:
         raise ValueError(f"p = {p} is not a prime")
     if N % p == 0:

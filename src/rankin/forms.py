@@ -159,6 +159,9 @@ class Eigenform:
 
     def prime_power_direct(self, p: int, r: int) -> QuotElt:
         """Recursion value computed from the stored a_p only."""
+        if p not in self.coefficients:
+            raise ValueError(f"a_{p} is beyond the coefficient table "
+                             f"(bound {self.bound})")
         ap = self.coefficients[p]
         scale = self.char_value(p) * QQ(p) ** (self.weight - 1)
         prev2, prev1 = self.ring.one(), ap

@@ -315,6 +315,8 @@ def trace_check_args(m: int, ell: int, families: dict):
     supports its arguments; raises ValueError when it does not."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
+    if m * ell > 512:  # phi(n) >= sqrt(n / 2) > 16
+        raise ValueError("phi(m*ell) must be at most 16")
     if prime_factors(ell) != [ell]:
         raise ValueError(f"ell = {ell} is not a prime")
     if m % ell == 0:

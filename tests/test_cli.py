@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from rankin.arith import euler_phi
 from rankin.cli import main
+from rankin.cosets import sl2_order
 from rankin.forms import bundled_path
 
 F11 = str(bundled_path("f11.eigenform"))
@@ -123,10 +125,12 @@ def test_example_subcommand(capsys):
     ["hecke-check", "--level", "5", "--prime", "0"],
     ["hecke-check", "--level", "5", "--prime", "4"],
     ["hecke-check", "--level", "200", "--prime", "3"],
+    ["hecke-check", "--level", "5", "--prime", "1000000000000000003"],
     ["otsuki-check", "--m", "0"],
     ["otsuki-check", "--m", "4", "--ell", "2"],
     ["otsuki-check", "--ell", "4"],
     ["otsuki-check", "--ell", "7"],
+    ["otsuki-check", "--ell", "1000000000000000003"],
     ["euler-factor", "--f", F11, "--g", G26, "--prime", "11"],
     ["euler-factor", "--f", F11, "--g", G26, "--prime", "4"],
     ["euler-factor", "--f", F11, "--g", G26, "--prime", "127"],
@@ -138,6 +142,14 @@ def test_parameter_errors_exit_2(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("usage error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_size_bounds_that_reject_before_factoring():
+    # hecke-check rejects N p^2 = m with m^3 > 2 * bound, otsuki-check
+    # m * ell > 512, before the primality test of a possibly huge prime
+    for n in range(1, 2001):
+        assert sl2_order(n) > n ** 3 / 2
+        assert euler_phi(n) ** 2 >= n / 2
 
 
 def test_zero_denominator_is_usage_error(capsys):

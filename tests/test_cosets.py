@@ -1,13 +1,106 @@
 """Double-coset algebra over congruence subgroups and Iwahori invariants."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import rankin.cosets
 from rankin.cosets import (CongSubgroup, CosetMatrix, IwahoriCell, coset_reps,
                            double_coset_multiply, iwahori_index,
-                           iwahori_invariant, same_right_coset,
-                           t_prime_square_identity)
+                           iwahori_invariant, mat_mod, same_right_coset,
+                           sl2_order, t_prime_square_identity)
+
+
+class TestPreimages:
+    @pytest.mark.parametrize("kind", ["gamma1", "gamma0", "gamma_upper0"])
+    def test_preimage_equals_the_filter(self, kind):
+        # oracle: enumerate SL2(Z/M) and keep what reduces into the subgroup
+        cases = 0
+        for N in range(1, 13):
+            G = getattr(CongSubgroup, kind)(N)
+            for M in (N, 2 * N, 3 * N, 4 * N, 6 * N):
+                if sl2_order(M) > 20_000:
+                    continue
+                oracle = CongSubgroup.from_condition(
+                    M, lambda g: mat_mod(g, N) in G.elements)
+                assert G.to_level(M).elements == oracle.elements, (N, M)
+                cases += 1
+        assert cases == 46
+
+    def test_level_one(self):
+        G = CongSubgroup.sl2(1)
+        assert G.elements == {(0, 0, 0, 0)}
+        assert len(G.to_level(6)) == sl2_order(6)
+
+    def test_second_call_is_cached(self, monkeypatch):
+        G = CongSubgroup.gamma1(5)
+        first = G.to_level(45)
+        # the cache belongs to the subgroup instance
+        assert CongSubgroup(5, G.elements).to_level(45) is not first
+        calls = []
+        monkeypatch.setattr(rankin.cosets, "_sl2_parts", calls.append)
+        monkeypatch.setattr(CongSubgroup, "from_condition", classmethod(
+            lambda cls, *args: calls.append(args)))
+        assert G.to_level(45) is first
+        assert calls == []
+
+
+_CORRUPTED = """
+import sys
+import rankin.cosets as C
+
+if not sys.flags.optimize:
+    sys.exit("run with python -O")
+G = C.CongSubgroup.gamma1(5)
+T = C.CosetMatrix((2, 0, 0, 1))
+xgcd, reps, right = C._xgcd_pair, C.coset_reps, C.same_right_coset
+
+
+def attempt(label, thunk):
+    try:
+        thunk()
+    except AssertionError as exc:
+        print(label, exc)
+
+
+# x and y are off by a multiple of M: right mod 5, determinant not 1
+C._xgcd_pair = lambda dd, cc: (xgcd(dd, cc)[0] + 5, xgcd(dd, cc)[1])
+attempt("lift:", lambda: C.lift_sl2((1, 0, 0, 1), 5))
+C._xgcd_pair = xgcd
+C.same_right_coset = lambda gamma, x, y: True
+attempt("reps:", lambda: C.coset_reps(G, T))
+C.same_right_coset = right
+
+
+def first_duplicated(gamma, alpha):
+    r = reps(gamma, alpha)
+    return r + r[:1]
+
+
+C.coset_reps = first_duplicated
+attempt("multiplicity:", lambda: C.double_coset_multiply(G, T, T))
+C.coset_reps = lambda gamma, alpha: 2 * reps(gamma, alpha)
+attempt("cover:", lambda: C.double_coset_multiply(G, T, T))
+"""
+
+
+def test_soundness_checks_survive_python_O():
+    src = Path(rankin.cosets.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "lift", "reps", "multiplicity", "cover"], run.stdout
+    assert "not an SL2(Z) lift" in lines[0]
+    assert "share a coset" in lines[1]
+    assert "multiplicity not constant" in lines[2]
+    assert "full double coset" in lines[3]
 
 
 class TestCosetReps:
@@ -47,7 +140,8 @@ class TestCosetReps:
 
 
 class TestHeckeSquare:
-    @pytest.mark.parametrize("N,p", [(5, 2), (7, 2), (5, 3)])
+    @pytest.mark.parametrize("N,p", [(5, 2), (7, 2), (5, 3), (11, 2), (13, 2),
+                                     (7, 3)])
     def test_square_identity(self, N, p):
         report = t_prime_square_identity(N, p)
         assert report["holds"], report

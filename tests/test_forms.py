@@ -56,6 +56,11 @@ class TestIngestion:
         with pytest.raises(FormDataError, match=r"\(2, 2\)"):
             parse_eigenform("\n".join(out))
 
+    def test_prime_beyond_the_table_names_it(self, f11):
+        assert f11.a(2 * 113) == f11.a(2) * f11.a(113)
+        with pytest.raises(ValueError, match=r"a_1009 .*bound 120"):
+            f11.a(2 * 1009)
+
     def test_character_values(self, g26):
         chi = g26.character
         assert chi.value(3) == F(1)    # 3 = 4^2 mod 13 is a square
