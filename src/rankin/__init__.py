@@ -26,8 +26,8 @@ from .forms import (DirichletChar, Eigenform, Stabilization,
 from .groupring import GroupRing, augment_mod
 from .normrel import (build_twist_system, derive_A_ell, derive_composite_norms,
                       pstab_projection_formula, specialize_to_corestriction)
-from .operators import (operator_euler_coeffs, operator_euler_factor,
-                        verify_higher_rewrite, verify_sp_rewrite)
+from .operators import (operator_euler_coeffs, verify_higher_rewrite,
+                        verify_sp_rewrite)
 from .otsuki import otsuki_trace_check
 from .poly import MPoly, PolyRing, RatFunc
 from .qseries import QSeries
@@ -49,7 +49,7 @@ __all__ = [
     "hecke_qexp", "hypothesis_report", "ingest", "interpolation_factors",
     "iwahori_index", "iwahori_invariant", "join", "load_bundled",
     "local_correction", "maass_raise", "operator_euler_coeffs",
-    "minpoly", "operator_euler_factor", "otsuki_trace_check",
+    "minpoly", "otsuki_trace_check",
     "p_depletion", "p_stabilize",
     "pstab_projection_formula", "rankin_euler_factor",
     "ratio_minpoly_and_root_of_unity", "run_catalog", "siegel_unit_qexp",

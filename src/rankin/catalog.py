@@ -123,7 +123,7 @@ def run_dlog(cfg):
 
 
 def run_distribution(cfg):
-    prec = min(cfg.get("prec", 60), 200)
+    prec = cfg.get("prec", 60)
     failures = {}
     for (m, N, c) in ((2, 5, 7), (3, 4, 7), (2, 3, 5)):
         for name, M in (("dist1", ((m, 0), (0, 1))), ("dist2", ((1, 0), (0, m))),
@@ -208,8 +208,7 @@ def run_worked_example(cfg):
     out["minpoly_matches"] = mp == [F(1), F(6, 17), F(-21, 17), F(6, 17), F(1)]
     out["ratio_root_of_unity"] = is_ru
     window = [p for p in primes_upto(50) if p >= 5]
-    scan = congruence_prime_scan(f, g, [g.character], cfg.get("scan_bound", 100),
-                                 window)
+    scan = congruence_prime_scan(f, g, [g.character], 100, window)
     flagged = sorted({p for p, entries in scan.items()
                       if any(w is None for _, w in entries)})
     out["scan_flagged"] = flagged

@@ -42,23 +42,28 @@ def build_parser():
         description="exact-arithmetic verification workbench for convolution "
                     "local factors, Hecke double cosets and cyclotomic norm "
                     "relations")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", metavar="PATH", help="write the report as JSON")
-    common.add_argument("--prec", type=int, default=100,
-                        help="q-expansion working precision (default 100)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized spot evaluations")
-    common.add_argument("--data", metavar="DIR",
-                        help="directory with eigenform files (default: bundled)")
-    common.add_argument("--guard", type=int, default=8,
-                        help="degree guard for the correction polynomial "
-                             "(default 8)")
+    options = {
+        "json": dict(metavar="PATH", help="write the report as JSON"),
+        "prec": dict(type=int, default=100,
+                     help="q-expansion working precision (default 100)"),
+        "seed": dict(type=int, default=0,
+                     help="seed for randomized spot evaluations"),
+        "data": dict(metavar="DIR",
+                     help="directory with eigenform files (default: bundled)"),
+        "guard": dict(type=int, default=8,
+                      help="degree guard for the correction polynomial "
+                           "(default 8)"),
+    }
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, names, **kw):
+        """A subcommand with the shared options it reads, in ``names``."""
+        p = sub.add_parser(name, **kw)
+        for opt in names:
+            p.add_argument(f"--{opt}", **options[opt])
+        return p
 
-    p = add_parser("verify-norm-relations",
+    p = add_parser("verify-norm-relations", options,
                    help="run the operator-identity catalog")
     p.add_argument("--identity", action="append",
                    help="run one identity by id (repeatable)")
@@ -66,35 +71,37 @@ def build_parser():
                    help="run the complete catalog, not just the "
                         "norm-relation core")
 
-    p = add_parser("qexp", help="print an Eisenstein q-expansion")
+    p = add_parser("qexp", ["prec"], help="print an Eisenstein q-expansion")
     p.add_argument("--family", default="E", choices=("E", "F", "Etilde"))
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--j", type=int, default=0)
     p.add_argument("--alpha", type=_parse_fraction, default=F(0),
                    help="cusp parameter a/N")
 
-    p = add_parser("dist-check", help="unit distribution relations")
+    p = add_parser("dist-check", ["json", "prec"],
+                   help="unit distribution relations")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--shape", default="all",
                    choices=("dist1", "dist2", "dist3", "all"))
 
-    p = add_parser("hecke-check",
-                       help="double-coset square identity and Iwahori table")
+    p = add_parser("hecke-check", ["json"],
+                   help="double-coset square identity and Iwahori table")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--prime", type=int, required=True)
 
-    p = add_parser("euler-factor", help="good-prime local factor of a pair")
+    p = add_parser("euler-factor", ["json"],
+                   help="good-prime local factor of a pair")
     p.add_argument("--f", dest="ffile", required=True)
     p.add_argument("--g", dest="gfile", required=True)
     p.add_argument("--prime", type=int, required=True)
 
-    add_parser("example-7-5",
-                   help="reproduce the bundled worked example "
-                        "(level-11 x level-26 pair at p = 17)")
+    add_parser("example-7-5", ["json", "data"],
+               help="reproduce the bundled worked example "
+                    "(level-11 x level-26 pair at p = 17)")
 
-    p = add_parser("otsuki-check", help="weighted-trace identity")
+    p = add_parser("otsuki-check", ["json"], help="weighted-trace identity")
     p.add_argument("--m", type=int, default=4)
     p.add_argument("--ell", type=int, default=3)
 
@@ -120,8 +127,14 @@ def _emit(report, json_path):
     return 0 if all(e["status"] == "PASS" for e in report["entries"]) else 1
 
 
+def _prec(args):
+    if args.prec < 0:
+        raise UsageError(f"--prec must be >= 0, got {args.prec}")
+    return args.prec
+
+
 def cmd_verify(args):
-    cfg = {"prec": args.prec, "seed": args.seed, "data": args.data,
+    cfg = {"prec": _prec(args), "seed": args.seed, "data": args.data,
            "guard": args.guard}
     if args.identity:
         ids = args.identity
@@ -139,14 +152,16 @@ def cmd_verify(args):
 
 def cmd_qexp(args):
     from .eisenstein import EisensteinSpec, eisenstein_qexp
+    prec = _prec(args)
     spec = _checked(EisensteinSpec, args.family, args.k, args.alpha, j=args.j)
-    series = eisenstein_qexp(spec, args.prec)
+    series = eisenstein_qexp(spec, prec)
     print(series)
     return 0
 
 
 def cmd_dist(args):
     from .siegel import distribution_args, distribution_check
+    prec = _prec(args)
     shapes = {"dist1": ((args.m, 0), (0, 1)),
               "dist2": ((1, 0), (0, args.m)),
               "dist3": ((args.m, 0), (0, args.m))}
@@ -157,7 +172,7 @@ def cmd_dist(args):
         _checked(distribution_args, 0, F(1, args.N), M, args.c)
     entries = []
     for name, M in sorted(selected.items()):
-        ok, wit = distribution_check(0, F(1, args.N), M, args.c, args.prec)
+        ok, wit = distribution_check(0, F(1, args.N), M, args.c, prec)
         entries.append({"id": name,
                         "statement": f"matrix {M}, parameter 1/{args.N}, "
                                      f"c = {args.c}",
@@ -220,7 +235,7 @@ def cmd_euler(args):
 
 
 def cmd_example(args):
-    cfg = {"prec": args.prec, "data": args.data}
+    cfg = {"data": args.data}
     report = run_catalog(["worked-example"], cfg)
     entry = report["entries"][0]
     wit = entry["witness"]
@@ -272,8 +287,6 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if args.prec < 0:
-            raise UsageError(f"--prec must be >= 0, got {args.prec}")
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

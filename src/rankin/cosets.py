@@ -468,13 +468,12 @@ def _pair_invariant(g, p: int):
     return tuple(emin(m) for m in (g00, g11, g01, g10))
 
 
-def iwahori_invariant(g, p: int, search_bound: int | None = None) -> IwahoriCell:
+def iwahori_invariant(g, p: int) -> IwahoriCell:
     """The Iwahori double-coset invariant of g in SL2(Q_p), found by matching
     the lattice-pair invariants against the cell representatives."""
     inv = _pair_invariant(g, p)
-    if search_bound is None:
-        vals = [abs(_val(QQ(x), p)) for x in g if QQ(x) != 0]
-        search_bound = 2 * max(vals) + 2
+    vals = [abs(_val(QQ(x), p)) for x in g if QQ(x) != 0]
+    search_bound = 2 * max(vals) + 2
     for j in range(-search_bound, search_bound + 1):
         for kind in ("diagonal", "antidiagonal"):
             cell = IwahoriCell(kind, j)

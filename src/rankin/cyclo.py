@@ -86,15 +86,12 @@ class CyclotomicField:
             xk = [QQ(0)] * k + [QQ(1)]
             _, r = poly_divmod(xk, self.modulus)
             self._powers.append(self._pad(r))
-        # reduction rows for the product range 0 <= k <= 2 phi - 2;
         # cyclotomic reduction has integer entries, stored as ints so that
-        # integral arithmetic stays on the fast integer path
+        # integral arithmetic stays on the fast integer path; the reduction
+        # rows for the product range 0 <= k <= 2 phi - 2 follow from
+        # x^L = 1 mod Phi_L
         self._powers = [tuple(_as_int(c) for c in row) for row in self._powers]
-        self._redrows = []
-        for k in range(2 * self.phi - 1):
-            xk = [QQ(0)] * k + [QQ(1)]
-            _, r = poly_divmod(xk, self.modulus)
-            self._redrows.append(tuple(_as_int(c) for c in self._pad(r)))
+        self._redrows = [self._powers[k % L] for k in range(2 * self.phi - 1)]
         self._ready = True
 
     def _pad(self, coeffs):

@@ -309,6 +309,7 @@ def equivariant_gm(form, m: int, prec: int):
             total = total + ring.bracket(pow(a, -1, m) if m > 1 else 1,
                                          an * ring.base_zeta(n * a))
         tau = universal_gauss_sum(n, m, ring)
-        assert total == tau * ring.coerce(an), f"Gauss-sum factorization fails at n={n}"
+        if total != tau * ring.coerce(an):
+            raise AssertionError(f"Gauss-sum factorization fails at n={n}")
         coeffs.append(total)
     return QSeries(ring, 0, coeffs, normalize=False), ring

@@ -110,7 +110,8 @@ def rankin_euler_factor(f, g, p: int) -> EulerFactor:
               -(ef * A * eg * B) * pkl,
               (ef * ef * eg * eg) * pkl ** 2]
     fac = EulerFactor(coeffs, joint)
-    assert _factored_form_agrees(f, g, p, fac), "dual-path factor check failed"
+    if not _factored_form_agrees(f, g, p, fac):
+        raise AssertionError("dual-path factor check failed")
     return fac
 
 

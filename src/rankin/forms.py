@@ -416,12 +416,11 @@ class PadicPlace:
         self._ensure_precision(k)
         return self._reduce_mpoly(x.rep, self._lifted, self.p ** k)
 
-    def valuation(self, x: QuotElt, max_prec: int = 64):
+    def valuation(self, x: QuotElt):
         """v_p of x at this place; None for (the image of) zero."""
         if x.is_zero():
             return None
         den_v = 0
-        scale = 1
         for _, c in x.rep.terms.items():
             d = c.denominator
             while d % self.p == 0:
@@ -429,7 +428,7 @@ class PadicPlace:
                 den_v += 1
         num = x * (QQ(self.p) ** den_v) if den_v else x
         k = 4
-        while k <= max_prec:
+        while k <= 64:
             val = self.reduce(num, k)
             if val % (self.p ** k):
                 v = 0
@@ -439,7 +438,7 @@ class PadicPlace:
                 return v - den_v
             k *= 2
         raise FormDataError(
-            f"valuation of {x} exceeds precision {max_prec} (zero divisor?)")
+            f"valuation of {x} exceeds precision 64 (zero divisor?)")
 
 
 def _eval_mod(coeffs, r, p):
@@ -507,7 +506,8 @@ def p_stabilize(form: Eigenform, p: int) -> Stabilization:
     if form.weight == 2:
         # good-prime weight-2 roots are always distinct
         disc = ap * ap - 4 * const
-        assert not disc.is_zero(), f"repeated Hecke roots at p = {p}"
+        if disc.is_zero():
+            raise AssertionError(f"repeated Hecke roots at p = {p}")
     # Newton polygon of X^2 - a_p X + const: vertices (0, k-1), (1, v(a_p)), (2, 0)
     place = PadicPlace(form.ring, p)
     vap = place.valuation(ap) if not ap.is_zero() else None
@@ -525,7 +525,8 @@ def p_stabilize(form: Eigenform, p: int) -> Stabilization:
         ext_place = PadicPlace(ext, p)
         place_root = ext_place.roots["s"]
         root_vals = (ext_place.valuation(alpha), ext_place.valuation(beta))
-        assert sorted(root_vals) == [0, int(km1)], root_vals
+        if sorted(root_vals) != [0, int(km1)]:
+            raise AssertionError(f"ordinary root valuations {root_vals}")
     return Stabilization(p, ext, alpha, beta, slopes, ordinary, root_vals, place_root)
 
 
@@ -570,48 +571,15 @@ def is_root_of_unity_poly(mp) -> bool:
 # residue fields of degree <= 2 and the congruence scan
 # ---------------------------------------------------------------------------
 
-class _Fq:
-    """F_p[T]/(T^2 + aT + b) (or F_p when modulus is linear)."""
-
-    def __init__(self, p: int, modulus):
-        self.p = p
-        self.modulus = modulus  # None for F_p, else (a, b) monic quadratic
-
-    def elt(self, u, v=0):
-        return (u % self.p, v % self.p)
-
-    def add(self, x, y):
-        return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.p)
-
-    def neg(self, x):
-        return ((-x[0]) % self.p, (-x[1]) % self.p)
-
-    def mul(self, x, y):
-        p = self.p
-        u = x[0] * y[0]
-        v = x[0] * y[1] + x[1] * y[0]
-        w = x[1] * y[1]
-        if w:
-            a, b = self.modulus
-            # T^2 = -aT - b
-            v -= w * a
-            u -= w * b
-        return (u % p, v % p)
-
-    def eq(self, x, y):
-        return x[0] % self.p == y[0] % self.p and x[1] % self.p == y[1] % self.p
-
-
 def residue_places(form: Eigenform, p: int):
     """Places above p of the coefficient field (degree <= 2) as
-    (label, residue field, reduction map QuotElt -> element)."""
+    (label, reduction map).  The map sends a QuotElt to its residue (u, v)
+    = u + vT reduced mod p, in F_p (v = 0) or F_p[T]/(T^2 + aT + b)."""
     deg = form.ring.dimension
     if deg == 1:
-        fq = _Fq(p, None)
-
-        def red(x, fq=fq):
-            return fq.elt(_rat_mod(x.rep.constant_value(), p))
-        return [("rational", fq, red)]
+        def red(x):
+            return _rat_mod(x.rep.constant_value(), p), 0
+        return [("rational", red)]
     if deg != 2:
         raise FormDataError("congruence scan supports coefficient fields of degree <= 2")
     name = form.ring.gen_names[0]
@@ -625,19 +593,16 @@ def residue_places(form: Eigenform, p: int):
         out = []
         tag = "t->" if len(roots) == 2 else "ramified t->"
         for r in roots:
-            fq = _Fq(p, None)
-
-            def red(x, r=r, fq=fq):
+            def red(x, r=r):
                 total = 0
                 for e, c in x.rep.terms.items():
                     total += _rat_mod(c, p) * pow(r, e[0], p)
-                return fq.elt(total)
-            out.append((f"{tag}{r}", fq, red))
+                return total % p, 0
+            out.append((f"{tag}{r}", red))
         return out
-    # inert: residue field F_p^2
-    fq = _Fq(p, (a1, a0))
 
-    def red(x, fq=fq):
+    # inert: residue field F_p^2
+    def red(x):
         u = v = 0
         for e, c in x.rep.terms.items():
             cv = _rat_mod(c, p)
@@ -647,8 +612,8 @@ def residue_places(form: Eigenform, p: int):
                 v += cv
             else:
                 raise AssertionError("unreduced element")
-        return fq.elt(u, v)
-    return [("inert", fq, red)]
+        return u % p, v % p
+    return [("inert", red)]
 
 
 def _low_coeff(low, name, k):
@@ -681,15 +646,15 @@ def congruence_prime_scan(f: Eigenform, g: Eigenform, splitting_chars,
     report = {}
     for p in window:
         entries = []
-        for label, fq, red in residue_places(g, p):
+        for label, red in residue_places(g, p):
             witness = None
             for v in vs:
                 try:
-                    x = fq.elt(_rat_mod(f.a(v).rep.constant_value(), p))
+                    x = (_rat_mod(f.a(v).rep.constant_value(), p), 0)
                 except FormDataError:
                     continue
                 y = red(g.a(v))
-                if not fq.eq(x, y) and not fq.eq(x, fq.neg(y)):
+                if x != y and x != (-y[0] % p, -y[1] % p):
                     witness = v
                     break
             entries.append((label, witness))
@@ -701,8 +666,7 @@ def congruence_prime_scan(f: Eigenform, g: Eigenform, splitting_chars,
 # the hypothesis checklist
 # ---------------------------------------------------------------------------
 
-def hypothesis_report(f: Eigenform, g: Eigenform, p: int,
-                      scan_bound: int = 100) -> dict:
+def hypothesis_report(f: Eigenform, g: Eigenform, p: int) -> dict:
     """Evaluate the decidable items of the running hypothesis list for a pair
     of weight-2 forms at a prime p; items needing Galois-image input are
     reported as external assertions."""
@@ -730,7 +694,7 @@ def hypothesis_report(f: Eigenform, g: Eigenform, p: int,
     split_ok, split_note = _splitting_check(f, g, p)
     out["vi_place_split"] = ("PASS" if split_ok else "FAIL", split_note)
     chi_list = [g.character] if not g.character.is_trivial() else []
-    scan = congruence_prime_scan(f, g, chi_list, scan_bound, [p])
+    scan = congruence_prime_scan(f, g, chi_list, 100, [p])
     witnesses = scan[p]
     ok8 = all(w is not None for _, w in witnesses)
     out["viii_coefficient_separation"] = (

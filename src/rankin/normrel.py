@@ -66,10 +66,12 @@ def derive_composite_norms():
     """
     expr2 = norm_down(norm_down({2: ONE}, 2), 1)
     expr3 = norm_down(norm_down(norm_down({3: ONE}, 3), 2), 1)
-    assert set(expr2) == {0} and set(expr3) == {0}
+    if set(expr2) != {0} or set(expr3) != {0}:
+        raise AssertionError("composite norms did not reach the base layer")
     derived2, derived3 = expr2[0], expr3[0]
     closed2, closed3 = composite_norm_p2_closed(), composite_norm_p3_closed()
-    assert is_canonical_operator(derived2) and is_canonical_operator(derived3)
+    if not (is_canonical_operator(derived2) and is_canonical_operator(derived3)):
+        raise AssertionError("derived composite norms are not canonical")
     return (derived2, derived3, closed2, closed3,
             derived2 == closed2, derived3 == closed3)
 
@@ -203,7 +205,8 @@ def pstab_projection_formula(drop_denominator_term: bool = False):
     # specialized norm operators (layer expressions pushed to the base)
     n1 = specialize_roots(second_norm_operator())
     d2, d3, _, _, ok2, ok3 = derive_composite_norms()
-    assert ok2 and ok3, "composite norms failed; projection derivation unsound"
+    if not (ok2 and ok3):
+        raise AssertionError("composite norms failed; projection derivation unsound")
     n2 = specialize_roots(d2)
     n3 = specialize_roots(d3)
     p0 = one - (AL * BE * PR ** -1) * (GA * DE * PR ** -1) * SR ** -2

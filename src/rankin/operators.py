@@ -188,13 +188,6 @@ def operator_euler_at(x: MPoly, mutate: int | None = None) -> MPoly:
     return total
 
 
-def operator_euler_factor():
-    """The operator-valued local factor together with its eigenvalue
-    specialization check; returns (coefficient list, specializes: bool)."""
-    from .normrel import operator_euler_specializes
-    return operator_euler_coeffs(), operator_euler_specializes()
-
-
 # -- closed forms of the composite norms --------------------------------------
 
 def composite_norm_p2_closed(mutate: int | None = None) -> MPoly:

@@ -11,8 +11,12 @@ they are honest commuting linear maps and F(sigma_hat_v) is invertible
 whenever F has constant term 1.  Corrected elements are computed in the
 cover and projected to the field; the one-level trace is the orbit sum in
 the cover, which intertwines the projection with the Galois trace.  For
-l not dividing m the operators at level m act directly on field vectors
-(there sigma_hat_l is tau_l times the honest Frobenius).
+l not dividing m both sides are computed in covers: multiplication by l
+permutes the basis of Q[Z/m], so sigma_hat_l and the plain Frobenius
+e_k -> e_(k t) are permutations there (times tau_l for the hatted one), the
+projection to Q(zeta_m) commutes with both, and solving F(sigma_hat_l) x = v
+in the cover projects to the unique solution in the field.  Only the final
+vectors are projected.
 
 The verified identity, for families F_l, G_l with constant term 1, l not
 dividing m:
@@ -34,7 +38,8 @@ from __future__ import annotations
 from math import gcd
 
 from .arith import euler_phi, prime_factors, solve
-from .poly import PolyRing, QQ, cyclotomic_polynomial, poly_divmod
+from .cyclo import CyclotomicField
+from .poly import PolyRing, QQ
 
 
 def bareiss_det(mat):
@@ -89,15 +94,20 @@ class CycloCover:
         nums[k % self.M] = self.ring.one()
         return nums, self.ring.one()
 
-    def sigma_hat(self, v: int, vec):
+    def frobenius(self, t: int, vec):
+        """The plain Frobenius e_k -> e_(k t)."""
         nums, den = vec
-        t = self.ring.var(f"tau{v}")
         out = [self.ring.zero()] * self.M
         for k, x in enumerate(nums):
             if not x.is_zero():
-                j = (k * v) % self.M
-                out[j] = out[j] + x * t
+                j = (k * t) % self.M
+                out[j] = out[j] + x
         return out, den
+
+    def sigma_hat(self, v: int, vec):
+        nums, den = self.frobenius(v, vec)
+        t = self.ring.var(f"tau{v}")
+        return [x * t for x in nums], den
 
     def apply_poly(self, coeffs, v: int, vec):
         """F(sigma_hat_v) vec for F given by its coefficient list."""
@@ -156,16 +166,11 @@ class CycloCover:
 
     def galois_trace(self, m: int, vec):
         """Orbit sum over the units t = 1 mod m of Z/M."""
-        nums, den = vec
         out = [self.ring.zero()] * self.M
         for t in range(1, self.M + 1):
-            if gcd(t, self.M) != 1 or t % m != 1 % m:
-                continue
-            for k, x in enumerate(nums):
-                if not x.is_zero():
-                    j = (k * t) % self.M
-                    out[j] = out[j] + x
-        return out, den
+            if gcd(t, self.M) == 1 and t % m == 1 % m:
+                out = [a + b for a, b in zip(out, self.frobenius(t, vec)[0])]
+        return out, vec[1]
 
 
 def _component(k0: int, v: int, M: int):
@@ -186,107 +191,22 @@ def _component(k0: int, v: int, M: int):
     return comp
 
 
-class CycloField:
-    """Q(zeta_m) power-basis vectors with polynomial tau coefficients; only
-    used with operators at primes NOT dividing m (honest automorphisms)."""
-
-    def __init__(self, m: int, ring: PolyRing):
-        self.m = m
-        self.phi = euler_phi(m)
-        self.modulus = cyclotomic_polynomial(m)
-        self.ring = ring
-
-    def power_vector(self, k: int):
-        dense = [QQ(0)] * (k % self.m) + [QQ(1)]
-        _, r = poly_divmod(dense, self.modulus)
-        return list(r) + [QQ(0)] * (self.phi - len(r))
-
-    def frobenius_matrix(self, t: int):
-        cols = [self.power_vector(k * t) for k in range(self.phi)]
-        return [[cols[j][i] for j in range(self.phi)] for i in range(self.phi)]
-
-    def apply_rational_matrix(self, mat, vec):
-        nums, den = vec
-        out = []
-        for i in range(self.phi):
-            acc = self.ring.zero()
-            for j in range(self.phi):
-                if mat[i][j]:
-                    acc = acc + nums[j] * mat[i][j]
-            out.append(acc)
-        return out, den
-
-    def sigma_hat(self, v: int, vec):
-        if gcd(v, self.m) != 1:
-            raise ValueError("field-level twisted Frobenius needs v prime to m")
-        nums, den = self.apply_rational_matrix(self.frobenius_matrix(v % self.m), vec)
-        t = self.ring.var(f"tau{v}")
-        return [x * t for x in nums], den
-
-    apply_poly = CycloCover.apply_poly
-
-    def solve_poly(self, coeffs, v: int, vec):
-        if QQ(coeffs[0]) != 1:
-            raise ValueError("polynomial must have constant term 1")
-        nums, den = vec
-        n = self.phi
-        frob = self.frobenius_matrix(v % self.m)
-        t = self.ring.var(f"tau{v}")
-        frob_t = [[self.ring.const(frob[i][j]) * t for j in range(n)]
-                  for i in range(n)]
-        acc = [[self.ring.one() if i == j else self.ring.zero()
-                for j in range(n)] for i in range(n)]
-        power = [[self.ring.one() if i == j else self.ring.zero()
-                  for j in range(n)] for i in range(n)]
-        for c in coeffs[1:]:
-            power = _mat_mul(frob_t, power)
-            if QQ(c):
-                for i in range(n):
-                    for j in range(n):
-                        acc[i][j] = acc[i][j] + power[i][j] * QQ(c)
-        xs, det = bareiss_solve(acc, nums)
-        return xs, den * det
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    ring = a[0][0].ring
-    out = [[ring.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            if a[i][k].is_zero():
-                continue
-            for j in range(n):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
-    return out
-
-
 def project_to_field(cover: CycloCover, m: int, vec):
     """Project a cover vector to Q(zeta_m) power-basis coordinates via
     e_k -> zeta_M^k, expressed in the zeta_m basis (m | M)."""
     M = cover.M
-    field = CycloField(m, cover.ring)
-    phiM = euler_phi(M)
-    modM = cyclotomic_polynomial(M)
+    field = CyclotomicField(M)
     nums, den = vec
-    big = [cover.ring.zero()] * phiM
+    big = [cover.ring.zero()] * field.phi
     for k, x in enumerate(nums):
         if x.is_zero():
             continue
-        dense = [QQ(0)] * k + [QQ(1)]
-        _, r = poly_divmod(dense, modM)
-        for i, c in enumerate(r):
+        for i, c in enumerate(field._powers[k]):
             if c:
                 big[i] = big[i] + x * c
     # express in the zeta_m power basis inside Q(zeta_M)
-    step = M // m
-    cols = []
-    for k in range(field.phi):
-        dense = [QQ(0)] * ((k * step) % M) + [QQ(1)]
-        _, r = poly_divmod(dense, modM)
-        cols.append(list(r) + [QQ(0)] * (phiM - len(r)))
-    coords = solve([[cols[j][i] for j in range(field.phi)] for i in range(phiM)],
+    cols = [field._powers[k * (M // m)] for k in range(euler_phi(m))]
+    coords = solve([[QQ(col[i]) for col in cols] for i in range(field.phi)],
                    big, cover.ring.zero())
     if coords is None:
         raise ValueError("vector does not lie in the subfield")
@@ -346,18 +266,18 @@ def otsuki_trace_check(m: int, ell: int, families: dict,
     cover = CycloCover(M, ring)
     x_big = corrected_element_cover(cover, M, families)
     lhs = project_to_field(cover, m, cover.galois_trace(m, x_big))
-    # right side: field-level operators at level m applied to x'_m
-    field = CycloField(m, ring)
-    x_small = corrected_element(m, families, ring)
+    # right side on the level-m cover: ell is a unit mod m, so sigma_hat_ell
+    # and the plain Frobenius permute its basis, and projecting to Q(zeta_m)
+    # commutes with both and with solving F_ell(sigma_hat_ell) x = v
+    small = CycloCover(m, ring)
     F, G = families[ell]
     width = max(len(G), len(F))
     diff = [QQ(ell - 1) * (G[i] if i < len(G) else QQ(0))
             - QQ(ell) * (F[i] if i < len(F) else QQ(0)) for i in range(width)]
-    rhs = field.apply_poly(diff, ell, x_small)
-    rhs = field.solve_poly(F, ell, rhs)
+    rhs = small.apply_poly(diff, ell, corrected_element_cover(small, m, families))
+    rhs = small.solve_poly(F, ell, rhs)
     # plain inverse Frobenius (= tau_ell * hatted inverse)
-    ell_inv = pow(ell, -1, m) if m > 1 else 0
-    rhs = field.apply_rational_matrix(field.frobenius_matrix(ell_inv), rhs)
+    rhs = project_to_field(small, m, small.frobenius(pow(ell, -1, m), rhs))
     if literal_reading:
         # hatted inverse instead: multiply the left side by tau_ell
         lhs = ([x * ring.var(f"tau{ell}") for x in lhs[0]], lhs[1])

@@ -573,6 +573,7 @@ def cyclotomic_polynomial(n: int):
     for d in range(1, n):
         if n % d == 0:
             p, r = poly_divmod(p, cyclotomic_polynomial(d))
-            assert not r
+            if r:
+                raise AssertionError(f"Phi_{d} does not divide x^{n} - 1")
     _CYCLO_CACHE[n] = list(p)
     return p

@@ -131,20 +131,17 @@ def siegel_unit_qexp(alpha, c: int | None = None, prec: int = 50) -> QSeries:
     return siegel_scaled_c(0, alpha, field, prec, 1, c)
 
 
-def dlog_matches_weight_two(alpha, prec: int = 200, via_division: bool = False):
+def dlog_matches_weight_two(alpha, prec: int = 200):
     """Check dlog g_(0,alpha) = -F^(2)_alpha as series with constant terms.
 
     Since the unit series is invertible, the identity is equivalent to the
-    division-free form q dg/dq = -F * g, which is what is checked by default;
-    ``via_division`` computes dlog literally instead.  Returns (bool, witness).
+    division-free form q dg/dq = -F * g, which is what is checked.  Returns
+    (bool, witness).
     """
     alpha = QQ(alpha) % 1
     g = siegel_unit_qexp(alpha, None, prec)
     rhs = -eisenstein_qexp(EisensteinSpec("F", 2, alpha), prec)
-    if via_division:
-        lhs, rhs2 = g.dlog(), rhs
-    else:
-        lhs, rhs2 = g.qdq(), (rhs * g).truncate(g.prec)
+    lhs, rhs2 = g.qdq(), (rhs * g).truncate(g.prec)
     ok = lhs == rhs2
     witness = None
     if not ok:

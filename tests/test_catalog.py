@@ -35,5 +35,19 @@ def test_seed_changes_spot_point_not_verdict():
     assert w1["spot"]["equal"] and w2["spot"]["equal"]
 
 
+def test_dist_relations_runs_requested_precision(monkeypatch):
+    import rankin.catalog
+    seen = set()
+
+    def record(alpha, beta, M, c, prec):
+        seen.add(prec)
+        return True, None
+
+    monkeypatch.setattr(rankin.catalog, "distribution_check", record)
+    report = run_catalog(["dist-relations"], {"prec": 250})
+    assert seen == {250}
+    assert report["entries"][0]["witness"] == {"precision": 250}
+
+
 def test_mutation_count():
     assert len(MUTATIONS) >= 10

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from rankin.arith import euler_phi
-from rankin.cli import main
+from rankin.cli import build_parser, main
 from rankin.cosets import sl2_order
 from rankin.forms import bundled_path
 
@@ -150,6 +150,53 @@ def test_size_bounds_that_reject_before_factoring():
     for n in range(1, 2001):
         assert sl2_order(n) > n ** 3 / 2
         assert euler_phi(n) ** 2 >= n / 2
+
+
+def test_options_a_command_does_not_read_exit_2(tmp_path, capsys):
+    out = tmp_path / "q.json"
+    for argv in (["qexp", "--family", "F", "--k", "2", "--alpha", "1/5",
+                  "--json", str(out)],
+                 ["hecke-check", "--level", "5", "--prime", "2", "--prec", "7",
+                  "--guard", "3", "--seed", "9", "--data", "/nonexistent"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_REQUIRED = {
+    "verify-norm-relations": [],
+    "qexp": ["--k", "2"],
+    "dist-check": ["--m", "2", "--N", "5", "--c", "7"],
+    "hecke-check": ["--level", "5", "--prime", "2"],
+    "euler-factor": ["--f", F11, "--g", G26, "--prime", "3"],
+    "example-7-5": [],
+    "otsuki-check": [],
+}
+_READS = {
+    "verify-norm-relations": {"json", "prec", "seed", "data", "guard"},
+    "qexp": {"prec"},
+    "dist-check": {"json", "prec"},
+    "example-7-5": {"json", "data"},
+    "hecke-check": {"json"},
+    "euler-factor": {"json"},
+    "otsuki-check": {"json"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED))
+@pytest.mark.parametrize("option", ["json", "prec", "seed", "data", "guard"])
+def test_each_command_accepts_exactly_the_options_it_reads(command, option,
+                                                           capsys):
+    argv = [command, *_REQUIRED[command], f"--{option}", "1"]
+    if option in _READS[command]:
+        assert getattr(build_parser().parse_args(argv), option) in ("1", 1)
+    else:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
 
 
 def test_zero_denominator_is_usage_error(capsys):

@@ -1,10 +1,15 @@
 """Local factors, Weil bounds, interpolation factors and the correction
 polynomial."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import rankin.euler
 from rankin.euler import (BadPrimeError, EulerFactor, functional_symmetry_check,
                           hecke_polynomial, interpolation_factors,
                           joint_coefficient_ring, local_correction,
@@ -93,6 +98,30 @@ class TestRankinFactor:
     def test_bad_prime_rejected(self, pair):
         with pytest.raises(BadPrimeError):
             rankin_euler_factor(*pair, 13)
+
+
+_CORRUPTED = """
+import sys
+import rankin.euler as E
+from rankin.forms import load_bundled
+if not sys.flags.optimize:
+    sys.exit("run with python -O")
+E._factored_form_agrees = lambda f, g, p, fac: False
+f, g = load_bundled("f11.eigenform"), load_bundled("g26.eigenform")
+try:
+    E.rankin_euler_factor(f, g, 3)
+except AssertionError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_dual_path_check_survives_python_O():
+    src = Path(rankin.euler.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "raised: dual-path factor check failed\n"
 
 
 class TestWeil:

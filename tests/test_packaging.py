@@ -1,5 +1,6 @@
 """The declared dependencies are exactly the third-party imports of the
-package, so installing it pulls in nothing unused and misses nothing."""
+package, so installing it pulls in nothing unused and misses nothing; and
+no check in the package is an assert statement, which python -O strips."""
 
 import ast
 import re
@@ -7,8 +8,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-tomllib = pytest.importorskip("tomllib")  # in the stdlib from Python 3.11
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,9 +24,19 @@ def _third_party_imports():
 
 
 def _declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # in the stdlib from Python 3.11
     with open(ROOT / "pyproject.toml", "rb") as fh:
         deps = tomllib.load(fh)["project"]["dependencies"]
     return {re.match(r"[A-Za-z0-9_.-]+", d).group().lower() for d in deps}
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements; soundness checks raise explicitly
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "rankin").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_declared_dependencies_are_the_imports():

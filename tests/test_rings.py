@@ -75,6 +75,14 @@ class TestCyclotomic:
         assert x == y
         assert abs(x.to_complex() - y.to_complex()) < 1e-10
 
+    def test_reduction_rows_are_remainders(self):
+        # oracle: x^k mod Phi_L by polynomial division
+        for L in range(1, 41):
+            K = CyclotomicField(L)
+            for k in range(2 * K.phi - 1):
+                _, r = poly_divmod([F(0)] * k + [F(1)], cyclotomic_polynomial(L))
+                assert K._redrows[k] == tuple(r) + (0,) * (K.phi - len(r)), (L, k)
+
     @given(st.integers(0, 11), st.integers(0, 11))
     @settings(max_examples=20, deadline=None)
     def test_zeta_multiplicative(self, a, b):
