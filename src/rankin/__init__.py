@@ -5,8 +5,8 @@ identities, local convolution factors with their interpolation symmetries,
 and a fully checked worked example.
 
 Everything is verified over exact coefficient rings (rationals, cyclotomic
-fields, quotient rings, group rings); floating point appears only in the
-numeric Weil-bound check and in cross-validation against complex embeddings.
+fields, quotient rings, group rings), the Weil bounds included; floating
+point appears only in cross-validation against complex embeddings.
 """
 
 __version__ = "0.1.0"

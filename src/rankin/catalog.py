@@ -8,6 +8,7 @@ status is "PASS" or "FAIL".  FAIL witnesses always carry the mismatch data.
 
 from __future__ import annotations
 
+import functools
 import time
 from fractions import Fraction as F
 
@@ -263,7 +264,7 @@ def run_weil(cfg):
     f = _form(cfg, "f11.eigenform")
     g = _form(cfg, "g26.eigenform")
     bad = [p for p in (3, 5, 7, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-           if not weil_check(rankin_euler_factor(f, g, p), p, 2, 2, 1e-9)]
+           if not weil_check(rankin_euler_factor(f, g, p), p, 2, 2)]
     return _bool_entry(not bad, bad or None)
 
 
@@ -433,7 +434,13 @@ NORM_RELATION_IDS = [
 
 
 def _form(cfg, name):
-    data_dir = cfg.get("data")
+    return _load_form(cfg.get("data"), name)
+
+
+@functools.cache
+def _load_form(data_dir, name):
+    """The eigenform in file ``name`` of ``data_dir`` (default: bundled),
+    parsed once per process."""
     if data_dir:
         import os
         from .forms import ingest

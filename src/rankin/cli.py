@@ -145,8 +145,7 @@ def cmd_verify(args):
     try:
         report = run_catalog(ids, cfg)
     except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        raise UsageError(exc.args[0]) from None
     return _emit(report, args.json)
 
 

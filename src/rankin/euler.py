@@ -1,5 +1,5 @@
 """Local factors of the convolution of two eigenforms: the good-prime
-degree-4 polynomial, numeric Weil bounds, the ordinary interpolation factors
+degree-4 polynomial, exact Weil bounds, the ordinary interpolation factors
 with their functional-equation symmetry, and the bad-level Dirichlet
 correction polynomial.
 """
@@ -7,11 +7,11 @@ correction polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import prime_factors
-from .poly import MPoly, PolyRing, QQ, RatFunc
-from .quotring import QuotRing, join
+from .poly import (MPoly, PolyRing, QQ, RatFunc, poly_add, poly_derivative,
+                   poly_divmod, poly_eval, poly_mul, poly_neg, poly_xgcd)
+from .quotring import join
 
 
 class BadPrimeError(ValueError):
@@ -26,8 +26,7 @@ class EulerFactor:
     ring: object = None
 
     def __post_init__(self):
-        c0 = self.coefficients[0]
-        if not (c0 == 1 or (hasattr(c0, "is_zero") and (c0 - 1).is_zero())):
+        if not self.coefficients[0] == 1:
             raise ValueError("constant term of a local factor must be 1")
 
     @property
@@ -124,23 +123,12 @@ def splitting_ring(f, g, p: int):
     A, B = mf(f.a(p)), mg(g.a(p))
     ef, eg = mf(f.char_value(p)), mg(g.char_value(p))
 
-    rel_rx = {e + (1, 0): c for e, c in A.rep.terms.items()}
-    for e, c in (ef * (-(QQ(p) ** (k - 1)))).rep.terms.items():
-        rel_rx[e + (0, 0)] = rel_rx.get(e + (0, 0), QQ(0)) + c
-    rel_ry = {e + (0, 1): c for e, c in B.rep.terms.items()}
-    for e, c in (eg * (-(QQ(p) ** (l - 1)))).rep.terms.items():
-        rel_ry[e + (0, 0)] = rel_ry.get(e + (0, 0), QQ(0)) + c
-    gens = [(n, joint.degrees[n],
-             {e + (0, 0): c for e, c in joint.rewrites[n].terms.items()})
-            for n in joint.gen_names]
-    gens.append(("rx", 2, {e: c for e, c in rel_rx.items() if c}))
-    gens.append(("ry", 2, {e: c for e, c in rel_ry.items() if c}))
-    # reorder exponents: existing gens keep positions, rx/ry appended
-    ext = QuotRing(gens)
+    with_rx, lift_rx = joint.adjoin("rx", [-(ef * QQ(p) ** (k - 1)), A])
+    ext, lift_ry = with_rx.adjoin(
+        "ry", [lift_rx(-(eg * QQ(p) ** (l - 1))), lift_rx(B)])
 
     def lift(x):
-        return ext.from_poly(ext.poly_ring.from_terms(
-            {e + (0, 0): c for e, c in x.rep.terms.items()}))
+        return lift_ry(lift_rx(x))
 
     return ext, lift, ext.gen("rx"), ext.gen("ry"), lift(A), lift(B)
 
@@ -164,74 +152,65 @@ def _factored_form_agrees(f, g, p, fac):
     return True
 
 
-def weil_check(factor: EulerFactor, p: int, k: int, l: int, tol: float = 1e-9) -> bool:
-    """All reciprocal roots satisfy |lambda| <= p^((k+l-2)/2) (1+tol), at every
-    complex embedding of the coefficient ring.  Embeddings and roots are both
-    computed at 50-digit working precision so the default tolerance is
-    meaningful."""
-    import mpmath
-    ring = factor.ring
-    with mpmath.workdps(50):
-        bound = mpmath.mpf(p) ** (mpmath.mpf(k + l - 2) / 2) * (1 + mpmath.mpf(tol))
-        embeddings = _mp_embeddings(ring) if ring is not None else [{}]
-        for emb in embeddings:
-            coeffs = []
-            for c in factor.coefficients:
-                if isinstance(c, (int, Fraction)):
-                    coeffs.append(mpmath.mpc(QQ(c).numerator) / QQ(c).denominator)
-                else:
-                    coeffs.append(_embed_mpoly_mp(c.rep, emb))
-            # reciprocal roots: the ascending coefficient list read
-            # leading-first is X^d P(1/X), monic since the constant term is 1
-            while len(coeffs) > 1 and abs(coeffs[-1]) < mpmath.mpf(10) ** -40:
-                coeffs.pop()
-            d = len(coeffs) - 1
-            if d == 0:
-                continue
-            comp = mpmath.zeros(d)
-            for i in range(1, d):
-                comp[i, i - 1] = 1
-            for i in range(d):
-                comp[i, d - 1] = -coeffs[d - i]
-            lams, _ = mpmath.eig(comp)
-            if any(abs(lam) > bound for lam in lams):
-                return False
-    return True
+def weil_check(factor: EulerFactor, p: int, k: int, l: int) -> bool:
+    """All reciprocal roots satisfy |lambda|^2 <= p^(k+l-2) at every complex
+    embedding of the coefficient ring, decided exactly.
+
+    The reciprocal roots at all embeddings are the roots of the minimal
+    polynomial N over Q of X in ring[X]/(X^d P(1/X)).  With G(z^2) =
+    N(z) N(-z) and H(w) = G(p^(k+l-2) w), the bound says that every root of H
+    lies in the closed unit disc.  The roots w of H with 1/w also a root, those
+    of g = gcd(H, reversed H), must lie on the circle: after removing w -+ 1,
+    g is palindromic of degree 2m, g(w) = w^m M(w + 1/w), and M must have m
+    distinct roots in [-2, 2] (a Sturm count).  The other roots, those of
+    h = H/g, come in no such pairs and lie on no circle point, so the
+    Schur-Cohn recursion decides them without a singular case.
+    """
+    if factor.degree < 1:
+        return True
+    rev = factor.coefficients[::-1]
+    if factor.ring is None:
+        norm = [QQ(c) for c in rev]
+    else:
+        ext, _ = factor.ring.adjoin("X", [-c for c in rev[:-1]])
+        norm = ext.gen("X").minpoly()
+    rho = QQ(p) ** (k + l - 2)
+    squares = poly_mul(norm, [-c if i % 2 else c for i, c in enumerate(norm)])
+    H = [c * rho ** i for i, c in enumerate(squares[::2])]
+    while not H[0]:
+        H.pop(0)
+    H = poly_divmod(H, poly_xgcd(H, poly_derivative(H))[0])[0]
+    g = poly_xgcd(H, H[::-1])[0]
+    h = poly_divmod(H, g)[0]
+    while len(h) > 1:
+        c = h[0] / h[-1]
+        if abs(c) >= 1:
+            return False
+        h = [x - c * y for x, y in zip(h, h[::-1])][1:]
+    for r in (1, -1):
+        q, rem = poly_divmod(g, [QQ(-r), QQ(1)])
+        if not rem:
+            g = q
+    m = (len(g) - 1) // 2
+    M, dickson, prev = [g[m]], [QQ(0), QQ(1)], [QQ(2)]
+    for c in g[m + 1:]:
+        # dickson = w^j + w^-j as a polynomial in s = w + 1/w
+        M = poly_add(M, [c * x for x in dickson])
+        dickson, prev = poly_add([QQ(0)] + dickson, poly_neg(prev)), dickson
+    return _sturm_count(M, -2, 2) == m
 
 
-def _mp_embeddings(ring):
-    """All homomorphisms of a QuotRing into C at mpmath working precision."""
-    import mpmath
-    embeddings = [{}]
-    for name in ring.gen_names:
-        d = ring.degrees[name]
-        low = ring.rewrites[name]
-        new = []
-        for emb in embeddings:
-            coeffs = [mpmath.mpc(0)] * (d + 1)
-            coeffs[d] = mpmath.mpc(1)
-            for kk, cf in low.coefficients_in(name).items():
-                coeffs[kk] -= _embed_mpoly_mp(cf, emb)
-            roots = mpmath.polyroots(list(reversed(coeffs)), maxsteps=200,
-                                     extraprec=80)
-            for r in roots:
-                e2 = dict(emb)
-                e2[name] = r
-                new.append(e2)
-        embeddings = new
-    return embeddings
+def _sturm_count(f, a, b) -> int:
+    """The number of distinct real roots of f in (a, b]."""
+    seq = [f, poly_derivative(f)]
+    while seq[-1]:
+        seq.append(poly_neg(poly_divmod(seq[-2], seq[-1])[1]))
 
+    def changes(x):
+        signs = [v for v in (poly_eval(q, x) for q in seq[:-1]) if v]
+        return sum(1 for u, v in zip(signs, signs[1:]) if (u < 0) != (v < 0))
 
-def _embed_mpoly_mp(p: MPoly, emb):
-    import mpmath
-    total = mpmath.mpc(0)
-    for e, c in p.terms.items():
-        t = mpmath.mpc(c.numerator) / c.denominator
-        for i, k in enumerate(e):
-            if k:
-                t *= emb[p.ring.names[i]] ** k
-        total += t
-    return total
+    return changes(a) - changes(b)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import factor, primes_upto
-from .poly import QQ, poly_divmod
+from .poly import QQ, poly_derivative, poly_divmod
 from .quotring import QuotRing, QuotElt, join
 
 
@@ -361,7 +361,7 @@ class PadicPlace:
             for k, cf in low.coefficients_in(name).items():
                 coeffs[k] = coeffs[k] - self._reduce_mpoly(cf, self.roots, p)
             roots = [r for r in range(p) if _eval_mod(coeffs, r, p) == 0]
-            sep = [r for r in roots if _eval_mod(_derivative(coeffs), r, p) != 0]
+            sep = [r for r in roots if _eval_mod(poly_derivative(coeffs), r, p) != 0]
             if not sep:
                 raise FormDataError(
                     f"no simple root mod {p} for {name}; place not supported")
@@ -455,10 +455,6 @@ def _eval_int(coeffs, r, mod):
     return total
 
 
-def _derivative(coeffs):
-    return [QQ(i) * c for i, c in enumerate(coeffs)][1:]
-
-
 @dataclass
 class Stabilization:
     """The two roots of X^2 - a_p X + p^(k-1) chi(p) in a quadratic extension
@@ -487,20 +483,7 @@ def p_stabilize(form: Eigenform, p: int) -> Stabilization:
     ap = form.a(p)
     const = form.char_value(p) * QQ(p) ** (form.weight - 1)
     # extended ring: adjoin s with s^2 = a_p s - const
-    gens = [(n, form.ring.degrees[n],
-             {e + (0,): c for e, c in form.ring.rewrites[n].terms.items()})
-            for n in form.ring.gen_names]
-    rel = {e + (1,): c for e, c in ap.rep.terms.items()}
-    for e, c in (-const).rep.terms.items():
-        key = e + (0,)
-        rel[key] = rel.get(key, QQ(0)) + c
-    gens.append(("s", 2, {e: c for e, c in rel.items() if c}))
-    ext = QuotRing(gens)
-
-    def lift(x):
-        return ext.from_poly(ext.poly_ring.from_terms(
-            {e + (0,) : c for e, c in x.rep.terms.items()}))
-
+    ext, lift = form.ring.adjoin("s", [-const, ap])
     alpha = ext.gen("s")
     beta = lift(ap) - alpha
     if form.weight == 2:

@@ -523,6 +523,17 @@ def poly_mul(p, q):
     return poly_trim(r)
 
 
+def poly_derivative(p):
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def poly_eval(p, x):
+    total = QQ(0)
+    for c in reversed(p):
+        total = total * x + c
+    return total
+
+
 def poly_divmod(p, q):
     """Division with remainder in Q[x]."""
     if not q:

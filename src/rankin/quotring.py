@@ -84,6 +84,27 @@ class QuotRing:
     def from_poly(self, p: MPoly):
         return QuotElt(self, self._reduce(p))
 
+    def adjoin(self, name, lower):
+        """Extend by a new last generator with name^d = lower[0] + lower[1]*name
+        + ... + lower[d-1]*name^(d-1), the lower[i] in this ring; returns
+        (ext, lift) with lift the inclusion of this ring into ext.  ``lift``
+        reads coordinates, so it also takes elements of a copy of this ring
+        with the same generators (another ``join`` of the same two rings)."""
+        if name in self.gen_names:
+            raise ValueError(f"generator {name} already exists")
+
+        def pad(p: MPoly, k=0):
+            return {e + (k,): c for e, c in p.terms.items()}
+
+        gens = [(n, self.degrees[n], pad(self.rewrites[n]))
+                for n in self.gen_names]
+        rel = {}
+        for k, c in enumerate(lower):
+            rel.update(pad(self.coerce(c).rep, k))
+        ext = QuotRing(gens + [(name, len(lower), rel)])
+        return ext, lambda x: QuotElt(ext, ext.poly_ring.from_terms(
+            pad(x.rep if isinstance(x, QuotElt) else self.coerce(x).rep)))
+
     def from_dense(self, name, coeffs):
         """c0 + c1*g + c2*g^2 + ... for a single generator ``name``."""
         p = self.poly_ring.zero()
@@ -208,7 +229,9 @@ class QuotElt:
 
     def minpoly(self):
         """Monic minimal polynomial over Q of multiplication by this element,
-        as a dense Fraction list (constant first)."""
+        as a dense Fraction list (constant first).  With zero divisors in the
+        ring this is the least common annihilator across the components, so
+        it may factor; the element is always a root."""
         ring = self.ring
         n = ring.dimension
         xd = ring.one()
@@ -232,12 +255,7 @@ class QuotElt:
     __repr__ = __str__
 
 
-def minpoly(x: QuotElt):
-    """Monic minimal polynomial over Q of (multiplication by) a quotient-ring
-    element, as a dense coefficient list, constant term first.  In an ambient
-    ring with zero divisors this is the least common annihilator across the
-    components, so it may factor; the element is always a root."""
-    return x.minpoly()
+minpoly = QuotElt.minpoly
 
 
 def join(r1: QuotRing, r2: QuotRing, prefix1: str = "", prefix2: str = ""):

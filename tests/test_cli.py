@@ -43,6 +43,22 @@ def test_unknown_identity_is_usage_error(capsys):
     assert rc == 2
 
 
+def test_example_parses_each_form_once(monkeypatch, capsys):
+    import rankin.catalog
+    import rankin.forms
+    parse, parsed = rankin.forms.parse_eigenform, []
+
+    def counting(text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(rankin.forms, "parse_eigenform", counting)
+    rankin.catalog._load_form.cache_clear()
+    assert main(["example-7-5"]) == 0
+    capsys.readouterr()
+    assert len(parsed) == 2
+
+
 def test_dist_check(capsys):
     rc = main(["dist-check", "--m", "2", "--N", "5", "--c", "7",
                "--prec", "40"])
@@ -134,6 +150,7 @@ def test_example_subcommand(capsys):
     ["euler-factor", "--f", F11, "--g", G26, "--prime", "11"],
     ["euler-factor", "--f", F11, "--g", G26, "--prime", "4"],
     ["euler-factor", "--f", F11, "--g", G26, "--prime", "127"],
+    ["verify-norm-relations", "--identity", "no-such-identity"],
 ])
 def test_parameter_errors_exit_2(argv, capsys):
     rc = main(argv)

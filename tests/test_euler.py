@@ -8,6 +8,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rankin.euler
 from rankin.euler import (BadPrimeError, EulerFactor, functional_symmetry_check,
@@ -15,6 +17,7 @@ from rankin.euler import (BadPrimeError, EulerFactor, functional_symmetry_check,
                           joint_coefficient_ring, local_correction,
                           rankin_euler_factor, weil_check)
 from rankin.forms import load_bundled
+from rankin.quotring import QuotRing
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +73,11 @@ class TestRankinFactor:
         assert fac.degree == 4
         assert fac.coefficients[0] == fac.ring.one()
 
+    def test_constant_term_two_rejected(self, pair):
+        joint = rankin_euler_factor(*pair, 3).ring
+        with pytest.raises(ValueError):
+            EulerFactor([joint.one() * 2, joint.one()], joint)
+
     def test_explicit_value_at_3(self, pair):
         # a_3(f) = a_3(g) = -1 and both characters take value 1 at 3
         fac = rankin_euler_factor(*pair, 3)
@@ -124,17 +132,86 @@ def test_dual_path_check_survives_python_O():
     assert run.stdout == "raised: dual-path factor check failed\n"
 
 
+_GAUSS = QuotRing([("t", 2, [F(-1)])])
+
+
+def _factor_with_roots(lams):
+    """prod (1 - lambda X) for lambda = a + b i given as (a, b): over Z when
+    every b is 0, else over Z[i] = Q[t]/(t^2 + 1)."""
+    if any(b for _, b in lams):
+        ring, one, t = _GAUSS, _GAUSS.one(), _GAUSS.gen("t")
+        roots = [a + b * t for a, b in lams]
+    else:
+        ring, one, roots = None, F(1), [F(a) for a, _ in lams]
+    coeffs = [one]
+    for lam in roots:
+        coeffs = [c - lam * d
+                  for c, d in zip(coeffs + [0 * one], [0 * one] + coeffs)]
+    return EulerFactor(coeffs, ring)
+
+
+@st.composite
+def weil_cases(draw):
+    """(p, k, l, roots as (a, b)) with small rational or Gaussian integer
+    roots, and among them zero, repeated roots, roots on |lambda|^2 = rho =
+    p^(k+l-2) and pairs lambda, rho / conj(lambda)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    k, l = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rho = p ** (k + l - 2)
+    gaussian = draw(st.booleans())
+    part = st.integers(-6, 6)
+    lams = draw(st.lists(st.tuples(part, part if gaussian else st.just(0)),
+                         min_size=1, max_size=3))
+    a, b = lams[0]
+    norm = a * a + b * b
+    extra = draw(st.sampled_from(["zero", "repeat", "circle", "pair", None]))
+    circle = [(x, y) for x in range(-25, 26)
+              for y in (range(-25, 26) if gaussian else [0])
+              if x * x + y * y == rho]
+    if extra == "zero":
+        lams.append((0, 0))
+    elif extra == "repeat":
+        lams.append((a, b))
+    elif extra == "circle" and circle:
+        lams.append(draw(st.sampled_from(circle)))
+    elif extra == "pair" and norm and (rho * a) % norm == (rho * b) % norm == 0:
+        lams.append((rho * a // norm, rho * b // norm))
+    return p, k, l, lams
+
+
 class TestWeil:
     @pytest.mark.parametrize("p", [3, 5, 7, 17, 19, 23, 29, 31, 37, 41, 43, 47])
     def test_good_primes(self, pair, p):
         fac = rankin_euler_factor(*pair, p)
-        assert weil_check(fac, p, 2, 2, 1e-9)
+        assert weil_check(fac, p, 2, 2)
 
     def test_vacuous_degree_zero(self):
         assert weil_check(EulerFactor([F(1)], None), 3, 2, 2) is True
 
     def test_adversarial_factor_fails(self):
         assert weil_check(EulerFactor([F(1), F(-9)], None), 3, 2, 2) is False
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 17, 19, 23, 29, 31, 37, 41, 43, 47])
+    def test_lowered_exponent_fails(self, pair, p):
+        # the mutant bound p^((k+l-3)/2), while the roots have |lambda| = p
+        assert weil_check(rankin_euler_factor(*pair, p), p, 2, 1) is False
+
+    @given(weil_cases())
+    @settings(max_examples=60, deadline=None)
+    @example((3, 2, 2, [(0, 0), (0, 0), (2, 0)]))  # lambda = 0, repeated
+    @example((5, 2, 2, [(3, 4), (5, 0), (0, 4)]))  # |lambda|^2 = rho
+    @example((3, 2, 2, [(0, 3), (0, 3)]))          # repeated on the circle
+    @example((2, 2, 1, [(1, 1), (1, -1)]))         # k + l odd, on the circle
+    @example((2, 2, 1, [(1, 1), (2, 0)]))          # k + l odd, one outside
+    @example((2, 2, 2, [(1, 1), (2, 2)]))          # lambda, rho / conj(lambda)
+    @example((3, 2, 2, [(1, 0), (9, 0)]))          # the same over Z
+    @example((2, 2, 1, [(2, 0), (1, 0)]))          # the same, k + l odd
+    @example((2, 2, 2, [(4, 0), (1, 1)]))          # |a_0| = |a_n| in h
+    @example((3, 2, 3, [(-4, 1)]))                 # strictly inside, over Z[i]
+    def test_matches_the_known_roots(self, case):
+        p, k, l, lams = case
+        truth = all(a * a + b * b <= p ** (k + l - 2) for a, b in lams)
+        assert weil_check(_factor_with_roots(lams), p, k, l) is truth
 
 
 class TestInterpolationFactors:

@@ -1,9 +1,12 @@
 """The declared dependencies are exactly the third-party imports of the
-package, so installing it pulls in nothing unused and misses nothing; and
-no check in the package is an assert statement, which python -O strips."""
+package, so installing it pulls in nothing unused and misses nothing; the
+package runs on the standard library alone; and no check in the package is
+an assert statement, which python -O strips."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,4 +43,18 @@ def test_no_assert_statements_in_the_package():
 
 
 def test_declared_dependencies_are_the_imports():
-    assert _third_party_imports() == _declared_dependencies() == {"mpmath"}
+    assert _third_party_imports() == _declared_dependencies() == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-norm-relations", "--identity", "weil-bounds"],
+    ["euler-factor", "--f", "src/rankin/data/f11.eigenform",
+     "--g", "src/rankin/data/g26.eigenform", "--prime", "3"],
+])
+def test_runs_without_site_packages(argv):
+    # python -S leaves site-packages off sys.path: the stdlib must suffice
+    run = subprocess.run([sys.executable, "-S", "-m", "rankin.cli", *argv],
+                         capture_output=True, text=True, timeout=120, cwd=ROOT,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert run.returncode == 0, run.stderr
+    assert "PASS" in run.stdout
