@@ -1,6 +1,10 @@
 """The exact arithmetic every layer shares: factorization, Euler's phi,
-primes, the Chinese remainder theorem, square-and-multiply powers, inverses
-and Gauss-Jordan solves over Q.
+primes, the Chinese remainder theorem, square-and-multiply powers, inverses,
+Gauss-Jordan solves over Q, and the coefficient-ring protocol.
+
+The ring protocol: a ring has zero(), one() and coerce() and compares
+structurally; its elements subclass RingElt and carry it as ``.ring``; sums
+and products across unequal rings raise TypeError.  RATIONALS is Q.
 
 Stdlib only, and nothing from rankin, so any module may import it.
 """
@@ -84,6 +88,52 @@ def inverse(c):
     if isinstance(c, (int, Fraction)):
         return 1 / Fraction(c)
     return c.inverse()
+
+
+class RationalRing:
+    """Q as a ring object whose elements are plain Fractions."""
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+    def coerce(self, x):
+        return x if isinstance(x, Fraction) else Fraction(x)
+
+    def __repr__(self):
+        return "Q"
+
+
+RATIONALS = RationalRing()
+
+
+class RingElt:
+    """The operators every ring element derives from its own +, unary -, *,
+    bool and inverse(); subclasses declare their own __slots__."""
+
+    __slots__ = ()
+
+    def is_zero(self):
+        return not self
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __truediv__(self, other):
+        return self * inverse(other)
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return power(self.inverse(), -n, self.ring.one())
+        return power(self, n, self.ring.one())
 
 
 def solve(mat, rhs, zero):

@@ -83,6 +83,7 @@ class CongSubgroup:
         self.level = level
         self.elements = frozenset(mat_mod(g, level) for g in elements)
         self._preimages = {}  # M -> to_level(M)
+        self._coset_reps = {}  # alpha.entries -> coset_reps(self, alpha)
         if check:
             self._closure_certificate()
 
@@ -250,7 +251,9 @@ def same_right_coset(gamma: CongSubgroup, x: Mat, y: Mat) -> bool:
 
 def coset_reps(gamma: CongSubgroup, alpha: CosetMatrix):
     """Right-coset representatives delta_i with Gamma alpha Gamma equal to the
-    disjoint union of the Gamma delta_i."""
+    disjoint union of the Gamma delta_i, as a tuple kept per subgroup."""
+    if alpha.entries in gamma._coset_reps:
+        return gamma._coset_reps[alpha.entries]
     n = alpha.det
     L = gamma.level
     M = L * n
@@ -276,12 +279,13 @@ def coset_reps(gamma: CongSubgroup, alpha: CosetMatrix):
         reps_mod.append(g)
         for h in H:
             seen.add(mat_mod(mat_mul(h, g), M))
-    reps = [CosetMatrix(mat_mul(a, lift_sl2(g, M))) for g in reps_mod]
+    reps = tuple(CosetMatrix(mat_mul(a, lift_sl2(g, M))) for g in reps_mod)
     # sanity: pairwise inequivalent
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             if same_right_coset(gamma, reps[i].entries, reps[j].entries):
                 raise AssertionError(f"{reps[i]} and {reps[j]} share a coset")
+    gamma._coset_reps[alpha.entries] = reps
     return reps
 
 

@@ -11,7 +11,7 @@ import cmath
 from fractions import Fraction
 from math import lcm
 
-from .arith import euler_phi, power
+from .arith import RingElt, euler_phi
 from .poly import (QQ, cyclotomic_polynomial, poly_divmod, poly_trim,
                    poly_xgcd)
 
@@ -110,9 +110,9 @@ class CyclotomicField:
 
     def coerce(self, x):
         if isinstance(x, CycloElt):
-            if x.field is self:
+            if x.ring is self:
                 return x
-            raise TypeError(f"element of {x.field}, expected {self}")
+            raise TypeError(f"element of {x.ring}, expected {self}")
         x = x if isinstance(x, int) else QQ(x)
         v = [0] * self.phi
         v[0] = x
@@ -183,74 +183,46 @@ class CyclotomicField:
         _, r = poly_divmod(dense, self.modulus)
         return CycloElt(self, self._pad(r))
 
-    def galois(self, t: int):
-        """The automorphism zeta -> zeta^t as a callable (t coprime to L)."""
-        from math import gcd
-        if gcd(t, self.L) != 1:
-            raise ValueError(f"{t} is not a unit modulo {self.L}")
-        images = [self._powers[(k * t) % self.L] for k in range(self.phi)]
 
-        def sigma(x: "CycloElt") -> "CycloElt":
-            v = [QQ(0)] * self.phi
-            for k, c in enumerate(x.coeffs):
-                if c:
-                    img = images[k]
-                    for i in range(self.phi):
-                        v[i] += c * img[i]
-            return CycloElt(self, tuple(v))
-
-        return sigma
-
-    def complex_root(self) -> complex:
-        return cmath.exp(2j * cmath.pi / self.L)
-
-
-class CycloElt:
+class CycloElt(RingElt):
     """Element of a CyclotomicField, reduced mod Phi_L."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("ring", "coeffs")
 
-    def __init__(self, field: CyclotomicField, coeffs: tuple):
-        self.field = field
+    def __init__(self, ring: CyclotomicField, coeffs: tuple):
+        self.ring = ring
         self.coeffs = coeffs
 
-    def is_zero(self):
-        return all(not c for c in self.coeffs)
-
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.field.coerce(other)
+            other = self.ring.coerce(other)
         if not isinstance(other, CycloElt):
             return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        return self.ring is other.ring and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.field.L, self.coeffs))
+        return hash((self.ring.L, self.coeffs))
 
     def __add__(self, other):
-        other = self.field.coerce(other)
-        return CycloElt(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        other = self.ring.coerce(other)
+        return CycloElt(self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloElt(self.field, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-self.field.coerce(other))
-
-    def __rsub__(self, other):
-        return self.field.coerce(other) - self
+        return CycloElt(self.ring, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycloElt(self.field, tuple(a * other for a in self.coeffs))
+            return CycloElt(self.ring, tuple(a * other for a in self.coeffs))
         if not isinstance(other, CycloElt):
             return NotImplemented
-        phi = self.field.phi
+        if other.ring is not self.ring:
+            raise TypeError(f"element of {other.ring}, expected {self.ring}")
+        phi = self.ring.phi
         conv = [0] * (2 * phi - 1)
         bs = other.coeffs
         for i, a in enumerate(self.coeffs):
@@ -259,7 +231,7 @@ class CycloElt:
                     if b:
                         conv[i + j] += a * b
         out = conv[:phi]
-        rows = self.field._redrows
+        rows = self.ring._redrows
         for k in range(phi, 2 * phi - 1):
             c = conv[k]
             if c:
@@ -268,45 +240,26 @@ class CycloElt:
                     r = row[i]
                     if r:
                         out[i] += c * r
-        return CycloElt(self.field, tuple(out))
+        return CycloElt(self.ring, tuple(out))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = QQ(other)
-            return CycloElt(self.field, tuple(a / c for a in self.coeffs))
-        return self * self.field.coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self.field.coerce(other) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return power(self, n, self.field.one())
-
     def inverse(self) -> "CycloElt":
         if self.is_zero():
-            raise ZeroDivisionError(f"0 is not invertible in {self.field}")
-        g, u, _ = poly_xgcd(poly_trim(list(self.coeffs)), self.field.modulus)
+            raise ZeroDivisionError(f"0 is not invertible in {self.ring}")
+        g, u, _ = poly_xgcd(poly_trim(list(self.coeffs)), self.ring.modulus)
         if len(g) != 1:
             raise ZeroDivisionError(
-                f"non-unit {self} in {self.field}: gcd with modulus is {g}")
+                f"non-unit {self} in {self.ring}: gcd with modulus is {g}")
         inv = [c / g[0] for c in u]
-        return self.field.reduce(inv)
-
-    def conjugate(self) -> "CycloElt":
-        """Complex conjugation zeta -> zeta^-1."""
-        return self.field.galois(-1 % self.field.L if self.field.L > 1 else 1)(self) \
-            if self.field.L > 2 else self
+        return self.ring.reduce(inv)
 
     def to_complex(self) -> complex:
-        z = self.field.complex_root()
+        z = cmath.exp(2j * cmath.pi / self.ring.L)
         return sum(float(c) * z ** k for k, c in enumerate(self.coeffs))
 
     def __str__(self):
-        name = f"z_{self.field.L}"
+        name = f"z_{self.ring.L}"
         parts = []
         for k, c in enumerate(self.coeffs):
             if not c:

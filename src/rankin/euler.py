@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import prime_factors
+from .arith import RATIONALS, prime_factors
 from .poly import (MPoly, PolyRing, QQ, RatFunc, poly_add, poly_derivative,
                    poly_divmod, poly_eval, poly_mul, poly_neg, poly_xgcd)
 from .quotring import join
@@ -332,7 +332,7 @@ class CorrectionPolynomial:
 
 
 def local_correction(fstream, gstream, N: int, bad_factors: dict,
-                     guard: int = 8, ring=None):
+                     guard: int = 8, ring=RATIONALS):
     """Certify that the bad-level correction is a polynomial.
 
     ``fstream``/``gstream`` map (p, r) to a_(p^r) of the two test vectors in a
@@ -344,7 +344,7 @@ def local_correction(fstream, gstream, N: int, bad_factors: dict,
 
     Returns (CorrectionPolynomial, certified: bool, residuals: dict).
     """
-    one = ring.one() if ring is not None else QQ(1)
+    one = ring.one()
     primes = prime_factors(N)
     certified = True
     residuals = {}

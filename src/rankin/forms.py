@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .arith import factor, primes_upto
+from .arith import RATIONALS, factor, primes_upto
 from .poly import QQ, poly_derivative, poly_divmod
 from .quotring import QuotRing, QuotElt, join
 
@@ -32,11 +32,11 @@ class DirichletChar:
     construction fails if the given values are not a homomorphism.
     """
 
-    def __init__(self, modulus: int, gen_values: dict, ring=None):
+    def __init__(self, modulus: int, gen_values: dict, ring=RATIONALS):
         self.modulus = modulus
         self.ring = ring
         self.gen_values = dict(gen_values)
-        one = ring.one() if ring is not None else QQ(1)
+        one = ring.one()
         self._one = one
         units = [a for a in range(1, max(modulus, 2)) if gcd(a, modulus) == 1]
         if modulus == 1:
@@ -128,10 +128,7 @@ class Eigenform:
         return self.prime_power_direct(p, r)
 
     def char_value(self, n: int) -> QuotElt:
-        v = self.character.value(n)
-        if isinstance(v, (int, Fraction)):
-            return self.ring.coerce(v)
-        return v
+        return self.ring.coerce(self.character.value(n))
 
     def validate(self, full: bool = True):
         """Check a_1 = 1, multiplicativity on coprime pairs, and the
@@ -298,10 +295,8 @@ def serialize_eigenform(form: Eigenform) -> str:
     ).replace("+-", "-")
     lines.append(f"level={form.level} weight={form.weight} "
                  f"charmod={form.character.modulus} field={fp}")
-    for g in sorted(form.character.gen_values):
-        lines.append(f"chargen {g}:{format_value(form.character.gen_values[g])}"
-                     if hasattr(form.character.gen_values[g], 'rep') else
-                     f"chargen {g}:{form.character.gen_values[g]}")
+    for g, v in sorted(form.character.gen_values.items()):
+        lines.append(f"chargen {g}:{format_value(form.ring.coerce(v))}")
     for n in sorted(form.coefficients):
         lines.append(f"{n}: {format_value(form.coefficients[n])}")
     return "\n".join(lines) + "\n"
@@ -658,14 +653,10 @@ def hypothesis_report(f: Eigenform, g: Eigenform, p: int) -> dict:
     out["ii_not_twist"] = ("EXTERNAL", "user-asserted: f is not a twist of g")
     prod_mod = f.character.modulus * g.character.modulus // gcd(
         f.character.modulus, g.character.modulus)
-    nontrivial = False
-    for n in range(2, prod_mod + 1):
-        if gcd(n, prod_mod) != 1:
-            continue
-        vf, vg = f.character.value(n), g.character.value(n)
-        if not (vf * vg == 1):
-            nontrivial = True
-            break
+    # the product character, valued in the tensor of the coefficient rings
+    _, mf, mg = join(f.ring, g.ring)
+    nontrivial = any(mf(f.char_value(n)) * mg(g.char_value(n)) != 1
+                     for n in range(2, prod_mod + 1) if gcd(n, prod_mod) == 1)
     out["iii_char_nontrivial"] = ("PASS" if nontrivial else "FAIL",
                                   f"product character modulo {prod_mod}")
     out["iv_p_at_least_5"] = ("PASS" if p >= 5 else "FAIL", f"p = {p}")

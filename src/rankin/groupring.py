@@ -9,29 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .arith import power
+from .arith import RATIONALS, RationalRing, RingElt, inverse
 from .poly import QQ
-
-
-class RationalRing:
-    """Adapter so plain Fractions can serve as a coefficient ring."""
-
-    def zero(self):
-        return QQ(0)
-
-    def one(self):
-        return QQ(1)
-
-    def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
-        return QQ(x)
-
-    def __repr__(self):
-        return "Q"
-
-
-RATIONALS = RationalRing()
 
 
 class GroupRing:
@@ -47,6 +26,13 @@ class GroupRing:
     def __repr__(self):
         return f"{self.base}[(Z/{self.m})^*]"
 
+    def __eq__(self, other):
+        return self is other or (isinstance(other, GroupRing) and self.m == other.m
+                                 and self.base == other.base)
+
+    def __hash__(self):
+        return hash((self.m, self.base))
+
     def zero(self):
         return GroupRingElt(self, {})
 
@@ -59,25 +45,22 @@ class GroupRing:
         if self.m > 1 and gcd(a, self.m) != 1:
             raise ValueError(f"{a} is not a unit modulo {self.m}")
         c = self.base.one() if coeff is None else self.base.coerce(coeff)
-        return GroupRingElt(self, {a: c})
+        return GroupRingElt(self, {a: c} if c else {})
 
     def coerce(self, x):
         if isinstance(x, GroupRingElt):
-            if x.ring is self:
+            if x.ring == self:
                 return x
-            raise TypeError("element of a different group ring")
-        return GroupRingElt(self, {1 % self.m if self.m > 1 else 1: self.base.coerce(x)})
+            raise TypeError(f"element of {x.ring}, expected {self}")
+        return self.bracket(1, x)
 
 
-class GroupRingElt:
+class GroupRingElt(RingElt):
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: GroupRing, coeffs: dict):
         self.ring = ring
         self.coeffs = coeffs
-
-    def is_zero(self):
-        return not self.coeffs
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -87,7 +70,7 @@ class GroupRingElt:
             other = self.ring.coerce(other)
         if not isinstance(other, GroupRingElt):
             return NotImplemented
-        if self.ring is not other.ring:
+        if self.ring != other.ring:
             return False
         keys = set(self.coeffs) | set(other.coeffs)
         z = self.ring.base.zero()
@@ -110,14 +93,9 @@ class GroupRingElt:
     def __neg__(self):
         return GroupRingElt(self.ring, {a: -c for a, c in self.coeffs.items()})
 
-    def __sub__(self, other):
-        return self + (-self.ring.coerce(other))
-
-    def __rsub__(self, other):
-        return self.ring.coerce(other) - self
-
     def __mul__(self, other):
         if isinstance(other, GroupRingElt):
+            other = self.ring.coerce(other)
             m = self.ring.m
             out = {}
             for a, c in self.coeffs.items():
@@ -132,6 +110,7 @@ class GroupRingElt:
                         out[k] = s
             return GroupRingElt(self.ring, out)
         # scalar from the base ring (or coercible)
+        other = self.ring.base.coerce(other)
         out = {}
         for a, c in self.coeffs.items():
             s = c * other
@@ -141,10 +120,13 @@ class GroupRingElt:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers not supported in group rings")
-        return power(self, n, self.ring.one())
+    def inverse(self) -> "GroupRingElt":
+        """The inverse of a unit multiple c*[a] of a bracket; other elements
+        raise ValueError."""
+        if len(self.coeffs) != 1:
+            raise ValueError("only multiples of a bracket are inverted")
+        (a, c), = self.coeffs.items()
+        return self.ring.bracket(pow(a, -1, self.ring.m), inverse(c))
 
     def augmentation(self):
         """Image under [a] -> 1, landing in the base ring."""

@@ -16,7 +16,6 @@ since norm composed with restriction is the field degree.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .arith import crt, factor, prime_factors
@@ -296,8 +295,7 @@ def a_ell_concrete(ell: int, af, ag, ef, eg):
           ell * af * af * eg + ell * ef * ag * ag - 2 * ell ** 2 * ef * eg,
           -ell ** 2 * ef * af * eg * ag,
           ell ** 4 * ef * ef * eg * eg]
-    p_coeffs = [QQ(1) * c / QQ(ell) ** i if isinstance(c, (int, Fraction)) else c / QQ(ell) ** i
-                for i, c in enumerate(lf)]
+    p_coeffs = [c / QQ(ell) ** i for i, c in enumerate(lf)]
     a_coeffs = [ell * c for c in p_coeffs]
     a_coeffs[0] = a_coeffs[0] - (ell - 1)
     a_coeffs[2] = a_coeffs[2] + (ell - 1) * ef * eg

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 
-from .arith import power
+from .arith import RingElt
 
 QQ = Fraction
 
@@ -90,7 +90,7 @@ class PolyRing:
         return self.const(x)
 
 
-class MPoly:
+class MPoly(RingElt):
     """Sparse multivariate polynomial; ``terms`` maps exponent tuples to Fraction."""
 
     __slots__ = ("ring", "terms")
@@ -100,9 +100,6 @@ class MPoly:
         self.terms = terms
 
     # -- basics ------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_one(self) -> bool:
         return self.terms == {self.ring._zero_exp: QQ(1)}
@@ -146,12 +143,6 @@ class MPoly:
     def __neg__(self):
         return MPoly(self.ring, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        return self + (-self.ring.coerce(other))
-
-    def __rsub__(self, other):
-        return self.ring.coerce(other) - self
-
     def __mul__(self, other):
         if isinstance(other, RatFunc):
             return NotImplemented
@@ -169,13 +160,7 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            inv = self.monomial_inverse()
-            return inv ** (-n)
-        return power(self, n, self.ring.one())
-
-    def monomial_inverse(self) -> "MPoly":
+    def inverse(self) -> "MPoly":
         """Inverse of a single-term polynomial whose variables are invertible."""
         if len(self.terms) != 1:
             raise ValueError("only monomials are invertible in a polynomial ring")
@@ -252,7 +237,7 @@ class MPoly:
     def exact_div(self, other: "MPoly") -> "MPoly":
         """Exact division; raises ValueError if the quotient is not polynomial."""
         other = self.ring.coerce(other)
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("division by zero polynomial")
         a, sa = self.clear_laurent()
         b, sb = other.clear_laurent()
@@ -359,7 +344,7 @@ def _exact_div_poly(a: MPoly, b: MPoly) -> MPoly:
     return MPoly(ring, q)
 
 
-class RatFunc:
+class RatFunc(RingElt):
     """Quotient of two MPoly.  Canonical form: denominator content 1 and
     lex-leading denominator coefficient positive; invertible-variable monomial
     factors are moved out of the denominator."""
@@ -367,7 +352,7 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: MPoly, den: MPoly, normalize: bool = True):
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError("zero denominator")
         if normalize:
             num, den = _normalize_ratfunc(num, den)
@@ -378,14 +363,12 @@ class RatFunc:
     def from_poly(cls, p: MPoly) -> "RatFunc":
         return cls(p, p.ring.one(), normalize=False)
 
+    @property
     def ring(self):
         return self.num.ring
 
-    def is_zero(self):
-        return self.num.is_zero()
-
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.num)
 
     def _coerce(self, other) -> "RatFunc":
         if isinstance(other, RatFunc):
@@ -405,12 +388,6 @@ class RatFunc:
     def __neg__(self):
         return RatFunc(-self.num, self.den, normalize=False)
 
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         o = self._coerce(other)
         return RatFunc(self.num * o.num, self.den * o.den)
@@ -419,7 +396,7 @@ class RatFunc:
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o.num.is_zero():
+        if not o.num:
             raise ZeroDivisionError("division by zero rational function")
         return RatFunc(self.num * o.den, self.den * o.num)
 
@@ -432,7 +409,7 @@ class RatFunc:
         return RatFunc(self.num ** n, self.den ** n)
 
     def inverse(self) -> "RatFunc":
-        if self.num.is_zero():
+        if not self.num:
             raise ZeroDivisionError("inverse of zero")
         return RatFunc(self.den, self.num)
 
@@ -461,7 +438,7 @@ class RatFunc:
 
 def _normalize_ratfunc(num: MPoly, den: MPoly):
     ring = num.ring
-    if num.is_zero():
+    if not num:
         return num, ring.one()
     # move invertible-variable monomial content of the denominator into num
     for i, n in enumerate(ring.names):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .arith import power, solve
+from .arith import RingElt, solve
 from .poly import MPoly, PolyRing, QQ
 
 
@@ -63,6 +63,14 @@ class QuotRing:
         rels = ", ".join(f"{n}^{self.degrees[n]}" for n in self.gen_names)
         return f"QuotRing(Q[{', '.join(self.gen_names)}]; {rels})" if self.gen_names else "QuotRing(Q)"
 
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, QuotRing) and self.gen_names == other.gen_names
+            and self.degrees == other.degrees and self.rewrites == other.rewrites)
+
+    def __hash__(self):
+        return hash((self.gen_names, tuple(self.degrees.values())))
+
     # -- constructors --------------------------------------------------------
 
     def zero(self):
@@ -73,9 +81,9 @@ class QuotRing:
 
     def coerce(self, x):
         if isinstance(x, QuotElt):
-            if x.ring is self:
+            if x.ring == self:
                 return x
-            raise TypeError("element of a different quotient ring")
+            raise TypeError(f"element of {x.ring}, expected {self}")
         return QuotElt(self, self.poly_ring.const(QQ(x)))
 
     def gen(self, name):
@@ -87,9 +95,7 @@ class QuotRing:
     def adjoin(self, name, lower):
         """Extend by a new last generator with name^d = lower[0] + lower[1]*name
         + ... + lower[d-1]*name^(d-1), the lower[i] in this ring; returns
-        (ext, lift) with lift the inclusion of this ring into ext.  ``lift``
-        reads coordinates, so it also takes elements of a copy of this ring
-        with the same generators (another ``join`` of the same two rings)."""
+        (ext, lift) with lift the inclusion of this ring into ext."""
         if name in self.gen_names:
             raise ValueError(f"generator {name} already exists")
 
@@ -103,7 +109,7 @@ class QuotRing:
             rel.update(pad(self.coerce(c).rep, k))
         ext = QuotRing(gens + [(name, len(lower), rel)])
         return ext, lambda x: QuotElt(ext, ext.poly_ring.from_terms(
-            pad(x.rep if isinstance(x, QuotElt) else self.coerce(x).rep)))
+            pad(self.coerce(x).rep)))
 
     def from_dense(self, name, coeffs):
         """c0 + c1*g + c2*g^2 + ... for a single generator ``name``."""
@@ -148,7 +154,7 @@ class QuotRing:
         return QuotElt(self, self.poly_ring.from_terms(terms))
 
 
-class QuotElt:
+class QuotElt(RingElt):
     """Element of a QuotRing, stored as a reduced MPoly in the generators."""
 
     __slots__ = ("ring", "rep")
@@ -156,9 +162,6 @@ class QuotElt:
     def __init__(self, ring: QuotRing, rep: MPoly):
         self.ring = ring
         self.rep = rep
-
-    def is_zero(self):
-        return self.rep.is_zero()
 
     def __bool__(self):
         return bool(self.rep)
@@ -168,10 +171,10 @@ class QuotElt:
             other = self.ring.coerce(other)
         if not isinstance(other, QuotElt):
             return NotImplemented
-        return self.ring is other.ring and self.rep == other.rep
+        return self.ring == other.ring and self.rep == other.rep
 
     def __hash__(self):
-        return hash((id(self.ring), frozenset(self.rep.terms.items())))
+        return hash((self.ring, frozenset(self.rep.terms.items())))
 
     def __add__(self, other):
         other = self.ring.coerce(other)
@@ -182,33 +185,15 @@ class QuotElt:
     def __neg__(self):
         return QuotElt(self.ring, -self.rep)
 
-    def __sub__(self, other):
-        return self + (-self.ring.coerce(other))
-
-    def __rsub__(self, other):
-        return self.ring.coerce(other) - self
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return QuotElt(self.ring, self.rep * QQ(other))
         if not isinstance(other, QuotElt):
             return NotImplemented
+        other = self.ring.coerce(other)
         return QuotElt(self.ring, self.ring._reduce(self.rep * other.rep))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuotElt(self.ring, self.rep * (1 / QQ(other)))
-        return self * self.ring.coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self.ring.coerce(other) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return power(self, n, self.ring.one())
 
     def inverse(self) -> "QuotElt":
         ring = self.ring

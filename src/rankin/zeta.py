@@ -67,6 +67,5 @@ def polylog_negative(m: int, x):
         xk = x ** k
         term = xk * c
         num_val = term if num_val is None else num_val + term
-    one_minus = 1 - x if isinstance(x, Fraction) else (-x) + 1
-    return num_val / one_minus ** power
+    return num_val / (1 - x) ** power
 

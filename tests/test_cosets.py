@@ -49,6 +49,21 @@ class TestPreimages:
         assert calls == []
 
 
+def test_coset_reps_are_kept_per_subgroup(monkeypatch):
+    G, T = CongSubgroup.gamma1(5), CosetMatrix((1, 0, 0, 3))
+    first = coset_reps(G, T)
+    assert isinstance(first, tuple) and len(first) == 4
+    lifts = []
+    lift = rankin.cosets.lift_sl2
+    monkeypatch.setattr(rankin.cosets, "lift_sl2",
+                        lambda g, M: lifts.append(g) or lift(g, M))
+    assert coset_reps(G, T) is first
+    assert lifts == []
+    # a fresh subgroup with the same elements computes its own
+    assert coset_reps(CongSubgroup(5, G.elements), T) == first
+    assert len(lifts) == 4
+
+
 _CORRUPTED = """
 import sys
 import rankin.cosets as C

@@ -25,6 +25,14 @@ def pair():
     return load_bundled("f11.eigenform"), load_bundled("g26.eigenform")
 
 
+def test_factors_over_two_joins_compare_and_add(pair):
+    # each call builds its own join of the two coefficient rings
+    a, b = rankin_euler_factor(*pair, 3), rankin_euler_factor(*pair, 3)
+    assert a.ring is not b.ring and a.ring == b.ring
+    assert a == b
+    assert a.coefficients[1] + b.coefficients[1] == 2 * a.coefficients[1]
+
+
 @pytest.fixture(scope="module")
 def streams(pair):
     f, g = pair

@@ -67,6 +67,17 @@ class TestIngestion:
         assert chi.value(7) == F(-1)
         assert chi.value(13) == 0 and chi.value(2) == 0
 
+    def test_rational_character_by_default(self):
+        chi = DirichletChar(5, {2: F(-1)})
+        assert chi.value(4) == 1 and chi.value(3) == -1 and chi.order() == 2
+
+    def test_rings_of_two_loads_compare_equal(self, g26):
+        again = load_bundled("g26.eigenform")
+        assert again.ring is not g26.ring and again.ring == g26.ring
+        assert hash(again.ring) == hash(g26.ring)
+        assert again.a(2) == g26.a(2) and hash(again.a(2)) == hash(g26.a(2))
+        assert again.a(2) * g26.a(3) == g26.a(6)
+
     def test_bad_homomorphism_rejected(self, g26):
         with pytest.raises(FormDataError):
             DirichletChar(26, {7: F(2)}, g26.ring)

@@ -1,9 +1,11 @@
 """The declared dependencies are exactly the third-party imports of the
 package, so installing it pulls in nothing unused and misses nothing; the
-package runs on the standard library alone; and no check in the package is
-an assert statement, which python -O strips."""
+package runs on the standard library alone; no check in the package is
+an assert statement, which python -O strips; and every ring element class
+derives its operators from the one protocol base, arith.RingElt."""
 
 import ast
+import functools
 import os
 import re
 import subprocess
@@ -15,10 +17,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+@functools.cache
+def _package_trees():
+    return [(path, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted((ROOT / "src" / "rankin").glob("*.py"))]
+
+
 def _third_party_imports():
     names = set()
-    for path in sorted((ROOT / "src" / "rankin").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for _, tree in _package_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -35,11 +43,27 @@ def _declared_dependencies():
 
 def test_no_assert_statements_in_the_package():
     # python -O strips assert statements; soundness checks raise explicitly
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted((ROOT / "src" / "rankin").glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Assert)]
+    found = [f"{path.name}:{node.lineno}" for path, tree in _package_trees()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_ring_element_classes_derive_from_ring_elt():
+    # a class with both + and * is a ring element; QSeries is the exception,
+    # because its .ring is the ring of its coefficients, not its own
+    found = []
+    for _, tree in _package_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef) or node.name == "QSeries":
+                continue
+            methods = {item.name for item in node.body
+                       if isinstance(item, ast.FunctionDef)}
+            bases = {ast.unparse(base) for base in node.bases}
+            if {"__add__", "__mul__"} <= methods:
+                found.append((node.name, "RingElt" in bases))
+    assert {name for name, _ in found} >= {
+        "CycloElt", "GroupRingElt", "MPoly", "QuotElt", "RatFunc"}
+    assert [name for name, ok in found if not ok] == []
 
 
 def test_declared_dependencies_are_the_imports():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rankin.arith import crt, euler_phi, factor, power, solve
 from rankin.cyclo import CyclotomicField
+from rankin.forms import load_bundled
 from rankin.groupring import RATIONALS, GroupRing, augment_mod
 from rankin.poly import PolyRing, RatFunc, cyclotomic_polynomial, poly_divmod
 from rankin.qseries import QSeries
@@ -115,6 +116,16 @@ class TestQuotRing:
         assert (i * x) ** 2 == -(x + 1)
         assert J.dimension == 4
 
+    def test_rings_compare_structurally(self):
+        def golden():
+            return QuotRing([("x", 2, [F(1), F(1)])])
+        R, S = golden(), golden()
+        assert R == S and hash(R) == hash(S)
+        assert R.gen("x") == S.gen("x") and R.gen("x") * S.gen("x") == R.gen("x") + 1
+        assert R != QuotRing([("x", 2, [F(2), F(1)])])
+        assert R != QuotRing([("y", 2, [F(1), F(1)])])
+        assert join(R, R)[0] == join(S, S)[0]
+
     @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5),
            st.integers(-5, 5))
     @settings(max_examples=20, deadline=None)
@@ -131,6 +142,10 @@ class TestGroupRing:
     def test_convolution(self):
         G = GroupRing(5)
         assert G.bracket(2) * G.bracket(3) == G.bracket(1)
+
+    def test_zero_coefficients_are_not_stored(self):
+        G = GroupRing(5)
+        assert not G.bracket(2, 0) and not G.coerce(0) and G.coerce(0).coeffs == {}
 
     def test_commutative(self):
         G = GroupRing(12)
@@ -151,6 +166,77 @@ class TestGroupRing:
         assert augment_mod(G.bracket(1) * 4, 5) == (4, 0)
         with pytest.raises(ValueError):
             augment_mod(G.bracket(2) * F(1, 2), 5)
+
+
+def test_cross_ring_products_and_sums_raise():
+    f11, g26 = load_bundled("f11.eigenform"), load_bundled("g26.eigenform")
+    pairs = [(CyclotomicField(5).zeta(), CyclotomicField(8).zeta()),
+             (f11.ring.one(), g26.a(2)),
+             (GroupRing(5).bracket(2), GroupRing(7).bracket(3))]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(TypeError):
+                x * y
+            with pytest.raises(TypeError):
+                x + y
+
+
+# ---------------------------------------------------------------------------
+# the protocol every ring element class derives from arith.RingElt
+# ---------------------------------------------------------------------------
+
+halves = st.integers(-8, 8).map(lambda k: F(k, 2))  # cheaper to draw than st.fractions
+LAURENT = PolyRing(("x", "s"), invertible={"s"})
+
+
+def _vector(n, unit):
+    # a nonzero vector where the element must be a unit
+    return st.lists(halves, min_size=n, max_size=n).filter(lambda v: any(v) or not unit)
+
+
+def _cyclo(draw, unit):
+    return CyclotomicField(5).from_coeffs(draw(_vector(4, unit)))
+
+
+def _quot(draw, unit):
+    return QuotRing([("t", 2, [F(2), F(0)])]).from_vector(draw(_vector(2, unit)))
+
+
+def _group_ring(draw, unit):
+    G = GroupRing(7)
+    if unit:  # units c*[a]
+        return G.bracket(draw(st.integers(1, 6)), draw(halves.filter(bool)))
+    return sum((G.bracket(a, c) for a, c in zip(G.units, draw(_vector(6, False)))),
+               G.zero())
+
+
+def _mpoly(draw, unit):
+    x, s = LAURENT.vars()
+    if unit:  # the units of Q[x, s, 1/s] are the c*s^k
+        return s ** draw(st.integers(-2, 2)) * draw(halves.filter(bool))
+    a, b, c = draw(_vector(3, False))
+    return x * a + s * b + c
+
+
+def _ratfunc(draw, unit):
+    x, s = LAURENT.vars()
+    (a, b, c), (d, e, f) = draw(_vector(3, unit)), draw(_vector(3, True))
+    return RatFunc(x * a + s * b + c, x * d + s * e + f)
+
+
+@pytest.mark.parametrize("make", [_cyclo, _quot, _group_ring, _mpoly, _ratfunc],
+                         ids=["CycloElt", "QuotElt", "GroupRingElt", "MPoly", "RatFunc"])
+@given(data=st.data(), c=halves)
+@settings(max_examples=25, deadline=None)
+def test_ring_element_protocol(make, data, c):
+    x, y, u = make(data.draw, False), make(data.draw, False), make(data.draw, True)
+    assert x - y == x + (-y)
+    assert c - x == -(x - c)
+    assert x ** 3 == x * x * x
+    assert (x / u) * u == x
+    assert c / u * u == c
+    assert u ** -2 * u ** 2 == 1
+    assert not any(hasattr(e, "__dict__") for e in (x, y, u))
 
 
 def test_cyclotomic_polynomials():
