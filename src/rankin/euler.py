@@ -6,6 +6,7 @@ correction polynomial.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .arith import RATIONALS, prime_factors
@@ -221,7 +222,7 @@ SYM_RING = PolyRing(("al", "be", "ga", "de", "p"), invertible={"p"})
 _AL, _BE, _GA, _DE, _P = SYM_RING.vars()
 
 
-@dataclass
+@dataclass(frozen=True)
 class InterpFactors:
     modification: RatFunc          # 1 - beta/(p alpha)
     modification_star: RatFunc     # 1 - beta/alpha
@@ -232,9 +233,11 @@ def _binom(num: MPoly, den: MPoly) -> RatFunc:
     return RatFunc(den - num, den)
 
 
-def interpolation_factors(j: int, k: int = 2, l: int = 2) -> InterpFactors:
+@functools.cache
+def interpolation_factors(j: int) -> InterpFactors:
     """The three ordinary interpolation factors, symbolic in the four Hecke
-    roots; j enters as an integer exponent of p."""
+    roots; j enters as an integer exponent of p, and the weights do not
+    enter at all.  Built once per j."""
     al, be, ga, de, p = _AL, _BE, _GA, _DE, _P
 
     def pw(n: int) -> RatFunc:
@@ -276,8 +279,8 @@ def functional_symmetry_check(k: int, l: int, j: int,
     the dual twist index.
     """
     star = _star_subs(k, l)
-    fac = interpolation_factors(j, k, l)
-    fac_dual_j = interpolation_factors(k + l - 1 - j + mutate_shift, k, l)
+    fac = interpolation_factors(j)
+    fac_dual_j = interpolation_factors(k + l - 1 - j + mutate_shift)
     e_f_star = _subs_ratfunc(fac.modification, star)
     e_star_star = _subs_ratfunc(fac.modification_star, star)
     conv_star = _subs_ratfunc(fac.convolution, star)

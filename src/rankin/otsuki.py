@@ -29,8 +29,9 @@ with sigma_l^(-1) the plain inverse Frobenius of Q(zeta_m), equivalently
 tau_l sigma_hat_l^(-1).  Reading that leading inverse as the hatted operator
 inserts a stray tau_l^(-1) and fails; the checker can exhibit this.
 
-All linear algebra is fraction-free (Bareiss/Cramer over the polynomial
-ring), so no rational-function normalization is ever needed.
+All linear algebra is fraction-free: one Bareiss elimination of the
+augmented system over the polynomial ring, then exact back substitution,
+so no rational-function normalization is ever needed.
 """
 
 from __future__ import annotations
@@ -42,43 +43,55 @@ from .cyclo import CyclotomicField
 from .poly import PolyRing, QQ
 
 
-def bareiss_det(mat):
-    """Fraction-free determinant of a square MPoly matrix."""
-    n = len(mat)
+def bareiss_solve(mat, rhs):
+    """Solve mat * x = rhs over a polynomial ring; returns (nums, det) with
+    x = nums/det, where det is the determinant of mat and nums[i] that of mat
+    with column i replaced by rhs (Cramer's numerators).
+
+    One fraction-free elimination of [mat | rhs] (Bareiss) leaves an upper
+    triangle whose last pivot is +-det; back substitution then yields each
+    x_i det = (det b'_i - sum_(j>i) a'_ij x_j det) / a'_ii with every
+    division exact.  Zero entries cost no product.
+    """
+    n = len(rhs)
     ring = mat[0][0].ring
-    a = [row[:] for row in mat]
+    a = [row[:] + [b] for row, b in zip(mat, rhs)]
     sign = 1
     prev = ring.one()
     for k in range(n - 1):
         if a[k][k].is_zero():
             piv = next((r for r in range(k + 1, n) if not a[r][k].is_zero()), None)
             if piv is None:
-                return ring.zero()
+                raise ZeroDivisionError("singular operator")
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
+        pk, rk = a[k][k], a[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = ring.zero()
-        prev = a[k][k]
+            ri = a[i]
+            aik = ri[k]
+            for j in range(k + 1, n + 1):
+                num = pk * ri[j] if ri[j] else None
+                if aik and rk[j]:
+                    t = aik * rk[j]
+                    num = -t if num is None else num - t
+                ri[j] = num.exact_div(prev) if num else ring.zero()
+            ri[k] = ring.zero()
+        prev = pk
     det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def bareiss_solve(mat, rhs):
-    """Solve mat * x = rhs over a polynomial ring by Cramer quotients of
-    fraction-free determinants; returns (nums, det) with x = nums/det."""
-    n = len(rhs)
-    det = bareiss_det(mat)
     if det.is_zero():
         raise ZeroDivisionError("singular operator")
-    nums = []
-    for col in range(n):
-        m2 = [[mat[i][j] if j != col else rhs[i] for j in range(n)]
-              for i in range(n)]
-        nums.append(bareiss_det(m2))
-    return nums, det
+    xs = [None] * n
+    for i in range(n - 1, -1, -1):
+        ri = a[i]
+        num = det * ri[n] if ri[n] else None
+        for j in range(i + 1, n):
+            if ri[j] and xs[j]:
+                t = ri[j] * xs[j]
+                num = -t if num is None else num - t
+        xs[i] = num.exact_div(ri[i]) if num else ring.zero()
+    if sign < 0:
+        return [-x for x in xs], -det
+    return xs, det
 
 
 class CycloCover:

@@ -147,6 +147,17 @@ class MPoly(RingElt):
         if isinstance(other, RatFunc):
             return NotImplemented
         other = self.ring.coerce(other)
+        many, one = self.terms, other.terms
+        if len(many) == 1:
+            many, one = one, many
+        if len(one) == 1:
+            # one term: shift the exponents and scale; a product of nonzero
+            # rationals is nonzero and the shift is injective
+            (e2, c2), = one.items()
+            if e2 == self.ring._zero_exp:
+                return MPoly(self.ring, {e1: c1 * c2 for e1, c1 in many.items()})
+            return MPoly(self.ring, {tuple(a + b for a, b in zip(e1, e2)): c1 * c2
+                                     for e1, c1 in many.items()})
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -275,6 +286,8 @@ class MPoly(RingElt):
                         t *= vals[self.ring.names[i]] ** k
                 total += t
             return total
+        if any(isinstance(v, RatFunc) for v in vals.values()):
+            return self._subs_over_common_den(vals)
         acc = None
         for e, c in self.terms.items():
             t = None
@@ -292,6 +305,52 @@ class MPoly(RingElt):
                 return RatFunc(first.num.ring.zero(), first.num.ring.one())
             return QQ(0)
         return acc
+
+    def _subs_over_common_den(self, vals: dict) -> "RatFunc":
+        """``subs`` when some value is a RatFunc, as one RatFunc.
+
+        With value i written num_i/den_i, s_i = min(0, min e_i) and
+        t_i = max(0, max e_i) over the exponents e_i of variable i, the result
+        is  sum_e c_e prod_i num_i^(e_i - s_i) den_i^(t_i - e_i)  over
+        prod_i num_i^(-s_i) den_i^t_i; Fraction values scale c_e.
+        """
+        ring = next(v for v in vals.values() if isinstance(v, RatFunc)).ring
+        n = self.ring.nvars
+        lo = [min(0, min((e[i] for e in self.terms), default=0)) for i in range(n)]
+        hi = [max(0, max((e[i] for e in self.terms), default=0)) for i in range(n)]
+        scalars, nums, dens = {}, {}, {}
+        for i, name in enumerate(self.ring.names):
+            v = vals[name]
+            if isinstance(v, Fraction):
+                scalars[i] = v
+                continue
+            num, den = (v.num, v.den) if isinstance(v, RatFunc) else (v, None)
+            nums[i] = _power_table(num, hi[i] - lo[i])
+            if den is not None and not den.is_one():
+                dens[i] = _power_table(den, hi[i] - lo[i])
+        acc = {}
+        for e, c in self.terms.items():
+            t = None
+            for i, k in enumerate(e):
+                if i in scalars:
+                    if k:
+                        c = c * scalars[i] ** k
+                    continue
+                for table, m in ((nums[i], k - lo[i]), (dens.get(i), hi[i] - k)):
+                    if m and table:
+                        t = table[m] if t is None else t * table[m]
+            if not c:
+                continue
+            for e2, c2 in (ring.one() if t is None else t).terms.items():
+                acc[e2] = acc.get(e2, QQ(0)) + c * c2
+        den = ring.one()
+        for i, table in nums.items():
+            if lo[i]:
+                den = den * table[-lo[i]]
+        for i, table in dens.items():
+            if hi[i]:
+                den = den * table[hi[i]]
+        return RatFunc(MPoly(ring, {e: c for e, c in acc.items() if c}), den)
 
     def __str__(self):
         if not self.terms:
@@ -318,6 +377,14 @@ class MPoly(RingElt):
         return s.replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+def _power_table(x: MPoly, n: int) -> list:
+    """[x^0, x^1, ..., x^n]."""
+    out = [x.ring.one(), x][:n + 1]
+    while len(out) <= n:
+        out.append(out[-1] * x)
+    return out
 
 
 def _exact_div_poly(a: MPoly, b: MPoly) -> MPoly:

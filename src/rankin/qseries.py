@@ -86,12 +86,17 @@ class QSeries:
 
     # -- ring operations ------------------------------------------------------
 
+    def _check_ring(self, ring):
+        if ring is not self.ring and ring != self.ring:
+            raise TypeError(f"operand over {ring}, expected {self.ring}")
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = QSeries(self.ring, 0, [self.ring.coerce(other)] +
                             [self.ring.zero()] * (self.prec - 1))
         if not isinstance(other, QSeries):
             return NotImplemented
+        self._check_ring(other.ring)
         lead = min(self.lead, other.lead)
         bound = min(self.order_bound, other.order_bound)
         n = bound - lead
@@ -132,7 +137,9 @@ class QSeries:
                            [c * QQ(other) for c in self.coeffs], normalize=True)
         if not isinstance(other, QSeries):
             # scalar from the coefficient ring
+            self._check_ring(getattr(other, "ring", None))
             return QSeries(self.ring, self.lead, [c * other for c in self.coeffs])
+        self._check_ring(other.ring)
         n = min(self.prec, other.prec)
         if type(self.ring) is CyclotomicField and other.ring is self.ring:
             out = _packed_mul(self.ring, self.coeffs, other.coeffs, n)

@@ -3,10 +3,58 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rankin.otsuki import (CycloCover, bareiss_det, bareiss_solve,
-                           corrected_element, otsuki_trace_check)
+from rankin.otsuki import (CycloCover, bareiss_solve, corrected_element,
+                           otsuki_trace_check)
 from rankin.poly import PolyRing, QQ
+
+
+def bareiss_det(mat):
+    """Fraction-free determinant of a square MPoly matrix (the oracle)."""
+    n = len(mat)
+    ring = mat[0][0].ring
+    a = [row[:] for row in mat]
+    sign = 1
+    prev = ring.one()
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            piv = next((r for r in range(k + 1, n) if not a[r][k].is_zero()), None)
+            if piv is None:
+                return ring.zero()
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
+                a[i][j] = num.exact_div(prev)
+            a[i][k] = ring.zero()
+        prev = a[k][k]
+    det = a[n - 1][n - 1]
+    return det if sign == 1 else -det
+
+
+RINGS = (PolyRing(("t",)), PolyRing(("t", "u")))
+
+
+@st.composite
+def systems(draw):
+    """(number of variables, matrix, rhs), the entries as integer-coefficient
+    exponent dicts: n x n with n in 1..5, over one or two variables, about a
+    third of the entries zero."""
+    nvars = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 5))
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    entry = st.one_of(st.just({}), st.just({}),
+                      st.dictionaries(exps, st.integers(-3, 3), min_size=1, max_size=2))
+    mat = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    rhs = draw(st.lists(entry, min_size=n, max_size=n))
+    return nvars, mat, rhs
+
+
+def _polys(ring, rows):
+    return [ring.from_terms(r) for r in rows]
 
 
 class TestFractionFreeAlgebra:
@@ -22,6 +70,36 @@ class TestFractionFreeAlgebra:
         mat = [[R.one(), t], [R.zero(), R.one()]]
         nums, det = bareiss_solve(mat, [t, R.one()])
         assert det == R.one() and nums[0].is_zero() and nums[1] == R.one()
+
+    @given(systems())
+    @settings(max_examples=50, deadline=None)
+    # zero leading pivot, one swap
+    @example((1, [[{}, {(1,): 1}], [{(0,): 2}, {(0,): 1}]], [{(0,): 1}, {(1,): 1}]))
+    # three swaps: a row order that is an odd (4-cycle) permutation
+    @example((1, [[{}, {}, {}, {(0,): 1}], [{(0,): 1}, {}, {}, {}],
+               [{}, {(1,): 1}, {}, {}], [{}, {}, {(0,): 2}, {(1,): 1}]],
+              [{(0,): 1}, {(1,): 1}, {(0,): 3}, {}]))
+    # singular: a zero column, and two proportional rows
+    @example((1, [[{}, {(0,): 1}], [{}, {(1,): 1}]], [{(0,): 1}, {}]))
+    @example((1, [[{(1,): 1}, {(0,): 2}], [{(2,): 1}, {(1,): 2}]], [{(0,): 1}, {}]))
+    def test_solve_matches_cramer(self, system):
+        nvars, mat_terms, rhs_terms = system
+        ring = RINGS[nvars - 1]
+        mat = [_polys(ring, row) for row in mat_terms]
+        rhs = _polys(ring, rhs_terms)
+        n = len(rhs)
+        det = bareiss_det(mat)
+        if det.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                bareiss_solve(mat, rhs)
+            return
+        nums, got_det = bareiss_solve(mat, rhs)
+        # the Cramer determinants themselves, not merely their ratios
+        assert got_det.terms == det.terms
+        for col in range(n):
+            cramer = bareiss_det([[rhs[i] if j == col else mat[i][j] for j in range(n)]
+                                  for i in range(n)])
+            assert nums[col].terms == cramer.terms
 
 
 class TestTraceIdentity:

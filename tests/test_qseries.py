@@ -100,6 +100,23 @@ class TestPrecision:
         assert d.coefficient(F(13, 12)) == K.coerce(2 * F(13, 12))
 
 
+def test_operands_over_another_ring_raise():
+    K5 = CyclotomicField(5)
+    q_series = QSeries(RATIONALS, 0, [F(1), F(2)])
+    k_series = QSeries(K5, 0, [K5.one(), K5.zeta()])
+    for x, y in ((q_series, k_series), (k_series, q_series)):
+        with pytest.raises(TypeError):
+            x + y
+        with pytest.raises(TypeError):
+            x * y
+    for x, y in ((q_series, K5.zeta()), (K5.zeta(), q_series)):
+        with pytest.raises(TypeError):
+            x * y
+    # scalars of the series' own ring, and rationals, still combine
+    assert (k_series * K5.zeta()).coefficient(0) == K5.zeta()
+    assert (q_series + 1).coefficient(0) == 2 and (q_series * F(1, 2)).ring is RATIONALS
+
+
 # -- packed paths over Q(zeta_L) against the schoolbook and recurrence oracles
 
 CONDUCTORS = (1, 2, 3, 4, 5, 12, 35)

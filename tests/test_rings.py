@@ -5,14 +5,15 @@ from fractions import Fraction as F
 from math import gcd, isqrt, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankin.arith import crt, euler_phi, factor, power, solve
 from rankin.cyclo import CyclotomicField
 from rankin.forms import load_bundled
 from rankin.groupring import RATIONALS, GroupRing, augment_mod
-from rankin.poly import PolyRing, RatFunc, cyclotomic_polynomial, poly_divmod
+from rankin.poly import (MPoly, PolyRing, RatFunc, cyclotomic_polynomial,
+                         poly_divmod)
 from rankin.qseries import QSeries
 from rankin.quotring import QuotRing, ZeroDivisor, join
 
@@ -248,6 +249,118 @@ def test_cyclotomic_polynomials():
     for d in (1, 2, 3, 6):
         prod = poly_mul(prod, cyclotomic_polynomial(d))
     assert prod == [F(-1), F(0), F(0), F(0), F(0), F(0), F(1)]
+
+
+# ---------------------------------------------------------------------------
+# MPoly substitution and single-term products against naive loops
+# ---------------------------------------------------------------------------
+
+SOURCE = PolyRing(("x", "y", "s"), invertible={"s"})
+TARGET = PolyRing(("a", "p"), invertible={"p"})
+
+
+def _terms(draw, ring, lo, hi, max_size):
+    exps = st.tuples(*[st.integers(lo if n in ring.invertible else 0, hi)
+                       for n in ring.names])
+    return ring.from_terms(draw(st.dictionaries(exps, halves, max_size=max_size)))
+
+
+@st.composite
+def substitutions(draw):
+    """(polynomial over SOURCE, values in TARGET): every value a nonzero
+    Fraction, MPoly or RatFunc, since s may carry negative exponents."""
+    poly = _terms(draw, SOURCE, -2, 2, 5)
+    values = {}
+    for name in SOURCE.names:
+        kind = draw(st.sampled_from(["fraction", "mpoly", "ratfunc"]))
+        if kind == "fraction":
+            values[name] = draw(halves.filter(bool))
+            continue
+        num = _terms(draw, TARGET, -1, 2, 2)
+        if not num:
+            num = TARGET.var("p")
+        values[name] = (num if kind == "mpoly"
+                        else RatFunc(num, _terms(draw, TARGET, -1, 2, 2) or TARGET.one()))
+    return poly, values
+
+
+def _naive_subs(poly, values):
+    """The substitution as a RatFunc product and sum per term."""
+    def lift(v):
+        return v if isinstance(v, RatFunc) else RatFunc.from_poly(TARGET.coerce(v))
+    acc = lift(0)
+    for e, c in poly.terms.items():
+        term = lift(c)
+        for name, k in zip(poly.ring.names, e):
+            term = term * lift(values[name]) ** k
+        acc = acc + term
+    return acc
+
+
+class TestSubstitution:
+    @given(substitutions())
+    @settings(max_examples=30, deadline=None)
+    def test_ratfunc_values_match_per_term_loop(self, case):
+        poly, values = case
+        values["x"] = RatFunc(TARGET.var("a") + 1, TARGET.var("p", 2) - 3)
+        assert poly.subs(values) == _naive_subs(poly, values)
+
+    @given(substitutions(), st.lists(halves.filter(bool), min_size=2, max_size=2))
+    @settings(max_examples=30, deadline=None)
+    def test_commutes_with_evaluation(self, case, point):
+        poly, values = case
+        values["y"] = RatFunc(TARGET.var("p", -1), TARGET.var("a") - 3)
+        at = dict(zip(TARGET.names, point))
+
+        def value_at(v):
+            if isinstance(v, RatFunc):
+                den = v.den.subs(at)
+                return v.num.subs(at) / den if den else None
+            return v.subs(at) if isinstance(v, MPoly) else v
+        scalars = {n: value_at(v) for n, v in values.items()}
+        assume(all(scalars.values()))     # s^-k needs a nonzero value
+        lifted = poly.subs(values)
+        assume(lifted.den.subs(at))
+        assert lifted.subs(at) == poly.subs(scalars)
+
+    def test_laurent_and_zero_polynomials(self):
+        x, y, s = SOURCE.vars()
+        a, p = TARGET.vars()
+        values = {"x": F(2), "y": a * p, "s": RatFunc(p, a + 1)}
+        poly = s ** -2 * x + y * s - 3
+        want = (a + 1) ** 2 * 2 / p ** 2 + RatFunc(a * p * p, a + 1) - 3
+        assert poly.subs(values) == want
+        assert poly.subs(values) == _naive_subs(poly, values)
+        assert SOURCE.zero().subs(values) == 0
+        assert SOURCE.const(F(5, 3)).subs(values) == F(5, 3)
+
+
+@st.composite
+def monomial_products(draw):
+    poly = _terms(draw, SOURCE, -2, 3, 6)
+    mono = _terms(draw, SOURCE, -2, 3, 1)
+    return poly, mono
+
+
+def _naive_mul(p, q):
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, F(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@given(monomial_products())
+@settings(max_examples=40, deadline=None)
+def test_single_term_product_matches_double_loop(case):
+    poly, mono = case
+    want = _naive_mul(poly, mono)
+    assert (poly * mono).terms == want
+    assert (mono * poly).terms == want
+    if mono.is_constant():
+        assert (poly * mono.constant_value()).terms == want
+    assert (mono * mono).terms == _naive_mul(mono, mono)
 
 
 # ---------------------------------------------------------------------------
