@@ -257,13 +257,6 @@ def _star_subs(k: int, l: int):
             "p": RatFunc.from_poly(_P)}
 
 
-def _subs_ratfunc(r: RatFunc, sub: dict) -> RatFunc:
-    num = r.num.subs(sub)
-    den = r.den.subs(sub)
-    num = num if isinstance(num, RatFunc) else RatFunc.from_poly(SYM_RING.coerce(num))
-    den = den if isinstance(den, RatFunc) else RatFunc.from_poly(SYM_RING.coerce(den))
-    return num / den
-
 def functional_symmetry_check(k: int, l: int, j: int,
                               literal_reading: bool = False,
                               mutate_shift: int = 0) -> bool:
@@ -281,9 +274,9 @@ def functional_symmetry_check(k: int, l: int, j: int,
     star = _star_subs(k, l)
     fac = interpolation_factors(j)
     fac_dual_j = interpolation_factors(k + l - 1 - j + mutate_shift)
-    e_f_star = _subs_ratfunc(fac.modification, star)
-    e_star_star = _subs_ratfunc(fac.modification_star, star)
-    conv_star = _subs_ratfunc(fac.convolution, star)
+    e_f_star = fac.modification.subs(star)
+    e_star_star = fac.modification_star.subs(star)
+    conv_star = fac.convolution.subs(star)
     if literal_reading:
         return e_star_star == fac.modification
     ok = (e_f_star == fac.modification

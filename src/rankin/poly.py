@@ -154,8 +154,6 @@ class MPoly(RingElt):
             # one term: shift the exponents and scale; a product of nonzero
             # rationals is nonzero and the shift is injective
             (e2, c2), = one.items()
-            if e2 == self.ring._zero_exp:
-                return MPoly(self.ring, {e1: c1 * c2 for e1, c1 in many.items()})
             return MPoly(self.ring, {tuple(a + b for a, b in zip(e1, e2)): c1 * c2
                                      for e1, c1 in many.items()})
         out = {}
@@ -490,7 +488,7 @@ class RatFunc(RingElt):
     def __hash__(self):
         raise TypeError("RatFunc is unhashable")
 
-    def subs(self, values: dict) -> Fraction:
+    def subs(self, values: dict):
         n = self.num.subs(values)
         d = self.den.subs(values)
         return n / d

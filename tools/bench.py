@@ -1,23 +1,21 @@
-"""Run the benchmark on one or more checkouts and write BENCH_<label>.json.
+"""Benchmark a change against its parent and write BENCH_<label>.json.
 
-Each tree runs `python3 perfbench/run.py` from its own root, one run at a
-time, for the run_seconds of BENCHMARK.json.  For every workload the trees take turns: pair i runs them in the
-listed order rotated by i, so that no tree always goes first.  After the
-paired end-to-end runs (--trace 0), each tree gives one traced run
-(--trace 1) whose counters and per-layer times go into the file.
+Both checkouts run `python3 perfbench/run.py` from their own roots, one run
+at a time, for the run_seconds of BENCHMARK.json.  Every workload gets ten
+end-to-end runs (--trace 0) per tree, in pairs that alternate which tree goes
+first, then one traced run (--trace 1) per tree whose counters and per-layer
+times go into the file.
 
-Run from the repository root, for example to compare a copy of the parent
-commit with the working tree:
+Run from the repository root, with a copy of the parent commit unpacked in a
+directory whose name has the same length as the change's:
 
-    python3 tools/bench.py --label solve --tree parent=../parent --tree change=. \\
-        --workload symbolic --pairs 10 --seed 7
+    python3 tools/bench.py --label solve --parent ../parent --change . --seed 7
 
-The file records the Python version, the CPU count and, per tree, the git
+The file records the Python version, the CPU count and each tree's git
 revision; per workload and tree, every run's end-to-end metrics with their
-median and quartiles, and the traced counters.  With two trees it also
-counts, per end-to-end metric, the pairs in which the second tree did
-better than the first (ties count for neither), in the direction
-BENCHMARK.json gives.
+median and quartiles, and the traced counters; and, per end-to-end metric,
+the pairs in which the change did better than the parent (ties count for
+neither), in the direction BENCHMARK.json gives.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("dlog", "dist", "hecke", "symbolic")
+PAIRS = 10
 
 
 def revision(tree: str) -> str:
@@ -53,18 +52,15 @@ def run(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict
 
 
 def summary(values: list) -> dict:
-    if len(values) < 2:
-        return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, _, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
 def bench_workload(trees: dict, workload: str, seed: int, seconds: float,
-                   pairs: int, better: dict) -> dict:
-    names = list(trees)
-    runs = {name: [] for name in names}
-    for i in range(pairs):
-        for name in names[i % len(names):] + names[:i % len(names)]:
+                   better: dict) -> dict:
+    runs = {name: [] for name in trees}
+    for i in range(PAIRS):
+        for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
             result = run(trees[name], workload, seed, seconds, 0)
             runs[name].append({"correct": result["correct"],
                                "attempted": result["attempted"],
@@ -73,42 +69,31 @@ def bench_workload(trees: dict, workload: str, seed: int, seconds: float,
             print(f"{workload} pair {i} {name}: verdict_s "
                   f"{runs[name][-1]['verdict_s']:.4f}", file=sys.stderr)
     out = {}
-    for name in names:
-        traced = run(trees[name], workload, seed, seconds, 1)["metrics"]
+    for name, path in trees.items():
+        traced = run(path, workload, seed, seconds, 1)["metrics"]
         out[name] = {
             "runs": runs[name],
             "summary": {m: summary([r[m] for r in runs[name]]) for m in better},
             "counters": {m: v["value"] for m, v in traced.items() if v["unit"] == "count"},
             "per_layer": {m: v["value"] for m, v in traced.items() if v["unit"] != "count"}}
-    if len(names) == 2:
-        a, b = (runs[n] for n in names)
-        sign = {"lower": -1, "higher": 1}
-        out["wins"] = {m: sum(1 for x, y in zip(a, b)
-                              if (y[m] - x[m]) * sign[direction] > 0)
-                       for m, direction in better.items()}
-        out["pairs"] = pairs
+    sign = {"lower": -1, "higher": 1}
+    out["wins"] = {m: sum(1 for x, y in zip(runs["parent"], runs["change"])
+                          if (y[m] - x[m]) * sign[direction] > 0)
+                   for m, direction in better.items()}
+    out["pairs"] = PAIRS
     return out
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
-    ap.add_argument("--tree", action="append", metavar="NAME=PATH",
-                    help="a checkout to run (repeatable; default change=.)")
-    ap.add_argument("--workload", action="append", choices=WORKLOADS,
-                    help="repeatable; default all four")
+    ap.add_argument("--parent", required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--pairs", type=int, default=1,
-                    help="end-to-end runs per tree and workload")
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
 
     trees = {}
-    for spec in args.tree or ["change=."]:
-        name, sep, path = spec.partition("=")
-        if not sep or not name or name in trees:
-            ap.error(f"--tree wants a new NAME=PATH, got {spec!r}")
+    for name, path in (("parent", args.parent), ("change", args.change)):
         if not os.path.isfile(os.path.join(path, "perfbench", "run.py")):
             ap.error(f"{path} has no perfbench/run.py")
         trees[name] = os.path.abspath(path)
@@ -120,9 +105,8 @@ def main(argv=None):
     report = {"label": args.label, "python": platform.python_version(),
               "cpus": os.cpu_count(), "seed": args.seed, "seconds": seconds,
               "trees": {name: {"revision": revision(path)} for name, path in trees.items()},
-              "workloads": {w: bench_workload(trees, w, args.seed, seconds,
-                                              args.pairs, better)
-                            for w in args.workload or WORKLOADS}}
+              "workloads": {w: bench_workload(trees, w, args.seed, seconds, better)
+                            for w in WORKLOADS}}
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
