@@ -140,7 +140,8 @@ def solve(mat, rhs, zero):
     """A solution x of mat * x = rhs by Gauss-Jordan elimination, or None when
     the system is inconsistent.
 
-    ``mat`` is an n x d list of rows over Q.  The entries of ``rhs`` are
+    ``mat`` is an n x d list of rows of Fractions (int pivots would divide
+    to floats).  The entries of ``rhs`` are
     Fractions or vectors over Q such as MPoly (anything with v * Fraction,
     v - w and truth as "nonzero").  Free coordinates are set to ``zero``.
     """

@@ -76,16 +76,27 @@ class CongSubgroup:
     """A subgroup of SL2(Z/L) given by its element list.
 
     Membership of an integral matrix means determinant 1 and reduction mod L
-    in the list.  Construction verifies closure under product and inverse.
+    in the list.  Construction reduces the elements mod L and verifies closure
+    under product and inverse.
     """
 
-    def __init__(self, level: int, elements, check: bool = True):
+    def __init__(self, level: int, elements):
+        self._setup(level, frozenset(mat_mod(g, level) for g in elements))
+        self._closure_certificate()
+
+    @classmethod
+    def _from_reduced(cls, level: int, elements) -> "CongSubgroup":
+        """The subgroup of ``elements``, tuples already reduced mod ``level``
+        that form a group by construction: no reduction, no closure check."""
+        self = cls.__new__(cls)
+        self._setup(level, frozenset(elements))
+        return self
+
+    def _setup(self, level: int, elements: frozenset):
         self.level = level
-        self.elements = frozenset(mat_mod(g, level) for g in elements)
+        self.elements = elements
         self._preimages = {}  # M -> to_level(M)
         self._coset_reps = {}  # alpha.entries -> coset_reps(self, alpha)
-        if check:
-            self._closure_certificate()
 
     def _closure_certificate(self):
         L = self.level
@@ -123,7 +134,7 @@ class CongSubgroup:
             g = _combine(combo, level)
             if condition(g):
                 elements.append(g)
-        return cls(level, elements, check=False)
+        return cls._from_reduced(level, elements)
 
     @classmethod
     def gamma1(cls, N: int):
@@ -165,7 +176,7 @@ class CongSubgroup:
         elements = [_combine(combo, M) for gamma in self.elements
                     for combo in product(*(fiber[mat_mod(gamma, l)]
                                            for l, fiber in fibers))]
-        big = self._preimages[M] = CongSubgroup(M, elements, check=False)
+        big = self._preimages[M] = CongSubgroup._from_reduced(M, elements)
         return big
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .arith import RATIONALS, prime_factors
 from .poly import (MPoly, PolyRing, QQ, RatFunc, poly_add, poly_derivative,
@@ -250,11 +251,14 @@ def interpolation_factors(j: int) -> InterpFactors:
     return InterpFactors(e_f, e_star, e_conv)
 
 
+@functools.cache
 def _star_subs(k: int, l: int):
-    """The dual-form substitution on the root symbols."""
-    return {"al": RatFunc(_P ** (k - 1), _BE), "be": RatFunc(_P ** (k - 1), _AL),
-            "ga": RatFunc(_P ** (l - 1), _DE), "de": RatFunc(_P ** (l - 1), _GA),
-            "p": RatFunc.from_poly(_P)}
+    """The dual-form substitution on the root symbols, built once per (k, l)
+    and shared, hence read-only."""
+    return MappingProxyType({
+        "al": RatFunc(_P ** (k - 1), _BE), "be": RatFunc(_P ** (k - 1), _AL),
+        "ga": RatFunc(_P ** (l - 1), _DE), "de": RatFunc(_P ** (l - 1), _GA),
+        "p": RatFunc.from_poly(_P)})
 
 
 def functional_symmetry_check(k: int, l: int, j: int,

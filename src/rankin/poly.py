@@ -1,6 +1,12 @@
 """Exact multivariate (Laurent) polynomials and rational functions over Q.
 
-Coefficients are ``fractions.Fraction``.  Variables flagged as invertible may
+Coefficients are ``int`` when integral and ``fractions.Fraction`` otherwise:
+integer arithmetic runs on Python ints, and a Fraction is built only where a
+division makes a non-integral value (``_div``; a sum or product of Fractions
+may still leave an integral Fraction, which compares and hashes as the int).
+Coefficients leave as Fractions wherever the caller may divide them: ``subs``
+to a rational, ``constant_value`` and ``QuotRing.to_vector``, because
+int / int and int ** -k give floats.  Variables flagged as invertible may
 carry negative exponents; all other exponents are >= 0.  Equality of rational
 functions is decided by cross-multiplication, so it never depends on gcd
 reduction.
@@ -17,12 +23,21 @@ from .arith import RingElt
 QQ = Fraction
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _frac(x):
+    """``x`` as a coefficient: an int stays an int, and so does a Fraction
+    with denominator 1."""
     if isinstance(x, int):
-        return Fraction(x)
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"cannot coerce {x!r} to a rational")
+
+
+def _div(a, b):
+    """The coefficient a / b: a Fraction, or an int when it is integral (never
+    the float of int / int)."""
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 class PolyRing:
@@ -57,7 +72,7 @@ class PolyRing:
         return MPoly(self, {})
 
     def one(self) -> "MPoly":
-        return MPoly(self, {self._zero_exp: QQ(1)})
+        return MPoly(self, {self._zero_exp: 1})
 
     def const(self, c) -> "MPoly":
         c = _frac(c)
@@ -69,7 +84,7 @@ class PolyRing:
             raise ValueError(f"{name} is not invertible")
         e = [0] * self.nvars
         e[i] = power
-        return MPoly(self, {tuple(e): QQ(1)})
+        return MPoly(self, {tuple(e): 1})
 
     def vars(self):
         return tuple(self.var(n) for n in self.names)
@@ -79,7 +94,7 @@ class PolyRing:
         for e, c in terms.items():
             c = _frac(c)
             if c:
-                out[tuple(e)] = out.get(tuple(e), QQ(0)) + c
+                out[tuple(e)] = out.get(tuple(e), 0) + c
         return MPoly(self, {e: c for e, c in out.items() if c})
 
     def coerce(self, x) -> "MPoly":
@@ -91,7 +106,8 @@ class PolyRing:
 
 
 class MPoly(RingElt):
-    """Sparse multivariate polynomial; ``terms`` maps exponent tuples to Fraction."""
+    """Sparse multivariate polynomial; ``terms`` maps exponent tuples to
+    nonzero coefficients, ints when integral and Fractions otherwise."""
 
     __slots__ = ("ring", "terms")
 
@@ -102,7 +118,7 @@ class MPoly(RingElt):
     # -- basics ------------------------------------------------------------
 
     def is_one(self) -> bool:
-        return self.terms == {self.ring._zero_exp: QQ(1)}
+        return self.terms == {self.ring._zero_exp: 1}
 
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {self.ring._zero_exp}
@@ -110,7 +126,7 @@ class MPoly(RingElt):
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms.get(self.ring._zero_exp, QQ(0))
+        return QQ(self.terms.get(self.ring._zero_exp, 0))
 
     def __bool__(self):
         return bool(self.terms)
@@ -131,7 +147,7 @@ class MPoly(RingElt):
         other = self.ring.coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, QQ(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -160,7 +176,7 @@ class MPoly(RingElt):
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, QQ(0)) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
@@ -177,12 +193,11 @@ class MPoly(RingElt):
         for i, k in enumerate(e):
             if k and self.ring.names[i] not in self.ring.invertible:
                 raise ValueError(f"variable {self.ring.names[i]} is not invertible")
-        return MPoly(self.ring, {tuple(-k for k in e): 1 / c})
+        return MPoly(self.ring, {tuple(-k for k in e): _div(1, c)})
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            return MPoly(self.ring, {e: v / c for e, v in self.terms.items()})
+            return MPoly(self.ring, {e: _div(v, other) for e, v in self.terms.items()})
         other = self.ring.coerce(other)
         return RatFunc(self, other)
 
@@ -207,7 +222,7 @@ class MPoly(RingElt):
             k = e[i]
             e0 = e[:i] + (0,) + e[i + 1:]
             d = out.setdefault(k, {})
-            d[e0] = d.get(e0, QQ(0)) + c
+            d[e0] = d.get(e0, 0) + c
         return {k: MPoly(self.ring, {e: c for e, c in d.items() if c})
                 for k, d in out.items()}
 
@@ -270,7 +285,7 @@ class MPoly(RingElt):
             if n in values:
                 v = values[n]
                 if isinstance(v, (int, Fraction)):
-                    v = _frac(v)
+                    v = QQ(v)   # a Fraction, so that v ** -k stays exact
                 vals[n] = v
             else:
                 symbolic_target = self.ring
@@ -293,7 +308,7 @@ class MPoly(RingElt):
                 if k:
                     f = vals[self.ring.names[i]] ** k
                     t = f if t is None else t * f
-            term = c if t is None else t * c
+            term = QQ(c) if t is None else t * c
             acc = term if acc is None else acc + term
         if acc is None:
             first = next(iter(values.values()))
@@ -340,7 +355,7 @@ class MPoly(RingElt):
             if not c:
                 continue
             for e2, c2 in (ring.one() if t is None else t).terms.items():
-                acc[e2] = acc.get(e2, QQ(0)) + c * c2
+                acc[e2] = acc.get(e2, 0) + c * c2
         den = ring.one()
         for i, table in nums.items():
             if lo[i]:
@@ -397,11 +412,11 @@ def _exact_div_poly(a: MPoly, b: MPoly) -> MPoly:
         eq = tuple(x - y for x, y in zip(ea, eb))
         if any(k < 0 for k in eq):
             raise ValueError("not divisible")
-        cq = ca / cb
-        q[eq] = q.get(eq, QQ(0)) + cq
+        cq = _div(ca, cb)
+        q[eq] = q.get(eq, 0) + cq
         for e2, c2 in b.terms.items():
             e = tuple(x + y for x, y in zip(eq, e2))
-            s = rem.get(e, QQ(0)) - cq * c2
+            s = rem.get(e, 0) - cq * c2
             if s:
                 rem[e] = s
             else:
@@ -524,8 +539,8 @@ def _normalize_ratfunc(num: MPoly, den: MPoly):
     if lead < 0:
         c = -c
     if c != 1:
-        den = MPoly(ring, {e2: v / c for e2, v in den.terms.items()})
-        num = MPoly(ring, {e2: v / c for e2, v in num.terms.items()})
+        den = MPoly(ring, {e2: _div(v, c) for e2, v in den.terms.items()})
+        num = MPoly(ring, {e2: _div(v, c) for e2, v in num.terms.items()})
     return num, den
 
 

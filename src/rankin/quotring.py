@@ -143,10 +143,12 @@ class QuotRing:
         return self._basis
 
     def to_vector(self, x: "QuotElt"):
+        """Coordinates in the monomial basis, as Fractions (the solves that
+        take them divide)."""
         idx = {e: i for i, e in enumerate(self.basis())}
         v = [QQ(0)] * self.dimension
         for e, c in x.rep.terms.items():
-            v[idx[e]] = c
+            v[idx[e]] = QQ(c)
         return v
 
     def from_vector(self, v):
@@ -187,7 +189,7 @@ class QuotElt(RingElt):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return QuotElt(self.ring, self.rep * QQ(other))
+            return QuotElt(self.ring, self.rep * other)
         if not isinstance(other, QuotElt):
             return NotImplemented
         other = self.ring.coerce(other)
@@ -202,7 +204,7 @@ class QuotElt(RingElt):
         # columns: self * basis monomial, as vectors
         cols = []
         for e in basis:
-            mono = QuotElt(ring, ring.poly_ring.from_terms({e: QQ(1)}))
+            mono = QuotElt(ring, ring.poly_ring.from_terms({e: 1}))
             cols.append(ring.to_vector(self * mono))
         # solve sum_j x_j * cols[j] = e_1
         mat = [[cols[j][i] for j in range(n)] for i in range(n)]
@@ -285,5 +287,5 @@ def _terms_as_named(p: MPoly, src: QuotRing, rename: dict, gen_order: list):
         for n, k in zip(src.gen_names, e):
             if k:
                 new_e[pos[rename[n]]] = k
-        out[tuple(new_e)] = out.get(tuple(new_e), QQ(0)) + c
+        out[tuple(new_e)] = out.get(tuple(new_e), 0) + c
     return {e: c for e, c in out.items() if c}

@@ -1,8 +1,12 @@
 """The catalog layer: selection, report shape, witness invariants."""
 
+from fractions import Fraction
+
 import pytest
 
+from rankin import catalog, euler
 from rankin.catalog import CATALOG, MUTATIONS, NORM_RELATION_IDS, run_catalog
+from rankin.poly import MPoly
 
 
 def test_ids_unique_and_core_subset():
@@ -51,3 +55,25 @@ def test_dist_relations_runs_requested_precision(monkeypatch):
 
 def test_mutation_count():
     assert len(MUTATIONS) >= 10
+
+
+def test_polynomial_coefficients_are_int_or_fraction(monkeypatch):
+    """Floats appear only in the cmath cross-checks: no catalog entry that
+    runs on MPoly may build one with a coefficient other than an int or a
+    Fraction.  The shared caches are emptied first, so that their contents
+    are built under the check."""
+    bad = []
+    init = MPoly.__init__
+
+    def checked_init(self, ring, terms):
+        bad.extend(c for c in terms.values() if type(c) not in (int, Fraction))
+        init(self, ring, terms)
+
+    for cached in (euler.interpolation_factors, euler._star_subs, catalog._load_form):
+        cached.cache_clear()
+    monkeypatch.setattr(MPoly, "__init__", checked_init)
+    ids = [e[0] for e in CATALOG
+           if e[0] not in ("dlog", "dist-relations", "hecke-square")]
+    report = run_catalog(ids, {"prec": 100, "seed": 0, "data": None, "guard": 8})
+    assert [e["id"] for e in report["entries"] if e["status"] != "PASS"] == []
+    assert bad == []

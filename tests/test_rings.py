@@ -15,7 +15,7 @@ from rankin.groupring import RATIONALS, GroupRing, augment_mod
 from rankin.poly import (MPoly, PolyRing, RatFunc, cyclotomic_polynomial,
                          poly_divmod)
 from rankin.qseries import QSeries
-from rankin.quotring import QuotRing, ZeroDivisor, join
+from rankin.quotring import QuotElt, QuotRing, ZeroDivisor, join
 
 
 class TestMPoly:
@@ -361,6 +361,84 @@ def test_single_term_product_matches_double_loop(case):
     if mono.is_constant():
         assert (poly * mono.constant_value()).terms == want
     assert (mono * mono).terms == _naive_mul(mono, mono)
+
+
+# ---------------------------------------------------------------------------
+# int coefficients against the same computation on Fraction-only copies
+# ---------------------------------------------------------------------------
+
+# mostly integral, some proper fractions, some zeros
+coefficients = st.one_of(st.integers(-6, 6), st.integers(-6, 6),
+                         st.fractions(-3, 3, max_denominator=4))
+CUBIC = QuotRing([("t", 3, [F(2), F(0), F(0)])])   # Q(2^(1/3)): no zero divisors
+
+
+def _fraction_copy(x):
+    """``x`` with every coefficient a Fraction, as every MPoly once was."""
+    if isinstance(x, MPoly):
+        return MPoly(x.ring, {e: F(c) for e, c in x.terms.items()})
+    if isinstance(x, RatFunc):
+        return RatFunc(_fraction_copy(x.num), _fraction_copy(x.den), normalize=False)
+    if isinstance(x, QuotElt):
+        return QuotElt(x.ring, _fraction_copy(x.rep))
+    if isinstance(x, dict):
+        return {k: _fraction_copy(v) for k, v in x.items()}
+    return F(x)
+
+
+def _parts(x):
+    """The coefficients of a result, component by component."""
+    if isinstance(x, MPoly):
+        return [x.terms]
+    if isinstance(x, RatFunc):
+        return [x.num.terms, x.den.terms]
+    if isinstance(x, QuotElt):
+        return [x.rep.terms]
+    if isinstance(x, list):
+        return [dict(enumerate(x))]
+    return [{(): x}]
+
+
+def _differential(op, *args):
+    got, want = op(*args), op(*map(_fraction_copy, args))
+    for part, oracle in zip(_parts(got), _parts(want)):
+        assert all(type(c) in (int, F) for c in part.values()), part
+        assert part == oracle
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_int_coefficients_match_fraction_arithmetic(data):
+    def poly(max_size=4):
+        exps = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2))
+        return SOURCE.from_terms(data.draw(st.dictionaries(exps, coefficients,
+                                                           max_size=max_size)))
+    p, q = poly(), poly()
+    c = data.draw(coefficients.filter(bool))
+    k = data.draw(st.integers(1, 3))
+    unit = SOURCE.var("s", data.draw(st.integers(-2, 2))) * c
+    _differential(lambda a, b: a + b, p, q)
+    _differential(lambda a, b: a * b, p, q)
+    _differential(lambda a, b: a / b, p, c)
+    _differential(lambda u: u ** -k, unit)
+    _differential(lambda u: u.inverse(), unit)
+    point = {"x": F(data.draw(st.integers(-3, 3))), "y": F(data.draw(st.integers(-3, 3))),
+             "s": F(data.draw(st.integers(-3, 3).filter(bool)))}
+    _differential(lambda a, v: a.subs(v), p, point)
+    _differential(lambda a, v: a.subs(v), p, dict(point, y=q))
+    if q:
+        _differential(lambda a, b: (a * b).exact_div(b),
+                      p.clear_laurent()[0], q.clear_laurent()[0])
+        _differential(lambda a, b: a / b, p, q)
+        _differential(lambda a, b: RatFunc(a, b), p, q)
+        if p:
+            r = RatFunc(p, q)
+            _differential(lambda a: a ** -k, r)
+            _differential(lambda a, b: a / b, r, RatFunc(q + unit, p))
+    x = CUBIC.from_vector(data.draw(st.lists(coefficients, min_size=3, max_size=3)))
+    _differential(lambda a: a.minpoly(), x)
+    if x:
+        _differential(lambda a: a.inverse(), x)
 
 
 # ---------------------------------------------------------------------------
