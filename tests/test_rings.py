@@ -400,14 +400,22 @@ def _parts(x):
 
 
 def _differential(op, *args):
-    got, want = op(*args), op(*map(_fraction_copy, args))
+    """``op`` on ``args`` agrees with ``op`` on their Fraction-only copies,
+    in its result or in the error it raises."""
+    try:
+        got = op(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            op(*map(_fraction_copy, args))
+        return
+    want = op(*map(_fraction_copy, args))
     for part, oracle in zip(_parts(got), _parts(want)):
         assert all(type(c) in (int, F) for c in part.values()), part
         assert part == oracle
 
 
 @given(st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 def test_int_coefficients_match_fraction_arithmetic(data):
     def poly(max_size=4):
         exps = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-2, 2))
@@ -427,8 +435,7 @@ def test_int_coefficients_match_fraction_arithmetic(data):
     _differential(lambda a, v: a.subs(v), p, point)
     _differential(lambda a, v: a.subs(v), p, dict(point, y=q))
     if q:
-        _differential(lambda a, b: (a * b).exact_div(b),
-                      p.clear_laurent()[0], q.clear_laurent()[0])
+        _differential(lambda a, b: (a * b).exact_div(b), p, q)
         _differential(lambda a, b: a / b, p, q)
         _differential(lambda a, b: RatFunc(a, b), p, q)
         if p:
