@@ -11,6 +11,7 @@ Stdlib only, and nothing from rankin, so any module may import it.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -70,15 +71,26 @@ def crt(pairs):
     return x
 
 
-def power(x, n: int, one):
-    """x^n for n >= 0 by square-and-multiply, starting from ``one``."""
-    result = one
-    while n:
-        if n & 1:
-            result = result * x
+def power(x, n: int, one, mul=operator.mul):
+    """x^n for n >= 0 by square-and-multiply with the product ``mul``.
+
+    ``one`` for n = 0; otherwise the result starts as the square of x at
+    the lowest set bit of n (x itself when n is odd), so no product with
+    ``one`` is made.  Squares are mul(x, x) on one object; the other
+    products are mul(result, square).
+    """
+    if not n:
+        return one
+    while not n & 1:
+        x = mul(x, x)
         n >>= 1
-        if n:
-            x = x * x
+    result = x
+    n >>= 1
+    while n:
+        x = mul(x, x)
+        if n & 1:
+            result = mul(result, x)
+        n >>= 1
     return result
 
 

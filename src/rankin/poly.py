@@ -264,7 +264,13 @@ class MPoly(RingElt):
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
         a, sa = self.clear_laurent()
-        b, sb = other.clear_laurent()
+        # a monomial in the invertible variables is a unit: take other's
+        # out, so that the honest division sees the rest
+        names, invertible = self.ring.names, self.ring.invertible
+        sb = [min(e[i] for e in other.terms) for i in range(len(names))]
+        sb = tuple(k if n in invertible else min(k, 0) for k, n in zip(sb, names))
+        b = MPoly(self.ring, {tuple(x - y for x, y in zip(e, sb)): c
+                              for e, c in other.terms.items()}) if any(sb) else other
         q = _exact_div_poly(a, b)
         shifts = tuple(x - y for x, y in zip(sa, sb))
         for i, k in enumerate(shifts):

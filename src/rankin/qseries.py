@@ -153,7 +153,10 @@ class QSeries:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        return power(self, n, QSeries.one(self.ring, self.prec))
+        if n and type(self.ring) is CyclotomicField:
+            return _packed_power(self, n)
+        return _normalized(power(self, n, QSeries.one(self.ring, self.prec),
+                                 _chain_mul))
 
     def inverse(self) -> "QSeries":
         if not self.coeffs or not self.coeffs[0]:
@@ -270,6 +273,49 @@ def _packed_mul(field, a, b, n: int) -> list:
     return field.elements(field.mul_rows(ra, rb, n), da * db)
 
 
+def _normalized(s):
+    """s with its leading zero coefficients stripped, as by the constructor."""
+    if not s.coeffs or s.coeffs[0]:
+        return s
+    return QSeries(s.ring, s.lead, s.coeffs, unit=s.unit)
+
+
+def _chain_mul(a, b):
+    """A product in the power chain of a series.  A chain that starts from
+    one makes one * x first, which strips the leading zeros of x; so a
+    product into the result strips those of its left operand, while a
+    square takes x as it stands.  The precision of x^n then does not depend
+    on how the chain starts."""
+    return (a if a is b else _normalized(a)) * b
+
+
+def _strip_rows(shift: int, rows: list) -> tuple:
+    """_normalized on integer rows: the leading zero rows are stripped
+    (unless every row is zero) and counted into the exponent shift."""
+    k = 0
+    while k < len(rows) and not any(rows[k]):
+        k += 1
+    return (shift + k, rows[k:]) if k < len(rows) else (shift, rows)
+
+
+def _packed_power(s, n: int) -> QSeries:
+    """s^n (n >= 1) over Q(zeta_L): the chain of _chain_mul run on integer
+    rows over one denominator, converted once each way.  A chain value is
+    (shift, rows) for q^(m lead + shift) times the rows, after m factors."""
+    field = s.ring
+    d, rows = field.rows(s.coeffs)
+
+    def mul(a, b):
+        if a is not b:
+            a = _strip_rows(*a)
+        k = min(len(a[1]), len(b[1]))
+        return _strip_rows(a[0] + b[0], field.mul_rows(a[1], b[1], k))
+
+    shift, rows = power((0, rows), n, None, mul)
+    return QSeries(field, n * s.lead + shift, field.elements(rows, d ** n),
+                   unit=s.unit)
+
+
 def _recurrence_inverse(ring, coeffs) -> list:
     """Inverse of a unit series by the O(n^2) coefficient recurrence."""
     n = len(coeffs)
@@ -284,6 +330,14 @@ def _recurrence_inverse(ring, coeffs) -> list:
     return out
 
 
+def _lowest_terms(d: int, rows: list) -> tuple:
+    """(d, rows) for the rows / d, with the gcd of d and every entry removed."""
+    g = gcd(d, *(c for r in rows for c in r)) if d > 1 else 1
+    if g > 1:
+        return d // g, [[c // g for c in r] for r in rows]
+    return d, rows
+
+
 def _newton_inverse(field, coeffs) -> list:
     """Inverse of a unit series over Q(zeta_L).
 
@@ -294,8 +348,10 @@ def _newton_inverse(field, coeffs) -> list:
     denominator.
     """
     n = len(coeffs)
-    c0inv = inverse(coeffs[0])
-    dx, x = field.rows([c * c0inv for c in coeffs])
+    # one-row products scale by c_0^-1 on the way in and out
+    d0, inv0 = field.rows([inverse(coeffs[0])])
+    dx, x = field.rows(coeffs)
+    dx, x = _lowest_terms(dx * d0, field.mul_rows(inv0, x, n))
     dy, y = 1, [[1] + [0] * (field.phi - 1)]
     m = 1
     while m < n:
@@ -304,14 +360,10 @@ def _newton_inverse(field, coeffs) -> list:
         e = field.mul_rows(x, y, k)[m:]
         t = field.mul_rows(y, e, k - m)
         # y has denominator dy, t (rows m..k-1 of y (x y - 1)) dx dy^2
-        d = dx * dy * dy
-        y = [[c * dx * dy for c in r] for r in y] + [[-c for c in r] for r in t]
-        g = gcd(d, *(c for r in y for c in r)) if d > 1 else 1
-        dy = d // g
-        if g > 1:
-            y = [[c // g for c in r] for r in y]
+        dy, y = _lowest_terms(dx * dy * dy, [[c * dx * dy for c in r] for r in y]
+                              + [[-c for c in r] for r in t])
         m = k
-    return [c * c0inv for c in field.elements(y, dy)]
+    return field.elements(field.mul_rows(inv0, y, n), d0 * dy)
 
 
 def geometric_dlog(ring, n: int, x, prec: int) -> QSeries:

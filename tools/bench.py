@@ -16,6 +16,10 @@ revision; per workload and tree, every run's end-to-end metrics with their
 median and quartiles, and the traced counters; and, per end-to-end metric,
 the pairs in which the change did better than the parent (ties count for
 neither), in the direction BENCHMARK.json gives.
+
+The file is written in any case; the exit code is then 1, with each such run
+named on standard error, when a run was graded incorrect or had a failed
+check, since its timings do not time the checks that were meant.
 """
 
 from __future__ import annotations
@@ -70,9 +74,11 @@ def bench_workload(trees: dict, workload: str, seed: int, seconds: float,
                   f"{runs[name][-1]['verdict_s']:.4f}", file=sys.stderr)
     out = {}
     for name, path in trees.items():
-        traced = run(path, workload, seed, seconds, 1)["metrics"]
+        result = run(path, workload, seed, seconds, 1)
+        traced = result["metrics"]
         out[name] = {
             "runs": runs[name],
+            "traced": {k: result[k] for k in ("correct", "attempted", "failed")},
             "summary": {m: summary([r[m] for r in runs[name]]) for m in better},
             "counters": {m: v["value"] for m, v in traced.items() if v["unit"] == "count"},
             "per_layer": {m: v["value"] for m, v in traced.items() if v["unit"] != "count"}}
@@ -82,6 +88,19 @@ def bench_workload(trees: dict, workload: str, seed: int, seconds: float,
                    for m, direction in better.items()}
     out["pairs"] = PAIRS
     return out
+
+
+def bad_runs(report: dict) -> list:
+    """(workload, tree, pair) of each run graded incorrect or with a failed
+    check; the pair of the traced run is "traced"."""
+    bad = []
+    for workload, result in report["workloads"].items():
+        for name in report["trees"]:
+            runs = enumerate(result[name]["runs"])
+            for pair, r in [*runs, ("traced", result[name]["traced"])]:
+                if not r["correct"] or r["failed"]:
+                    bad.append((workload, name, pair))
+    return bad
 
 
 def main(argv=None):
@@ -112,6 +131,12 @@ def main(argv=None):
         json.dump(report, fh, indent=1)
         fh.write("\n")
     print(path)
+    bad = bad_runs(report)
+    for workload, name, pair in bad:
+        print(f"{workload}: the {name} run of pair {pair} was graded incorrect "
+              "or had a failed check", file=sys.stderr)
+    if bad:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":
