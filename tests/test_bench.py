@@ -1,0 +1,72 @@
+"""tools/bench.py with a stubbed perfbench run: the file is written, and a
+run graded incorrect or with a failed check makes the exit code 1."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+
+
+@pytest.fixture
+def bench(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench", os.path.join(TOOLS, "bench.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1,
+        "end_to_end": [{"name": "verdict_s", "better": "lower"},
+                       {"name": "pass_ratio", "better": "higher"}]}))
+    for tree in ("parent", "change"):
+        (tmp_path / tree / "perfbench").mkdir(parents=True)
+        (tmp_path / tree / "perfbench" / "run.py").write_text("")
+    monkeypatch.setattr(module, "ROOT", str(tmp_path))
+    monkeypatch.setattr(module, "revision", lambda tree: "stub")
+    return module
+
+
+def stub_run(bad=None):
+    """A stand-in for bench.run; ``bad`` = (workload, tree, call) makes that
+    call (0-based, in the order made for that workload and tree) fail a check."""
+    calls = {}
+
+    def run(tree, workload, seed, seconds, trace):
+        key = (workload, os.path.basename(tree))
+        call = calls[key] = calls.get(key, -1) + 1
+        failed = int(bad == (*key, call))
+        return {"correct": not failed, "attempted": 3, "failed": failed,
+                "metrics": {"verdict_s": {"value": 0.5 - 0.1 * (key[1] == "change"),
+                                          "unit": "s"},
+                            "pass_ratio": {"value": 1.0 - failed / 3, "unit": "ratio"},
+                            "qseries.mul.count": {"value": 7, "unit": "count"}}}
+    return run
+
+
+def main(bench, tmp_path):
+    bench.main(["--label", "t", "--parent", str(tmp_path / "parent"),
+                "--change", str(tmp_path / "change")])
+    with open(tmp_path / "BENCH_t.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_clean_runs_exit_zero(bench, tmp_path, monkeypatch):
+    monkeypatch.setattr(bench, "run", stub_run())
+    report = main(bench, tmp_path)
+    assert report["workloads"]["dist"]["wins"] == {"verdict_s": 10, "pass_ratio": 0}
+    assert report["workloads"]["dist"]["change"]["counters"] == {"qseries.mul.count": 7}
+
+
+@pytest.mark.parametrize("call, pair", [(3, "3"), (10, "traced")])
+def test_failed_run_is_named_and_exits_one(bench, tmp_path, monkeypatch, capsys,
+                                           call, pair):
+    monkeypatch.setattr(bench, "run", stub_run(bad=("hecke", "change", call)))
+    with pytest.raises(SystemExit) as exc:
+        main(bench, tmp_path)
+    assert exc.value.code == 1
+    assert (tmp_path / "BENCH_t.json").exists()
+    err = capsys.readouterr().err.splitlines()
+    named = [line for line in err if "graded incorrect" in line]
+    assert named == [f"hecke: the change run of pair {pair} was graded incorrect "
+                     "or had a failed check"]

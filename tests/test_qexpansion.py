@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rankin.siegel
 from rankin.cyclo import CyclotomicField
 from rankin.eisenstein import (EisensteinSpec, eisenstein_qexp, equivariant_gm,
                                hecke_T, hecke_U, hecke_V, diamond, maass_raise,
@@ -255,6 +256,31 @@ class TestDistribution:
     def test_identity_matrix_trivial(self):
         ok, _ = distribution_check(0, F(1, 5), ((1, 0), (0, 1)), 7, 20)
         assert ok
+
+    # Mutants of the c-modified unit cg = g^(c^2) / g_c that the identity
+    # must kill.  A wrong exponent of g (c^2 + 1) is not among them: the
+    # relation holds for g and for g_c alone, so it holds for every
+    # g^a / g_c^b and cannot see the exponent.
+    @staticmethod
+    def _mutant_scaled_c(multiplier, g_c_scale):
+        def siegel_scaled_c(alpha, beta, field, prec, scale, c):
+            m = multiplier(c)
+            g = siegel_scaled(alpha, beta, field, prec, scale)
+            g_c = siegel_scaled(m * F(alpha), m * F(beta), field, prec, g_c_scale(scale))
+            return g ** (c * c) / g_c
+        return siegel_scaled_c
+
+    @pytest.mark.parametrize("multiplier, g_c_scale", [
+        (lambda c: c + 1, lambda scale: scale),   # g_c at (c+1)(alpha, beta)
+        (lambda c: c, lambda scale: 1),           # g_c at z, not scale * z
+    ], ids=["parameters-times-c-plus-1", "g_c-unscaled"])
+    def test_mutants_are_killed(self, monkeypatch, multiplier, g_c_scale):
+        shape = ((2, 0), (0, 1))
+        assert distribution_check(0, F(1, 5), shape, 7, 20)[0]
+        monkeypatch.setattr(rankin.siegel, "siegel_scaled_c",
+                            self._mutant_scaled_c(multiplier, g_c_scale))
+        ok, witness = distribution_check(0, F(1, 5), shape, 7, 20)
+        assert not ok and "mismatch" in witness
 
     def test_unsupported_shape(self):
         with pytest.raises(ValueError, match="supported"):

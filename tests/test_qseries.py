@@ -153,6 +153,23 @@ def schoolbook(a, b):
                    unit=a.unit and b.unit)
 
 
+def schoolbook_power(a, n):
+    """a^n by the power loop as it was before it took a product argument:
+    from QSeries.one, multiplying by schoolbook products."""
+    result = QSeries.one(a.ring, a.prec)
+    x = a
+    while n:
+        if n & 1:
+            result = schoolbook(result, x)
+        n >>= 1
+        if n:
+            x = schoolbook(x, x)
+    return result
+
+
+POWERS = (0, 1, 2, 3, 7, 25, 49)
+
+
 @st.composite
 def cyclo_pairs(draw):
     a = draw(cyclo_series())
@@ -198,6 +215,35 @@ class TestPackedPaths:
         oracle = QSeries(a.ring, -a.lead, _recurrence_inverse(a.ring, a.coeffs),
                          unit=True, normalize=False)
         assert exact_view(a.inverse()) == exact_view(oracle)
+
+    @given(cyclo_series(), st.sampled_from(POWERS))
+    @settings(max_examples=40, deadline=None)
+    def test_power_matches_schoolbook_chain(self, a, n):
+        assert exact_view(a ** n) == exact_view(schoolbook_power(a, n))
+
+    @pytest.mark.parametrize("L", [1, 5, 12])
+    @pytest.mark.parametrize("n", POWERS)
+    def test_power_of_short_zero_and_unnormalized_series(self, L, n):
+        K = CyclotomicField(L)
+        c = K.from_coeffs([F(-3, 4)] + [F(1, 3)] * (K.phi - 1))
+        cases = [QSeries.zero(K, prec, lead=F(-1, 3)) for prec in (0, 1, 5)]
+        cases += [QSeries(K, F(2, 5), [c], normalize=False),
+                  QSeries(K, 1, [K.zero(), K.zero(), c, K.zeta(1)], normalize=False),
+                  QSeries(K, -1, [K.zero()] * 3 + [c, K.one(), c], normalize=False)]
+        for a in cases:
+            assert exact_view(a ** n) == exact_view(schoolbook_power(a, n))
+
+    def test_long_inverse_non_unit_constant(self):
+        # c_0 = 1 - zeta_5 is not a unit of Z[zeta_5] (its norm is 5), so
+        # c_0^-1 has denominator 5; the tail has Fraction coordinates
+        K = CyclotomicField(5)
+        coeffs = [K.one() - K.zeta(1)] + [
+            K.from_coeffs([F(i % 5 - 2, 1 + i % 3), F(i % 2), F(-1, 7), F(3 * i % 4, 2)])
+            for i in range(1, 44)]
+        assert K.rows([coeffs[0].inverse()])[0] == 5
+        oracle = _recurrence_inverse(K, coeffs)
+        s = QSeries(K, F(-2, 5), coeffs, unit=True)
+        assert [c.coeffs for c in s.inverse().coeffs] == [c.coeffs for c in oracle]
 
     def test_long_integral_inverse(self):
         # enough terms for several Newton steps, over Z[zeta_12] with a

@@ -35,6 +35,17 @@ class TestMPoly:
         with pytest.raises(ValueError):
             (x * x + y).exact_div(x + y)
 
+    def test_exact_division_by_laurent_units(self):
+        # s is invertible, so a monomial in s divides every Laurent polynomial
+        x, y, s = self.R.vars()
+        one = self.R.one()
+        assert one.exact_div(s) == s ** -1
+        assert x.exact_div(x * s) == s ** -1
+        assert (s ** -1).exact_div(s) == s ** -2
+        assert ((x + s) * (x * s - y)).exact_div(x * s * s - y * s) == x * s ** -1 + 1
+        with pytest.raises(ValueError):
+            x.exact_div(y * s)
+
     def test_ratfunc_equality_cross_multiplies(self):
         x, y, _ = self.R.vars()
         assert RatFunc(x * x - y * y, x - y) == x + y
@@ -521,6 +532,14 @@ class TestArith:
             assert power(elt, n, one) == expect
             if not isinstance(elt, F):
                 assert elt ** n == expect
+        # x ** 1 is x itself in the power loop; over a ring other than
+        # Q(zeta_L) it must still strip leading zeros as one * x did
+        raw = QSeries(RATIONALS, F(1, 3), [F(0), F(0), c[0], a, c[1]], normalize=False)
+        for s in (raw, raw.truncate(2), QSeries(R, -1, [R.zero(), t * a + 1], normalize=False)):
+            want = QSeries.one(s.ring, s.prec) * s
+            got = s ** 1
+            assert (got.lead, got.prec, got.coeffs, got.unit, str(got)) == \
+                (want.lead, want.prec, want.coeffs, want.unit, str(want))
 
     @staticmethod
     def _times(mat, xs, zero):
