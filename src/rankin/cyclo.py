@@ -129,6 +129,16 @@ class CyclotomicField:
             coeffs = list(r)
         return CycloElt(self, self._pad(coeffs))
 
+    def reduce_powers(self, row) -> list:
+        """The coordinate vector of sum_j row[j] zeta^j (0 <= j < L)."""
+        out = [0] * self.phi
+        for x, power in zip(row, self._powers):
+            if x:
+                for i, r in enumerate(power):
+                    if r:
+                        out[i] += x * r
+        return out
+
     def rows(self, elts):
         """(d, rows): the least d >= 1 with d*x integral for every x in elts,
         and the coordinate vectors of the d*x as lists of ints."""

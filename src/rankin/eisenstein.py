@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclo import CyclotomicField
+from .cyclo import CycloElt, CyclotomicField
 from .groupring import GroupRing
 from .poly import QQ
 from .qseries import QSeries
@@ -65,20 +65,29 @@ def validate_spec(spec: EisensteinSpec):
             raise ValueError("weight-2 twist-1 E series at parameter 0 is not holomorphic")
 
 
-def _divisor_sum(n: int, wd: int, wq: int, zeta_pair):
-    """sum_{d|n} d^wd (n/d)^wq * zeta_pair(d)."""
+def _divisor_sums(field, a: int, sign: int, wd: int, wq: int, prec: int,
+                  shift: int = 0) -> list:
+    """[c_1, ..., c_prec] with c_n = sum_{d|n} d^wd (n/d)^wq
+    (zeta^(ad) + sign zeta^(-ad) + shift), zeta = zeta_N for N = field.L.
+
+    A sieve over d adds d^wd m^wq at the exponents of zeta in the row of
+    integers (or Fractions) of n = d m, and each row is reduced mod Phi_N
+    once."""
+    N = field.L
     # int powers keep integral coefficients ints; a negative exponent needs
     # Fraction powers, since int ** -k is a float
     num = int if wd >= 0 and wq >= 0 else QQ
-    total = None
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            for dd in {d, n // d}:
-                term = zeta_pair(dd) * (num(dd) ** wd * num(n // dd) ** wq)
-                total = term if total is None else total + term
-        d += 1
-    return total
+    mpow = [num(m) ** wq for m in range(1, prec + 1)]
+    rows = [[0] * N for _ in range(prec + 1)]
+    for d in range(1, prec + 1):
+        dw, i, j = num(d) ** wd, a * d % N, -a * d % N
+        for m, mw in enumerate(mpow[:prec // d], 1):
+            w = dw * mw
+            row = rows[d * m]
+            row[i] += w
+            row[j] += sign * w
+            row[0] += shift * w
+    return [CycloElt(field, tuple(field.reduce_powers(r))) for r in rows[1:]]
 
 
 def eisenstein_qexp(spec: EisensteinSpec, prec: int) -> QSeries:
@@ -90,22 +99,12 @@ def eisenstein_qexp(spec: EisensteinSpec, prec: int) -> QSeries:
     sign = (-1) ** k
 
     if spec.family == "Etilde":
-        def zeta_pair(d):
-            return F.zeta(a * d) + F.zeta(-a * d) - 2
-        wd, wq = 1, 0
+        sums = _divisor_sums(F, a, 1, 1, 0, prec, shift=-2)
     elif spec.family == "F":
-        def zeta_pair(d):
-            return F.zeta(a * d) + F.zeta(-a * d) * sign
-        wd, wq = 0, k - 1
+        sums = _divisor_sums(F, a, sign, 0, k - 1, prec)
     else:
-        def zeta_pair(d):
-            return F.zeta(a * d) + F.zeta(-a * d) * sign
-        wd, wq = k - 1 - j, j
-
-    coeffs = [eisenstein_constant(spec, F)]
-    for n in range(1, prec + 1):
-        coeffs.append(_divisor_sum(n, wd, wq, zeta_pair))
-    return QSeries(F, 0, coeffs, normalize=False)
+        sums = _divisor_sums(F, a, sign, k - 1 - j, j, prec)
+    return QSeries(F, 0, [eisenstein_constant(spec, F)] + sums, normalize=False)
 
 
 def eisenstein_constant(spec: EisensteinSpec, field=None):
@@ -154,16 +153,9 @@ def two_param_eisenstein(alpha, k1: int, k2: int, p: int, prec: int) -> QSeries:
     F = CyclotomicField(N)
     a = int(alpha * N) % N if N > 1 else 0
     eps = 1 if (k1 + k2) % 2 else -1
-
-    def zeta_pair(d):
-        return F.zeta(a * d) + F.zeta(-a * d) * eps
-
-    coeffs = [F.zero()]
-    for n in range(1, prec + 1):
-        if n % p == 0:
-            coeffs.append(F.zero())
-        else:
-            coeffs.append(_divisor_sum(n, k1, k2, zeta_pair))
+    sums = _divisor_sums(F, a, eps, k1, k2, prec)
+    coeffs = [F.zero()] + [F.zero() if n % p == 0 else c
+                           for n, c in enumerate(sums, 1)]
     return QSeries(F, 0, coeffs, normalize=False)
 
 

@@ -153,8 +153,6 @@ class QSeries:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        if n and type(self.ring) is CyclotomicField:
-            return _packed_power(self, n)
         return _normalized(power(self, n, QSeries.one(self.ring, self.prec),
                                  _chain_mul))
 
@@ -220,7 +218,9 @@ class QSeries:
 
     def qdq(self) -> "QSeries":
         """q d/dq (exact; multiplies coefficient of q^x by x)."""
-        out = [c * (self.lead + i) for i, c in enumerate(self.coeffs)]
+        # an integral exponent stays an int, so int coordinates stay ints
+        lead = self.lead.numerator if self.lead.denominator == 1 else self.lead
+        out = [c * (lead + i) for i, c in enumerate(self.coeffs)]
         return QSeries(self.ring, self.lead, out)
 
     def dlog(self) -> "QSeries":
@@ -287,33 +287,6 @@ def _chain_mul(a, b):
     square takes x as it stands.  The precision of x^n then does not depend
     on how the chain starts."""
     return (a if a is b else _normalized(a)) * b
-
-
-def _strip_rows(shift: int, rows: list) -> tuple:
-    """_normalized on integer rows: the leading zero rows are stripped
-    (unless every row is zero) and counted into the exponent shift."""
-    k = 0
-    while k < len(rows) and not any(rows[k]):
-        k += 1
-    return (shift + k, rows[k:]) if k < len(rows) else (shift, rows)
-
-
-def _packed_power(s, n: int) -> QSeries:
-    """s^n (n >= 1) over Q(zeta_L): the chain of _chain_mul run on integer
-    rows over one denominator, converted once each way.  A chain value is
-    (shift, rows) for q^(m lead + shift) times the rows, after m factors."""
-    field = s.ring
-    d, rows = field.rows(s.coeffs)
-
-    def mul(a, b):
-        if a is not b:
-            a = _strip_rows(*a)
-        k = min(len(a[1]), len(b[1]))
-        return _strip_rows(a[0] + b[0], field.mul_rows(a[1], b[1], k))
-
-    shift, rows = power((0, rows), n, None, mul)
-    return QSeries(field, n * s.lead + shift, field.elements(rows, d ** n),
-                   unit=s.unit)
 
 
 def _recurrence_inverse(ring, coeffs) -> list:

@@ -13,6 +13,12 @@ to equal minus the weight-2 divisor-sum series including constant terms.
 Only an integral exponent lattice is materialized: the series is built for
 g(scale * z), and callers choose ``scale`` so that scale * <alpha> is an
 integer.  That is all the distribution relations need.
+
+A unit is kept as its leading exponent, constant and binomials
+(unit_factors).  A distribution relation is decided on that data: two such
+products agree to a precision exactly when their leading exponents,
+constants and logarithmic derivatives do.  Only a failing relation is built
+as series, for its witness.
 """
 
 from __future__ import annotations
@@ -33,11 +39,12 @@ def bernoulli2(x: Fraction) -> Fraction:
     return x * x - x + QQ(1, 6)
 
 
-def siegel_scaled(alpha, beta, field: CyclotomicField, prec: int,
-                  scale: int = 1) -> QSeries:
-    """q-expansion of the Siegel unit with parameters (alpha, beta), evaluated
-    at scale*z, over ``field`` = Q(zeta_L) with L divisible by the orders of
-    alpha and beta; requires scale * <alpha> integral."""
+def unit_factors(alpha, beta, field: CyclotomicField, prec: int, scale: int = 1):
+    """(lead, a0, binomials) of the Siegel unit with parameters (alpha, beta)
+    evaluated at scale*z, over ``field`` = Q(zeta_L) with L divisible by the
+    orders of alpha and beta; requires scale * <alpha> integral.  To
+    O(q^(lead + prec + 1)) the unit is q^lead * a0 * prod (1 - zeta^c q^e)
+    over the pairs (c, e) in binomials, 1 <= e <= prec."""
     alpha = QQ(alpha) % 1
     beta = QQ(beta) % 1
     if alpha == 0 and beta == 0:
@@ -46,14 +53,13 @@ def siegel_scaled(alpha, beta, field: CyclotomicField, prec: int,
     if (beta * L) % 1 != 0:
         raise ValueError(f"second parameter not of order dividing {L}")
     b = int(beta * L) % L
-    a_frac = alpha
-    t = scale * a_frac
+    t = scale * alpha
     if t % 1 != 0:
-        raise ValueError(f"scale {scale} does not clear the fractional exponent {a_frac}")
+        raise ValueError(f"scale {scale} does not clear the fractional exponent {alpha}")
     t = int(t)
-    lead = bernoulli2(a_frac) / 2 * scale
-    # binomials (1 - zeta^c q^e) as pairs (c, e); the n = 0 factor
-    # (1 - q^(scale*alpha) zeta^b) is a constant when t = 0
+    lead = bernoulli2(alpha) / 2 * scale
+    # the n = 0 factor (1 - q^(scale*alpha) zeta^b) is a constant when t = 0
+    a0 = field.one() - field.zeta(b) if t == 0 else field.one()
     factors = [(b, t)] if 0 < t <= prec else []
     n = 1
     while True:
@@ -66,10 +72,21 @@ def siegel_scaled(alpha, beta, field: CyclotomicField, prec: int,
         if 0 < e2 <= prec:
             factors.append((-b % L, e2))
         n += 1
+    return lead, a0, factors
+
+
+def siegel_scaled(alpha, beta, field: CyclotomicField, prec: int,
+                  scale: int = 1) -> QSeries:
+    """q-expansion of the Siegel unit with parameters (alpha, beta), evaluated
+    at scale*z, to O(q^(lead + prec + 1)); see unit_factors."""
+    return _unit_series(field, prec, *unit_factors(alpha, beta, field, prec, scale))
+
+
+def _unit_series(field, prec, lead, a0, factors) -> QSeries:
     s = QSeries(field, 0, field.elements(
         _binomial_product(field, factors, max(prec, 0) + 1)), normalize=False)
-    if t == 0:
-        s = s * (field.one() - field.zeta(b))
+    if a0 != 1:
+        s = s * a0
     return QSeries(field, lead, s.coeffs, unit=True, normalize=False)
 
 
@@ -107,14 +124,21 @@ def _binomial_product(field: CyclotomicField, factors, n: int) -> list:
     return [list(r) for r in zip(*(unpack_slots(s, n, wb) for s in S))]
 
 
-def siegel_scaled_c(alpha, beta, field, prec, scale, c: int) -> QSeries:
-    """The integral modification: g(alpha,beta)^(c^2) / g(c*alpha, c*beta)."""
+def modified_unit_factors(alpha, beta, field, prec, scale, c: int):
+    """The c-modified unit g(alpha,beta)^(c^2) / g(c*alpha, c*beta) at scale*z
+    as [(c^2, g), (-1, g_c)]: each unit with its exponent, given by
+    unit_factors."""
     orders = (QQ(alpha) % 1).denominator, (QQ(beta) % 1).denominator
     if gcd(c, 6 * orders[0] * orders[1]) != 1:
         raise ValueError(f"c = {c} must be coprime to 6 and the parameter orders")
-    g = siegel_scaled(alpha, beta, field, prec, scale)
-    gc = siegel_scaled(c * QQ(alpha), c * QQ(beta), field, prec, scale)
-    return (g ** (c * c)) / gc
+    return [(c * c, unit_factors(alpha, beta, field, prec, scale)),
+            (-1, unit_factors(c * QQ(alpha), c * QQ(beta), field, prec, scale))]
+
+
+def siegel_scaled_c(alpha, beta, field, prec, scale, c: int) -> QSeries:
+    """The integral modification: g(alpha,beta)^(c^2) / g(c*alpha, c*beta)."""
+    (w, g), (_, gc) = modified_unit_factors(alpha, beta, field, prec, scale, c)
+    return _unit_series(field, prec, *g) ** w / _unit_series(field, prec, *gc)
 
 
 def siegel_unit_qexp(alpha, c: int | None = None, prec: int = 50) -> QSeries:
@@ -164,30 +188,87 @@ def distribution_check(alpha, beta, M, c: int, prec: int = 60):
 
         cg_(alpha,beta)(u z) = prod cg_(alpha', beta')(v z)
 
-    over the uv pairs with (v alpha', u beta') = (alpha, beta).  Only
-    alpha = 0 is supported (the q-model of the units at the zero cusp).
-    Returns (bool, witness).
+    to O(q^(lead + prec + 1)), over the uv pairs with
+    (v alpha', u beta') = (alpha, beta).  Only alpha = 0 is supported (the
+    q-model of the units at the zero cusp).  Returns (bool, witness).
+
+    _first_mismatch decides a PASS from the leading exponents, constants and
+    logarithmic derivatives, with no series built; on a mismatch
+    _by_products builds both sides as series for the witness.
     """
     u, v, N, bnum = distribution_args(alpha, beta, M, c)
-    L = u * N
-    field = CyclotomicField(L)
-    lhs = siegel_scaled_c(0, beta, field, prec, u, c)
-    rhs = None
-    for i in range(v):
-        for j in range(u):
-            factor = siegel_scaled_c(QQ(i, v), QQ(bnum + j * N, u * N),
-                                     field, prec, v, c)
-            rhs = factor if rhs is None else (rhs * factor).truncate(prec + 1)
-    ok = lhs == rhs
-    witness = {"factors": u * v, "lead_lhs": str(lhs.lead), "lead_rhs": str(rhs.lead)}
+    field = CyclotomicField(u * N)
+    # (alpha, beta, scale) of the c-modified units on each side
+    lhs = [(0, QQ(beta), u)]
+    rhs = [(QQ(i, v), QQ(bnum + j * N, u * N), v) for i in range(v) for j in range(u)]
+    if prec >= 0:
+        index, lead_lhs, lead_rhs = _first_mismatch(field, prec, c, lhs, rhs)
+        if index is None:
+            return True, {"factors": u * v, "lead_lhs": str(lead_lhs),
+                          "lead_rhs": str(lead_rhs)}
+    return _by_products(field, prec, c, lhs, rhs)
+
+
+def _first_mismatch(field, prec, c, lhs, rhs):
+    """(index, lead_lhs, lead_rhs) for the products of the c-modified units
+    lhs and rhs, each given as (alpha, beta, scale).  index is None when the
+    sides agree to O(q^(lead + prec + 1)), "leading exponent" when the
+    leading exponents differ, else the first n at which the coefficients of
+    q^(lead + n) differ.
+
+    Over Q, n a_n = sum_(k=1..n) theta_k a_(n-k) for f = a_0 + a_1 q + ...
+    and theta = q d/dq log f.  So, with equal a_0, a_n is the first
+    coefficient to differ exactly when theta_n is the first to differ.
+    theta of (1 - zeta^b q^e)^w is -w e sum_(k>=1) zeta^(bk) q^(ek), summed
+    left minus right into one row of L integers per power of q.
+    """
+    L, n = field.L, prec + 1
+    leads, consts = [0, 0], [field.one(), field.one()]
+    rows = [[0] * L for _ in range(n)]
+    for side, units in enumerate((lhs, rhs)):
+        sign = 1 - 2 * side
+        for alpha, beta, scale in units:
+            for w, (lead, a0, factors) in modified_unit_factors(
+                    alpha, beta, field, prec, scale, c):
+                leads[side] += w * lead
+                if a0 != 1:
+                    # a0^w with w in {c^2, -1}: a divisor moves to the other side
+                    to = side if w > 0 else 1 - side
+                    consts[to] = consts[to] * a0 ** abs(w)
+                for b, e in factors:
+                    x = sign * w * e
+                    for k, i in enumerate(range(e, n, e), 1):
+                        rows[i][b * k % L] -= x
+    if leads[0] != leads[1]:
+        index = "leading exponent"
+    elif consts[0] != consts[1]:
+        index = 0
+    else:
+        index = next((i for i in range(1, n) if any(field.reduce_powers(rows[i]))), None)
+    return index, leads[0], leads[1]
+
+
+def _by_products(field, prec, c, lhs, rhs):
+    """distribution_check on series: each side is built as the product of
+    its c-modified units, and the witness of a mismatch gives the leading
+    exponents or the first coefficients that differ."""
+    (alpha, beta, scale), = lhs
+    left = siegel_scaled_c(alpha, beta, field, prec, scale, c)
+    right = None
+    for alpha, beta, scale in rhs:
+        factor = siegel_scaled_c(alpha, beta, field, prec, scale, c)
+        right = factor if right is None else (right * factor).truncate(prec + 1)
+    ok = left == right
+    witness = {"factors": len(rhs), "lead_lhs": str(left.lead),
+               "lead_rhs": str(right.lead)}
     if not ok:
-        if lhs.lead != rhs.lead:
+        if left.lead != right.lead:
             witness["mismatch"] = "leading exponent"
         else:
-            for n in range(min(lhs.prec, rhs.prec)):
-                if lhs.coeffs[n] != rhs.coeffs[n]:
-                    witness["mismatch"] = {"index": n, "lhs": str(lhs.coeffs[n]),
-                                           "rhs": str(rhs.coeffs[n])}
+            for n in range(min(left.prec, right.prec)):
+                if left.coeffs[n] != right.coeffs[n]:
+                    witness["mismatch"] = {"index": n, "lhs": str(left.coeffs[n]),
+                                           "rhs": str(right.coeffs[n])}
                     break
     return ok, witness
 

@@ -9,15 +9,75 @@ from hypothesis import strategies as st
 
 import rankin.siegel
 from rankin.cyclo import CyclotomicField
-from rankin.eisenstein import (EisensteinSpec, eisenstein_qexp, equivariant_gm,
+from rankin.eisenstein import (EisensteinSpec, eisenstein_constant,
+                               eisenstein_qexp, equivariant_gm,
                                hecke_T, hecke_U, hecke_V, diamond, maass_raise,
                                p_depletion, two_param_eisenstein,
                                universal_gauss_sum, _GmRing)
 from rankin.forms import load_bundled
 from rankin.qseries import QSeries, geometric_dlog
-from rankin.siegel import (bernoulli2, distribution_check,
+from rankin.siegel import (bernoulli2, distribution_args, distribution_check,
                            dlog_matches_weight_two, siegel_scaled,
-                           siegel_unit_qexp)
+                           siegel_unit_qexp, unit_factors)
+from rankin.siegel import _first_mismatch as first_mismatch
+
+
+def divisor_sum(n, wd, wq, zeta_pair):
+    """sum_{d|n} d^wd (n/d)^wq * zeta_pair(d), by trial division of n."""
+    num = int if wd >= 0 and wq >= 0 else F
+    total = None
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            for dd in {d, n // d}:
+                term = zeta_pair(dd) * (num(dd) ** wd * num(n // dd) ** wq)
+                total = term if total is None else total + term
+        d += 1
+    return total
+
+
+def eisenstein_by_trial_division(spec, prec):
+    """eisenstein_qexp with each coefficient a divisor_sum."""
+    N = spec.conductor
+    K = CyclotomicField(N)
+    a = int(spec.alpha * N) % N if N > 1 else 0
+    k, j, sign = spec.k, spec.j, (-1) ** spec.k
+    if spec.family == "Etilde":
+        def zeta_pair(d):
+            return K.zeta(a * d) + K.zeta(-a * d) - 2
+        wd, wq = 1, 0
+    else:
+        def zeta_pair(d):
+            return K.zeta(a * d) + K.zeta(-a * d) * sign
+        wd, wq = (0, k - 1) if spec.family == "F" else (k - 1 - j, j)
+    coeffs = [eisenstein_constant(spec, K)]
+    coeffs += [divisor_sum(n, wd, wq, zeta_pair) for n in range(1, prec + 1)]
+    return QSeries(K, 0, coeffs, normalize=False)
+
+
+def two_param_by_trial_division(alpha, k1, k2, p, prec):
+    N = alpha.denominator
+    K = CyclotomicField(N)
+    a = int(alpha * N) % N if N > 1 else 0
+    eps = 1 if (k1 + k2) % 2 else -1
+
+    def zeta_pair(d):
+        return K.zeta(a * d) + K.zeta(-a * d) * eps
+    coeffs = [K.zero()] + [K.zero() if n % p == 0 else divisor_sum(n, k1, k2, zeta_pair)
+                           for n in range(1, prec + 1)]
+    return QSeries(K, 0, coeffs, normalize=False)
+
+
+@st.composite
+def eisenstein_specs(draw):
+    family = draw(st.sampled_from(("E", "F", "Etilde")))
+    k = 2 if family == "Etilde" else draw(st.integers(1, 6))
+    j = draw(st.integers(0, k - 1)) if family == "E" else 0
+    N = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 12)))
+    try:
+        return EisensteinSpec(family, k, F(draw(st.integers(0, N - 1)), N), j)
+    except ValueError:
+        assume(False)
 
 
 class TestEisenstein:
@@ -47,6 +107,14 @@ class TestEisenstein:
             EisensteinSpec("Etilde", 3, F(1, 2))
         with pytest.raises(ValueError):
             EisensteinSpec("E", 3, F(1, 5), j=4)
+
+    @given(eisenstein_specs(), st.integers(0, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_sieve_matches_trial_division(self, spec, prec):
+        fast = eisenstein_qexp(spec, prec)
+        slow = eisenstein_by_trial_division(spec, prec)
+        assert fast == slow and str(fast) == str(slow)
+        assert [c.coeffs for c in fast.coeffs] == [c.coeffs for c in slow.coeffs]
 
     def test_numeric_summation_oracle(self):
         # float check of the divisor-sum coefficients against a direct sum
@@ -128,6 +196,16 @@ class TestTwoParameterFamily:
         s = two_param_eisenstein(F(1, 5), 2, 1, 3, 30)
         for n in range(0, 31, 3):
             assert s.coefficient(n).is_zero()
+
+    @given(st.integers(-3, 4), st.integers(-3, 4), st.sampled_from((2, 3, 5)),
+           st.sampled_from((F(1, 3), F(1, 4), F(2, 5), F(5, 12), F(0))),
+           st.integers(0, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_sieve_matches_trial_division(self, k1, k2, p, alpha, prec):
+        assume(alpha.denominator % p)
+        fast = two_param_eisenstein(alpha, k1, k2, p, prec)
+        slow = two_param_by_trial_division(alpha, k1, k2, p, prec)
+        assert fast == slow and str(fast) == str(slow)
 
     @pytest.mark.parametrize("k1,k2", [(-1, 3), (2, -3), (-2, 1)])
     def test_negative_weight_is_exact(self, k1, k2):
@@ -246,6 +324,90 @@ class TestPackedSiegelProduct:
             assert str(siegel_scaled(*params)) == str(siegel_by_binomials(*params))
 
 
+CATALOG_SETS = ((2, 5, 7), (3, 4, 7), (2, 3, 5))
+
+
+def moved_binomial(position):
+    """unit_factors with the binomial at ``position`` moved from q^e to
+    q^(e+1) (and dropped when e + 1 exceeds the precision)."""
+    def mutant(alpha, beta, field, prec, scale=1):
+        lead, a0, factors = unit_factors(alpha, beta, field, prec, scale)
+        if factors:
+            b, e = factors[position]
+            del factors[position]
+            if e < prec:
+                factors.append((b, e + 1))
+        return lead, a0, factors
+    return mutant
+
+
+# Mutants of the c-modified unit cg = g^(c^2) / g_c that the identity must
+# kill, as (multiplier of the parameters of g_c, scale of g_c, position of a
+# moved binomial).  A wrong exponent of g (c^2 + 1) is not among them: the
+# relation holds for g and for g_c alone, so it holds for every g^a / g_c^b
+# and cannot see the exponent.
+MUTANTS = {
+    "parameters-times-c-plus-1": (lambda c: c + 1, lambda scale: scale, None),
+    "g_c-unscaled": (lambda c: c, lambda scale: 1, None),
+    "binomial-moved": (lambda c: c, lambda scale: scale, 0),
+    "last-binomial-moved": (lambda c: c, lambda scale: scale, -1),
+}
+
+
+def install_mutant(monkeypatch, multiplier, g_c_scale, moved):
+    """Patch the helpers that both the logarithmic-derivative check and the
+    product path of distribution_check read."""
+    def modified(alpha, beta, field, prec, scale, c):
+        m = multiplier(c)
+        return [(c * c, rankin.siegel.unit_factors(alpha, beta, field, prec, scale)),
+                (-1, rankin.siegel.unit_factors(m * F(alpha), m * F(beta), field, prec,
+                                                g_c_scale(scale)))]
+    monkeypatch.setattr(rankin.siegel, "modified_unit_factors", modified)
+    if moved is not None:
+        monkeypatch.setattr(rankin.siegel, "unit_factors", moved_binomial(moved))
+
+
+def scaled_c_by_series(multiplier, g_c_scale):
+    """The (mutated) c-modified unit as a series power over a series."""
+    def unit_c(alpha, beta, field, prec, scale, c):
+        m = multiplier(c)
+        g = siegel_scaled(alpha, beta, field, prec, scale)
+        g_c = siegel_scaled(m * F(alpha), m * F(beta), field, prec, g_c_scale(scale))
+        return g ** (c * c) / g_c
+    return unit_c
+
+
+def distribution_by_series(beta, M, c, prec, unit_c):
+    """The distribution check as a product of series, with the witness of
+    the product path."""
+    u, v, N, bnum = distribution_args(0, beta, M, c)
+    field = CyclotomicField(u * N)
+    lhs = unit_c(0, beta, field, prec, u, c)
+    rhs = None
+    for i in range(v):
+        for j in range(u):
+            factor = unit_c(F(i, v), F(bnum + j * N, u * N), field, prec, v, c)
+            rhs = factor if rhs is None else (rhs * factor).truncate(prec + 1)
+    ok = lhs == rhs
+    witness = {"factors": u * v, "lead_lhs": str(lhs.lead), "lead_rhs": str(rhs.lead)}
+    if not ok:
+        if lhs.lead != rhs.lead:
+            witness["mismatch"] = "leading exponent"
+        else:
+            n = next(n for n in range(min(lhs.prec, rhs.prec))
+                     if lhs.coeffs[n] != rhs.coeffs[n])
+            witness["mismatch"] = {"index": n, "lhs": str(lhs.coeffs[n]),
+                                   "rhs": str(rhs.coeffs[n])}
+    return ok, witness
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return "raises", str(e)
+
+
 class TestDistribution:
     @pytest.mark.parametrize("shape", [((2, 0), (0, 1)), ((1, 0), (0, 2)),
                                        ((2, 0), (0, 2))])
@@ -257,30 +419,58 @@ class TestDistribution:
         ok, _ = distribution_check(0, F(1, 5), ((1, 0), (0, 1)), 7, 20)
         assert ok
 
-    # Mutants of the c-modified unit cg = g^(c^2) / g_c that the identity
-    # must kill.  A wrong exponent of g (c^2 + 1) is not among them: the
-    # relation holds for g and for g_c alone, so it holds for every
-    # g^a / g_c^b and cannot see the exponent.
-    @staticmethod
-    def _mutant_scaled_c(multiplier, g_c_scale):
-        def siegel_scaled_c(alpha, beta, field, prec, scale, c):
-            m = multiplier(c)
-            g = siegel_scaled(alpha, beta, field, prec, scale)
-            g_c = siegel_scaled(m * F(alpha), m * F(beta), field, prec, g_c_scale(scale))
-            return g ** (c * c) / g_c
-        return siegel_scaled_c
-
-    @pytest.mark.parametrize("multiplier, g_c_scale", [
-        (lambda c: c + 1, lambda scale: scale),   # g_c at (c+1)(alpha, beta)
-        (lambda c: c, lambda scale: 1),           # g_c at z, not scale * z
-    ], ids=["parameters-times-c-plus-1", "g_c-unscaled"])
-    def test_mutants_are_killed(self, monkeypatch, multiplier, g_c_scale):
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_mutants_are_killed(self, monkeypatch, mutant):
         shape = ((2, 0), (0, 1))
         assert distribution_check(0, F(1, 5), shape, 7, 20)[0]
-        monkeypatch.setattr(rankin.siegel, "siegel_scaled_c",
-                            self._mutant_scaled_c(multiplier, g_c_scale))
+        install_mutant(monkeypatch, *MUTANTS[mutant])
         ok, witness = distribution_check(0, F(1, 5), shape, 7, 20)
         assert not ok and "mismatch" in witness
+
+    @pytest.mark.parametrize("mutant", [None] + sorted(MUTANTS))
+    def test_matches_product_path(self, monkeypatch, mutant):
+        # the check against the product path as it was before the
+        # logarithmic-derivative criterion: same verdict and witness, or
+        # the same error, and the criterion's first mismatch is the one the
+        # witness names
+        spec = MUTANTS[mutant] if mutant else (lambda c: c, lambda s: s, None)
+        install_mutant(monkeypatch, *spec)
+        seen = []
+
+        def record(*args):
+            seen.append(first_mismatch(*args))
+            return seen[-1]
+        monkeypatch.setattr(rankin.siegel, "_first_mismatch", record)
+        unit_c = scaled_c_by_series(*spec[:2])
+        for (m, N, c) in CATALOG_SETS:
+            for M in (((m, 0), (0, 1)), ((1, 0), (0, m)), ((m, 0), (0, m))):
+                got = outcome(distribution_check, 0, F(1, N), M, c, 30)
+                assert got == outcome(distribution_by_series, F(1, N), M, c, 30, unit_c)
+                if got[0] == "raises":
+                    continue
+                ok, witness = got
+                mismatch = witness.get("mismatch")
+                assert seen[-1][0] == (None if ok else mismatch if
+                                       isinstance(mismatch, str) else mismatch["index"])
+        if mutant:
+            assert any(index is not None for index, _, _ in seen)
+
+    @pytest.mark.parametrize("dropped", [0, 1, 3])
+    def test_dropped_rhs_factor_fails(self, monkeypatch, dropped):
+        sides = []
+
+        def record(field, prec, c, lhs, rhs):
+            sides.append((field, prec, c, lhs, rhs))
+            return first_mismatch(field, prec, c, lhs, rhs)
+        monkeypatch.setattr(rankin.siegel, "_first_mismatch", record)
+        assert distribution_check(0, F(1, 5), ((2, 0), (0, 2)), 7, 30)[0]
+        (field, prec, c, lhs, rhs), = sides
+        rhs = rhs[:dropped] + rhs[dropped + 1:]
+        index = first_mismatch(field, prec, c, lhs, rhs)[0]
+        ok, witness = rankin.siegel._by_products(field, prec, c, lhs, rhs)
+        assert index is not None and not ok
+        mismatch = witness["mismatch"]
+        assert index == (mismatch if isinstance(mismatch, str) else mismatch["index"])
 
     def test_unsupported_shape(self):
         with pytest.raises(ValueError, match="supported"):
