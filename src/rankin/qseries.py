@@ -218,9 +218,7 @@ class QSeries:
 
     def qdq(self) -> "QSeries":
         """q d/dq (exact; multiplies coefficient of q^x by x)."""
-        # an integral exponent stays an int, so int coordinates stay ints
-        lead = self.lead.numerator if self.lead.denominator == 1 else self.lead
-        out = [c * (lead + i) for i, c in enumerate(self.coeffs)]
+        out = [c * (self.lead + i) for i, c in enumerate(self.coeffs)]
         return QSeries(self.ring, self.lead, out)
 
     def dlog(self) -> "QSeries":

@@ -188,7 +188,7 @@ def distribution_check(alpha, beta, M, c: int, prec: int = 60):
 
         cg_(alpha,beta)(u z) = prod cg_(alpha', beta')(v z)
 
-    to O(q^(lead + prec + 1)), over the uv pairs with
+    to O(q^(lead + prec + 1)), prec >= 0, over the uv pairs with
     (v alpha', u beta') = (alpha, beta).  Only alpha = 0 is supported (the
     q-model of the units at the zero cusp).  Returns (bool, witness).
 
@@ -196,16 +196,15 @@ def distribution_check(alpha, beta, M, c: int, prec: int = 60):
     logarithmic derivatives, with no series built; on a mismatch
     _by_products builds both sides as series for the witness.
     """
-    u, v, N, bnum = distribution_args(alpha, beta, M, c)
+    u, v, N, bnum = distribution_args(alpha, beta, M, c, prec)
     field = CyclotomicField(u * N)
     # (alpha, beta, scale) of the c-modified units on each side
     lhs = [(0, QQ(beta), u)]
     rhs = [(QQ(i, v), QQ(bnum + j * N, u * N), v) for i in range(v) for j in range(u)]
-    if prec >= 0:
-        index, lead_lhs, lead_rhs = _first_mismatch(field, prec, c, lhs, rhs)
-        if index is None:
-            return True, {"factors": u * v, "lead_lhs": str(lead_lhs),
-                          "lead_rhs": str(lead_rhs)}
+    index, lead_lhs, lead_rhs = _first_mismatch(field, prec, c, lhs, rhs)
+    if index is None:
+        return True, {"factors": u * v, "lead_lhs": str(lead_lhs),
+                      "lead_rhs": str(lead_rhs)}
     return _by_products(field, prec, c, lhs, rhs)
 
 
@@ -273,10 +272,12 @@ def _by_products(field, prec, c, lhs, rhs):
     return ok, witness
 
 
-def distribution_args(alpha, beta, M, c: int):
+def distribution_args(alpha, beta, M, c: int, prec: int = 0):
     """(u, v, N, b) for M = diag(u, v) and beta = b/N in lowest terms, after
     checking that distribution_check supports its arguments; raises
     ValueError when it does not."""
+    if prec < 0:
+        raise ValueError(f"prec must be >= 0, got {prec}")
     alpha = QQ(alpha) % 1
     beta = QQ(beta) % 1
     u, v = _diag_entries(M)

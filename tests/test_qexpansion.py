@@ -16,7 +16,7 @@ from rankin.eisenstein import (EisensteinSpec, eisenstein_constant,
                                universal_gauss_sum, _GmRing)
 from rankin.forms import load_bundled
 from rankin.qseries import QSeries, geometric_dlog
-from rankin.siegel import (bernoulli2, distribution_args, distribution_check,
+from rankin.siegel import (bernoulli2, distribution_check,
                            dlog_matches_weight_two, siegel_scaled,
                            siegel_unit_qexp, unit_factors)
 from rankin.siegel import _first_mismatch as first_mismatch
@@ -377,28 +377,31 @@ def scaled_c_by_series(multiplier, g_c_scale):
     return unit_c
 
 
-def distribution_by_series(beta, M, c, prec, unit_c):
-    """The distribution check as a product of series, with the witness of
-    the product path."""
-    u, v, N, bnum = distribution_args(0, beta, M, c)
-    field = CyclotomicField(u * N)
-    lhs = unit_c(0, beta, field, prec, u, c)
-    rhs = None
-    for i in range(v):
-        for j in range(u):
-            factor = unit_c(F(i, v), F(bnum + j * N, u * N), field, prec, v, c)
-            rhs = factor if rhs is None else (rhs * factor).truncate(prec + 1)
-    ok = lhs == rhs
-    witness = {"factors": u * v, "lead_lhs": str(lhs.lead), "lead_rhs": str(rhs.lead)}
-    if not ok:
-        if lhs.lead != rhs.lead:
-            witness["mismatch"] = "leading exponent"
-        else:
-            n = next(n for n in range(min(lhs.prec, rhs.prec))
-                     if lhs.coeffs[n] != rhs.coeffs[n])
-            witness["mismatch"] = {"index": n, "lhs": str(lhs.coeffs[n]),
-                                   "rhs": str(rhs.coeffs[n])}
-    return ok, witness
+def series_view(f, *args):
+    """f(*args) as (lead, precision, coefficient vectors), or the error it
+    raises."""
+    try:
+        s = f(*args)
+    except ValueError as e:
+        return "raises", str(e)
+    return s.lead, s.prec, [c.coeffs for c in s.coeffs]
+
+
+def record_sides(monkeypatch):
+    """The (field, prec, c, lhs, rhs) of each call distribution_check makes
+    of _first_mismatch, in a list that grows as the calls are made."""
+    sides = []
+
+    def record(*args):
+        sides.append(args)
+        return first_mismatch(*args)
+    monkeypatch.setattr(rankin.siegel, "_first_mismatch", record)
+    return sides
+
+
+def witness_index(witness):
+    mismatch = witness.get("mismatch")
+    return mismatch if mismatch is None or isinstance(mismatch, str) else mismatch["index"]
 
 
 def outcome(f, *args):
@@ -429,48 +432,49 @@ class TestDistribution:
 
     @pytest.mark.parametrize("mutant", [None] + sorted(MUTANTS))
     def test_matches_product_path(self, monkeypatch, mutant):
-        # the check against the product path as it was before the
-        # logarithmic-derivative criterion: same verdict and witness, or
-        # the same error, and the criterion's first mismatch is the one the
-        # witness names
+        # _by_products, the product path, is the oracle: the same verdict
+        # and witness, or the same error.  A FAIL returns the product path's
+        # own witness, so there the test is that the criterion's first
+        # mismatch is the index the witness names.  The product path's
+        # c-modified units are checked against g^(c^2) / g_c built as a
+        # series power over a series.
         spec = MUTANTS[mutant] if mutant else (lambda c: c, lambda s: s, None)
         install_mutant(monkeypatch, *spec)
-        seen = []
-
-        def record(*args):
-            seen.append(first_mismatch(*args))
-            return seen[-1]
-        monkeypatch.setattr(rankin.siegel, "_first_mismatch", record)
+        sides = record_sides(monkeypatch)
         unit_c = scaled_c_by_series(*spec[:2])
+        failed = False
         for (m, N, c) in CATALOG_SETS:
             for M in (((m, 0), (0, 1)), ((1, 0), (0, m)), ((m, 0), (0, m))):
+                sides.clear()
                 got = outcome(distribution_check, 0, F(1, N), M, c, 30)
-                assert got == outcome(distribution_by_series, F(1, N), M, c, 30, unit_c)
+                (field, prec, c, lhs, rhs), = sides
+                assert got == outcome(rankin.siegel._by_products, field, prec, c, lhs, rhs)
+                for alpha, beta, scale in lhs + rhs:
+                    args = alpha, beta, field, prec, scale, c
+                    assert series_view(rankin.siegel.siegel_scaled_c, *args) == series_view(unit_c, *args)
                 if got[0] == "raises":
                     continue
                 ok, witness = got
-                mismatch = witness.get("mismatch")
-                assert seen[-1][0] == (None if ok else mismatch if
-                                       isinstance(mismatch, str) else mismatch["index"])
-        if mutant:
-            assert any(index is not None for index, _, _ in seen)
+                assert first_mismatch(field, prec, c, lhs, rhs)[0] == witness_index(witness)
+                failed = failed or not ok
+        assert failed == bool(mutant)
 
     @pytest.mark.parametrize("dropped", [0, 1, 3])
     def test_dropped_rhs_factor_fails(self, monkeypatch, dropped):
-        sides = []
-
-        def record(field, prec, c, lhs, rhs):
-            sides.append((field, prec, c, lhs, rhs))
-            return first_mismatch(field, prec, c, lhs, rhs)
-        monkeypatch.setattr(rankin.siegel, "_first_mismatch", record)
+        sides = record_sides(monkeypatch)
         assert distribution_check(0, F(1, 5), ((2, 0), (0, 2)), 7, 30)[0]
         (field, prec, c, lhs, rhs), = sides
         rhs = rhs[:dropped] + rhs[dropped + 1:]
         index = first_mismatch(field, prec, c, lhs, rhs)[0]
         ok, witness = rankin.siegel._by_products(field, prec, c, lhs, rhs)
         assert index is not None and not ok
-        mismatch = witness["mismatch"]
-        assert index == (mismatch if isinstance(mismatch, str) else mismatch["index"])
+        assert index == witness_index(witness)
+
+    def test_negative_precision_is_rejected(self):
+        with pytest.raises(ValueError, match="prec must be >= 0"):
+            distribution_check(0, F(1, 5), ((2, 0), (0, 1)), 7, -1)
+        with pytest.raises(ValueError, match="prec must be >= 0"):
+            distribution_check(0, F(1, 5), ((1, 0), (0, 1)), 7, -1)
 
     def test_unsupported_shape(self):
         with pytest.raises(ValueError, match="supported"):

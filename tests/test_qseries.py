@@ -216,12 +216,6 @@ class TestPackedPaths:
                          unit=True, normalize=False)
         assert exact_view(a.inverse()) == exact_view(oracle)
 
-    @given(cyclo_series())
-    @settings(max_examples=40, deadline=None)
-    def test_qdq_matches_fraction_exponents(self, a):
-        oracle = QSeries(a.ring, a.lead, [c * (a.lead + i) for i, c in enumerate(a.coeffs)])
-        assert exact_view(a.qdq()) == exact_view(oracle)
-
     @given(cyclo_series(), st.sampled_from(POWERS))
     @settings(max_examples=40, deadline=None)
     def test_power_matches_schoolbook_chain(self, a, n):
