@@ -288,10 +288,14 @@ def functional_symmetry_check(k: int, l: int, j: int,
           and conv_star == fac_dual_j.convolution)
     if not ok:
         return False
-    # the full ratio: [conv(k+l-1-j) / (mod * mod_star)] * [dual of the same at j]
-    ratio = (fac_dual_j.convolution / (fac.modification * fac.modification_star)) \
-        * ((e_f_star * e_star_star) / conv_star)
-    return ratio == RatFunc.from_poly(SYM_RING.one())
+    # the full ratio conv(k+l-1-j) * mod^* * mod_star^* / (mod * mod_star * conv^*)
+    # is 1: cross-multiply its three numerators and three denominators
+    tops = (fac_dual_j.convolution, e_f_star, e_star_star)
+    bottoms = (fac.modification, fac.modification_star, conv_star)
+    if not all(r.num for r in bottoms):
+        raise ZeroDivisionError("division by zero rational function")
+    return (functools.reduce(MPoly.__mul__, [r.num for r in tops] + [r.den for r in bottoms])
+            == functools.reduce(MPoly.__mul__, [r.den for r in tops] + [r.num for r in bottoms]))
 
 
 # ---------------------------------------------------------------------------

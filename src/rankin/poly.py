@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd
+from operator import sub
 
 from .arith import RingElt
 
@@ -53,6 +54,7 @@ class PolyRing:
             raise ValueError(f"invertible names not in ring: {sorted(unknown)}")
         self.index = {n: i for i, n in enumerate(self.names)}
         self.nvars = len(self.names)
+        self._bounded = tuple(i for i, n in enumerate(self.names) if n not in self.invertible)
         self._zero_exp = (0,) * self.nvars
 
     def __repr__(self):
@@ -187,6 +189,8 @@ class MPoly(RingElt):
 
     def inverse(self) -> "MPoly":
         """Inverse of a single-term polynomial whose variables are invertible."""
+        if not self.terms:
+            raise ZeroDivisionError("inverse of zero")
         if len(self.terms) != 1:
             raise ValueError("only monomials are invertible in a polynomial ring")
         (e, c), = self.terms.items()
@@ -210,10 +214,6 @@ class MPoly(RingElt):
         i = self.ring.index[name]
         return max((e[i] for e in self.terms), default=0)
 
-    def min_degree(self, name: str) -> int:
-        i = self.ring.index[name]
-        return min((e[i] for e in self.terms), default=0)
-
     def coefficients_in(self, name: str) -> dict:
         """Split into {exponent of ``name``: MPoly not involving ``name``}."""
         i = self.ring.index[name]
@@ -225,9 +225,6 @@ class MPoly(RingElt):
             d[e0] = d.get(e0, 0) + c
         return {k: MPoly(self.ring, {e: c for e, c in d.items() if c})
                 for k, d in out.items()}
-
-    def coefficient_of(self, name: str, power: int) -> "MPoly":
-        return self.coefficients_in(name).get(power, self.ring.zero())
 
     def shift(self, name: str, k: int) -> "MPoly":
         i = self.ring.index[name]
@@ -263,20 +260,16 @@ class MPoly(RingElt):
         other = self.ring.coerce(other)
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
-        a, sa = self.clear_laurent()
-        # a monomial in the invertible variables is a unit: take other's
-        # out, so that the honest division sees the rest
-        names, invertible = self.ring.names, self.ring.invertible
-        sb = [min(e[i] for e in other.terms) for i in range(len(names))]
-        sb = tuple(k if n in invertible else min(k, 0) for k, n in zip(sb, names))
-        b = MPoly(self.ring, {tuple(x - y for x, y in zip(e, sb)): c
-                              for e, c in other.terms.items()}) if any(sb) else other
-        q = _exact_div_poly(a, b)
-        shifts = tuple(x - y for x, y in zip(sa, sb))
-        for i, k in enumerate(shifts):
-            if k:
-                q = q.shift(self.ring.names[i], k)
-        return q
+        if len(other.terms) != 1:
+            return _exact_div_laurent(self, other)
+        # by c x^e: every term shifts by -e, unless an exponent of a variable
+        # that is not invertible (``_bounded``) goes below 0
+        (eb, cb), = other.terms.items()
+        bound = [(i, eb[i]) for i in self.ring._bounded if eb[i] > 0]
+        if any(e[i] < k for e in self.terms for i, k in bound):
+            raise ValueError("not divisible")
+        return MPoly(self.ring, {tuple(map(sub, e, eb)): _div(c, cb)
+                                 for e, c in self.terms.items()})
 
     def subs(self, values: dict):
         """Evaluate with ``values`` mapping names to Fraction/int/MPoly/RatFunc.
@@ -306,7 +299,10 @@ class MPoly(RingElt):
                 total += t
             return total
         if any(isinstance(v, RatFunc) for v in vals.values()):
-            return self._subs_over_common_den(vals)
+            # one RatFunc over the common denominator (_common_den_setup)
+            monomial = all(len(p.terms) == 1 for v in vals.values() if not isinstance(v, Fraction)
+                           for p in ((v.num, v.den) if isinstance(v, RatFunc) else (v,)))
+            return (_subs_monomials if monomial else _subs_tables)(self, vals)
         acc = None
         for e, c in self.terms.items():
             t = None
@@ -317,59 +313,13 @@ class MPoly(RingElt):
             term = QQ(c) if t is None else t * c
             acc = term if acc is None else acc + term
         if acc is None:
-            first = next(iter(values.values()))
+            first = next(iter(values.values()), None)
             if isinstance(first, MPoly):
                 return first.ring.zero()
             if isinstance(first, RatFunc):
                 return RatFunc(first.num.ring.zero(), first.num.ring.one())
             return QQ(0)
         return acc
-
-    def _subs_over_common_den(self, vals: dict) -> "RatFunc":
-        """``subs`` when some value is a RatFunc, as one RatFunc.
-
-        With value i written num_i/den_i, s_i = min(0, min e_i) and
-        t_i = max(0, max e_i) over the exponents e_i of variable i, the result
-        is  sum_e c_e prod_i num_i^(e_i - s_i) den_i^(t_i - e_i)  over
-        prod_i num_i^(-s_i) den_i^t_i; Fraction values scale c_e.
-        """
-        ring = next(v for v in vals.values() if isinstance(v, RatFunc)).ring
-        n = self.ring.nvars
-        lo = [min(0, min((e[i] for e in self.terms), default=0)) for i in range(n)]
-        hi = [max(0, max((e[i] for e in self.terms), default=0)) for i in range(n)]
-        scalars, nums, dens = {}, {}, {}
-        for i, name in enumerate(self.ring.names):
-            v = vals[name]
-            if isinstance(v, Fraction):
-                scalars[i] = v
-                continue
-            num, den = (v.num, v.den) if isinstance(v, RatFunc) else (v, None)
-            nums[i] = _power_table(num, hi[i] - lo[i])
-            if den is not None and not den.is_one():
-                dens[i] = _power_table(den, hi[i] - lo[i])
-        acc = {}
-        for e, c in self.terms.items():
-            t = None
-            for i, k in enumerate(e):
-                if i in scalars:
-                    if k:
-                        c = c * scalars[i] ** k
-                    continue
-                for table, m in ((nums[i], k - lo[i]), (dens.get(i), hi[i] - k)):
-                    if m and table:
-                        t = table[m] if t is None else t * table[m]
-            if not c:
-                continue
-            for e2, c2 in (ring.one() if t is None else t).terms.items():
-                acc[e2] = acc.get(e2, 0) + c * c2
-        den = ring.one()
-        for i, table in nums.items():
-            if lo[i]:
-                den = den * table[-lo[i]]
-        for i, table in dens.items():
-            if hi[i]:
-                den = den * table[hi[i]]
-        return RatFunc(MPoly(ring, {e: c for e, c in acc.items() if c}), den)
 
     def __str__(self):
         if not self.terms:
@@ -404,6 +354,97 @@ def _power_table(x: MPoly, n: int) -> list:
     while len(out) <= n:
         out.append(out[-1] * x)
     return out
+
+
+def _exact_div_laurent(a: MPoly, b: MPoly) -> MPoly:
+    """``a.exact_div(b)`` for any nonzero b, through ``_exact_div_poly``."""
+    a, sa = a.clear_laurent()
+    # a monomial in the invertible variables is a unit: take b's out, so
+    # that the honest division sees the rest
+    names, invertible = b.ring.names, b.ring.invertible
+    sb = [min(e[i] for e in b.terms) for i in range(len(names))]
+    sb = tuple(k if n in invertible else min(k, 0) for k, n in zip(sb, names))
+    if any(sb):
+        b = MPoly(b.ring, {tuple(x - y for x, y in zip(e, sb)): c for e, c in b.terms.items()})
+    q = _exact_div_poly(a, b)
+    for i, k in enumerate(x - y for x, y in zip(sa, sb)):
+        if k:
+            q = q.shift(names[i], k)
+    return q
+
+
+def _common_den_setup(poly: MPoly, vals: dict):
+    """(target ring, scalars, factors) of ``poly.subs(vals)``, some values
+    RatFuncs.  With value i = num_i/den_i, lo_i = min(0, min e_i) and
+    hi_i = max(0, max e_i), the result is  sum_e c_e prod_i num_i^(e_i - lo_i)
+    den_i^(hi_i - e_i)  over  prod_i num_i^(-lo_i) den_i^hi_i; Fraction values
+    (``scalars``) scale c_e.  A factor (i, off, sign, f, hi_i - lo_i) is a
+    num_i or a den_i != 1, to the power sign * e_i + off in term e."""
+    ring = next(v for v in vals.values() if isinstance(v, RatFunc)).ring
+    scalars, factors = {}, []
+    for i, name in enumerate(poly.ring.names):
+        v = vals[name]
+        if isinstance(v, Fraction):
+            scalars[i] = v
+            continue
+        lo = min(0, min((e[i] for e in poly.terms), default=0))
+        hi = max(0, max((e[i] for e in poly.terms), default=0))
+        num, den = (v.num, v.den) if isinstance(v, RatFunc) else (v, ring.one())
+        factors.append((i, -lo, 1, num, hi - lo))
+        if not den.is_one():
+            factors.append((i, hi, -1, den, hi - lo))
+    return ring, scalars, factors
+
+
+def _subs_tables(poly: MPoly, vals: dict) -> "RatFunc":
+    """``poly.subs(vals)`` from power tables of the factors: any values."""
+    ring, scalars, factors = _common_den_setup(poly, vals)
+    tables = [(i, off, sign, _power_table(f, n)) for i, off, sign, f, n in factors]
+    acc = {}
+    for e, c in poly.terms.items():
+        for i, v in scalars.items():
+            if e[i]:
+                c = c * v ** e[i]
+        if not c:
+            continue
+        t = None
+        for i, off, sign, table in tables:
+            m = sign * e[i] + off
+            if m:
+                t = table[m] if t is None else t * table[m]
+        for e2, c2 in (ring.one() if t is None else t).terms.items():
+            acc[e2] = acc.get(e2, 0) + c * c2
+    den = ring.one()
+    for _, off, _, table in tables:
+        if off:
+            den = den * table[off]
+    return RatFunc(MPoly(ring, {e: c for e, c in acc.items() if c}), den)
+
+
+def _subs_monomials(poly: MPoly, vals: dict) -> "RatFunc":
+    """``_subs_tables`` when every factor is one term c x^a: to the power m
+    it scales a term by c^m and shifts it by m a; a scalar v is the factor
+    v x^0.  The common denominator is the image of the term 1."""
+    ring, scalars, factors = _common_den_setup(poly, vals)
+    factors = [(i, 0, 1, ring._zero_exp, v) for i, v in scalars.items()] + [
+        (i, off, sign, *next(iter(f.terms.items()))) for i, off, sign, f, _ in factors]
+
+    def image(e, c):
+        x = ring._zero_exp
+        for i, off, sign, a, ca in factors:
+            m = sign * e[i] + off
+            if m:
+                c = c * ca ** m
+                x = tuple(u + m * v for u, v in zip(x, a))
+        return x, c
+
+    acc = {}
+    for e, c in poly.terms.items():
+        x, c = image(e, c)
+        if c:
+            acc[x] = acc.get(x, 0) + c
+    x, c = image(poly.ring._zero_exp, 1)
+    return RatFunc(MPoly(ring, {e: c for e, c in acc.items() if c}), MPoly(ring, {x: c}))
 
 
 def _exact_div_poly(a: MPoly, b: MPoly) -> MPoly:

@@ -257,6 +257,19 @@ class TestInterpolationFactors:
     def test_shifted_twist_fails(self):
         assert functional_symmetry_check(4, 2, 2, mutate_shift=1) is False
 
+    @pytest.mark.parametrize("zeros", ["all", "convolution"])
+    def test_zero_divisor_numerator_raises(self, monkeypatch, zeros):
+        # the closing ratio divides by mod * mod_star and by the dual
+        # convolution factor: a zero numerator there raises ZeroDivisionError
+        from rankin.euler import SYM_RING, InterpFactors
+        from rankin.poly import RatFunc
+        zero, fac = RatFunc.from_poly(SYM_RING.zero()), interpolation_factors(1)
+        mods = (zero, zero) if zeros == "all" else (fac.modification, fac.modification_star)
+        monkeypatch.setattr(rankin.euler, "interpolation_factors",
+                            lambda j: InterpFactors(*mods, zero))
+        with pytest.raises(ZeroDivisionError):
+            functional_symmetry_check(2, 2, 1)
+
     def test_expanded_product_form(self):
         # at twist 1 the convolution factor times (al ga)(al de) is
         # (1 - be ga/p)(1 - be de/p)(al ga - 1)(al de - 1)

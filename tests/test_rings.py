@@ -5,15 +5,15 @@ from fractions import Fraction as F
 from math import gcd, isqrt, prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rankin.arith import crt, euler_phi, factor, power, solve
 from rankin.cyclo import CyclotomicField
 from rankin.forms import load_bundled
 from rankin.groupring import RATIONALS, GroupRing, augment_mod
-from rankin.poly import (MPoly, PolyRing, RatFunc, cyclotomic_polynomial,
-                         poly_divmod)
+from rankin.poly import (MPoly, PolyRing, RatFunc, _exact_div_laurent, _subs_monomials,
+                         _subs_tables, cyclotomic_polynomial, poly_divmod)
 from rankin.qseries import QSeries
 from rankin.quotring import QuotElt, QuotRing, ZeroDivisor, join
 
@@ -25,7 +25,8 @@ class TestMPoly:
     def test_arith(self):
         x, y, s = self.R.vars()
         assert (x + y) ** 2 == x * x + 2 * x * y + y * y
-        assert ((x + y) ** 3).coefficient_of("x", 2) == 3 * y
+        assert ((x + y) ** 3).coefficients_in("x") == {3: self.R.one(), 2: 3 * y,
+                                                       1: 3 * y * y, 0: y ** 3}
         assert (s ** -2 * x) * s ** 2 == x
 
     def test_exact_division(self):
@@ -46,6 +47,19 @@ class TestMPoly:
         with pytest.raises(ValueError):
             x.exact_div(y * s)
 
+    def test_zero_has_no_inverse(self):
+        s = self.R.var("s")
+        with pytest.raises(ZeroDivisionError):
+            self.R.zero().inverse()
+        with pytest.raises(ZeroDivisionError):
+            (s ** -1).subs({"s": self.R.zero()})
+
+    def test_empty_substitution_into_a_constant(self):
+        R = PolyRing(("x",))
+        for p, want in ((R.zero(), 0), (R.const(5), 5)):
+            got = p.subs({})
+            assert got == want and type(got) is F
+
     def test_ratfunc_equality_cross_multiplies(self):
         x, y, _ = self.R.vars()
         assert RatFunc(x * x - y * y, x - y) == x + y
@@ -55,7 +69,7 @@ class TestMPoly:
     def test_laurent_denominator_normalization(self):
         x, y, s = self.R.vars()
         r = RatFunc(x, y * s ** 3)
-        assert r.den.min_degree("s") == 0
+        assert min(r.den.coefficients_in("s")) == 0
 
     @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
     @settings(max_examples=25, deadline=None)
@@ -457,6 +471,104 @@ def test_int_coefficients_match_fraction_arithmetic(data):
     _differential(lambda a: a.minpoly(), x)
     if x:
         _differential(lambda a: a.inverse(), x)
+
+
+# ---------------------------------------------------------------------------
+# single-term fast paths against the general routes, which stay as oracles
+# ---------------------------------------------------------------------------
+
+# integral Fractions too: the paths must keep each coefficient's type
+typed_coefficients = st.one_of(coefficients, st.integers(-6, 6).map(F))
+
+
+def _outcome(f):
+    """f()'s coefficients with their types, component by component, or the
+    type of the error it raises."""
+    try:
+        return [{e: (type(c), c) for e, c in part.items()} for part in _parts(f())]
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _raw_terms(draw, ring, lo, hi, max_size, min_size=0):
+    """An MPoly built as it stands, integral Fraction coefficients and all."""
+    exps = st.tuples(*[st.integers(lo if n in ring.invertible else 0, hi)
+                       for n in ring.names])
+    terms = draw(st.dictionaries(exps, typed_coefficients.filter(bool),
+                                 min_size=min_size, max_size=max_size))
+    return MPoly(ring, terms)
+
+
+@st.composite
+def monomial_divisions(draw):
+    """(dividend, one-term divisor) over SOURCE; half of the dividends are
+    multiples of the divisor."""
+    b = _raw_terms(draw, SOURCE, -3, 3, 1, min_size=1)
+    a = _raw_terms(draw, SOURCE, -3, 3, 4, min_size=1)
+    return (a * b if draw(st.booleans()) else a), b
+
+
+_x, _y, _s = SOURCE.vars()
+
+
+@given(monomial_divisions())
+@settings(max_examples=60, deadline=None)
+@example((_x, _y))                                  # a bounded exponent goes < 0
+@example((_x * _s ** -2 + _y * 3, _y * _s ** 2))    # the same, beside invertible s
+@example((_s ** -3 * F(4), _s ** 2 * F(2)))         # s^-5, an integral Fraction
+@example((SOURCE.zero(), _x * _y * _s))
+def test_single_term_division_matches_general_route(case):
+    a, b = case
+    assert _outcome(lambda: a.exact_div(b)) == _outcome(lambda: _exact_div_laurent(a, b))
+
+
+def test_division_by_zero_polynomial():
+    for a in (SOURCE.zero(), _x + 1):
+        with pytest.raises(ZeroDivisionError):
+            a.exact_div(SOURCE.zero())
+
+
+def test_dropping_the_bounded_exponent_check_is_caught(monkeypatch):
+    # the mutant: exact_div treats every variable as invertible
+    monkeypatch.setattr(SOURCE, "_bounded", ())
+    with pytest.raises(AssertionError):
+        test_single_term_division_matches_general_route()
+
+
+@st.composite
+def monomial_substitutions(draw):
+    """(polynomial over SOURCE, values): each value a Fraction (zero too),
+    a one-term MPoly or a one-term RatFunc over one term, at least one of
+    them a RatFunc."""
+    poly = _raw_terms(draw, SOURCE, -2, 2, 5, min_size=1)
+    values = {}
+    for name in SOURCE.names:
+        kind = draw(st.sampled_from(["fraction", "mpoly", "ratfunc"]))
+        if kind == "fraction":
+            values[name] = draw(halves)
+            continue
+        num = _raw_terms(draw, TARGET, -2, 2, 1, min_size=1)
+        values[name] = num if kind == "mpoly" else RatFunc(
+            num, _raw_terms(draw, TARGET, -2, 2, 1, min_size=1), draw(st.booleans()))
+    if not any(isinstance(v, RatFunc) for v in values.values()):
+        values["s"] = RatFunc(TARGET.var("p", 2), TARGET.var("a") * 3)
+    return poly, values
+
+
+_a, _p = TARGET.vars()
+
+
+@given(monomial_substitutions())
+@settings(max_examples=60, deadline=None)
+@example((SOURCE.zero(), {"x": F(2), "y": _a, "s": RatFunc(_p, _a * 3)}))
+@example((_x * _s ** -1 + 1, {"x": RatFunc(_a, _p), "y": F(1), "s": F(0)}))  # 0^-1
+@example((_x * _s ** -1 + _y * _s * 3, {"x": F(0), "y": _a * _p * F(2),
+                                        "s": RatFunc(_p * 2, _a * _a, False)}))
+def test_monomial_substitution_matches_power_tables(case):
+    poly, values = case
+    want = _outcome(lambda: _subs_tables(poly, values))
+    assert _outcome(lambda: _subs_monomials(poly, values)) == want
+    assert _outcome(lambda: poly.subs(values)) == want
 
 
 # ---------------------------------------------------------------------------
