@@ -65,15 +65,16 @@ def validate_spec(spec: EisensteinSpec):
             raise ValueError("weight-2 twist-1 E series at parameter 0 is not holomorphic")
 
 
-def _divisor_sums(field, a: int, sign: int, wd: int, wq: int, prec: int,
-                  shift: int = 0) -> list:
-    """[c_1, ..., c_prec] with c_n = sum_{d|n} d^wd (n/d)^wq
-    (zeta^(ad) + sign zeta^(-ad) + shift), zeta = zeta_N for N = field.L.
+def check_prec(prec: int):
+    if prec < 0:
+        raise ValueError(f"prec must be >= 0, got {prec}")
 
-    A sieve over d adds d^wd m^wq at the exponents of zeta in the row of
-    integers (or Fractions) of n = d m, and each row is reduced mod Phi_N
-    once."""
-    N = field.L
+
+def _divisor_rows(N: int, a: int, sign: int, wd: int, wq: int, prec: int,
+                  shift: int = 0) -> list:
+    """Rows 0 .. prec, row n the coefficients of zeta^0 .. zeta^(N-1) in c_n =
+    sum_{d|n} d^wd (n/d)^wq (zeta^(ad) + sign zeta^(-ad) + shift), zeta =
+    zeta_N, as ints (or Fractions) from a sieve over d; row 0 is zero."""
     # int powers keep integral coefficients ints; a negative exponent needs
     # Fraction powers, since int ** -k is a float
     num = int if wd >= 0 and wq >= 0 else QQ
@@ -87,24 +88,28 @@ def _divisor_sums(field, a: int, sign: int, wd: int, wq: int, prec: int,
             row[i] += w
             row[j] += sign * w
             row[0] += shift * w
-    return [CycloElt(field, tuple(field.reduce_powers(r))) for r in rows[1:]]
+    return rows
+
+
+def eisenstein_rows(spec: EisensteinSpec, prec: int):
+    """(field, c_0, _divisor_rows of c_1 .. c_prec) of the q-expansion."""
+    N, k = spec.conductor, spec.k
+    a = int(spec.alpha * N) % N if N > 1 else 0
+    if spec.family == "Etilde":
+        rows = _divisor_rows(N, a, 1, 1, 0, prec, shift=-2)
+    else:
+        wq = k - 1 if spec.family == "F" else spec.j
+        rows = _divisor_rows(N, a, (-1) ** k, k - 1 - wq, wq, prec)
+    F = CyclotomicField(N)
+    return F, eisenstein_constant(spec, F), rows
 
 
 def eisenstein_qexp(spec: EisensteinSpec, prec: int) -> QSeries:
     """q-expansion with coefficients c_0 .. c_prec in Q(zeta_N)."""
-    N = spec.conductor
-    F = CyclotomicField(N)
-    a = int(spec.alpha * N) % N if N > 1 else 0
-    k, j = spec.k, spec.j
-    sign = (-1) ** k
-
-    if spec.family == "Etilde":
-        sums = _divisor_sums(F, a, 1, 1, 0, prec, shift=-2)
-    elif spec.family == "F":
-        sums = _divisor_sums(F, a, sign, 0, k - 1, prec)
-    else:
-        sums = _divisor_sums(F, a, sign, k - 1 - j, j, prec)
-    return QSeries(F, 0, [eisenstein_constant(spec, F)] + sums, normalize=False)
+    check_prec(prec)
+    F, c0, rows = eisenstein_rows(spec, prec)
+    return QSeries(F, 0, [c0] + [CycloElt(F, tuple(F.reduce_powers(r))) for r in rows[1:]],
+                   normalize=False)
 
 
 def eisenstein_constant(spec: EisensteinSpec, field=None):
@@ -153,9 +158,9 @@ def two_param_eisenstein(alpha, k1: int, k2: int, p: int, prec: int) -> QSeries:
     F = CyclotomicField(N)
     a = int(alpha * N) % N if N > 1 else 0
     eps = 1 if (k1 + k2) % 2 else -1
-    sums = _divisor_sums(F, a, eps, k1, k2, prec)
-    coeffs = [F.zero()] + [F.zero() if n % p == 0 else c
-                           for n, c in enumerate(sums, 1)]
+    rows = _divisor_rows(N, a, eps, k1, k2, prec)
+    coeffs = [F.zero()] + [F.zero() if n % p == 0 else CycloElt(F, tuple(F.reduce_powers(r)))
+                           for n, r in enumerate(rows[1:], 1)]
     return QSeries(F, 0, coeffs, normalize=False)
 
 
@@ -179,8 +184,7 @@ def _char_value(character, n):
 def _int_series(s: QSeries):
     if s.lead != int(s.lead):
         raise ValueError("Hecke operators need an integral exponent lattice")
-    shift = int(s.lead)
-    return shift
+    return int(s.lead)
 
 
 def hecke_T(s: QSeries, ell: int, weight: int, character, level=None) -> QSeries:

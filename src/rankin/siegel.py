@@ -15,10 +15,10 @@ g(scale * z), and callers choose ``scale`` so that scale * <alpha> is an
 integer.  That is all the distribution relations need.
 
 A unit is kept as its leading exponent, constant and binomials
-(unit_factors).  A distribution relation is decided on that data: two such
-products agree to a precision exactly when their leading exponents,
-constants and logarithmic derivatives do.  Only a failing relation is built
-as series, for its witness.
+(unit_factors).  The distribution relations and the dlog identity are
+decided on that data: two such products agree to a precision exactly when
+their leading exponents, constants and logarithmic derivatives do.  Only a
+failing check is built as series, for its witness.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from math import gcd
 from operator import add
 
 from .cyclo import CyclotomicField, slot_bytes, truncate_slots, unpack_slots
-from .eisenstein import EisensteinSpec, eisenstein_qexp
+from .eisenstein import EisensteinSpec, check_prec, eisenstein_qexp, eisenstein_rows
 from .poly import QQ
 from .qseries import QSeries
 
@@ -145,6 +145,7 @@ def siegel_unit_qexp(alpha, c: int | None = None, prec: int = 50) -> QSeries:
     """The unit with parameter pair (0, alpha) on the standard exponent
     lattice, over Q(zeta_N) with N the order of alpha; with ``c`` given,
     returns the c-modified unit."""
+    check_prec(prec)
     alpha = QQ(alpha) % 1
     if alpha == 0:
         raise ValueError("Siegel unit undefined at zero parameter")
@@ -156,25 +157,49 @@ def siegel_unit_qexp(alpha, c: int | None = None, prec: int = 50) -> QSeries:
 
 
 def dlog_matches_weight_two(alpha, prec: int = 200):
-    """Check dlog g_(0,alpha) = -F^(2)_alpha as series with constant terms.
+    """Check dlog g_(0,alpha) = -F^(2)_alpha, with constant terms, as q dg/dq
+    = -F * g to O(q^(lead + prec + 1)); returns (bool, witness).  A PASS is
+    decided on integer rows (_dlog_mismatch), with no series built; only a
+    mismatch is built as series, for the first coefficient that differs."""
+    check_prec(prec)
+    if _dlog_mismatch(alpha, prec) is None:
+        return True, None
+    return _dlog_by_series(alpha, prec)
 
-    Since the unit series is invertible, the identity is equivalent to the
-    division-free form q dg/dq = -F * g, which is what is checked.  Returns
-    (bool, witness).
-    """
+
+def _dlog_mismatch(alpha, prec):
+    """The first n at which q dg/dq and -F * g differ at q^(lead + n), or
+    None.  For g = q^lead * a0 * prod (1 - zeta^b q^e) (unit_factors) with
+    a0 != 0, q dg/dq + F * g = g * (lead + theta + F), theta the logarithmic
+    derivative of the binomials; n is where lead + theta + F first is not 0."""
     alpha = QQ(alpha) % 1
+    lead, _, factors = unit_factors(0, alpha, CyclotomicField(alpha.denominator), prec)
+    field, c0, rows = eisenstein_rows(EisensteinSpec("F", 2, alpha), prec)
+    _add_theta(rows, factors, 1, field.L)
+    return 0 if lead + c0 else next((n for n in range(1, prec + 1) if any(rows[n])
+                                     and any(field.reduce_powers(rows[n]))), None)
+
+
+def _dlog_by_series(alpha, prec):
+    """dlog_matches_weight_two on series: q dg/dq against -F * g."""
     g = siegel_unit_qexp(alpha, None, prec)
-    rhs = -eisenstein_qexp(EisensteinSpec("F", 2, alpha), prec)
-    lhs, rhs2 = g.qdq(), (rhs * g).truncate(g.prec)
-    ok = lhs == rhs2
-    witness = None
-    if not ok:
-        for n in range(min(lhs.prec, rhs2.prec)):
-            if lhs.coeffs[n] != rhs2.coeffs[n]:
-                witness = {"exponent": n, "lhs": str(lhs.coeffs[n]),
-                           "rhs": str(rhs2.coeffs[n])}
-                break
-    return ok, witness
+    lhs = g.qdq()
+    rhs = (-eisenstein_qexp(EisensteinSpec("F", 2, alpha), prec) * g).truncate(g.prec)
+    if lhs == rhs:
+        return True, None
+    for n, (x, y) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
+        if x != y:
+            return False, {"exponent": n, "lhs": str(x), "rhs": str(y)}
+    return False, None
+
+
+def _add_theta(rows, factors, w, L):
+    """Add w * theta to rows (one row of L ints per power of q); theta = -sum
+    e zeta^(bk) q^(ek), k >= 1, is dlog of prod (1 - zeta^b q^e) over factors."""
+    for b, e in factors:
+        x = w * e
+        for k, i in enumerate(range(e, len(rows), e), 1):
+            rows[i][b * k % L] -= x
 
 
 _SUPPORTED_SHAPES = "diagonal matrices diag(u, v) with positive integer entries (including scalars)"
@@ -234,10 +259,7 @@ def _first_mismatch(field, prec, c, lhs, rhs):
                     # a0^w with w in {c^2, -1}: a divisor moves to the other side
                     to = side if w > 0 else 1 - side
                     consts[to] = consts[to] * a0 ** abs(w)
-                for b, e in factors:
-                    x = sign * w * e
-                    for k, i in enumerate(range(e, n, e), 1):
-                        rows[i][b * k % L] -= x
+                _add_theta(rows, factors, sign * w, L)
     if leads[0] != leads[1]:
         index = "leading exponent"
     elif consts[0] != consts[1]:
@@ -276,8 +298,7 @@ def distribution_args(alpha, beta, M, c: int, prec: int = 0):
     """(u, v, N, b) for M = diag(u, v) and beta = b/N in lowest terms, after
     checking that distribution_check supports its arguments; raises
     ValueError when it does not."""
-    if prec < 0:
-        raise ValueError(f"prec must be >= 0, got {prec}")
+    check_prec(prec)
     alpha = QQ(alpha) % 1
     beta = QQ(beta) % 1
     u, v = _diag_entries(M)

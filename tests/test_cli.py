@@ -136,6 +136,7 @@ def test_example_subcommand(capsys):
     ["dist-check", "--m", "2", "--N", "5", "--c", "7", "--prec", "-2"],
     ["qexp", "--family", "F", "--k", "2", "--alpha", "0"],
     ["qexp", "--family", "F", "--k", "2", "--alpha", "1/5", "--prec", "-3"],
+    ["qexp", "--family", "F", "--k", "2", "--alpha", "1/5", "--prec", "-1"],
     ["hecke-check", "--level", "0", "--prime", "2"],
     ["hecke-check", "--level", "-3", "--prime", "2"],
     ["hecke-check", "--level", "5", "--prime", "0"],

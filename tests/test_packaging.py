@@ -6,6 +6,7 @@ derives its operators from the one protocol base, arith.RingElt."""
 
 import ast
 import functools
+import json
 import os
 import re
 import subprocess
@@ -82,3 +83,24 @@ def test_runs_without_site_packages(argv):
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert run.returncode == 0, run.stderr
     assert "PASS" in run.stdout
+
+
+def test_report_survives_python_O(tmp_path, capsys):
+    # python -O strips assert statements: the full report must not change
+    # apart from its timing fields
+    from rankin.cli import main
+    paths = [tmp_path / "O.json", tmp_path / "in_process.json"]
+    run = subprocess.run([sys.executable, "-O", "-m", "rankin.cli",
+                          "verify-norm-relations", "--all", "--json", str(paths[0])],
+                         capture_output=True, text=True, timeout=300, cwd=ROOT,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert run.returncode == 0, run.stderr
+    assert main(["verify-norm-relations", "--all", "--json", str(paths[1])]) == 0
+    capsys.readouterr()
+    reports = []
+    for path in paths:
+        report = json.loads(path.read_text())
+        for entry in report["entries"]:
+            entry.pop("ms")
+        reports.append(report)
+    assert reports[0] == reports[1]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rankin.eisenstein
 import rankin.siegel
 from rankin.cyclo import CyclotomicField
 from rankin.eisenstein import (EisensteinSpec, eisenstein_constant,
@@ -19,6 +20,7 @@ from rankin.qseries import QSeries, geometric_dlog
 from rankin.siegel import (bernoulli2, distribution_check,
                            dlog_matches_weight_two, siegel_scaled,
                            siegel_unit_qexp, unit_factors)
+from rankin.siegel import _dlog_by_series, _dlog_mismatch
 from rankin.siegel import _first_mismatch as first_mismatch
 
 
@@ -484,6 +486,68 @@ class TestDistribution:
         for prec in (20, 30, 45):
             ok, _ = distribution_check(0, F(1, 4), ((3, 0), (0, 1)), 7, prec)
             assert ok
+
+
+CATALOG_ALPHAS = [F(a, N) for N in (3, 4, 5, 12) for a in range(1, N)]
+
+
+def lead_plus_one(alpha, beta, field, prec, scale=1):
+    lead, a0, factors = unit_factors(alpha, beta, field, prec, scale)
+    return lead + 1, a0, factors
+
+
+def divisor_rows_sign_flipped(N, a, sign, *args, **kwargs):
+    return divisor_rows(N, a, -sign, *args, **kwargs)
+
+
+divisor_rows = rankin.eisenstein._divisor_rows
+
+# Mutants of the dlog identity, as (module, helper, replacement); each helper
+# is read by both the row check and the series path.
+DLOG_MUTANTS = {
+    "binomial-moved": (rankin.siegel, "unit_factors", moved_binomial(0)),
+    "last-binomial-moved": (rankin.siegel, "unit_factors", moved_binomial(-1)),
+    "zeta-minus-ad-sign": (rankin.eisenstein, "_divisor_rows", divisor_rows_sign_flipped),
+    "lead-plus-one": (rankin.siegel, "unit_factors", lead_plus_one),
+}
+
+
+class TestDlogRows:
+    @pytest.mark.parametrize("mutant", [None] + sorted(DLOG_MUTANTS))
+    @pytest.mark.parametrize("prec", [0, 1, 2, 30])
+    def test_matches_series_path(self, monkeypatch, mutant, prec):
+        # _dlog_by_series, the series path, is the oracle: the same verdict
+        # and witness, or the same error.  A FAIL returns the series path's
+        # own witness, so there the test is that the first nonzero reduced
+        # row is the exponent the witness names.  At prec 0 there are no
+        # binomials and no divisor sums, so only the lead mutant can fail.
+        if mutant:
+            monkeypatch.setattr(*DLOG_MUTANTS[mutant])
+        must_fail = mutant is not None and (prec > 0 or mutant == "lead-plus-one")
+        for alpha in CATALOG_ALPHAS:
+            got = outcome(dlog_matches_weight_two, alpha, prec)
+            assert got == outcome(_dlog_by_series, alpha, prec)
+            ok, witness = got
+            assert ok != must_fail, (alpha, witness)
+            if not ok:
+                assert _dlog_mismatch(alpha, prec) == witness["exponent"]
+
+    def test_pass_builds_no_series(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a series was built")
+        for name in ("__init__", "qdq", "__mul__"):
+            monkeypatch.setattr(QSeries, name, refuse)
+        for alpha in CATALOG_ALPHAS:
+            assert dlog_matches_weight_two(alpha, 100) == (True, None)
+
+    @pytest.mark.parametrize("call", [
+        lambda: dlog_matches_weight_two(F(1, 3), -3),
+        lambda: siegel_unit_qexp(F(1, 3), None, -2),
+        lambda: eisenstein_qexp(EisensteinSpec("F", 2, F(1, 3)), -2),
+    ])
+    def test_negative_precision_is_rejected(self, call):
+        with pytest.raises(ValueError, match=r"prec must be >= 0, got -\d"):
+            call()
 
 
 class TestEquivariantForm:
