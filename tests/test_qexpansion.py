@@ -496,11 +496,11 @@ def lead_plus_one(alpha, beta, field, prec, scale=1):
     return lead + 1, a0, factors
 
 
+divisor_rows = rankin.eisenstein._divisor_rows
+
+
 def divisor_rows_sign_flipped(N, a, sign, *args, **kwargs):
     return divisor_rows(N, a, -sign, *args, **kwargs)
-
-
-divisor_rows = rankin.eisenstein._divisor_rows
 
 # Mutants of the dlog identity, as (module, helper, replacement); each helper
 # is read by both the row check and the series path.
