@@ -123,12 +123,17 @@ def run_dlog(cfg):
     return _bool_entry(not failures, failures or {"precision": prec})
 
 
+def _dist_shapes(m):
+    """The matrices of the three distribution relations at m, by name."""
+    return {"dist1": ((m, 0), (0, 1)), "dist2": ((1, 0), (0, m)),
+            "dist3": ((m, 0), (0, m))}
+
+
 def run_distribution(cfg):
     prec = cfg.get("prec", 60)
     failures = {}
     for (m, N, c) in ((2, 5, 7), (3, 4, 7), (2, 3, 5)):
-        for name, M in (("dist1", ((m, 0), (0, 1))), ("dist2", ((1, 0), (0, m))),
-                        ("dist3", ((m, 0), (0, m)))):
+        for name, M in _dist_shapes(m).items():
             ok, wit = distribution_check(0, F(1, N), M, c, prec)
             if not ok:
                 failures[f"{name} (m={m}, N={N}, c={c})"] = wit
@@ -175,17 +180,26 @@ def run_hecke_square(cfg):
     return _bool_entry(not failures, failures or details)
 
 
+def _iwahori_table(p):
+    """(rows, misses): rows {j, diagonal, antidiagonal} give the Iwahori
+    indices of the two cells of exponent j = 0..3 at p, and misses the
+    (kind, j) whose index is not p^(2j), resp. p^(2j+1)."""
+    from .cosets import IwahoriCell, iwahori_index
+    rows, misses = [], []
+    for j in range(4):
+        row = {"j": j}
+        for kind, tag, e in (("diagonal", "diag", 2 * j),
+                             ("antidiagonal", "anti", 2 * j + 1)):
+            row[kind] = iwahori_index(IwahoriCell(kind, j).representative(p), p)
+            if row[kind] != p ** e:
+                misses.append((tag, j))
+        rows.append(row)
+    return rows, misses
+
+
 def run_iwahori(cfg):
-    from .cosets import iwahori_index, iwahori_invariant
-    failures = []
-    for p in (2, 3, 5):
-        for j in range(4):
-            diag = (F(p) ** j, F(0), F(0), F(p) ** -j)
-            anti = (F(0), -(F(p) ** -j), F(p) ** j, F(0))
-            if iwahori_index(diag, p) != p ** abs(2 * j):
-                failures.append(("diag", p, j))
-            if iwahori_index(anti, p) != p ** abs(2 * j + 1):
-                failures.append(("anti", p, j))
+    from .cosets import iwahori_invariant
+    failures = [(tag, p, j) for p in (2, 3, 5) for tag, j in _iwahori_table(p)[1]]
     cells = {iwahori_invariant(m, 3) for m in
              [(F(1, 3), F(0), F(0), F(3)), (F(0), -F(1, 3), F(3), F(0)),
               (F(3), F(0), F(0), F(1, 3)), (F(0), -F(3), F(1, 3), F(0))]}
@@ -218,16 +232,19 @@ def run_worked_example(cfg):
     return _bool_entry(ok, out)
 
 
+# the (F_v, G_v) family of the otsuki-check command
+_OTSUKI_FAMILY_A = {2: ([F(1), F(-1)], [F(1), F(0), F(-1)]),
+                    3: ([F(1), F(-2)], [F(1), F(1)]),
+                    5: ([F(1), F(-1), F(2)], [F(1), F(3)])}
+
+
 def run_otsuki(cfg):
-    fam_a = {2: ([F(1), F(-1)], [F(1), F(0), F(-1)]),
-             3: ([F(1), F(-2)], [F(1), F(1)]),
-             5: ([F(1), F(-1), F(2)], [F(1), F(3)])}
     fam_b = {2: ([F(1), F(2)], [F(1), F(-1)]),
              3: ([F(1), F(1, 2)], [F(1), F(0), F(1)]),
              5: ([F(1), F(-1)], [F(1), F(2)])}
     failures = {}
     for (m, ell) in ((1, 3), (4, 3), (3, 5)):
-        for tag, fam in (("a", fam_a), ("b", fam_b)):
+        for tag, fam in (("a", _OTSUKI_FAMILY_A), ("b", fam_b)):
             ok, wit = otsuki_trace_check(m, ell, fam)
             if not ok:
                 failures[f"(m={m}, ell={ell}, family {tag})"] = wit

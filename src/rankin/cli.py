@@ -13,7 +13,8 @@ import json
 import sys
 from fractions import Fraction as F
 
-from .catalog import NORM_RELATION_IDS, run_catalog
+from .catalog import (NORM_RELATION_IDS, _OTSUKI_FAMILY_A, _dist_shapes,
+                      _iwahori_table, run_catalog)
 from .forms import FormDataError
 
 
@@ -161,9 +162,7 @@ def cmd_qexp(args):
 def cmd_dist(args):
     from .siegel import distribution_args, distribution_check
     prec = _prec(args)
-    shapes = {"dist1": ((args.m, 0), (0, 1)),
-              "dist2": ((1, 0), (0, args.m)),
-              "dist3": ((args.m, 0), (0, args.m))}
+    shapes = _dist_shapes(args.m)
     selected = shapes if args.shape == "all" else {args.shape: shapes[args.shape]}
     if args.N < 1:
         raise UsageError(f"--N must be positive, got {args.N}")
@@ -181,8 +180,7 @@ def cmd_dist(args):
 
 
 def cmd_hecke(args):
-    from .cosets import (check_square_identity_args, iwahori_index,
-                         t_prime_square_identity)
+    from .cosets import check_square_identity_args, t_prime_square_identity
     _checked(check_square_identity_args, args.level, args.prime)
     rep = t_prime_square_identity(args.level, args.prime)
     entries = [{"id": "hecke-square",
@@ -191,17 +189,10 @@ def cmd_hecke(args):
                 "status": "PASS" if rep["holds"] else "FAIL",
                 "witness": rep["constituents"], "ms": 0}]
     p = args.prime
-    table = []
-    for j in range(4):
-        diag = (F(p) ** j, F(0), F(0), F(p) ** -j)
-        anti = (F(0), -(F(p) ** -j), F(p) ** j, F(0))
-        table.append({"j": j, "diagonal": iwahori_index(diag, p),
-                      "antidiagonal": iwahori_index(anti, p)})
-    ok = all(r["diagonal"] == p ** abs(2 * r["j"])
-             and r["antidiagonal"] == p ** abs(2 * r["j"] + 1) for r in table)
+    table, misses = _iwahori_table(p)
     entries.append({"id": "iwahori-table",
                     "statement": f"indices p^|2j| and p^|2j+1| at p = {p}",
-                    "status": "PASS" if ok else "FAIL", "witness": table,
+                    "status": "FAIL" if misses else "PASS", "witness": table,
                     "ms": 0})
     return _emit({"schema": 1, "entries": entries}, args.json)
 
@@ -259,11 +250,8 @@ def cmd_example(args):
 
 def cmd_otsuki(args):
     from .otsuki import otsuki_trace_check, trace_check_args
-    fam = {2: ([F(1), F(-1)], [F(1), F(0), F(-1)]),
-           3: ([F(1), F(-2)], [F(1), F(1)]),
-           5: ([F(1), F(-1), F(2)], [F(1), F(3)])}
-    _checked(trace_check_args, args.m, args.ell, fam)
-    ok, wit = otsuki_trace_check(args.m, args.ell, fam)
+    _checked(trace_check_args, args.m, args.ell, _OTSUKI_FAMILY_A)
+    ok, wit = otsuki_trace_check(args.m, args.ell, _OTSUKI_FAMILY_A)
     entry = {"id": "otsuki-trace",
              "statement": f"weighted-trace identity at (m, ell) = "
                           f"({args.m}, {args.ell})",

@@ -485,16 +485,18 @@ def _pair_invariant(g, p: int):
 
 def iwahori_invariant(g, p: int) -> IwahoriCell:
     """The Iwahori double-coset invariant of g in SL2(Q_p), found by matching
-    the lattice-pair invariants against the cell representatives."""
+    the lattice-pair invariants against the cell representatives.
+
+    The first invariant, the minimal entry valuation, is -|j| for both cells
+    of exponent j and does not change under SL2(Z_p) on either side, so only
+    j = +-e00 can match."""
     inv = _pair_invariant(g, p)
-    vals = [abs(_val(QQ(x), p)) for x in g if QQ(x) != 0]
-    search_bound = 2 * max(vals) + 2
-    for j in range(-search_bound, search_bound + 1):
+    for j in (inv[0], -inv[0]):
         for kind in ("diagonal", "antidiagonal"):
             cell = IwahoriCell(kind, j)
             if _pair_invariant(cell.representative(p), p) == inv:
                 return cell
-    raise AssertionError("no Iwahori cell matched; reduction bound exceeded")
+    raise AssertionError("no Iwahori cell matched")
 
 
 def iwahori_index(g, p: int, mutate: bool = False) -> int:

@@ -149,6 +149,7 @@ def two_param_eisenstein(alpha, k1: int, k2: int, p: int, prec: int) -> QSeries:
     """The two-parameter family at integer weights (k1, k2): coefficient of
     q^n is sum_{d|n} d^k1 (n/d)^k2 (zeta^(ad) + eps zeta^(-ad)) for p not
     dividing n, and 0 otherwise; eps = -(-1)^(k1+k2).  No constant term."""
+    check_prec(prec)
     alpha = QQ(alpha) % 1
     N = alpha.denominator
     if p < 2:

@@ -47,13 +47,7 @@ class EulerFactor:
         return True
 
     def __call__(self, x):
-        total = None
-        xp = None
-        for i, c in enumerate(self.coefficients):
-            term = c if i == 0 else (c * xp)
-            total = term if total is None else total + term
-            xp = x if xp is None else xp * x
-        return total
+        return poly_eval(self.coefficients, x)
 
     def __str__(self):
         parts = ["1"]
@@ -139,19 +133,9 @@ def _factored_form_agrees(f, g, p, fac):
     """Recompute the factor as the product of (1 - root_f root_g X) over the
     four root pairs in the splitting ring of the two quadratics."""
     ext, lift, rx, ry, A, B = splitting_ring(f, g, p)
-    prod = [ext.one()]
-    for rf in (rx, A - rx):
-        for rg in (ry, B - ry):
-            lam = rf * rg
-            new = [ext.zero()] * (len(prod) + 1)
-            for i, c in enumerate(prod):
-                new[i] = new[i] + c
-                new[i + 1] = new[i + 1] - c * lam
-            prod = new
-    for c_expanded, c_direct in zip(prod, fac.coefficients):
-        if not (c_expanded == lift(c_direct)):
-            return False
-    return True
+    prod = functools.reduce(poly_mul, ([ext.one(), -(rf * rg)]
+                                       for rf in (rx, A - rx) for rg in (ry, B - ry)))
+    return prod == [lift(c) for c in fac.coefficients]
 
 
 def weil_check(factor: EulerFactor, p: int, k: int, l: int) -> bool:

@@ -16,6 +16,7 @@ since norm composed with restriction is the field degree.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd
 
 from .arith import crt, factor, prime_factors
@@ -23,7 +24,7 @@ from .operators import (ONE, OP_RING, P, composite_norm_p2_closed,
                         composite_norm_p3_closed, higher_norm_step2,
                         higher_norm_step3, is_canonical_operator,
                         second_norm_operator)
-from .poly import MPoly, PolyRing, QQ, RatFunc
+from .poly import MPoly, PolyRing, QQ, RatFunc, poly_eval, poly_mul
 
 
 def norm_rules() -> dict:
@@ -122,12 +123,7 @@ def corestriction_display(mutate_degree: bool = False) -> MPoly:
     ``mutate_degree`` replaces (p-1) by p for non-vacuity testing.
     """
     deg = PE if mutate_degree else PE - 1
-    x = PE ** -1 * SE ** -1
-    lf = EIG_RING.zero()
-    xpow = EIG_RING.one()
-    for c in local_factor_coeffs_eigen():
-        lf = lf + c * xpow
-        xpow = xpow * x
+    lf = poly_eval(local_factor_coeffs_eigen(), PE ** -1 * SE ** -1)
     return SE * (deg * (EIG_RING.one() - EF * EG * SE ** -2) - PE * lf)
 
 
@@ -150,17 +146,12 @@ def operator_euler_specializes() -> bool:
         if specialize_eigen(c_op) != c_eig:
             return False
     # factorization over the roots: compare coefficient lists
-    prod_coeffs = [ROOT_RING.one()]
-    for root_pair in (AL * GA, AL * DE, BE * GA, BE * DE):
-        new = [ROOT_RING.zero()] * (len(prod_coeffs) + 1)
-        for i, c in enumerate(prod_coeffs):
-            new[i] = new[i] + c
-            new[i + 1] = new[i + 1] - c * root_pair
-        prod_coeffs = new
+    prod_coeffs = reduce(poly_mul, ([ROOT_RING.one(), -r]
+                                    for r in (AL * GA, AL * DE, BE * GA, BE * DE)))
     eig_in_roots = [c.subs({"af": AL + BE, "ag": GA + DE,
                             "ef": AL * BE * PR ** -1, "eg": GA * DE * PR ** -1,
                             "s": SR, "p": PR}) for c in eig]
-    return all(x == y for x, y in zip(prod_coeffs, eig_in_roots))
+    return prod_coeffs == eig_in_roots
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +178,7 @@ def pstab_projection_formula(drop_denominator_term: bool = False):
     R = ROOT_RING
     one = R.one()
     # interpolation cubic numerator: (X - al de)(X - be ga)(X - be de)
-    roots = [AL * DE, BE * GA, BE * DE]
-    num_coeffs = [one]
-    for r in roots:
-        new = [R.zero()] * (len(num_coeffs) + 1)
-        for i, c in enumerate(num_coeffs):
-            new[i + 1] = new[i + 1] + c
-            new[i] = new[i] - c * r
-        num_coeffs = new
+    num_coeffs = reduce(poly_mul, ([-r, one] for r in (AL * DE, BE * GA, BE * DE)))
     denom_factors = [AL * GA - AL * DE, AL * GA - BE * GA, AL * GA - BE * DE]
     if drop_denominator_term:
         denom_factors = denom_factors[1:]

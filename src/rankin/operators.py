@@ -14,7 +14,7 @@ inside intermediate Euler-factor evaluations at p^(-1) s^(-1).
 
 from __future__ import annotations
 
-from .poly import MPoly, PolyRing
+from .poly import MPoly, PolyRing, poly_eval
 
 OP_RING = PolyRing(("a", "b", "df", "dg", "s", "p"),
                    invertible={"df", "dg", "s", "p"})
@@ -180,12 +180,7 @@ def operator_euler_coeffs(mutate: int | None = None) -> list:
 
 def operator_euler_at(x: MPoly, mutate: int | None = None) -> MPoly:
     """The operator Euler factor evaluated at X = x."""
-    total = OP_RING.zero()
-    xpow = ONE
-    for c in operator_euler_coeffs(mutate):
-        total = total + c * xpow
-        xpow = xpow * x
-    return total
+    return poly_eval(operator_euler_coeffs(mutate), x)
 
 
 # -- closed forms of the composite norms --------------------------------------

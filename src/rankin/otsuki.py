@@ -40,7 +40,7 @@ from math import gcd
 
 from .arith import euler_phi, prime_factors, solve
 from .cyclo import CyclotomicField
-from .poly import PolyRing, QQ
+from .poly import PolyRing, QQ, poly_add
 
 
 def bareiss_solve(mat, rhs):
@@ -284,9 +284,7 @@ def otsuki_trace_check(m: int, ell: int, families: dict,
     # commutes with both and with solving F_ell(sigma_hat_ell) x = v
     small = CycloCover(m, ring)
     F, G = families[ell]
-    width = max(len(G), len(F))
-    diff = [QQ(ell - 1) * (G[i] if i < len(G) else QQ(0))
-            - QQ(ell) * (F[i] if i < len(F) else QQ(0)) for i in range(width)]
+    diff = poly_add([QQ(ell - 1) * c for c in G], [QQ(-ell) * c for c in F])
     rhs = small.apply_poly(diff, ell, corrected_element_cover(small, m, families))
     rhs = small.solve_poly(F, ell, rhs)
     # plain inverse Frobenius (= tau_ell * hatted inverse)

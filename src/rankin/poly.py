@@ -592,7 +592,8 @@ def _normalize_ratfunc(num: MPoly, den: MPoly):
 
 
 # ---------------------------------------------------------------------------
-# dense univariate helpers over Fraction (lists, index = degree)
+# dense univariate helpers (lists, index = degree); the coefficients may be
+# any ring elements that add and multiply with Fractions
 # ---------------------------------------------------------------------------
 
 def poly_trim(p):

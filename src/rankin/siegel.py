@@ -79,12 +79,13 @@ def siegel_scaled(alpha, beta, field: CyclotomicField, prec: int,
                   scale: int = 1) -> QSeries:
     """q-expansion of the Siegel unit with parameters (alpha, beta), evaluated
     at scale*z, to O(q^(lead + prec + 1)); see unit_factors."""
+    check_prec(prec)
     return _unit_series(field, prec, *unit_factors(alpha, beta, field, prec, scale))
 
 
 def _unit_series(field, prec, lead, a0, factors) -> QSeries:
     s = QSeries(field, 0, field.elements(
-        _binomial_product(field, factors, max(prec, 0) + 1)), normalize=False)
+        _binomial_product(field, factors, prec + 1)), normalize=False)
     if a0 != 1:
         s = s * a0
     return QSeries(field, lead, s.coeffs, unit=True, normalize=False)
@@ -137,6 +138,7 @@ def modified_unit_factors(alpha, beta, field, prec, scale, c: int):
 
 def siegel_scaled_c(alpha, beta, field, prec, scale, c: int) -> QSeries:
     """The integral modification: g(alpha,beta)^(c^2) / g(c*alpha, c*beta)."""
+    check_prec(prec)
     (w, g), (_, gc) = modified_unit_factors(alpha, beta, field, prec, scale, c)
     return _unit_series(field, prec, *g) ** w / _unit_series(field, prec, *gc)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .poly import QQ, poly_mul, poly_add, poly_neg
+from .poly import QQ, poly_add, poly_derivative, poly_eval, poly_mul
 
 _BERNOULLI = [QQ(1)]
 
@@ -36,21 +36,14 @@ def zeta_negative(k: int) -> Fraction:
 
 
 def _polylog_neg_ratfunc(m: int):
-    """Li_{-m}(x) = num(x)/(1-x)^(m+1) as dense numerator and denominator."""
-    # start from Li_0 = x/(1-x); apply x d/dx repeatedly
+    """Li_{-m}(x) = num(x)/(1-x)^(m+1) as the dense numerator and m + 1."""
+    # start from Li_0 = x/(1-x); apply x d/dx repeatedly, using
+    # d/dx (num/(1-x)^power) = (num' (1-x) + power num) / (1-x)^(power+1)
     num = [QQ(0), QQ(1)]
-    den = [QQ(1), QQ(-1)]  # (1 - x)
-    power = 1  # den = (1-x)^power
-    for _ in range(m):
-        # d/dx (num/den^power) = (num' den - power num den') / den^(power+1)
-        dnum = [QQ(i) * c for i, c in enumerate(num)][1:] or [QQ(0)]
-        dden = [QQ(-1)]  # derivative of (1 - x)
-        t1 = poly_mul(dnum, den)
-        t2 = [QQ(power) * c for c in poly_mul(num, dden)]
-        new_num = poly_add(t1, poly_neg(t2))
-        num = poly_mul([QQ(0), QQ(1)], new_num)  # multiply by x
-        power += 1
-    return num, power
+    for power in range(1, m + 1):
+        num = [QQ(0)] + poly_add(poly_mul(poly_derivative(num), [QQ(1), QQ(-1)]),
+                                 [power * c for c in num])
+    return num, m + 1
 
 
 def polylog_negative(m: int, x):
@@ -60,12 +53,5 @@ def polylog_negative(m: int, x):
     division (e.g. a cyclotomic root of unity other than 1).
     """
     num, power = _polylog_neg_ratfunc(m)
-    num_val = None
-    for k, c in enumerate(num):
-        if not c:
-            continue
-        xk = x ** k
-        term = xk * c
-        num_val = term if num_val is None else num_val + term
-    return num_val / (1 - x) ** power
+    return poly_eval(num, x) / (1 - x) ** power
 

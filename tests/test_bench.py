@@ -19,9 +19,13 @@ def bench(tmp_path, monkeypatch):
         "run_seconds": 1,
         "end_to_end": [{"name": "verdict_s", "better": "lower"},
                        {"name": "pass_ratio", "better": "higher"}]}))
-    for tree in ("parent", "change"):
+    for tree, sources in (("parent", {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"}),
+                          ("change", {"a.py": "x = 1\n", "notes.txt": "not\ncounted\n"})):
         (tmp_path / tree / "perfbench").mkdir(parents=True)
         (tmp_path / tree / "perfbench" / "run.py").write_text("")
+        (tmp_path / tree / "src" / "rankin").mkdir(parents=True)
+        for name, text in sources.items():
+            (tmp_path / tree / "src" / "rankin" / name).write_text(text)
     monkeypatch.setattr(module, "ROOT", str(tmp_path))
     monkeypatch.setattr(module, "revision", lambda tree: "stub")
     return module
@@ -56,6 +60,8 @@ def test_clean_runs_exit_zero(bench, tmp_path, monkeypatch):
     report = main(bench, tmp_path)
     assert report["workloads"]["dist"]["wins"] == {"verdict_s": 10, "pass_ratio": 0}
     assert report["workloads"]["dist"]["change"]["counters"] == {"qseries.mul.count": 7}
+    assert report["trees"] == {"parent": {"revision": "stub", "src_lines": 3},
+                               "change": {"revision": "stub", "src_lines": 1}}
 
 
 @pytest.mark.parametrize("call, pair", [(3, "3"), (10, "traced")])

@@ -7,11 +7,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rankin.cosets
-from rankin.cosets import (CongSubgroup, CosetMatrix, IwahoriCell, coset_reps,
-                           double_coset_multiply, iwahori_index,
-                           iwahori_invariant, mat_mod, same_right_coset,
+from rankin.cosets import (CongSubgroup, CosetMatrix, IwahoriCell, _pair_invariant,
+                           _val, coset_reps, double_coset_multiply, iwahori_index,
+                           iwahori_invariant, mat_mod, mat_mul, same_right_coset,
                            sl2_order, t_prime_square_identity)
 
 
@@ -271,6 +273,37 @@ class TestIwahori:
     def test_rejects_non_sl2(self):
         with pytest.raises(ValueError):
             iwahori_invariant((F(2), F(0), F(0), F(2)), 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5]), j=st.integers(-4, 4),
+           kind=st.sampled_from(["diagonal", "antidiagonal"]),
+           left=st.lists(st.tuples(st.booleans(), st.integers(-3, 3)), max_size=3),
+           right=st.lists(st.tuples(st.booleans(), st.integers(-3, 3)), max_size=3))
+    def test_cell_of_an_iwahori_translate(self, p, j, kind, left, right):
+        # u1 * rep * u2 with u1, u2 words in (1, p s; 0, 1) and (1, 0; t, 1)
+        def word(factors):
+            m = (F(1), F(0), F(0), F(1))
+            for upper, x in factors:
+                u = (F(1), F(p * x), F(0), F(1)) if upper else (F(1), F(0), F(x), F(1))
+                m = mat_mul(m, u)
+            return m
+
+        cell = IwahoriCell(kind, j)
+        g = mat_mul(mat_mul(word(left), cell.representative(p)), word(right))
+        assert iwahori_invariant(g, p) == cell == _bounded_cell_search(g, p)
+
+
+def _bounded_cell_search(g, p):
+    """The former search over every cell with |j| <= 2 max |v(entry)| + 2,
+    kept as the oracle of iwahori_invariant."""
+    inv = _pair_invariant(g, p)
+    bound = 2 * max(abs(_val(x, p)) for x in g if x != 0) + 2
+    for j in range(-bound, bound + 1):
+        for kind in ("diagonal", "antidiagonal"):
+            cell = IwahoriCell(kind, j)
+            if _pair_invariant(cell.representative(p), p) == inv:
+                return cell
+    return None
 
 
 def _mat_mul3(a, b, c):

@@ -115,6 +115,22 @@ class TestRankinFactor:
         with pytest.raises(BadPrimeError):
             rankin_euler_factor(*pair, 13)
 
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_raised_coefficient_fails_the_root_product(self, pair, degree):
+        fac = rankin_euler_factor(*pair, 3)
+        coeffs = list(fac.coefficients)
+        coeffs[degree] = coeffs[degree] + 1
+        raised = EulerFactor(coeffs, fac.ring)
+        assert not rankin.euler._factored_form_agrees(*pair, 3, raised)
+
+    def test_value_is_the_coefficient_sum(self, pair):
+        fac = rankin_euler_factor(*pair, 5)
+        for x in (F(2, 7), fac.ring.gen("g_t") * 3 - 2):
+            total, xk = 0, 1
+            for c in fac.coefficients:
+                total, xk = total + c * xk, xk * x
+            assert fac(x) == total
+
 
 _CORRUPTED = """
 import sys

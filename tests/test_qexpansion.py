@@ -2,6 +2,7 @@
 operators and the group-ring-valued twisted form."""
 
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,7 +20,8 @@ from rankin.forms import load_bundled
 from rankin.qseries import QSeries, geometric_dlog
 from rankin.siegel import (bernoulli2, distribution_check,
                            dlog_matches_weight_two, siegel_scaled,
-                           siegel_unit_qexp, unit_factors)
+                           siegel_scaled_c, siegel_unit_qexp, unit_factors)
+from rankin.zeta import polylog_negative
 from rankin.siegel import _dlog_by_series, _dlog_mismatch
 from rankin.siegel import _first_mismatch as first_mismatch
 
@@ -109,6 +111,21 @@ class TestEisenstein:
             EisensteinSpec("Etilde", 3, F(1, 2))
         with pytest.raises(ValueError):
             EisensteinSpec("E", 3, F(1, 5), j=4)
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 12])
+    def test_polylog_matches_the_term_by_term_sum(self, N):
+        # Li_(-m)(x) = sum_k A(m, k) x^(k+1) / (1 - x)^(m+1), with the
+        # Eulerian numbers A(m, k) from their alternating-sum formula
+        K = CyclotomicField(N)
+        for m in range(7):
+            eulerian = [sum((-1) ** i * comb(m + 1, i) * (k + 1 - i) ** m
+                            for i in range(k + 1)) for k in range(max(m, 1))]
+            for a in range(1, N):
+                x = K.zeta(a)
+                num = K.zero()
+                for k, c in enumerate(eulerian):
+                    num = num + x ** (k + 1) * c
+                assert polylog_negative(m, x) == num / (1 - x) ** (m + 1), (m, a)
 
     @given(eisenstein_specs(), st.integers(0, 40))
     @settings(max_examples=80, deadline=None)
@@ -544,6 +561,9 @@ class TestDlogRows:
         lambda: dlog_matches_weight_two(F(1, 3), -3),
         lambda: siegel_unit_qexp(F(1, 3), None, -2),
         lambda: eisenstein_qexp(EisensteinSpec("F", 2, F(1, 3)), -2),
+        lambda: two_param_eisenstein(F(1, 5), 1, 1, 2, -2),
+        lambda: siegel_scaled(0, F(1, 5), CyclotomicField(5), -3),
+        lambda: siegel_scaled_c(0, F(1, 5), CyclotomicField(5), -3, 1, 7),
     ])
     def test_negative_precision_is_rejected(self, call):
         with pytest.raises(ValueError, match=r"prec must be >= 0, got -\d"):

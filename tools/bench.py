@@ -11,8 +11,8 @@ directory whose name has the same length as the change's:
 
     python3 tools/bench.py --label solve --parent ../parent --change . --seed 7
 
-The file records the Python version, the CPU count and each tree's git
-revision; per workload and tree, every run's end-to-end metrics with their
+The file records the Python version, the CPU count, and each tree's git
+revision and ``src_lines``, the wc -l total of src/rankin/*.py; per workload and tree, every run's end-to-end metrics with their
 median and quartiles, and the traced counters; and, per end-to-end metric,
 the pairs in which the change did better than the parent (ties count for
 neither), in the direction BENCHMARK.json gives.
@@ -25,6 +25,7 @@ check, since its timings do not time the checks that were meant.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -41,6 +42,15 @@ def revision(tree: str) -> str:
     proc = subprocess.run(["git", "-C", tree, "rev-parse", "HEAD"],
                           capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+
+
+def src_lines(tree: str) -> int:
+    """The line count of src/rankin/*.py in ``tree``, as wc -l totals it."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "rankin", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def run(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -123,7 +133,8 @@ def main(argv=None):
 
     report = {"label": args.label, "python": platform.python_version(),
               "cpus": os.cpu_count(), "seed": args.seed, "seconds": seconds,
-              "trees": {name: {"revision": revision(path)} for name, path in trees.items()},
+              "trees": {name: {"revision": revision(path), "src_lines": src_lines(path)}
+                        for name, path in trees.items()},
               "workloads": {w: bench_workload(trees, w, args.seed, seconds, better)
                             for w in WORKLOADS}}
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
