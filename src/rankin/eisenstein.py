@@ -175,11 +175,7 @@ def maass_raise(s: QSeries) -> QSeries:
 # ---------------------------------------------------------------------------
 
 def _char_value(character, n):
-    if character is None:
-        return QQ(1)
-    if callable(character):
-        return character(n)
-    return character.value(n)
+    return QQ(1) if character is None else character(n)
 
 
 def _int_series(s: QSeries):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import RATIONALS, factor, primes_upto
-from .poly import QQ, poly_derivative, poly_divmod
+from .poly import QQ, poly_divmod
 from .quotring import QuotRing, QuotElt, join
 
 
@@ -130,7 +130,7 @@ class Eigenform:
     def char_value(self, n: int) -> QuotElt:
         return self.ring.coerce(self.character.value(n))
 
-    def validate(self, full: bool = True):
+    def validate(self):
         """Check a_1 = 1, multiplicativity on coprime pairs, and the
         prime-power recursion on the stored range."""
         B = self.bound
@@ -144,14 +144,12 @@ class Eigenform:
                     raise FormDataError(
                         f"Hecke recursion fails at (p, r) = ({p}, {r})")
                 r += 1
-        if full:
-            for m in range(2, B + 1):
-                for n in range(2, B // m + 1):
-                    if gcd(m, n) == 1:
-                        if not (self.coefficients[m * n]
-                                == self.coefficients[m] * self.coefficients[n]):
-                            raise FormDataError(
-                                f"multiplicativity fails at ({m}, {n})")
+        for m in range(2, B + 1):
+            for n in range(2, B // m + 1):
+                if gcd(m, n) == 1:
+                    if not (self.coefficients[m * n]
+                            == self.coefficients[m] * self.coefficients[n]):
+                        raise FormDataError(f"multiplicativity fails at ({m}, {n})")
         return True
 
     def prime_power_direct(self, p: int, r: int) -> QuotElt:
@@ -349,14 +347,8 @@ class PadicPlace:
         self.p = p
         self.roots = {}
         for name in ring.gen_names:
-            d = ring.degrees[name]
-            low = ring.rewrites[name]
-            coeffs = [QQ(0)] * (d + 1)
-            coeffs[d] = QQ(1)
-            for k, cf in low.coefficients_in(name).items():
-                coeffs[k] = coeffs[k] - self._reduce_mpoly(cf, self.roots, p)
-            roots = [r for r in range(p) if _eval_mod(coeffs, r, p) == 0]
-            sep = [r for r in roots if _eval_mod(poly_derivative(coeffs), r, p) != 0]
+            h, hp = self._gen_poly_mod(name, p, self.roots)
+            sep = [r for r in range(p) if _eval_int(h, r, p) == 0 and _eval_int(hp, r, p)]
             if not sep:
                 raise FormDataError(
                     f"no simple root mod {p} for {name}; place not supported")
@@ -383,7 +375,7 @@ class PadicPlace:
             # one Newton step per generator doubles the precision
             lifted = {}
             for name in self.ring.gen_names:
-                h, hp = self._gen_poly_mod(name, mod, lifted)
+                h, hp = self._gen_poly_mod(name, mod, {**self._lifted, **lifted})
                 r = self._lifted[name]
                 fr = _eval_int(h, r, mod)
                 fpr = _eval_int(hp, r, mod)
@@ -392,15 +384,13 @@ class PadicPlace:
             self._lifted = lifted
             self._lift_prec *= 2
 
-    def _gen_poly_mod(self, name, mod, lifted_prefix):
+    def _gen_poly_mod(self, name, mod, roots):
         """Defining polynomial of ``name`` with earlier-generator coefficients
-        evaluated at already-lifted roots, mod ``mod``; returns (h, h')."""
+        evaluated at ``roots``, mod ``mod``; returns (h, h')."""
         d = self.ring.degrees[name]
         low = self.ring.rewrites[name]
         h = [0] * (d + 1)
         h[d] = 1
-        roots = dict(self._lifted)
-        roots.update(lifted_prefix)
         for k, cf in low.coefficients_in(name).items():
             h[k] = (h[k] - self._reduce_mpoly(cf, roots, mod)) % mod
         hp = [(i * h[i]) % mod for i in range(1, d + 1)]
@@ -434,13 +424,6 @@ class PadicPlace:
             k *= 2
         raise FormDataError(
             f"valuation of {x} exceeds precision 64 (zero divisor?)")
-
-
-def _eval_mod(coeffs, r, p):
-    total = 0
-    for c in reversed(coeffs):
-        total = (total * r + c.numerator * pow(c.denominator, -1, p)) % p
-    return total
 
 
 def _eval_int(coeffs, r, mod):

@@ -41,9 +41,9 @@ def _degree_factor(target_layer: int) -> MPoly:
     return (P - 1) if target_layer == 0 else P
 
 
-def norm_down(expr: dict, layer: int, rules=None) -> dict:
+def norm_down(expr: dict, layer: int) -> dict:
     """Apply the norm from ``layer`` to ``layer - 1`` to a class expression."""
-    rules = rules or norm_rules()
+    rules = norm_rules()
     out: dict = {}
 
     def add(r, op):
@@ -304,17 +304,15 @@ def a_ell_congruence_concrete(ell: int, af, ag, ef, eg) -> bool:
 # compatible twist systems
 # ---------------------------------------------------------------------------
 
-def build_twist_system(m_max: int, excluded=()):
-    """Choose gamma_m in (Z/m)^* for squarefree m <= m_max coprime to the
-    excluded set, with gamma_(m ell) = ell^-1 gamma_m mod m whenever ell is
-    prime, ell | m and m/ell > 1.  Built by induction on the number of prime
-    factors via the Chinese remainder theorem; single-prime values are 1.
+def build_twist_system(m_max: int):
+    """Choose gamma_m in (Z/m)^* for squarefree m <= m_max, with
+    gamma_(m ell) = ell^-1 gamma_m mod m whenever ell is prime, ell | m and
+    m/ell > 1.  Built by induction on the number of prime factors via the
+    Chinese remainder theorem; single-prime values are 1.
     Returns {m: gamma_m}.
     """
     gammas = {1: 1}
-    ms = [m for m in range(2, m_max + 1)
-          if all(e == 1 for _, e in factor(m))
-          and all(gcd(m, e) == 1 for e in excluded)]
+    ms = [m for m in range(2, m_max + 1) if all(e == 1 for _, e in factor(m))]
     ms.sort(key=lambda m: (len(prime_factors(m)), m))
     for m in ms:
         primes = prime_factors(m)

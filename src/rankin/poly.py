@@ -272,54 +272,19 @@ class MPoly(RingElt):
                                  for e, c in self.terms.items()})
 
     def subs(self, values: dict):
-        """Evaluate with ``values`` mapping names to Fraction/int/MPoly/RatFunc.
+        """Evaluate with ``values`` mapping names to int/Fraction/MPoly/RatFunc.
 
-        Unmapped variables stay symbolic (result an MPoly/RatFunc over self.ring)
-        only when every mapped value lies in self.ring; otherwise all variables
-        must be mapped.
+        Unmapped variables stay themselves, so every MPoly or RatFunc value
+        must then lie in self.ring; all of them must lie in one ring.  The
+        result is a RatFunc when some value is a RatFunc, a Fraction when self
+        is constant or every value is a scalar, and an MPoly otherwise.
         """
-        vals = {}
-        symbolic_target = None
-        for n in self.ring.names:
-            if n in values:
-                v = values[n]
-                if isinstance(v, (int, Fraction)):
-                    v = QQ(v)   # a Fraction, so that v ** -k stays exact
-                vals[n] = v
-            else:
-                symbolic_target = self.ring
-                vals[n] = self.ring.var(n)
-        if symbolic_target is None and all(isinstance(v, Fraction) for v in vals.values()):
-            total = QQ(0)
-            for e, c in self.terms.items():
-                t = c
-                for i, k in enumerate(e):
-                    if k:
-                        t *= vals[self.ring.names[i]] ** k
-                total += t
-            return total
-        if any(isinstance(v, RatFunc) for v in vals.values()):
-            # one RatFunc over the common denominator (_common_den_setup)
-            monomial = all(len(p.terms) == 1 for v in vals.values() if not isinstance(v, Fraction)
-                           for p in ((v.num, v.den) if isinstance(v, RatFunc) else (v,)))
-            return (_subs_monomials if monomial else _subs_tables)(self, vals)
-        acc = None
-        for e, c in self.terms.items():
-            t = None
-            for i, k in enumerate(e):
-                if k:
-                    f = vals[self.ring.names[i]] ** k
-                    t = f if t is None else t * f
-            term = QQ(c) if t is None else t * c
-            acc = term if acc is None else acc + term
-        if acc is None:
-            first = next(iter(values.values()), None)
-            if isinstance(first, MPoly):
-                return first.ring.zero()
-            if isinstance(first, RatFunc):
-                return RatFunc(first.num.ring.zero(), first.num.ring.one())
-            return QQ(0)
-        return acc
+        (num,), den, kind = _subs_image((self,), values)
+        if kind is RatFunc:
+            return RatFunc(num, den)
+        if kind is Fraction or self.is_constant():
+            return num.constant_value()     # den is 1
+        return num.exact_div(den)   # den is prod num_i^(-lo_i): a shift for units
 
     def __str__(self):
         if not self.terms:
@@ -373,78 +338,93 @@ def _exact_div_laurent(a: MPoly, b: MPoly) -> MPoly:
     return q
 
 
-def _common_den_setup(poly: MPoly, vals: dict):
-    """(target ring, scalars, factors) of ``poly.subs(vals)``, some values
-    RatFuncs.  With value i = num_i/den_i, lo_i = min(0, min e_i) and
-    hi_i = max(0, max e_i), the result is  sum_e c_e prod_i num_i^(e_i - lo_i)
-    den_i^(hi_i - e_i)  over  prod_i num_i^(-lo_i) den_i^hi_i; Fraction values
-    (``scalars``) scale c_e.  A factor (i, off, sign, f, hi_i - lo_i) is a
-    num_i or a den_i != 1, to the power sign * e_i + off in term e."""
-    ring = next(v for v in vals.values() if isinstance(v, RatFunc)).ring
-    scalars, factors = {}, []
-    for i, name in enumerate(poly.ring.names):
-        v = vals[name]
-        if isinstance(v, Fraction):
-            scalars[i] = v
+def _subs_image(polys: tuple, values: dict):
+    """(nums, den, kind): each of ``polys`` (over one ring) under ``values``
+    as a numerator over one shared denominator, and the type of the result.
+
+    A scalar value v scales c_e by v^e_i; an MPoly value v is v/1, and an
+    unmapped variable maps to itself.  With value i = num_i/den_i,
+    lo_i = min(0, min e_i) and hi_i = max(0, max e_i) over the terms of all
+    of ``polys``, the image of a polynomial is
+    sum_e c_e prod_i num_i^(e_i - lo_i) den_i^(hi_i - e_i)  over
+    den = prod_i num_i^(-lo_i) den_i^hi_i.  ``kind`` is RatFunc when some
+    value is a RatFunc, Fraction when every value is a scalar (the target is
+    then the source ring and den is 1), and MPoly otherwise.
+    """
+    source = polys[0].ring
+    ring, scalars, pairs = None, {}, []
+    for i, name in enumerate(source.names):
+        v = values[name] if name in values else source.var(name)
+        if isinstance(v, (int, Fraction)):
+            scalars[i] = QQ(v)   # a Fraction, so that v ** -k stays exact
             continue
-        lo = min(0, min((e[i] for e in poly.terms), default=0))
-        hi = max(0, max((e[i] for e in poly.terms), default=0))
+        if not isinstance(v, (MPoly, RatFunc)):
+            raise TypeError(f"cannot substitute {v!r}")
+        if ring is None:
+            ring = v.ring
+        elif v.ring is not ring and v.ring != ring:
+            raise TypeError("substitution values from different rings")
+        pairs.append((i, v))
+    kind = (RatFunc if any(isinstance(v, RatFunc) for _, v in pairs)
+            else MPoly if pairs else Fraction)
+    exps = [e for p in polys for e in p.terms]
+    factors = []    # (i, off, sign, f, n): f to the power sign * e_i + off <= n
+    for i, v in pairs:
         num, den = (v.num, v.den) if isinstance(v, RatFunc) else (v, ring.one())
+        lo = min(0, min((e[i] for e in exps), default=0))
+        hi = max(0, max((e[i] for e in exps), default=0))
         factors.append((i, -lo, 1, num, hi - lo))
         if not den.is_one():
             factors.append((i, hi, -1, den, hi - lo))
-    return ring, scalars, factors
+    ring = ring or source
+    image = (_monomial_image if all(len(f.terms) == 1 for _, _, _, f, _ in factors)
+             else _table_image)(ring, scalars, factors)
+    out = []
+    for terms in [p.terms for p in polys] + [{source._zero_exp: 1}]:
+        acc = {}
+        for e, c in terms.items():
+            image(acc, e, c)
+        out.append(MPoly(ring, {x: c for x, c in acc.items() if c}))
+    return out[:-1], out[-1], kind
 
 
-def _subs_tables(poly: MPoly, vals: dict) -> "RatFunc":
-    """``poly.subs(vals)`` from power tables of the factors: any values."""
-    ring, scalars, factors = _common_den_setup(poly, vals)
+def _table_image(ring, scalars, factors):
+    """The term image of ``_subs_image`` from power tables of the factors:
+    any values."""
     tables = [(i, off, sign, _power_table(f, n)) for i, off, sign, f, n in factors]
-    acc = {}
-    for e, c in poly.terms.items():
+
+    def image(acc, e, c):
         for i, v in scalars.items():
             if e[i]:
                 c = c * v ** e[i]
         if not c:
-            continue
+            return
         t = None
         for i, off, sign, table in tables:
             m = sign * e[i] + off
             if m:
                 t = table[m] if t is None else t * table[m]
-        for e2, c2 in (ring.one() if t is None else t).terms.items():
-            acc[e2] = acc.get(e2, 0) + c * c2
-    den = ring.one()
-    for _, off, _, table in tables:
-        if off:
-            den = den * table[off]
-    return RatFunc(MPoly(ring, {e: c for e, c in acc.items() if c}), den)
+        for x, cx in (ring.one() if t is None else t).terms.items():
+            acc[x] = acc.get(x, 0) + c * cx
+    return image
 
 
-def _subs_monomials(poly: MPoly, vals: dict) -> "RatFunc":
-    """``_subs_tables`` when every factor is one term c x^a: to the power m
+def _monomial_image(ring, scalars, factors):
+    """``_table_image`` when every factor is one term c x^a: to the power m
     it scales a term by c^m and shifts it by m a; a scalar v is the factor
-    v x^0.  The common denominator is the image of the term 1."""
-    ring, scalars, factors = _common_den_setup(poly, vals)
+    v x^0."""
     factors = [(i, 0, 1, ring._zero_exp, v) for i, v in scalars.items()] + [
         (i, off, sign, *next(iter(f.terms.items()))) for i, off, sign, f, _ in factors]
 
-    def image(e, c):
+    def image(acc, e, c):
         x = ring._zero_exp
         for i, off, sign, a, ca in factors:
             m = sign * e[i] + off
             if m:
                 c = c * ca ** m
                 x = tuple(u + m * v for u, v in zip(x, a))
-        return x, c
-
-    acc = {}
-    for e, c in poly.terms.items():
-        x, c = image(e, c)
-        if c:
-            acc[x] = acc.get(x, 0) + c
-    x, c = image(poly.ring._zero_exp, 1)
-    return RatFunc(MPoly(ring, {e: c for e, c in acc.items() if c}), MPoly(ring, {x: c}))
+        acc[x] = acc.get(x, 0) + c
+    return image
 
 
 def _exact_div_poly(a: MPoly, b: MPoly) -> MPoly:
@@ -551,9 +531,12 @@ class RatFunc(RingElt):
         raise TypeError("RatFunc is unhashable")
 
     def subs(self, values: dict):
-        n = self.num.subs(values)
-        d = self.den.subs(values)
-        return n / d
+        """``self.num.subs(values) / self.den.subs(values)``, with both over
+        one common denominator, which cancels."""
+        (num, den), _, kind = _subs_image((self.num, self.den), values)
+        if kind is Fraction:
+            return num.constant_value() / den.constant_value()
+        return RatFunc(num, den)
 
     def __str__(self):
         if self.den.is_one():

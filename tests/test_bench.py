@@ -20,7 +20,8 @@ def bench(tmp_path, monkeypatch):
         "end_to_end": [{"name": "verdict_s", "better": "lower"},
                        {"name": "pass_ratio", "better": "higher"}]}))
     for tree, sources in (("parent", {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"}),
-                          ("change", {"a.py": "x = 1\n", "notes.txt": "not\ncounted\n"})):
+                          ("change", {"a.py": "x = 1\n", "notes.txt": "not\ncounted\n"}),
+                          ("chg", {"a.py": "x = 1\n"})):
         (tmp_path / tree / "perfbench").mkdir(parents=True)
         (tmp_path / tree / "perfbench" / "run.py").write_text("")
         (tmp_path / tree / "src" / "rankin").mkdir(parents=True)
@@ -76,3 +77,13 @@ def test_failed_run_is_named_and_exits_one(bench, tmp_path, monkeypatch, capsys,
     named = [line for line in err if "graded incorrect" in line]
     assert named == [f"hecke: the change run of pair {pair} was graded incorrect "
                      "or had a failed check"]
+
+
+def test_paths_of_unequal_length_are_a_usage_error(bench, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench, "run", stub_run())
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--label", "t", "--parent", str(tmp_path / "parent"),
+                    "--change", str(tmp_path / "chg")])
+    assert exc.value.code == 2
+    assert "differ in length" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_t.json").exists()

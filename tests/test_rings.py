@@ -3,6 +3,7 @@ rings, group rings.  Ring axioms run as property tests on random elements."""
 
 from fractions import Fraction as F
 from math import gcd, isqrt, prod
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,8 +13,9 @@ from rankin.arith import crt, euler_phi, factor, power, solve
 from rankin.cyclo import CyclotomicField
 from rankin.forms import load_bundled
 from rankin.groupring import RATIONALS, GroupRing, augment_mod
-from rankin.poly import (MPoly, PolyRing, RatFunc, _exact_div_laurent, _subs_monomials,
-                         _subs_tables, cyclotomic_polynomial, poly_divmod)
+from rankin import poly as poly_module
+from rankin.poly import (MPoly, PolyRing, RatFunc, _exact_div_laurent, cyclotomic_polynomial,
+                         poly_divmod)
 from rankin.qseries import QSeries
 from rankin.quotring import QuotElt, QuotRing, ZeroDivisor, join
 
@@ -322,7 +324,90 @@ def _naive_subs(poly, values):
     return acc
 
 
+def _per_term_subs(poly, values):
+    """The substitution as a product and sum per term, unmapped variables
+    kept; a Fraction when ``poly`` is constant or every value is a scalar."""
+    vals = {n: values.get(n, poly.ring.var(n)) for n in poly.ring.names}
+    rings = [v.ring for v in vals.values() if isinstance(v, MPoly)]
+    acc = F(0) if poly.is_constant() or not rings else rings[0].zero()
+    for e, c in poly.terms.items():
+        term = F(c)
+        for n, k in zip(poly.ring.names, e):
+            if k:
+                term = term * vals[n] ** k
+        acc = acc + term
+    return acc
+
+
+@st.composite
+def mpoly_substitutions(draw):
+    """(polynomial over SOURCE, values): each value a scalar or an MPoly,
+    monomial or not, zero too.  Some variables may stay unmapped; the values
+    then lie in SOURCE, otherwise in TARGET.  s, which may carry negative
+    exponents, maps to a scalar or to c times a power of the invertible
+    variable, so that the per-term loop is defined."""
+    poly = _raw_terms(draw, SOURCE, -2, 2, 5)
+    partial = draw(st.booleans())
+    ring, unit = (SOURCE, "s") if partial else (TARGET, "p")
+    values = {}
+    for name in SOURCE.names:
+        kind = draw(st.sampled_from(["unmapped", "scalar", "mpoly"][not partial:]))
+        if kind == "scalar":
+            values[name] = draw(halves)
+        elif kind == "mpoly":
+            values[name] = (ring.var(unit, draw(st.integers(-2, 2))) * draw(halves)
+                            if name == "s" else _raw_terms(draw, ring, -1, 2, 3))
+    return poly, values
+
+
+def _result(f):
+    """(type, value) of f(), or the type of the error it raises."""
+    try:
+        r = f()
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+    return type(r), r
+
+
 class TestSubstitution:
+    def test_values_from_different_rings_raise(self):
+        S, U = PolyRing(("x", "y")), PolyRing(("u",))
+        x, y = S.vars()
+        a, p = TARGET.vars()
+        for values in ({"x": RatFunc(a, p), "y": U.var("u")}, {"x": RatFunc(a, p)},
+                       {"x": a, "y": U.var("u")}):
+            with pytest.raises(TypeError):
+                (x * y + x).subs(values)
+            with pytest.raises(TypeError):
+                RatFunc(x, y + 1).subs(values)
+
+    @given(mpoly_substitutions())
+    @settings(max_examples=60, deadline=None)
+    @example((SOURCE.var("x") * SOURCE.var("s", -1) + 1, {"x": F(2), "s": F(0)}))   # 0^-1
+    @example((SOURCE.var("x") + 1, {"x": F(2), "y": TARGET.var("a"), "s": F(1)}))  # constant
+    def test_mpoly_values_match_per_term_loop(self, case):
+        poly, values = case
+        assert _result(lambda: poly.subs(values)) == _result(lambda: _per_term_subs(poly, values))
+
+    @given(substitutions(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ratfunc_subs_matches_quotient(self, case, data):
+        poly, values = case
+        if data.draw(st.booleans()):
+            values = {n: data.draw(halves) for n in SOURCE.names}
+        r = RatFunc(poly, _terms(data.draw, SOURCE, -2, 2, 3) or SOURCE.one())
+        try:
+            want = r.num.subs(values) / r.den.subs(values)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                r.subs(values)
+            return
+        except ValueError:
+            assume(False)   # an MPoly image would need the inverse of a non-unit
+        got = r.subs(values)
+        assert got == want
+        assert isinstance(got, F) == all(isinstance(v, F) for v in values.values())
+
     @given(substitutions())
     @settings(max_examples=30, deadline=None)
     def test_ratfunc_values_match_per_term_loop(self, case):
@@ -566,8 +651,8 @@ _a, _p = TARGET.vars()
                                         "s": RatFunc(_p * 2, _a * _a, False)}))
 def test_monomial_substitution_matches_power_tables(case):
     poly, values = case
-    want = _outcome(lambda: _subs_tables(poly, values))
-    assert _outcome(lambda: _subs_monomials(poly, values)) == want
+    with mock.patch.object(poly_module, "_monomial_image", poly_module._table_image):
+        want = _outcome(lambda: poly.subs(values))
     assert _outcome(lambda: poly.subs(values)) == want
 
 

@@ -6,10 +6,10 @@ end-to-end runs (--trace 0) per tree, in pairs that alternate which tree goes
 first, then one traced run (--trace 1) per tree whose counters and per-layer
 times go into the file.
 
-Run from the repository root, with a copy of the parent commit unpacked in a
-directory whose name has the same length as the change's:
+Run from the repository root, with checkouts of the parent and the change
+in directories whose absolute paths have the same length:
 
-    python3 tools/bench.py --label solve --parent ../parent --change . --seed 7
+    python3 tools/bench.py --label solve --parent ../parent --change ../change --seed 7
 
 The file records the Python version, the CPU count, and each tree's git
 revision and ``src_lines``, the wc -l total of src/rankin/*.py; per workload and tree, every run's end-to-end metrics with their
@@ -17,9 +17,11 @@ median and quartiles, and the traced counters; and, per end-to-end metric,
 the pairs in which the change did better than the parent (ties count for
 neither), in the direction BENCHMARK.json gives.
 
-The file is written in any case; the exit code is then 1, with each such run
-named on standard error, when a run was graded incorrect or had a failed
-check, since its timings do not time the checks that were meant.
+Paths of different lengths are a usage error (exit code 2, no file
+written), since peak_rss_mb moves with that length.  Otherwise the file is
+written in any case; the exit code is then 1, with each such run named on
+standard error, when a run was graded incorrect or had a failed check, since
+its timings do not time the checks that were meant.
 """
 
 from __future__ import annotations
@@ -126,6 +128,9 @@ def main(argv=None):
         if not os.path.isfile(os.path.join(path, "perfbench", "run.py")):
             ap.error(f"{path} has no perfbench/run.py")
         trees[name] = os.path.abspath(path)
+    if len(trees["parent"]) != len(trees["change"]):
+        ap.error("the absolute paths of --parent and --change differ in length, "
+                 "and peak_rss_mb moves with that length")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
