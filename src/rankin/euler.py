@@ -342,15 +342,9 @@ def local_correction(fstream, gstream, N: int, bad_factors: dict,
             raise ValueError(f"no local factor supplied for p = {p}")
         fac = bad_factors[p]
         series = [fstream(p, r) * gstream(p, r) for r in range(guard + 1)]
-        prod = []
-        for i in range(guard + 1):
-            acc = None
-            for j, c in enumerate(fac):
-                if j > i:
-                    break
-                term = c * series[i - j]
-                acc = term if acc is None else acc + term
-            prod.append(acc)
+        # poly_mul trims trailing zeros
+        prod = poly_mul(fac, series)[:guard + 1]
+        prod += [ring.zero()] * (guard + 1 - len(prod))
         shift = _stream_shift(fstream, p, guard) + _stream_shift(gstream, p, guard)
         dbound = (len(fac) - 1) + shift
         if dbound + 1 > guard:

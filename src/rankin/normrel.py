@@ -41,9 +41,9 @@ def _degree_factor(target_layer: int) -> MPoly:
     return (P - 1) if target_layer == 0 else P
 
 
-def norm_down(expr: dict, layer: int) -> dict:
-    """Apply the norm from ``layer`` to ``layer - 1`` to a class expression."""
-    rules = norm_rules()
+def _norm_down(expr: dict, layer: int, rules: dict) -> dict:
+    """Apply the norm from ``layer`` to ``layer - 1`` to a class expression,
+    with the one-step rules of norm_rules()."""
     out: dict = {}
 
     def add(r, op):
@@ -64,8 +64,9 @@ def derive_composite_norms():
 
         (derived_p2, derived_p3, closed_p2, closed_p3, match2, match3).
     """
-    expr2 = norm_down(norm_down({2: ONE}, 2), 1)
-    expr3 = norm_down(norm_down(norm_down({3: ONE}, 3), 2), 1)
+    rules = norm_rules()
+    expr2 = _norm_down(_norm_down({2: ONE}, 2, rules), 1, rules)
+    expr3 = _norm_down(_norm_down(_norm_down({3: ONE}, 3, rules), 2, rules), 1, rules)
     if set(expr2) != {0} or set(expr3) != {0}:
         raise AssertionError("composite norms did not reach the base layer")
     derived2, derived3 = expr2[0], expr3[0]

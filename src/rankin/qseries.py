@@ -62,11 +62,6 @@ class QSeries:
     def one(cls, ring, prec: int):
         return cls(ring, 0, [ring.one()] + [ring.zero()] * (prec - 1), unit=True)
 
-    @classmethod
-    def from_coeffs(cls, ring, coeffs, lead=0, unit=False):
-        return cls(ring, lead, [ring.coerce(c) if isinstance(c, (int, Fraction)) else c
-                                for c in coeffs], unit=unit)
-
     def coefficient(self, x) -> object:
         """Coefficient of q^x (x rational); raises if beyond known precision."""
         x = QQ(x)
@@ -336,14 +331,3 @@ def _newton_inverse(field, coeffs) -> list:
         m = k
     return field.elements(field.mul_rows(inv0, y, n), d0 * dy)
 
-
-def geometric_dlog(ring, n: int, x, prec: int) -> QSeries:
-    """q d/dq log(1 - x q^n) = -sum_{m>=1} n x^m q^(n m), truncated."""
-    coeffs = [ring.zero()] * prec
-    xm = None
-    m = 1
-    while n * m < prec:
-        xm = x if xm is None else xm * x
-        coeffs[n * m] = coeffs[n * m] - xm * QQ(n)
-        m += 1
-    return QSeries(ring, 0, coeffs, normalize=False)

@@ -17,8 +17,9 @@ integer.  That is all the distribution relations need.
 A unit is kept as its leading exponent, constant and binomials
 (unit_factors).  The distribution relations and the dlog identity are
 decided on that data: two such products agree to a precision exactly when
-their leading exponents, constants and logarithmic derivatives do.  Only a
-failing check is built as series, for its witness.
+their leading exponents, constants and logarithmic derivatives do.  The
+witness of a failing check comes from the same data, and no check
+multiplies, divides or raises a series to a power.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add
 
-from .cyclo import CyclotomicField, slot_bytes, truncate_slots, unpack_slots
+from .cyclo import CycloElt, CyclotomicField, slot_bytes, truncate_slots, unpack_slots
 from .eisenstein import EisensteinSpec, check_prec, eisenstein_qexp, eisenstein_rows
 from .poly import QQ
 from .qseries import QSeries
@@ -160,39 +161,38 @@ def siegel_unit_qexp(alpha, c: int | None = None, prec: int = 50) -> QSeries:
 
 def dlog_matches_weight_two(alpha, prec: int = 200):
     """Check dlog g_(0,alpha) = -F^(2)_alpha, with constant terms, as q dg/dq
-    = -F * g to O(q^(lead + prec + 1)); returns (bool, witness).  A PASS is
-    decided on integer rows (_dlog_mismatch), with no series built; only a
-    mismatch is built as series, for the first coefficient that differs."""
+    = -F * g to O(q^(lead + prec + 1)); returns (bool, witness).
+
+    _dlog_mismatch decides on integer rows, with no series built.  At the
+    first mismatch n the witness gives both sides' coefficients of
+    q^(lead + n), (lead + n) g_n and -sum_(k=0..n) F_k g_(n-k), with
+    g_0 .. g_n read from the binomial product of g.
+    """
     check_prec(prec)
-    if _dlog_mismatch(alpha, prec) is None:
+    n = _dlog_mismatch(alpha, prec)
+    if n is None:
         return True, None
-    return _dlog_by_series(alpha, prec)
+    g = siegel_unit_qexp(alpha, None, prec)
+    f = eisenstein_qexp(EisensteinSpec("F", 2, alpha), n).coeffs
+    rhs = -sum((f[k] * g.coeffs[n - k] for k in range(n + 1)), g.ring.zero())
+    return False, {"exponent": n, "lhs": str(g.coeffs[n] * (g.lead + n)), "rhs": str(rhs)}
 
 
-def _dlog_mismatch(alpha, prec):
-    """The first n at which q dg/dq and -F * g differ at q^(lead + n), or
-    None.  For g = q^lead * a0 * prod (1 - zeta^b q^e) (unit_factors) with
-    a0 != 0, q dg/dq + F * g = g * (lead + theta + F), theta the logarithmic
-    derivative of the binomials; n is where lead + theta + F first is not 0."""
+def _dlog_mismatch(alpha, prec, sign=1):
+    """The first n at which q dg/dq and -sign * F * g differ at q^(lead + n),
+    or None; sign = -1 is the identity with the sign of F dropped, which
+    must fail.  For g = q^lead * a0 * prod (1 - zeta^b q^e) (unit_factors)
+    with a0 != 0, q dg/dq + sign * F * g = g * (lead + theta + sign * F),
+    theta the logarithmic derivative of the binomials; n is where
+    lead + theta + sign * F first is not 0."""
     alpha = QQ(alpha) % 1
     lead, _, factors = unit_factors(0, alpha, CyclotomicField(alpha.denominator), prec)
     field, c0, rows = eisenstein_rows(EisensteinSpec("F", 2, alpha), prec)
+    if sign < 0:
+        c0, rows = -c0, [[-x for x in r] for r in rows]
     _add_theta(rows, factors, 1, field.L)
     return 0 if lead + c0 else next((n for n in range(1, prec + 1) if any(rows[n])
                                      and any(field.reduce_powers(rows[n]))), None)
-
-
-def _dlog_by_series(alpha, prec):
-    """dlog_matches_weight_two on series: q dg/dq against -F * g."""
-    g = siegel_unit_qexp(alpha, None, prec)
-    lhs = g.qdq()
-    rhs = (-eisenstein_qexp(EisensteinSpec("F", 2, alpha), prec) * g).truncate(g.prec)
-    if lhs == rhs:
-        return True, None
-    for n, (x, y) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
-        if x != y:
-            return False, {"exponent": n, "lhs": str(x), "rhs": str(y)}
-    return False, None
 
 
 def _add_theta(rows, factors, w, L):
@@ -219,9 +219,10 @@ def distribution_check(alpha, beta, M, c: int, prec: int = 60):
     (v alpha', u beta') = (alpha, beta).  Only alpha = 0 is supported (the
     q-model of the units at the zero cusp).  Returns (bool, witness).
 
-    _first_mismatch decides a PASS from the leading exponents, constants and
-    logarithmic derivatives, with no series built; on a mismatch
-    _by_products builds both sides as series for the witness.
+    _first_mismatch decides from the leading exponents, constants and
+    logarithmic derivatives, with no series built.  At a mismatch the
+    witness names it; at a coefficient, _coefficient gives each side's
+    coefficient there from that side's own rows.
     """
     u, v, N, bnum = distribution_args(alpha, beta, M, c, prec)
     field = CyclotomicField(u * N)
@@ -229,10 +230,31 @@ def distribution_check(alpha, beta, M, c: int, prec: int = 60):
     lhs = [(0, QQ(beta), u)]
     rhs = [(QQ(i, v), QQ(bnum + j * N, u * N), v) for i in range(v) for j in range(u)]
     index, lead_lhs, lead_rhs = _first_mismatch(field, prec, c, lhs, rhs)
-    if index is None:
-        return True, {"factors": u * v, "lead_lhs": str(lead_lhs),
-                      "lead_rhs": str(lead_rhs)}
-    return _by_products(field, prec, c, lhs, rhs)
+    witness = {"factors": u * v, "lead_lhs": str(lead_lhs), "lead_rhs": str(lead_rhs)}
+    if index == "leading exponent":
+        witness["mismatch"] = index
+    elif index is not None:
+        witness["mismatch"] = {"index": index,
+                               "lhs": str(_coefficient(field, prec, c, lhs, index)),
+                               "rhs": str(_coefficient(field, prec, c, rhs, index))}
+    return index is None, witness
+
+
+def _side(field, prec, c, units, rows, sign):
+    """Add sign * theta of the product of the c-modified units, each given
+    as (alpha, beta, scale), to rows; returns (lead, num, den), its leading
+    exponent and its constant num / den.  theta of (1 - zeta^b q^e)^w is
+    -w e sum_(k>=1) zeta^(bk) q^(ek)."""
+    lead, consts = 0, [field.one(), field.one()]
+    for alpha, beta, scale in units:
+        for w, (unit_lead, a0, factors) in modified_unit_factors(
+                alpha, beta, field, prec, scale, c):
+            lead += w * unit_lead
+            if a0 != 1:
+                # a0^w with w in {c^2, -1}: a negative power goes to den
+                consts[w < 0] = consts[w < 0] * a0 ** abs(w)
+            _add_theta(rows, factors, sign * w, field.L)
+    return lead, consts[0], consts[1]
 
 
 def _first_mismatch(field, prec, c, lhs, rhs):
@@ -244,56 +266,51 @@ def _first_mismatch(field, prec, c, lhs, rhs):
 
     Over Q, n a_n = sum_(k=1..n) theta_k a_(n-k) for f = a_0 + a_1 q + ...
     and theta = q d/dq log f.  So, with equal a_0, a_n is the first
-    coefficient to differ exactly when theta_n is the first to differ.
-    theta of (1 - zeta^b q^e)^w is -w e sum_(k>=1) zeta^(bk) q^(ek), summed
-    left minus right into one row of L integers per power of q.
+    coefficient to differ exactly when theta_n is the first to differ;
+    theta is summed left minus right into one row of L integers per power
+    of q.
     """
-    L, n = field.L, prec + 1
-    leads, consts = [0, 0], [field.one(), field.one()]
-    rows = [[0] * L for _ in range(n)]
-    for side, units in enumerate((lhs, rhs)):
-        sign = 1 - 2 * side
-        for alpha, beta, scale in units:
-            for w, (lead, a0, factors) in modified_unit_factors(
-                    alpha, beta, field, prec, scale, c):
-                leads[side] += w * lead
-                if a0 != 1:
-                    # a0^w with w in {c^2, -1}: a divisor moves to the other side
-                    to = side if w > 0 else 1 - side
-                    consts[to] = consts[to] * a0 ** abs(w)
-                _add_theta(rows, factors, sign * w, L)
-    if leads[0] != leads[1]:
+    rows = [[0] * field.L for _ in range(prec + 1)]
+    lead_lhs, num_lhs, den_lhs = _side(field, prec, c, lhs, rows, 1)
+    lead_rhs, num_rhs, den_rhs = _side(field, prec, c, rhs, rows, -1)
+    if lead_lhs != lead_rhs:
         index = "leading exponent"
-    elif consts[0] != consts[1]:
+    elif num_lhs * den_rhs != num_rhs * den_lhs:
         index = 0
     else:
-        index = next((i for i in range(1, n) if any(field.reduce_powers(rows[i]))), None)
-    return index, leads[0], leads[1]
+        index = next((i for i in range(1, prec + 1) if any(field.reduce_powers(rows[i]))),
+                     None)
+    return index, lead_lhs, lead_rhs
 
 
-def _by_products(field, prec, c, lhs, rhs):
-    """distribution_check on series: each side is built as the product of
-    its c-modified units, and the witness of a mismatch gives the leading
-    exponents or the first coefficients that differ."""
-    (alpha, beta, scale), = lhs
-    left = siegel_scaled_c(alpha, beta, field, prec, scale, c)
-    right = None
-    for alpha, beta, scale in rhs:
-        factor = siegel_scaled_c(alpha, beta, field, prec, scale, c)
-        right = factor if right is None else (right * factor).truncate(prec + 1)
-    ok = left == right
-    witness = {"factors": len(rhs), "lead_lhs": str(left.lead),
-               "lead_rhs": str(right.lead)}
-    if not ok:
-        if left.lead != right.lead:
-            witness["mismatch"] = "leading exponent"
-        else:
-            for n in range(min(left.prec, right.prec)):
-                if left.coeffs[n] != right.coeffs[n]:
-                    witness["mismatch"] = {"index": n, "lhs": str(left.coeffs[n]),
-                                           "rhs": str(right.coeffs[n])}
-                    break
-    return ok, witness
+def _coefficient(field, prec, c, units, n):
+    """The coefficient of q^(lead + n) in the product of the c-modified
+    units, each (alpha, beta, scale), built to O(q^(lead + prec + 1)).
+
+    With its constant num / den divided out, the product is b = 1 + b_1 q +
+    ... over Z[zeta], and m b_m = sum_(k=1..m) theta_k b_(m-k) for its
+    logarithmic derivative theta.  Each b_m is kept in the integral basis
+    1, zeta, .., zeta^(phi-1), so every step divides exactly by m.
+    """
+    L = field.L
+    rows = [[0] * L for _ in range(n + 1)]
+    _, num, den = _side(field, prec, c, units, rows, 1)
+    theta = [[(j, t) for j, t in enumerate(r) if t] for r in rows]
+    bm = [1] + [0] * (field.phi - 1)
+    b = [[(0, 1)]]  # the nonzero coordinates (i, x) of each b_m
+    for m in range(1, n + 1):
+        # sum_k theta_k b_(m-k) with zeta^L = 1, then in the integral basis
+        s = [0] * L
+        for k in range(1, m + 1):
+            for j, t in theta[k]:
+                for i, x in b[m - k]:
+                    s[(i + j) % L] += t * x
+        s = field.reduce_powers(s)
+        if any(x % m for x in s):
+            raise ArithmeticError(f"coefficient {m} of a Siegel product is not integral")
+        bm = [x // m for x in s]
+        b.append([(i, x) for i, x in enumerate(bm) if x])
+    return num * CycloElt(field, tuple(bm)) / den
 
 
 def distribution_args(alpha, beta, M, c: int, prec: int = 0):

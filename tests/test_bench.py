@@ -87,3 +87,15 @@ def test_paths_of_unequal_length_are_a_usage_error(bench, tmp_path, monkeypatch,
     assert exc.value.code == 2
     assert "differ in length" in capsys.readouterr().err
     assert not (tmp_path / "BENCH_t.json").exists()
+
+
+def test_tree_without_a_revision_is_a_usage_error(bench, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bench, "run", stub_run())
+    monkeypatch.setattr(bench, "revision",
+                        lambda tree: None if tree.endswith("change") else "stub")
+    with pytest.raises(SystemExit) as exc:
+        main(bench, tmp_path)
+    assert exc.value.code == 2
+    assert "no git revision" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_t.json").exists()
+

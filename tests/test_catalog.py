@@ -53,6 +53,15 @@ def test_dist_relations_runs_requested_precision(monkeypatch):
     assert report["entries"][0]["witness"] == {"precision": 250}
 
 
+def test_no_entry_computes_a_series_product(refuse_series_kernels):
+    expected = run_catalog()["entries"]
+    refuse_series_kernels()
+    got = run_catalog()["entries"]
+    assert [(e["id"], e["status"], e["witness"]) for e in got] == \
+        [(e["id"], e["status"], e["witness"]) for e in expected]
+    assert {e["status"] for e in got} == {"PASS"}
+
+
 def test_mutation_count():
     assert len(MUTATIONS) >= 10
 

@@ -17,12 +17,12 @@ from rankin.eisenstein import (EisensteinSpec, eisenstein_constant,
                                p_depletion, two_param_eisenstein,
                                universal_gauss_sum, _GmRing)
 from rankin.forms import load_bundled
-from rankin.qseries import QSeries, geometric_dlog
+from rankin.qseries import QSeries
 from rankin.siegel import (bernoulli2, distribution_check,
                            dlog_matches_weight_two, siegel_scaled,
                            siegel_scaled_c, siegel_unit_qexp, unit_factors)
 from rankin.zeta import polylog_negative
-from rankin.siegel import _dlog_by_series, _dlog_mismatch
+from rankin.siegel import _dlog_mismatch
 from rankin.siegel import _first_mismatch as first_mismatch
 
 
@@ -243,6 +243,18 @@ class TestTwoParameterFamily:
             assert s.coefficient(n) == expect
 
 
+def geometric_dlog(ring, n: int, x, prec: int) -> QSeries:
+    """q d/dq log(1 - x q^n) = -sum_{m>=1} n x^m q^(n m), truncated."""
+    coeffs = [ring.zero()] * prec
+    xm = None
+    m = 1
+    while n * m < prec:
+        xm = x if xm is None else xm * x
+        coeffs[n * m] = coeffs[n * m] - xm * F(n)
+        m += 1
+    return QSeries(ring, 0, coeffs, normalize=False)
+
+
 class TestSiegelUnits:
     def test_zero_parameter_rejected(self):
         with pytest.raises(ValueError, match="zero parameter"):
@@ -418,6 +430,44 @@ def record_sides(monkeypatch):
     return sides
 
 
+def _by_products(field, prec, c, lhs, rhs):
+    """distribution_check on series: each side is built as the product of
+    its c-modified units, and the witness of a mismatch gives the leading
+    exponents or the first coefficients that differ."""
+    (alpha, beta, scale), = lhs
+    left = siegel_scaled_c(alpha, beta, field, prec, scale, c)
+    right = None
+    for alpha, beta, scale in rhs:
+        factor = siegel_scaled_c(alpha, beta, field, prec, scale, c)
+        right = factor if right is None else (right * factor).truncate(prec + 1)
+    ok = left == right
+    witness = {"factors": len(rhs), "lead_lhs": str(left.lead),
+               "lead_rhs": str(right.lead)}
+    if not ok:
+        if left.lead != right.lead:
+            witness["mismatch"] = "leading exponent"
+        else:
+            for n in range(min(left.prec, right.prec)):
+                if left.coeffs[n] != right.coeffs[n]:
+                    witness["mismatch"] = {"index": n, "lhs": str(left.coeffs[n]),
+                                           "rhs": str(right.coeffs[n])}
+                    break
+    return ok, witness
+
+
+def _dlog_by_series(alpha, prec):
+    """dlog_matches_weight_two on series: q dg/dq against -F * g."""
+    g = siegel_unit_qexp(alpha, None, prec)
+    lhs = g.qdq()
+    rhs = (-eisenstein_qexp(EisensteinSpec("F", 2, alpha), prec) * g).truncate(g.prec)
+    if lhs == rhs:
+        return True, None
+    for n, (x, y) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
+        if x != y:
+            return False, {"exponent": n, "lhs": str(x), "rhs": str(y)}
+    return False, None
+
+
 def witness_index(witness):
     mismatch = witness.get("mismatch")
     return mismatch if mismatch is None or isinstance(mismatch, str) else mismatch["index"]
@@ -450,14 +500,16 @@ class TestDistribution:
         assert not ok and "mismatch" in witness
 
     @pytest.mark.parametrize("mutant", [None] + sorted(MUTANTS))
-    def test_matches_product_path(self, monkeypatch, mutant):
+    @pytest.mark.parametrize("prec", [0, 1, 2, 30])
+    def test_matches_product_path(self, monkeypatch, mutant, prec):
         # _by_products, the product path, is the oracle: the same verdict
-        # and witness, or the same error.  A FAIL returns the product path's
-        # own witness, so there the test is that the criterion's first
-        # mismatch is the index the witness names.  The product path's
-        # c-modified units are checked against g^(c^2) / g_c built as a
-        # series power over a series.
+        # and witness, or the same error.  On a FAIL the test is also that
+        # the criterion's first mismatch is the index the witness names.
+        # The product path's c-modified units are checked against
+        # g^(c^2) / g_c built as a series power over a series.  At prec 0
+        # there are no binomials, so a moved binomial cannot fail.
         spec = MUTANTS[mutant] if mutant else (lambda c: c, lambda s: s, None)
+        must_fail = mutant is not None and (prec > 0 or spec[2] is None)
         install_mutant(monkeypatch, *spec)
         sides = record_sides(monkeypatch)
         unit_c = scaled_c_by_series(*spec[:2])
@@ -465,9 +517,9 @@ class TestDistribution:
         for (m, N, c) in CATALOG_SETS:
             for M in (((m, 0), (0, 1)), ((1, 0), (0, m)), ((m, 0), (0, m))):
                 sides.clear()
-                got = outcome(distribution_check, 0, F(1, N), M, c, 30)
+                got = outcome(distribution_check, 0, F(1, N), M, c, prec)
                 (field, prec, c, lhs, rhs), = sides
-                assert got == outcome(rankin.siegel._by_products, field, prec, c, lhs, rhs)
+                assert got == outcome(_by_products, field, prec, c, lhs, rhs)
                 for alpha, beta, scale in lhs + rhs:
                     args = alpha, beta, field, prec, scale, c
                     assert series_view(rankin.siegel.siegel_scaled_c, *args) == series_view(unit_c, *args)
@@ -476,7 +528,7 @@ class TestDistribution:
                 ok, witness = got
                 assert first_mismatch(field, prec, c, lhs, rhs)[0] == witness_index(witness)
                 failed = failed or not ok
-        assert failed == bool(mutant)
+        assert failed == must_fail
 
     @pytest.mark.parametrize("dropped", [0, 1, 3])
     def test_dropped_rhs_factor_fails(self, monkeypatch, dropped):
@@ -485,9 +537,34 @@ class TestDistribution:
         (field, prec, c, lhs, rhs), = sides
         rhs = rhs[:dropped] + rhs[dropped + 1:]
         index = first_mismatch(field, prec, c, lhs, rhs)[0]
-        ok, witness = rankin.siegel._by_products(field, prec, c, lhs, rhs)
+        ok, witness = _by_products(field, prec, c, lhs, rhs)
         assert index is not None and not ok
         assert index == witness_index(witness)
+
+    @pytest.mark.parametrize("mutant", [None] + sorted(MUTANTS))
+    def test_fail_witness_computes_no_series_product(self, monkeypatch,
+                                                      refuse_series_kernels, mutant):
+        if mutant:
+            install_mutant(monkeypatch, *MUTANTS[mutant])
+        sides = record_sides(monkeypatch)
+        cases = []
+        for (m, N, c) in CATALOG_SETS:
+            for M in (((m, 0), (0, 1)), ((1, 0), (0, m)), ((m, 0), (0, m))):
+                sides.clear()
+                got = outcome(distribution_check, 0, F(1, N), M, c, 30)
+                if got[0] != "raises":
+                    cases.append((M, N, c, outcome(_by_products, *sides[0])))
+        refuse_series_kernels()
+        for M, N, c, expected in cases:
+            assert distribution_check(0, F(1, N), M, c, 30) == expected
+
+    def test_non_integral_coefficient_raises(self, monkeypatch):
+        # (1 - zeta q)^(1/2) (1 - zeta^-1 q)^(1/2) ... has -(zeta + zeta^-1)/2 at q
+        def square_root(alpha, beta, field, prec, scale, c):
+            return [(F(1, 2), unit_factors(alpha, beta, field, prec, scale))]
+        monkeypatch.setattr(rankin.siegel, "modified_unit_factors", square_root)
+        with pytest.raises(ArithmeticError, match="coefficient 1 .* not integral"):
+            rankin.siegel._coefficient(CyclotomicField(5), 4, 7, [(F(1, 2), F(1, 5), 2)], 2)
 
     def test_negative_precision_is_rejected(self):
         with pytest.raises(ValueError, match="prec must be >= 0"):
@@ -548,6 +625,15 @@ class TestDlogRows:
             assert ok != must_fail, (alpha, witness)
             if not ok:
                 assert _dlog_mismatch(alpha, prec) == witness["exponent"]
+
+    @pytest.mark.parametrize("mutant", [None] + sorted(DLOG_MUTANTS))
+    def test_fail_witness_computes_no_series_product(self, monkeypatch,
+                                                      refuse_series_kernels, mutant):
+        if mutant:
+            monkeypatch.setattr(*DLOG_MUTANTS[mutant])
+        expected = [outcome(_dlog_by_series, alpha, 30) for alpha in CATALOG_ALPHAS]
+        refuse_series_kernels()
+        assert [dlog_matches_weight_two(alpha, 30) for alpha in CATALOG_ALPHAS] == expected
 
     def test_pass_builds_no_series(self, monkeypatch):
         def refuse(*args, **kwargs):

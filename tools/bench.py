@@ -6,8 +6,8 @@ end-to-end runs (--trace 0) per tree, in pairs that alternate which tree goes
 first, then one traced run (--trace 1) per tree whose counters and per-layer
 times go into the file.
 
-Run from the repository root, with checkouts of the parent and the change
-in directories whose absolute paths have the same length:
+Run from the repository root, with git checkouts of the parent and the
+change in directories whose absolute paths have the same length:
 
     python3 tools/bench.py --label solve --parent ../parent --change ../change --seed 7
 
@@ -18,7 +18,9 @@ the pairs in which the change did better than the parent (ties count for
 neither), in the direction BENCHMARK.json gives.
 
 Paths of different lengths are a usage error (exit code 2, no file
-written), since peak_rss_mb moves with that length.  Otherwise the file is
+written), since peak_rss_mb moves with that length; so is a tree with no git
+revision, such as a git archive copy, since the file could not say what it
+measured.  Otherwise the file is
 written in any case; the exit code is then 1, with each such run named on
 standard error, when a run was graded incorrect or had a failed check, since
 its timings do not time the checks that were meant.
@@ -40,10 +42,11 @@ WORKLOADS = ("dlog", "dist", "hecke", "symbolic")
 PAIRS = 10
 
 
-def revision(tree: str) -> str:
+def revision(tree: str):
+    """The commit checked out in ``tree``, or None when git gives none."""
     proc = subprocess.run(["git", "-C", tree, "rev-parse", "HEAD"],
                           capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def src_lines(tree: str) -> int:
@@ -131,6 +134,10 @@ def main(argv=None):
     if len(trees["parent"]) != len(trees["change"]):
         ap.error("the absolute paths of --parent and --change differ in length, "
                  "and peak_rss_mb moves with that length")
+    revisions = {name: revision(path) for name, path in trees.items()}
+    for name, rev in revisions.items():
+        if rev is None:
+            ap.error(f"--{name} {trees[name]} has no git revision; use a git checkout")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
@@ -138,7 +145,7 @@ def main(argv=None):
 
     report = {"label": args.label, "python": platform.python_version(),
               "cpus": os.cpu_count(), "seed": args.seed, "seconds": seconds,
-              "trees": {name: {"revision": revision(path), "src_lines": src_lines(path)}
+              "trees": {name: {"revision": revisions[name], "src_lines": src_lines(path)}
                         for name, path in trees.items()},
               "workloads": {w: bench_workload(trees, w, args.seed, seconds, better)
                             for w in WORKLOADS}}
