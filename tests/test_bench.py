@@ -4,17 +4,23 @@ run graded incorrect or with a failed check makes the exit code 1."""
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
 
 
-@pytest.fixture
-def bench(tmp_path, monkeypatch):
+def load_bench():
     spec = importlib.util.spec_from_file_location("bench", os.path.join(TOOLS, "bench.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def bench(tmp_path, monkeypatch):
+    module = load_bench()
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 1,
         "end_to_end": [{"name": "verdict_s", "better": "lower"},
@@ -99,3 +105,17 @@ def test_tree_without_a_revision_is_a_usage_error(bench, tmp_path, monkeypatch, 
     assert "no git revision" in capsys.readouterr().err
     assert not (tmp_path / "BENCH_t.json").exists()
 
+
+
+def test_revision_only_at_the_top_of_a_checkout(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "copy").mkdir(parents=True)
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git[:3] + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "t"], check=True)
+    head = subprocess.run(git[:3] + ["rev-parse", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+    revision = load_bench().revision
+    assert revision(str(repo)) == head
+    assert revision(str(repo / "copy")) is None
+    assert revision(str(tmp_path)) is None

@@ -43,10 +43,14 @@ PAIRS = 10
 
 
 def revision(tree: str):
-    """The commit checked out in ``tree``, or None when git gives none."""
-    proc = subprocess.run(["git", "-C", tree, "rev-parse", "HEAD"],
+    """The commit checked out in ``tree``, or None when ``tree`` is not the
+    top of a git checkout (a copy inside another checkout has none)."""
+    proc = subprocess.run(["git", "-C", tree, "rev-parse", "--show-toplevel", "HEAD"],
                           capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    if proc.returncode != 0:
+        return None
+    top, commit = proc.stdout.splitlines()
+    return commit if os.path.samefile(top, tree) else None
 
 
 def src_lines(tree: str) -> int:
