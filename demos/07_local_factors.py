@@ -6,7 +6,7 @@ ordinary interpolation factors, and the certified correction polynomial.
 from rankin import (functional_symmetry_check, interpolation_factors,
                     load_bundled, local_correction, rankin_euler_factor,
                     weil_check)
-from rankin.euler import joint_coefficient_ring
+from rankin.euler import SYM_RING, joint_coefficient_ring
 
 f = load_bundled("f11.eigenform")
 g = load_bundled("g26.eigenform")
@@ -20,15 +20,13 @@ for p in (3, 5, 7):
     print(f"   reciprocal roots within p^((k+l-2)/2):",
           weil_check(fac, p, 2, 2))
 
-fac17 = interpolation_factors(1)
+fac17 = interpolation_factors(SYM_RING.var("p"))
 print("\nordinary interpolation factors at twist 1 (symbolic):")
 print("   modification:", fac17.modification)
 print("   level-lowering variant:", fac17.modification_star)
 
-print("\ndual-form symmetry of the interpolation ratio (k <= 4 sweep):",
-      all(functional_symmetry_check(k, l, j)
-          for k in range(1, 5) for l in range(1, k + 1)
-          for j in range(k + 1)))
+print("\ndual-form symmetry of the interpolation ratio (every weight and twist):",
+      functional_symmetry_check())
 
 # the correction polynomial at the joint level 286 = 11 * 26: the two levels
 # are coprime, so for the newforms themselves the correction is exactly 1

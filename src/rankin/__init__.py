@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 from .catalog import CATALOG, run_catalog
 from .cyclo import CyclotomicField
 from .eisenstein import (EisensteinSpec, eisenstein_qexp, equivariant_gm,
-                         hecke_qexp, maass_raise, p_depletion,
-                         two_param_eisenstein, universal_gauss_sum)
+                         maass_raise, p_depletion, two_param_eisenstein,
+                         universal_gauss_sum)
 from .euler import (EulerFactor, InterpFactors, functional_symmetry_check,
                     hecke_polynomial, interpolation_factors, local_correction,
                     rankin_euler_factor, weil_check)
@@ -46,7 +46,7 @@ __all__ = [
     "derive_composite_norms", "distribution_check", "dlog_matches_weight_two",
     "double_coset_multiply", "eisenstein_qexp", "equivariant_gm",
     "eta_oracle_level11", "functional_symmetry_check", "hecke_polynomial",
-    "hecke_qexp", "hypothesis_report", "ingest", "interpolation_factors",
+    "hypothesis_report", "ingest", "interpolation_factors",
     "iwahori_index", "iwahori_invariant", "join", "load_bundled",
     "local_correction", "maass_raise", "operator_euler_coeffs",
     "minpoly", "otsuki_trace_check",

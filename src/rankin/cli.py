@@ -225,7 +225,13 @@ def cmd_euler(args):
 
 
 def cmd_example(args):
+    from .catalog import _form
+    from .forms import hypothesis_report
     cfg = {"data": args.data}
+    # a missing or corrupt form file is a data error here, before the entry
+    # would turn it into a FAIL
+    f = _form(cfg, "f11.eigenform")
+    g = _form(cfg, "g26.eigenform")
     report = run_catalog(["worked-example"], cfg)
     entry = report["entries"][0]
     wit = entry["witness"]
@@ -238,10 +244,6 @@ def cmd_example(args):
           f"x^4 + ({mp[3]})x^3 + ({mp[2]})x^2 + ({mp[1]})x + {mp[0]}")
     print(f"  ratio is a root of unity: {wit['ratio_root_of_unity']}")
     print(f"  congruence scan over 5..50 flags: {wit['scan_flagged']}")
-    from .forms import hypothesis_report
-    from .catalog import _form
-    f = _form(cfg, "f11.eigenform")
-    g = _form(cfg, "g26.eigenform")
     print("hypothesis checklist at p = 17:")
     for key, (status, _) in hypothesis_report(f, g, 17).items():
         print(f"  {key}: {status}")

@@ -139,7 +139,7 @@ class CongSubgroup:
     @classmethod
     def gamma1(cls, N: int):
         return cls.from_condition(
-            N, lambda g: g[0] % N == 1 and g[3] % N == 1 and g[2] % N == 0)
+            N, lambda g: g[0] % N == 1 % N and g[3] % N == 1 % N and g[2] % N == 0)
 
     @classmethod
     def gamma0(cls, N: int):
@@ -183,12 +183,10 @@ class CongSubgroup:
 def lift_sl2(g: Mat, M: int) -> Mat:
     """An integral SL2(Z) lift of a matrix in SL2(Z/M)."""
     a, b, c, d = mat_mod(g, M)
+    if gcd(c, d, M) != 1:
+        raise ValueError("bottom row is not primitive mod M; determinant not 1")
     # make the bottom row coprime
-    cc, dd = c, d
-    if cc == 0 and dd == 0:
-        raise ValueError("bottom row is zero mod M; determinant not 1")
-    if cc == 0:
-        cc = M
+    cc, dd = c or M, d
     t = 0
     while gcd(cc, dd + t * M) != 1:
         t += 1

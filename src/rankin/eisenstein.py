@@ -235,22 +235,6 @@ def p_depletion(s: QSeries, p: int) -> QSeries:
     return QSeries(s.ring, 0, out, normalize=False)
 
 
-def hecke_qexp(s: QSeries, op: str, *, ell=None, d=None, level=None,
-               weight=None, character=None) -> QSeries:
-    """Dispatcher: op in {'T', 'U', 'V', 'diamond', 'p_depletion'}."""
-    if op == "T":
-        return hecke_T(s, ell, weight, character, level)
-    if op == "U":
-        return hecke_U(s, ell)
-    if op == "V":
-        return hecke_V(s, ell)
-    if op == "diamond":
-        return diamond(s, d, character)
-    if op == "p_depletion":
-        return p_depletion(s, ell)
-    raise ValueError(f"unknown operator {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # the group-ring-valued twisted form and the universal Gauss sum
 # ---------------------------------------------------------------------------

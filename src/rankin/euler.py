@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from .arith import RATIONALS, prime_factors
 from .poly import (MPoly, PolyRing, QQ, RatFunc, poly_add, poly_derivative,
@@ -203,79 +202,82 @@ def _sturm_count(f, a, b) -> int:
 # interpolation factors and the functional-equation symmetry
 # ---------------------------------------------------------------------------
 
-SYM_RING = PolyRing(("al", "be", "ga", "de", "p"), invertible={"p"})
-_AL, _BE, _GA, _DE, _P = SYM_RING.vars()
+# K, L and J stand for p^(k-1), p^(l-1) and p^j: the weights k, l and the
+# twist j enter the factors and the dual-form map only through these
+SYM_RING = PolyRing(("al", "be", "ga", "de", "p", "K", "L", "J"),
+                    invertible={"p", "K", "L", "J"})
+_AL, _BE, _GA, _DE, _P, _K, _L, _J = SYM_RING.vars()
 
 
 @dataclass(frozen=True)
 class InterpFactors:
     modification: RatFunc          # 1 - beta/(p alpha)
     modification_star: RatFunc     # 1 - beta/alpha
-    convolution: RatFunc           # four-binomial factor at twist j
+    convolution: RatFunc           # four-binomial factor at the twist
 
 
 def _binom(num: MPoly, den: MPoly) -> RatFunc:
     return RatFunc(den - num, den)
 
 
-@functools.cache
-def interpolation_factors(j: int) -> InterpFactors:
+def interpolation_factors(twist: MPoly) -> InterpFactors:
     """The three ordinary interpolation factors, symbolic in the four Hecke
-    roots; j enters as an integer exponent of p, and the weights do not
-    enter at all.  Built once per j."""
+    roots, at the twist given as a monomial of SYM_RING standing for p^j:
+    ``J`` for a general twist, ``p ** j`` for twist j.  The weights do not
+    enter."""
     al, be, ga, de, p = _AL, _BE, _GA, _DE, _P
-
-    def pw(n: int) -> RatFunc:
-        return RatFunc(p ** n, SYM_RING.one())
-
     e_f = _binom(be, p * al)
     e_star = _binom(be, al)
-    e_conv = ((1 - pw(-j) * be * ga) * (1 - pw(-j) * be * de)
-              * (1 - pw(j - 1) / (al * ga)) * (1 - pw(j - 1) / (al * de)))
+    e_conv = (_binom(be * ga, twist) * _binom(be * de, twist)
+              * _binom(twist, p * al * ga) * _binom(twist, p * al * de))
     return InterpFactors(e_f, e_star, e_conv)
 
 
-@functools.cache
-def _star_subs(k: int, l: int):
-    """The dual-form substitution on the root symbols, built once per (k, l)
-    and shared, hence read-only."""
-    return MappingProxyType({
-        "al": RatFunc(_P ** (k - 1), _BE), "be": RatFunc(_P ** (k - 1), _AL),
-        "ga": RatFunc(_P ** (l - 1), _DE), "de": RatFunc(_P ** (l - 1), _GA),
-        "p": RatFunc.from_poly(_P)})
+def _dual_form_sides(mutate_shift: int = 0):
+    """The (image, expected) pairs of the dual-form symmetry, for every
+    weight k, l and twist j at once: the modification factor, its
+    level-lowering variant and the convolution factor at twist J, each under
+    the dual-form map al -> K/be, be -> K/al, ga -> L/de, de -> L/ga, against
+    the same factor and the convolution factor at the dual twist
+    p^(k+l-1-j) = K L p / J, times p^mutate_shift."""
+    star = {"al": RatFunc(_K, _BE), "be": RatFunc(_K, _AL),
+            "ga": RatFunc(_L, _DE), "de": RatFunc(_L, _GA)}
+    fac = interpolation_factors(_J)
+    fac_dual = interpolation_factors(_K * _L * _P ** (1 + mutate_shift) * _J.inverse())
+    return ((fac.modification.subs(star), fac.modification),
+            (fac.modification_star.subs(star), fac.modification_star),
+            (fac.convolution.subs(star), fac_dual.convolution))
 
 
-def functional_symmetry_check(k: int, l: int, j: int,
-                              literal_reading: bool = False,
+def functional_symmetry_check(literal_reading: bool = False,
                               mutate_shift: int = 0) -> bool:
-    """Symbol-level symmetry under passing to the dual forms:
+    """Symbol-level symmetry under passing to the dual forms, for every
+    weight and twist (see ``_dual_form_sides``):
 
     * the ordinary modification factor is invariant;
     * its level-lowering variant is invariant;
-    * the convolution factor at twist k+l-1-j maps to the one at twist j;
+    * the convolution factor at twist J maps to the one at the dual twist;
     * hence the interpolation ratio built from them is identically 1.
 
+    The closing ratio cannot fail on its own once the three equalities hold,
+    since its two cross-multiplied products then have pairwise equal
+    factors; it carries the ZeroDivisionError guard for a zero numerator
+    among the factors it divides by.
+
     ``literal_reading`` instead tests the (false) claim that the starred
-    variant equals the unstarred modification factor; ``mutate_shift`` offsets
-    the dual twist index.
+    variant equals the unstarred modification factor; ``mutate_shift``
+    multiplies the dual twist by p^mutate_shift.
     """
-    star = _star_subs(k, l)
-    fac = interpolation_factors(j)
-    fac_dual_j = interpolation_factors(k + l - 1 - j + mutate_shift)
-    e_f_star = fac.modification.subs(star)
-    e_star_star = fac.modification_star.subs(star)
-    conv_star = fac.convolution.subs(star)
+    (e_f_star, e_f), (e_star_star, e_star), (conv_star, conv_dual) = \
+        _dual_form_sides(mutate_shift)
     if literal_reading:
-        return e_star_star == fac.modification
-    ok = (e_f_star == fac.modification
-          and e_star_star == fac.modification_star
-          and conv_star == fac_dual_j.convolution)
-    if not ok:
+        return e_star_star == e_f
+    if not (e_f_star == e_f and e_star_star == e_star and conv_star == conv_dual):
         return False
-    # the full ratio conv(k+l-1-j) * mod^* * mod_star^* / (mod * mod_star * conv^*)
+    # the full ratio conv(dual) * mod^* * mod_star^* / (mod * mod_star * conv^*)
     # is 1: cross-multiply its three numerators and three denominators
-    tops = (fac_dual_j.convolution, e_f_star, e_star_star)
-    bottoms = (fac.modification, fac.modification_star, conv_star)
+    tops = (conv_dual, e_f_star, e_star_star)
+    bottoms = (e_f, e_star, conv_star)
     if not all(r.num for r in bottoms):
         raise ZeroDivisionError("division by zero rational function")
     return (functools.reduce(MPoly.__mul__, [r.num for r in tops] + [r.den for r in bottoms])

@@ -3,6 +3,8 @@
 import pytest
 
 import rankin.qseries
+from rankin.euler import SYM_RING, _dual_form_sides, interpolation_factors
+from rankin.poly import RatFunc
 
 SERIES_KERNELS = ("_packed_mul", "_schoolbook_mul", "_newton_inverse", "_recurrence_inverse")
 
@@ -17,3 +19,36 @@ def refuse_series_kernels(monkeypatch):
         for name in SERIES_KERNELS:
             monkeypatch.setattr(rankin.qseries, name, refuse)
     return install
+
+
+# the weights and twists of the dual-form symmetry checked one at a time:
+# 1 <= l <= k <= 5 and 0 <= j <= k, 70 instances
+SYMMETRY_BOX = tuple((k, l, j) for k in range(1, 6) for l in range(1, k + 1)
+                     for j in range(k + 1))
+
+
+def oracle_symmetry_sides(k, l, j, mutate_shift=0):
+    """The (image, expected) pairs of the dual-form symmetry at weights
+    (k, l) and twist j, one instance at a time: the factors at p ** j under
+    al -> p^(k-1)/be, be -> p^(k-1)/al, ga -> p^(l-1)/de, de -> p^(l-1)/ga,
+    against the same factors and the convolution factor at
+    p^(k+l-1-j+mutate_shift)."""
+    al, be, ga, de, p = (SYM_RING.var(n) for n in ("al", "be", "ga", "de", "p"))
+    pk, pl = p ** (k - 1), p ** (l - 1)
+    star = {"al": RatFunc(pk, be), "be": RatFunc(pk, al),
+            "ga": RatFunc(pl, de), "de": RatFunc(pl, ga)}
+    fac = interpolation_factors(p ** j)
+    dual = interpolation_factors(p ** (k + l - 1 - j + mutate_shift))
+    return ((fac.modification.subs(star), fac.modification),
+            (fac.modification_star.subs(star), fac.modification_star),
+            (fac.convolution.subs(star), dual.convolution))
+
+
+def general_sides_specialize(k, l, j):
+    """Whether the sides of the every-weight check, at K, L, J = p^(k-1),
+    p^(l-1), p^j, equal the oracle's sides at (k, l, j)."""
+    p = SYM_RING.var("p")
+    at = {"K": p ** (k - 1), "L": p ** (l - 1), "J": p ** j}
+    return all(side.subs(at) == want
+               for pair, want_pair in zip(_dual_form_sides(), oracle_symmetry_sides(k, l, j))
+               for side, want in zip(pair, want_pair))

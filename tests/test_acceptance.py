@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import SYMMETRY_BOX, general_sides_specialize
 from rankin import normrel as nr
 from rankin import operators as ops
 from rankin.catalog import MUTATIONS
@@ -128,10 +129,10 @@ def test_criterion_10_iwahori_table():
 
 def test_criterion_11_functional_symmetry():
     t0 = time.perf_counter()
-    ok = all(functional_symmetry_check(k, l, j)
-             for k in range(1, 6) for l in range(1, k + 1)
-             for j in range(0, k + 1))
-    _report("11 interpolation-factor symmetry, full (k, l, j) sweep", ok, t0, 0)
+    ok = functional_symmetry_check() and all(
+        general_sides_specialize(*case) for case in SYMMETRY_BOX)
+    _report("11 interpolation-factor symmetry for every weight, specialized "
+            "over the (k, l, j) box", ok, t0, 0)
 
 
 def test_criterion_12_worked_example():

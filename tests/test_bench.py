@@ -67,8 +67,32 @@ def test_clean_runs_exit_zero(bench, tmp_path, monkeypatch):
     report = main(bench, tmp_path)
     assert report["workloads"]["dist"]["wins"] == {"verdict_s": 10, "pass_ratio": 0}
     assert report["workloads"]["dist"]["change"]["counters"] == {"qseries.mul.count": 7}
+    assert report["workloads"]["dist"]["moved"] == {}
     assert report["trees"] == {"parent": {"revision": "stub", "src_lines": 3},
                                "change": {"revision": "stub", "src_lines": 1}}
+
+
+def test_moved_counters_are_written_and_printed(bench, tmp_path, monkeypatch, capsys):
+    stub = stub_run()
+
+    def run(tree, workload, seed, seconds, trace):
+        result = stub(tree, workload, seed, seconds, trace)
+        if os.path.basename(tree) == "change":
+            result["metrics"]["poly.mpoly_mul.count"] = {"value": 4, "unit": "count"}
+            result["metrics"]["cosets.enumerated"] = {"value": 5, "unit": "count"}
+        else:
+            result["metrics"]["poly.mpoly_mul.count"] = {"value": 9, "unit": "count"}
+        return result
+
+    monkeypatch.setattr(bench, "run", run)
+    report = main(bench, tmp_path)
+    for workload in bench.WORKLOADS:
+        assert report["workloads"][workload]["moved"] == {
+            "cosets.enumerated": [None, 5], "poly.mpoly_mul.count": [9, 4]}
+    err = capsys.readouterr().err.splitlines()
+    assert "symbolic moved poly.mpoly_mul.count: 9 -> 4" in err
+    assert "symbolic moved cosets.enumerated: None -> 5" in err
+    assert not any("qseries.mul.count" in line for line in err)
 
 
 @pytest.mark.parametrize("call, pair", [(3, "3"), (10, "traced")])
@@ -104,7 +128,6 @@ def test_tree_without_a_revision_is_a_usage_error(bench, tmp_path, monkeypatch, 
     assert exc.value.code == 2
     assert "no git revision" in capsys.readouterr().err
     assert not (tmp_path / "BENCH_t.json").exists()
-
 
 
 def test_revision_only_at_the_top_of_a_checkout(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rankin import catalog, euler
+from rankin import catalog
 from rankin.catalog import CATALOG, MUTATIONS, NORM_RELATION_IDS, run_catalog
 from rankin.poly import MPoly
 
@@ -69,8 +69,8 @@ def test_mutation_count():
 def test_polynomial_coefficients_are_int_or_fraction(monkeypatch):
     """Floats appear only in the cmath cross-checks: no catalog entry that
     runs on MPoly may build one with a coefficient other than an int or a
-    Fraction.  The shared caches are emptied first, so that their contents
-    are built under the check."""
+    Fraction.  The form cache is emptied first, so that its contents are
+    built under the check."""
     bad = []
     init = MPoly.__init__
 
@@ -78,8 +78,7 @@ def test_polynomial_coefficients_are_int_or_fraction(monkeypatch):
         bad.extend(c for c in terms.values() if type(c) not in (int, Fraction))
         init(self, ring, terms)
 
-    for cached in (euler.interpolation_factors, euler._star_subs, catalog._load_form):
-        cached.cache_clear()
+    catalog._load_form.cache_clear()
     monkeypatch.setattr(MPoly, "__init__", checked_init)
     ids = [e[0] for e in CATALOG
            if e[0] not in ("dlog", "dist-relations", "hecke-square")]

@@ -104,6 +104,29 @@ def test_corrupt_data_file_exit_3(tmp_path, capsys):
     assert rc == 3
 
 
+def test_hecke_check_at_level_one(capsys):
+    for p in (2, 3):
+        rc = main(["hecke-check", "--level", "1", "--prime", str(p)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "[PASS] hecke-square" in out and "[PASS] iwahori-table" in out
+
+
+@pytest.mark.parametrize("damage", ["missing", "recursion"])
+def test_example_bad_data_exit_3(tmp_path, capsys, damage):
+    (tmp_path / "f11.eigenform").write_text(open(F11).read())
+    if damage == "recursion":
+        text = open(G26).read()
+        assert "\n25: -4\n" in text
+        (tmp_path / "g26.eigenform").write_text(text.replace("\n25: -4\n", "\n25: -3\n"))
+    rc = main(["example-7-5", "--data", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("data error: ") and captured.err.count("\n") == 1
+    assert ("g26.eigenform" if damage == "missing" else "(5, 2)") in captured.err
+
+
 def test_json_report_deterministic(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:

@@ -1,5 +1,6 @@
 """Double-coset algebra over congruence subgroups and Iwahori invariants."""
 
+import math
 import os
 import subprocess
 import sys
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 import rankin.cosets
 from rankin.cosets import (CongSubgroup, CosetMatrix, IwahoriCell, _pair_invariant,
                            _val, coset_reps, double_coset_multiply, iwahori_index,
-                           iwahori_invariant, mat_mod, mat_mul, same_right_coset,
-                           sl2_order, t_prime_square_identity)
+                           iwahori_invariant, lift_sl2, mat_mod, mat_mul,
+                           same_right_coset, sl2_order, t_prime_square_identity)
 
 
 class TestPreimages:
@@ -149,6 +150,26 @@ class TestCosetReps:
         for i, x in enumerate(reps):
             for y in reps[i + 1:]:
                 assert not same_right_coset(G, x.entries, y.entries)
+
+    def test_gamma1_level_one_is_the_whole_group(self):
+        assert len(CongSubgroup.gamma1(1)) == 1
+        assert CongSubgroup.gamma1(1).elements == CongSubgroup.sl2(1).elements
+
+    def test_lift_raises_exactly_on_imprimitive_bottom_rows(self):
+        with pytest.raises(ValueError, match="primitive"):
+            lift_sl2((0, 0, 2, 2), 4)
+        for M in range(1, 7):
+            for c in range(M):
+                for d in range(M):
+                    if math.gcd(c, d, M) != 1:
+                        with pytest.raises(ValueError, match="primitive"):
+                            lift_sl2((1, 0, c, d), M)
+                        continue
+                    g = next((a, b, c, d) for a in range(M) for b in range(M)
+                             if (a * d - b * c - 1) % M == 0)
+                    lift = lift_sl2(g, M)
+                    assert lift[0] * lift[3] - lift[1] * lift[2] == 1
+                    assert mat_mod(lift, M) == mat_mod(g, M)
 
     def test_enumeration_bound_error(self):
         G = CongSubgroup.gamma1(5)

@@ -12,8 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rankin.euler
-from rankin.euler import (BadPrimeError, EulerFactor, functional_symmetry_check,
-                          hecke_polynomial, interpolation_factors,
+from conftest import SYMMETRY_BOX, general_sides_specialize, oracle_symmetry_sides
+from rankin.euler import (SYM_RING, BadPrimeError, EulerFactor,
+                          functional_symmetry_check, hecke_polynomial,
+                          interpolation_factors,
                           joint_coefficient_ring, local_correction,
                           rankin_euler_factor, weil_check)
 from rankin.forms import load_bundled
@@ -238,14 +240,25 @@ class TestWeil:
         assert weil_check(_factor_with_roots(lams), p, k, l) is truth
 
 
+def _oracle_check(k, l, j, literal_reading=False, mutate_shift=0):
+    """The dual-form symmetry at one instance (k, l, j), on integer powers
+    of p: the three equalities, without the closing ratio, which cannot fail
+    once they hold."""
+    (e_f_star, e_f), (e_star_star, e_star), (conv_star, conv_dual) = \
+        oracle_symmetry_sides(k, l, j, mutate_shift)
+    if literal_reading:
+        return e_star_star == e_f
+    return e_f_star == e_f and e_star_star == e_star and conv_star == conv_dual
+
+
 class TestInterpolationFactors:
     def test_beta_zero_gives_one(self):
-        from rankin.euler import SYM_RING
         from rankin.poly import RatFunc
-        fac = interpolation_factors(1)
-        val = fac.modification.num.subs({"be": F(0)})
-        den = fac.modification.den.subs({"be": F(0)})
-        assert RatFunc(val, den) == RatFunc.from_poly(SYM_RING.one())
+        for twist in (SYM_RING.var("p"), SYM_RING.var("J")):
+            fac = interpolation_factors(twist)
+            val = fac.modification.num.subs({"be": F(0)})
+            den = fac.modification.den.subs({"be": F(0)})
+            assert RatFunc(val, den) == RatFunc.from_poly(SYM_RING.one())
 
     def test_star_factor_unit_at_bundled_data(self):
         # f at p = 17: alpha = unit root, beta/alpha has valuation 1, so
@@ -261,38 +274,49 @@ class TestInterpolationFactors:
         val = place.valuation(st.ring.one() - b * a.inverse())
         assert val == 0
 
+    def test_every_weight_at_once(self):
+        assert functional_symmetry_check() is True
+
     @pytest.mark.parametrize("k", range(1, 6))
     def test_symmetry_sweep(self, k):
+        # the oracle holds at every instance of the box with this k
         for l in range(1, k + 1):
             for j in range(0, k + 1):
-                assert functional_symmetry_check(k, l, j)
+                assert _oracle_check(k, l, j)
+
+    def test_general_sides_specialize_to_the_oracle(self):
+        assert len(SYMMETRY_BOX) == 70
+        assert [c for c in SYMMETRY_BOX if not general_sides_specialize(*c)] == []
 
     def test_literal_star_reading_is_false(self):
-        assert functional_symmetry_check(2, 2, 1, literal_reading=True) is False
+        assert functional_symmetry_check(literal_reading=True) is False
+        assert _oracle_check(2, 2, 1, literal_reading=True) is False
 
     def test_shifted_twist_fails(self):
-        assert functional_symmetry_check(4, 2, 2, mutate_shift=1) is False
+        for shift in (1, -1):
+            assert functional_symmetry_check(mutate_shift=shift) is False
+            assert _oracle_check(4, 2, 2, mutate_shift=shift) is False
 
     @pytest.mark.parametrize("zeros", ["all", "convolution"])
     def test_zero_divisor_numerator_raises(self, monkeypatch, zeros):
         # the closing ratio divides by mod * mod_star and by the dual
         # convolution factor: a zero numerator there raises ZeroDivisionError
-        from rankin.euler import SYM_RING, InterpFactors
+        from rankin.euler import InterpFactors
         from rankin.poly import RatFunc
-        zero, fac = RatFunc.from_poly(SYM_RING.zero()), interpolation_factors(1)
+        zero = RatFunc.from_poly(SYM_RING.zero())
+        fac = interpolation_factors(SYM_RING.var("J"))
         mods = (zero, zero) if zeros == "all" else (fac.modification, fac.modification_star)
         monkeypatch.setattr(rankin.euler, "interpolation_factors",
-                            lambda j: InterpFactors(*mods, zero))
+                            lambda twist: InterpFactors(*mods, zero))
         with pytest.raises(ZeroDivisionError):
-            functional_symmetry_check(2, 2, 1)
+            functional_symmetry_check()
 
     def test_expanded_product_form(self):
         # at twist 1 the convolution factor times (al ga)(al de) is
         # (1 - be ga/p)(1 - be de/p)(al ga - 1)(al de - 1)
-        from rankin.euler import SYM_RING
         from rankin.poly import RatFunc
-        al, be, ga, de, p = SYM_RING.vars()
-        fac = interpolation_factors(1)
+        al, be, ga, de, p = (SYM_RING.var(n) for n in ("al", "be", "ga", "de", "p"))
+        fac = interpolation_factors(p)
         lhs = fac.convolution * RatFunc.from_poly(al * ga * al * de)
         expect = (RatFunc(p - be * ga, p) * RatFunc(p - be * de, p)
                   * RatFunc.from_poly((al * ga - 1) * (al * de - 1)))

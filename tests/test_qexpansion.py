@@ -186,20 +186,6 @@ class TestHeckeOperators:
         assert all(c.is_zero() for c in out.coeffs)
 
 
-class TestDispatcher:
-    def test_hecke_qexp_surface(self):
-        from rankin.eisenstein import hecke_qexp
-        s = eisenstein_qexp(EisensteinSpec("E", 3, F(1, 5)), 30)
-        assert hecke_qexp(s, "U", ell=2) == hecke_U(s, 2)
-        assert hecke_qexp(s, "V", ell=2) == hecke_V(s, 2)
-        assert hecke_qexp(s, "diamond", d=1) == s
-        assert hecke_qexp(s, "p_depletion", ell=3) == p_depletion(s, 3)
-        assert (hecke_qexp(s, "T", ell=2, weight=3, character=None)
-                == hecke_T(s, 2, 3, None))
-        with pytest.raises(ValueError, match="unknown operator"):
-            hecke_qexp(s, "W", ell=2)
-
-
 class TestTwoParameterFamily:
     @pytest.mark.parametrize("k", [1, 3, 4])
     @pytest.mark.parametrize("p", [2, 3])

@@ -12,18 +12,21 @@ change in directories whose absolute paths have the same length:
     python3 tools/bench.py --label solve --parent ../parent --change ../change --seed 7
 
 The file records the Python version, the CPU count, and each tree's git
-revision and ``src_lines``, the wc -l total of src/rankin/*.py; per workload and tree, every run's end-to-end metrics with their
-median and quartiles, and the traced counters; and, per end-to-end metric,
-the pairs in which the change did better than the parent (ties count for
-neither), in the direction BENCHMARK.json gives.
+revision and ``src_lines``, the wc -l total of src/rankin/*.py; per workload
+and tree, every run's end-to-end metrics with their median and quartiles,
+and the traced counters; per workload, as ``moved``, each traced counter
+whose value differs between the trees, as [parent, change] (None where a
+tree has no such counter), which is also printed on standard error; and, per
+end-to-end metric, the pairs in which the change did better than the parent
+(ties count for neither), in the direction BENCHMARK.json gives.
 
 Paths of different lengths are a usage error (exit code 2, no file
 written), since peak_rss_mb moves with that length; so is a tree with no git
 revision, such as a git archive copy, since the file could not say what it
-measured.  Otherwise the file is
-written in any case; the exit code is then 1, with each such run named on
-standard error, when a run was graded incorrect or had a failed check, since
-its timings do not time the checks that were meant.
+measured.  Otherwise the file is written in any case; the exit code is then
+1, with each such run named on standard error, when a run was graded
+incorrect or had a failed check, since its timings do not time the checks
+that were meant.
 """
 
 from __future__ import annotations
@@ -101,6 +104,12 @@ def bench_workload(trees: dict, workload: str, seed: int, seconds: float,
             "summary": {m: summary([r[m] for r in runs[name]]) for m in better},
             "counters": {m: v["value"] for m, v in traced.items() if v["unit"] == "count"},
             "per_layer": {m: v["value"] for m, v in traced.items() if v["unit"] != "count"}}
+    counters = [out[name]["counters"] for name in ("parent", "change")]
+    out["moved"] = {m: [c.get(m) for c in counters]
+                    for m in sorted(counters[0].keys() | counters[1].keys())
+                    if counters[0].get(m) != counters[1].get(m)}
+    for m, (before, after) in out["moved"].items():
+        print(f"{workload} moved {m}: {before} -> {after}", file=sys.stderr)
     sign = {"lower": -1, "higher": 1}
     out["wins"] = {m: sum(1 for x, y in zip(runs["parent"], runs["change"])
                           if (y[m] - x[m]) * sign[direction] > 0)
