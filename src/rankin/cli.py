@@ -240,8 +240,10 @@ def cmd_example(args):
           "nebentypus, p = 17")
     print(f"  eta-oracle agreement: {wit['oracle_agrees']}")
     print(f"  both forms ordinary at 17: {wit['ordinary_at_17']}")
-    print(f"  minimal polynomial of the unit-root ratio: "
-          f"x^4 + ({mp[3]})x^3 + ({mp[2]})x^2 + ({mp[1]})x + {mp[0]}")
+    d = len(mp) - 1
+    terms = [f"x^{d}" if d > 1 else "x"] + [f"({mp[i]})x" + (f"^{i}" if i > 1 else "")
+                          for i in range(d - 1, 0, -1)] + [mp[0]]
+    print(f"  minimal polynomial of the unit-root ratio: {' + '.join(terms)}")
     print(f"  ratio is a root of unity: {wit['ratio_root_of_unity']}")
     print(f"  congruence scan over 5..50 flags: {wit['scan_flagged']}")
     print("hypothesis checklist at p = 17:")

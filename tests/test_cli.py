@@ -127,6 +127,16 @@ def test_example_bad_data_exit_3(tmp_path, capsys, damage):
     assert ("g26.eigenform" if damage == "missing" else "(5, 2)") in captured.err
 
 
+def test_example_prints_the_minimal_polynomial_of_its_degree(tmp_path, capsys):
+    # with f11 in place of g26 the ratio has a cubic minimal polynomial
+    for name in ("f11.eigenform", "g26.eigenform"):
+        (tmp_path / name).write_text(open(F11).read())
+    rc = main(["example-7-5", "--data", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "ratio: x^3 + (13/17)x^2 + (-13/17)x + -1\n" in out
+
+
 def test_json_report_deterministic(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:
