@@ -15,9 +15,8 @@ import rankin.euler
 from conftest import SYMMETRY_BOX, general_sides_specialize, oracle_symmetry_sides
 from rankin.euler import (SYM_RING, BadPrimeError, EulerFactor,
                           functional_symmetry_check, hecke_polynomial,
-                          interpolation_factors,
-                          joint_coefficient_ring, local_correction,
-                          rankin_euler_factor, weil_check)
+                          interpolation_factors, joint_coefficient_ring,
+                          local_correction, rankin_euler_factor, weil_check)
 from rankin.forms import load_bundled
 from rankin.quotring import QuotRing
 
