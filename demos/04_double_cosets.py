@@ -3,7 +3,10 @@
 The square of the transpose degree-(p+1) correspondence decomposes as the
 degree-(p^2+p) coset plus (p+1) copies of a diamond twist of the scalar
 coset; the engine finds this by counting products of explicit coset
-representatives, with no group theory trusted beyond enumeration.
+representatives.  Products are grouped into right cosets by a key, the
+Hermite normal form of the matrix under SL2(Z) together with the class of
+its unimodular part modulo the subgroup; the representatives themselves are
+still certified pairwise inequivalent by a direct membership test.
 """
 
 from fractions import Fraction as F

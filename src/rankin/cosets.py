@@ -2,9 +2,14 @@
 
 Congruence subgroups are materialized as explicit subsets of SL2(Z/L); for a
 coset computation with a determinant-n matrix everything happens modulo
-M = L*n, where both the integrality and the reduction of conjugates are
-decided.  No group theory beyond enumeration and the Chinese remainder
-theorem is trusted: SL2(Z/M) is the product of its prime-power parts.
+M = L*n.  SL2(Z/M) is enumerated as the product of its prime-power parts
+(Chinese remainder theorem).  A right coset Gamma beta is named by a key:
+the Hermite normal form H = [[a, b], [0, d]] of beta under SL2(Z), and the
+class of Gamma u in SL2(Z/L) for the unimodular u with beta = u H.  Equal
+keys mean equal right cosets, so grouping is a dict lookup.  The key is not
+trusted on its own: the representatives coset_reps returns are certified
+pairwise inequivalent by same_right_coset, which tests beta' beta^-1 in
+Gamma directly.
 
 The Iwahori subgroup is the lower-triangular-mod-p one (upper-right entry
 divisible by p); its double cosets in SL2(Q_p) are detected by the four
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -53,6 +59,24 @@ def sl2_order(m: int) -> int:
     return n
 
 
+def _sl2_prime_power(q: int):
+    """SL2(Z/q) for a prime power q (or q = 1) in q^3 steps: when a is a
+    unit, d = (1 + bc) / a; otherwise ad is not a unit, so bc = ad - 1 is
+    one, b is a unit and c = (ad - 1) / b."""
+    out = []
+    for a in range(q):
+        if gcd(a, q) == 1:
+            ainv = pow(a, -1, q)
+            out += [(a, b, c, (1 + b * c) * ainv % q)
+                    for b in range(q) for c in range(q)]
+            continue
+        for b in range(q):
+            if gcd(b, q) == 1:
+                binv = pow(b, -1, q)
+                out += [(a, b, (a * d - 1) * binv % q, d) for d in range(q)]
+    return out
+
+
 def _sl2_parts(m: int):
     """Per prime power q exactly dividing m (just 1 for m = 1): q and all of
     SL2(Z/q), each element multiplied by the CRT idempotent e of q (e = 1
@@ -60,16 +84,24 @@ def _sl2_parts(m: int):
     out = []
     for q in [q ** e for q, e in factor(m)] or [1]:
         e = m // q * pow(m // q, -1, q)
-        out.append((q, [tuple(e * v for v in g)
-                        for g in product(range(q), repeat=4)
-                        if (g[0] * g[3] - g[1] * g[2]) % q == 1 % q]))
+        out.append((q, [(e * a, e * b, e * c, e * d)
+                        for a, b, c, d in _sl2_prime_power(q)]))
     return out
+
+
+def _sl2_elements(m: int):
+    """All of SL2(Z/m), combined from its prime-power parts."""
+    parts = [part for _, part in _sl2_parts(m)]
+    return [_combine(combo, m) for combo in product(*parts)]
 
 
 def _combine(scaled, m: int) -> Mat:
     """The matrix mod m whose parts, already multiplied by their idempotents,
     are ``scaled``: g = sum of e_i g_i mod m."""
-    return tuple(sum(col) % m for col in zip(*scaled))
+    a = b = c = d = 0
+    for g in scaled:
+        a, b, c, d = a + g[0], b + g[1], c + g[2], d + g[3]
+    return a % m, b % m, c % m, d % m
 
 
 class CongSubgroup:
@@ -97,6 +129,7 @@ class CongSubgroup:
         self.elements = elements
         self._preimages = {}  # M -> to_level(M)
         self._coset_reps = {}  # alpha.entries -> coset_reps(self, alpha)
+        self._cells = {}  # right-coset key -> key set of its double coset
 
     def _closure_certificate(self):
         L = self.level
@@ -115,6 +148,22 @@ class CongSubgroup:
     def __len__(self):
         return len(self.elements)
 
+    @cached_property
+    def sorted_elements(self) -> list:
+        return sorted(self.elements)
+
+    @cached_property
+    def class_table(self) -> dict:
+        """Each element of SL2(Z/level) mapped to the label of its right
+        coset Gamma g, labels counted in sorted order."""
+        L, table = self.level, {}
+        for g in sorted(_sl2_elements(L)):
+            if g not in table:
+                label = len(table) // len(self)
+                for h in self.elements:
+                    table[mat_mod(mat_mul(h, g), L)] = label
+        return table
+
     def __contains__(self, g: Mat) -> bool:
         if mat_det(g) != 1:
             return False
@@ -128,13 +177,8 @@ class CongSubgroup:
             raise ValueError(
                 f"|SL2(Z/{level})| = {sl2_order(level)} exceeds the enumeration "
                 f"bound {ENUMERATION_BOUND}")
-        parts = [part for _, part in _sl2_parts(level)]
-        elements = []
-        for combo in product(*parts):
-            g = _combine(combo, level)
-            if condition(g):
-                elements.append(g)
-        return cls._from_reduced(level, elements)
+        return cls._from_reduced(
+            level, [g for g in _sl2_elements(level) if condition(g)])
 
     @classmethod
     def gamma1(cls, N: int):
@@ -258,44 +302,66 @@ def same_right_coset(gamma: CongSubgroup, x: Mat, y: Mat) -> bool:
     return z in gamma
 
 
+def right_coset_key(gamma: CongSubgroup, beta: Mat, n: int):
+    """A key of the right coset Gamma beta of an integral beta of determinant
+    n > 0: keys agree exactly when the right cosets do.
+
+    beta = u H with u in SL2(Z) and H = [[a, b], [0, d]] its Hermite normal
+    form (ad = n, 0 <= b < d); the key is (a, b, the label of u mod L in
+    gamma.class_table).  It depends only on beta mod L*n, so beta may be any
+    matrix congruent mod L*n to one of determinant n.
+    """
+    p, q, r, s = beta
+    L = gamma.level
+    g = gcd(p, r)
+    a = gcd(g, n)  # the gcd of the first column of the row lattice
+    d = n // a
+    b = 0
+    if g:
+        # x p - y r = g and c g = a mod n: the row c (x, -y) beta of the
+        # lattice is (a, c (x q - y s)) mod n
+        x, y = _xgcd_pair(p // g, r // g)
+        b = pow(g // a, -1, d) * (x * q - y * s) % d
+    # u = beta H^-1 = beta adj(H) / n, exact since beta is congruent to an
+    # integral u H mod L*n
+    u = ((p // a) % L, (a * q - b * p) // n % L,
+         (r // a) % L, (a * s - b * r) // n % L)
+    return a, b, gamma.class_table[u]
+
+
 def coset_reps(gamma: CongSubgroup, alpha: CosetMatrix):
     """Right-coset representatives delta_i with Gamma alpha Gamma equal to the
-    disjoint union of the Gamma delta_i, as a tuple kept per subgroup."""
+    disjoint union of the Gamma delta_i, as a tuple kept per subgroup.
+
+    Gamma alpha g for g in the level-M preimage of Gamma runs over the right
+    cosets; the first g in sorted order of each key is lifted to SL2(Z)."""
     if alpha.entries in gamma._coset_reps:
         return gamma._coset_reps[alpha.entries]
     n = alpha.det
-    L = gamma.level
-    M = L * n
-    big = gamma.to_level(M)
-    adj = mat_adj(alpha.entries)
+    M = gamma.level * n
     a = alpha.entries
-
-    def in_conjugated(gbar: Mat) -> bool:
-        # alpha gbar alpha^-1 integral and in Gamma (mod L)
-        w = mat_mul(mat_mul(a, gbar), adj)
-        if any(v % n for v in w):
-            return False
-        w = tuple((v // n) % L for v in w)
-        return w in gamma.elements
-
-    H = [g for g in big.elements if in_conjugated(g)]
-    # orbit-mark right cosets H\Gamma_M
-    seen = set()
-    reps_mod = []
-    for g in sorted(big.elements):
-        if g in seen:
-            continue
-        reps_mod.append(g)
-        for h in H:
-            seen.add(mat_mod(mat_mul(h, g), M))
-    reps = tuple(CosetMatrix(mat_mul(a, lift_sl2(g, M))) for g in reps_mod)
-    # sanity: pairwise inequivalent
+    keys = {}  # right-coset key -> its first g
+    for g in gamma.to_level(M).sorted_elements:
+        keys.setdefault(right_coset_key(gamma, mat_mul(a, g), n), g)
+    reps = tuple(CosetMatrix(mat_mul(a, lift_sl2(g, M))) for g in keys.values())
+    # certificate independent of the key: pairwise inequivalent
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             if same_right_coset(gamma, reps[i].entries, reps[j].entries):
                 raise AssertionError(f"{reps[i]} and {reps[j]} share a coset")
     gamma._coset_reps[alpha.entries] = reps
+    cell = frozenset(keys)
+    gamma._cells.update(dict.fromkeys(cell, cell))
     return reps
+
+
+def _cell_keys(gamma: CongSubgroup, alpha: CosetMatrix) -> frozenset:
+    """The right-coset keys of Gamma alpha Gamma, from the map coset_reps
+    fills per subgroup."""
+    key = right_coset_key(gamma, alpha.entries, alpha.det)
+    if key not in gamma._cells:
+        coset_reps(gamma, alpha)
+    return gamma._cells[key]
 
 
 def double_coset_multiply(gamma: CongSubgroup, alpha: CosetMatrix,
@@ -308,36 +374,26 @@ def double_coset_multiply(gamma: CongSubgroup, alpha: CosetMatrix,
     """
     da = coset_reps(gamma, alpha)
     db = coset_reps(gamma, beta)
-    products = [mat_mul(x.entries, y.entries) for x in da for y in db]
-    # group the products into right cosets
-    groups = []  # (representative matrix, count)
-    for prod_mat in products:
-        for k, (rep, cnt) in enumerate(groups):
-            if same_right_coset(gamma, prod_mat, rep):
-                groups[k] = (rep, cnt + 1)
-                break
-        else:
-            groups.append((prod_mat, 1))
+    n = alpha.det * beta.det
+    # group the products into right cosets: key -> [first product, count]
+    groups = {}
+    for x in da:
+        for y in db:
+            prod_mat = mat_mul(x.entries, y.entries)
+            groups.setdefault(right_coset_key(gamma, prod_mat, n),
+                              [prod_mat, 0])[1] += 1
     # group the right cosets into double cosets
     result = []
-    remaining = list(groups)
-    while remaining:
-        rep, cnt = remaining[0]
-        cell = coset_reps(gamma, CosetMatrix(rep))
-        inside, outside = [], []
-        for rep2, cnt2 in remaining:
-            if any(same_right_coset(gamma, rep2, c.entries) for c in cell):
-                inside.append((rep2, cnt2))
-            else:
-                outside.append((rep2, cnt2))
-        counts = {c for _, c in inside}
-        if len(counts) != 1:
+    while groups:
+        rep = CosetMatrix(next(iter(groups.values()))[0])
+        cell = coset_reps(gamma, rep)
+        counts = [groups.pop(k)[1] for k in _cell_keys(gamma, rep) if k in groups]
+        if len(set(counts)) != 1:
             raise AssertionError("multiplicity not constant on a double coset")
-        if len(inside) != len(cell):
+        if len(counts) != len(cell):
             raise AssertionError("product does not cover a full double coset")
         canonical = min(c.entries for c in cell)
-        result.append((CosetMatrix(canonical), counts.pop(), len(cell)))
-        remaining = outside
+        result.append((CosetMatrix(canonical), counts[0], len(cell)))
     result.sort(key=lambda t: t[0].entries)
     return result
 
@@ -345,8 +401,7 @@ def double_coset_multiply(gamma: CongSubgroup, alpha: CosetMatrix,
 def same_double_coset(gamma: CongSubgroup, x: CosetMatrix, y: CosetMatrix) -> bool:
     if x.det != y.det:
         return False
-    cell = coset_reps(gamma, x)
-    return any(same_right_coset(gamma, y.entries, c.entries) for c in cell)
+    return right_coset_key(gamma, y.entries, y.det) in _cell_keys(gamma, x)
 
 
 def diamond_matrix(d: int, N: int) -> CosetMatrix:

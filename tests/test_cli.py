@@ -74,6 +74,31 @@ def test_hecke_check(capsys):
     assert "[PASS] hecke-square" in out and "[PASS] iwahori-table" in out
 
 
+# (N, p) -> the (rep, multiplicity, degree) of the S' and <p^-1> R_p
+# constituents that hecke-check --json reports
+HECKE_CONSTITUENTS = {
+    (5, 2): [("[4 0; 35 1]", 1, 6), ("[64 2; 190 6]", 3, 1)],
+    (5, 3): [("[9 0; 65 1]", 1, 12), ("[189 3; 375 6]", 4, 1)],
+    (7, 2): [("[4 0; 49 1]", 1, 6), ("[88 2; 350 8]", 3, 1)],
+    (7, 3): [("[9 0; 91 1]", 1, 12), ("[261 3; 1302 15]", 4, 1)],
+    (11, 3): [("[9 0; 143 1]", 1, 12), ("[405 3; 1617 12]", 4, 1)],
+}
+
+
+@pytest.mark.parametrize("N,p", sorted(HECKE_CONSTITUENTS))
+def test_hecke_check_json_constituents(tmp_path, capsys, N, p):
+    out = tmp_path / "hecke.json"
+    assert main(["hecke-check", "--level", str(N), "--prime", str(p),
+                 "--json", str(out)]) == 0
+    capsys.readouterr()
+    square, iwahori = json.loads(out.read_text())["entries"]
+    assert (square["status"], iwahori["status"]) == ("PASS", "PASS")
+    assert square["witness"] == [
+        {"cell": cell, "rep": rep, "multiplicity": mult, "degree": degree}
+        for cell, (rep, mult, degree)
+        in zip(("S'", "<p^-1> R_p"), HECKE_CONSTITUENTS[N, p])]
+
+
 def test_otsuki_check(capsys):
     rc = main(["otsuki-check", "--m", "4", "--ell", "3"])
     assert rc == 0

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 
 import rankin.cosets
 from rankin.cosets import (CongSubgroup, CosetMatrix, IwahoriCell, _pair_invariant,
-                           _val, coset_reps, double_coset_multiply, iwahori_index,
-                           iwahori_invariant, lift_sl2, mat_mod, mat_mul,
+                           _sl2_prime_power, _val, coset_reps,
+                           double_coset_multiply, iwahori_index, iwahori_invariant,
+                           lift_sl2, mat_adj, mat_mod, mat_mul, right_coset_key,
                            same_right_coset, sl2_order, t_prime_square_identity)
 
 
@@ -33,6 +35,12 @@ class TestPreimages:
                 assert G.to_level(M).elements == oracle.elements, (N, M)
                 cases += 1
         assert cases == 46
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+    def test_prime_power_part_equals_the_filter(self, q):
+        brute = [g for g in product(range(q), repeat=4)
+                 if (g[0] * g[3] - g[1] * g[2]) % q == 1 % q]
+        assert sorted(_sl2_prime_power(q)) == brute
 
     def test_level_one(self):
         G = CongSubgroup.sl2(1)
@@ -65,6 +73,101 @@ def test_coset_reps_are_kept_per_subgroup(monkeypatch):
     # a fresh subgroup with the same elements computes its own
     assert coset_reps(CongSubgroup(5, G.elements), T) == first
     assert len(lifts) == 4
+
+
+def _orbit_marking_reps(gamma, alpha):
+    """The former coset_reps, kept as the oracle of the keyed scan: in the
+    level-M preimage, H = {g : alpha g alpha^-1 in Gamma} is the stabilizer of
+    Gamma alpha, and the first g in sorted order of each coset H g is lifted."""
+    n, L = alpha.det, gamma.level
+    M = L * n
+    big = gamma.to_level(M)
+    a, adj = alpha.entries, mat_adj(alpha.entries)
+
+    def in_conjugated(g):
+        w = mat_mul(mat_mul(a, g), adj)
+        if any(v % n for v in w):
+            return False
+        return tuple(v // n % L for v in w) in gamma.elements
+
+    H = [g for g in big.elements if in_conjugated(g)]
+    seen, reps_mod = set(), []
+    for g in sorted(big.elements):
+        if g not in seen:
+            reps_mod.append(g)
+            seen.update(mat_mod(mat_mul(h, g), M) for h in H)
+    return tuple(CosetMatrix(mat_mul(a, lift_sl2(g, M))) for g in reps_mod)
+
+
+# diagonal, scalar and non-diagonal alphas; with the levels 1..8 their
+# determinants share factors with the level
+_GRID_ALPHAS = ([(1, 0, 0, n) for n in range(1, 7)]
+                + [(n, 0, 0, 1) for n in range(2, 7)]
+                + [(2, 0, 0, 2), (1, 1, 0, 2), (2, 1, 0, 3), (3, 1, 1, 1),
+                   (1, 2, 3, 8), (2, 1, 2, 4), (4, 3, 0, 1), (1, 1, 1, 3),
+                   (2, 1, 1, 2), (3, 2, 4, 3), (1, 3, 0, 5)])
+
+
+def test_keyed_reps_equal_the_orbit_marking_oracle():
+    cases = 0
+    for kind in ("gamma1", "gamma0", "gamma_upper0", "sl2"):
+        for L in range(1, 9):
+            G = getattr(CongSubgroup, kind)(L)
+            for entries in _GRID_ALPHAS:
+                alpha = CosetMatrix(entries)
+                if sl2_order(L * alpha.det) > 10_000:
+                    continue
+                assert coset_reps(G, alpha) == _orbit_marking_reps(G, alpha), (
+                    kind, L, entries)
+                cases += 1
+    assert cases == 560
+
+
+_KEY_GROUPS = [CongSubgroup.gamma1(5), CongSubgroup.gamma0(4),
+               CongSubgroup.gamma_upper0(6), CongSubgroup.sl2(1)]
+
+
+def _word(shifts):
+    """The product of the [k -1; 1 0] = T^k S over ``shifts``."""
+    m = (1, 0, 0, 1)
+    for k in shifts:
+        m = mat_mul(m, (k, -1, 1, 0))
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), G=st.sampled_from(_KEY_GROUPS), n=st.integers(1, 12))
+def test_keys_agree_exactly_on_a_right_coset(data, G, n):
+    # x and y = u H with u in SL2(Z) and H upper triangular of determinant n,
+    # b not reduced; y is a Gamma-translate of x, an SL2(Z)-translate or new
+    words = st.lists(st.integers(-4, 4), max_size=4).map(_word)
+    divisors = [a for a in range(1, n + 1) if n % a == 0]
+
+    def upper():
+        a = data.draw(st.sampled_from(divisors))
+        return (a, data.draw(st.integers(-30, 30)), 0, n // a)
+
+    x = mat_mul(data.draw(words), upper())
+    how = data.draw(st.sampled_from(["gamma", "word", "new"]))
+    if how == "gamma":
+        g = data.draw(st.sampled_from(sorted(G.elements)))
+        y = mat_mul(lift_sl2(g, G.level), x)
+    else:
+        y = mat_mul(data.draw(words), x if how == "word" else upper())
+    same = same_right_coset(G, x, y)
+    assert same or how != "gamma"
+    assert (right_coset_key(G, x, n) == right_coset_key(G, y, n)) == same
+
+
+def test_square_identity_computes_each_cell_once(monkeypatch):
+    made, gamma1 = [], CongSubgroup.gamma1
+    monkeypatch.setattr(CongSubgroup, "gamma1", classmethod(
+        lambda cls, N: made.append(gamma1(N)) or made[-1]))
+    assert t_prime_square_identity(5, 3)["holds"]
+    (G,) = made
+    # T'_p and the two constituents; S'_p and the diamond candidates are
+    # recognized by their keys alone
+    assert len(G._coset_reps) == 3
 
 
 _CORRUPTED = """
