@@ -149,10 +149,6 @@ class CongSubgroup:
         return len(self.elements)
 
     @cached_property
-    def sorted_elements(self) -> list:
-        return sorted(self.elements)
-
-    @cached_property
     def class_table(self) -> dict:
         """Each element of SL2(Z/level) mapped to the label of its right
         coset Gamma g, labels counted in sorted order."""
@@ -304,10 +300,11 @@ def same_right_coset(gamma: CongSubgroup, x: Mat, y: Mat) -> bool:
 
 def right_coset_key(gamma: CongSubgroup, beta: Mat, n: int):
     """A key of the right coset Gamma beta of an integral beta of determinant
-    n > 0: keys agree exactly when the right cosets do.
+    n > 0: keys agree exactly when the right cosets do, whatever the two
+    determinants.
 
     beta = u H with u in SL2(Z) and H = [[a, b], [0, d]] its Hermite normal
-    form (ad = n, 0 <= b < d); the key is (a, b, the label of u mod L in
+    form (ad = n, 0 <= b < d); the key is (a, b, d, the label of u mod L in
     gamma.class_table).  It depends only on beta mod L*n, so beta may be any
     matrix congruent mod L*n to one of determinant n.
     """
@@ -326,7 +323,7 @@ def right_coset_key(gamma: CongSubgroup, beta: Mat, n: int):
     # integral u H mod L*n
     u = ((p // a) % L, (a * q - b * p) // n % L,
          (r // a) % L, (a * s - b * r) // n % L)
-    return a, b, gamma.class_table[u]
+    return a, b, d, gamma.class_table[u]
 
 
 def coset_reps(gamma: CongSubgroup, alpha: CosetMatrix):
@@ -334,16 +331,19 @@ def coset_reps(gamma: CongSubgroup, alpha: CosetMatrix):
     disjoint union of the Gamma delta_i, as a tuple kept per subgroup.
 
     Gamma alpha g for g in the level-M preimage of Gamma runs over the right
-    cosets; the first g in sorted order of each key is lifted to SL2(Z)."""
+    cosets; the least g of each key is lifted to SL2(Z), in sorted order."""
     if alpha.entries in gamma._coset_reps:
         return gamma._coset_reps[alpha.entries]
     n = alpha.det
     M = gamma.level * n
     a = alpha.entries
-    keys = {}  # right-coset key -> its first g
-    for g in gamma.to_level(M).sorted_elements:
-        keys.setdefault(right_coset_key(gamma, mat_mul(a, g), n), g)
-    reps = tuple(CosetMatrix(mat_mul(a, lift_sl2(g, M))) for g in keys.values())
+    keys = {}  # right-coset key -> its least g
+    for g in gamma.to_level(M).elements:
+        k = right_coset_key(gamma, mat_mul(a, g), n)
+        if k not in keys or g < keys[k]:
+            keys[k] = g
+    reps = tuple(CosetMatrix(mat_mul(a, lift_sl2(g, M)))
+                 for g in sorted(keys.values()))
     # certificate independent of the key: pairwise inequivalent
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):

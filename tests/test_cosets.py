@@ -16,8 +16,9 @@ import rankin.cosets
 from rankin.cosets import (CongSubgroup, CosetMatrix, IwahoriCell, _pair_invariant,
                            _sl2_prime_power, _val, coset_reps,
                            double_coset_multiply, iwahori_index, iwahori_invariant,
-                           lift_sl2, mat_adj, mat_mod, mat_mul, right_coset_key,
-                           same_right_coset, sl2_order, t_prime_square_identity)
+                           lift_sl2, mat_adj, mat_det, mat_mod, mat_mul,
+                           right_coset_key, same_double_coset, same_right_coset,
+                           sl2_order, t_prime_square_identity)
 
 
 class TestPreimages:
@@ -138,25 +139,45 @@ def _word(shifts):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), G=st.sampled_from(_KEY_GROUPS), n=st.integers(1, 12))
 def test_keys_agree_exactly_on_a_right_coset(data, G, n):
-    # x and y = u H with u in SL2(Z) and H upper triangular of determinant n,
-    # b not reduced; y is a Gamma-translate of x, an SL2(Z)-translate or new
+    # x and y = u H with u in SL2(Z) and H upper triangular, b not reduced;
+    # y is a Gamma-translate of x, an SL2(Z)-translate, or new with a
+    # determinant of its own
     words = st.lists(st.integers(-4, 4), max_size=4).map(_word)
-    divisors = [a for a in range(1, n + 1) if n % a == 0]
 
-    def upper():
-        a = data.draw(st.sampled_from(divisors))
-        return (a, data.draw(st.integers(-30, 30)), 0, n // a)
+    def upper(m):
+        a = data.draw(st.sampled_from([a for a in range(1, m + 1) if m % a == 0]))
+        return (a, data.draw(st.integers(-30, 30)), 0, m // a)
 
-    x = mat_mul(data.draw(words), upper())
+    x = mat_mul(data.draw(words), upper(n))
     how = data.draw(st.sampled_from(["gamma", "word", "new"]))
     if how == "gamma":
         g = data.draw(st.sampled_from(sorted(G.elements)))
         y = mat_mul(lift_sl2(g, G.level), x)
+    elif how == "word":
+        y = mat_mul(data.draw(words), x)
     else:
-        y = mat_mul(data.draw(words), x if how == "word" else upper())
+        y = mat_mul(data.draw(words), upper(data.draw(st.sampled_from([n, 2 * n, 4]))))
     same = same_right_coset(G, x, y)
     assert same or how != "gamma"
-    assert (right_coset_key(G, x, n) == right_coset_key(G, y, n)) == same
+    assert (right_coset_key(G, x, n) == right_coset_key(G, y, mat_det(y))) == same
+
+
+def test_keys_of_other_determinants_do_not_reach_a_cell():
+    # diag(1, 2), diag(1, 4) and diag(2, 2) have Hermite forms whose (a, b)
+    # are (1, 0), (1, 0) and (2, 0); the degree-3 cell of diag(1, 2) holds
+    # (1, 0) and (2, 0), and must not stand for the cells of determinant 4
+    G, T2 = CongSubgroup.sl2(1), CosetMatrix((1, 0, 0, 2))
+    coset_reps(G, T2)
+    assert not same_double_coset(G, CosetMatrix((1, 0, 0, 4)), CosetMatrix((2, 0, 0, 2)))
+    assert same_double_coset(G, CosetMatrix((1, 0, 0, 4)), CosetMatrix((4, 0, 0, 1)))
+    # the cells of the product are cached, then a cell of determinant 2 is
+    # computed last; the product must still read its own cells
+    fresh = double_coset_multiply(CongSubgroup.sl2(1), T2, T2)
+    assert [(m, deg) for _, m, deg in fresh] == [(3, 1), (1, 6)]
+    assert double_coset_multiply(G, T2, T2) == fresh
+    coset_reps(G, CosetMatrix((2, 0, 0, 1)))
+    coset_reps(G, CosetMatrix((2, 1, 0, 1)))
+    assert double_coset_multiply(G, T2, T2) == fresh
 
 
 def test_square_identity_computes_each_cell_once(monkeypatch):
