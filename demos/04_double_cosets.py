@@ -1,12 +1,16 @@
-"""Hecke double cosets by brute enumeration, and the Iwahori invariants.
+"""Hecke double cosets by a CRT-split coset scan, and the Iwahori invariants.
 
 The square of the transpose degree-(p+1) correspondence decomposes as the
 degree-(p^2+p) coset plus (p+1) copies of a diamond twist of the scalar
 coset; the engine finds this by counting products of explicit coset
-representatives.  Products are grouped into right cosets by a key, the
-Hermite normal form of the matrix under SL2(Z) together with the class of
-its unimodular part modulo the subgroup; the representatives themselves are
-still certified pairwise inequivalent by a direct membership test.
+representatives.  Those come from the preimage of the subgroup modulo L*n
+split by CRT into its level side and SL2(Z/n1), n1 the part of the
+determinant prime to the level: one Hermite form per pair of parts and one
+class label per level-side element.  Products are grouped into right cosets
+by a key, the Hermite normal form of the matrix under SL2(Z) together with
+the class of its unimodular part modulo the subgroup; the representatives
+themselves are still certified pairwise inequivalent by a direct membership
+test.
 """
 
 from fractions import Fraction as F

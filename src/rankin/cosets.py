@@ -6,10 +6,16 @@ M = L*n.  SL2(Z/M) is enumerated as the product of its prime-power parts
 (Chinese remainder theorem).  A right coset Gamma beta is named by a key:
 the Hermite normal form H = [[a, b], [0, d]] of beta under SL2(Z), and the
 class of Gamma u in SL2(Z/L) for the unimodular u with beta = u H.  Equal
-keys mean equal right cosets, so grouping is a dict lookup.  The key is not
-trusted on its own: the representatives coset_reps returns are certified
-pairwise inequivalent by same_right_coset, which tests beta' beta^-1 in
-Gamma directly.
+keys mean equal right cosets, so grouping is a dict lookup.
+
+coset_reps splits its scan by CRT.  With n = n1 n2, n2 the part of n whose
+primes divide L, the level-M preimage of Gamma is X x Y for X the level-L*n2
+preimage and Y = SL2(Z/n1).  The lattice of alpha g contains n Z^2, so its
+Hermite form depends on alpha x mod n2 and alpha y mod n1 apart: one form is
+computed per pair of parts of X and Y.  The label depends on x and H alone.
+The key is not trusted on its own: the representatives coset_reps returns
+are certified pairwise inequivalent by same_right_coset, which tests
+beta' beta^-1 in Gamma directly.
 
 The Iwahori subgroup is the lower-triangular-mod-p one (upper-right entry
 divisible by p); its double cosets in SL2(Q_p) are detected by the four
@@ -57,6 +63,13 @@ def sl2_order(m: int) -> int:
     for p in prime_factors(m):
         n = n // (p * p) * (p * p - 1)
     return n
+
+
+def _check_enumerable(m: int):
+    """Raise ValueError when |SL2(Z/m)| exceeds the enumeration bound."""
+    if sl2_order(m) > ENUMERATION_BOUND:
+        raise ValueError(f"|SL2(Z/{m})| = {sl2_order(m)} exceeds the "
+                         f"enumeration bound {ENUMERATION_BOUND}")
 
 
 def _sl2_prime_power(q: int):
@@ -169,10 +182,7 @@ class CongSubgroup:
 
     @classmethod
     def from_condition(cls, level: int, condition):
-        if sl2_order(level) > ENUMERATION_BOUND:
-            raise ValueError(
-                f"|SL2(Z/{level})| = {sl2_order(level)} exceeds the enumeration "
-                f"bound {ENUMERATION_BOUND}")
+        _check_enumerable(level)
         return cls._from_reduced(
             level, [g for g in _sl2_elements(level) if condition(g)])
 
@@ -197,15 +207,15 @@ class CongSubgroup:
         """The preimage in SL2(Z/M) for L | M (strong approximation), built
         once per M: per prime power q^e exactly dividing M, group SL2(Z/q^e)
         by its reduction mod gcd(q^e, L); each element's preimage is the
-        product of the fibers over its components, combined by CRT."""
+        product of the fibers over its components, combined by CRT.  At
+        M = L the preimage is the subgroup itself."""
+        if M == self.level:
+            return self
         if M in self._preimages:
             return self._preimages[M]
         if M % self.level != 0:
             raise ValueError("target level must be a multiple of the level")
-        if sl2_order(M) > ENUMERATION_BOUND:
-            raise ValueError(
-                f"|SL2(Z/{M})| = {sl2_order(M)} exceeds the enumeration bound "
-                f"{ENUMERATION_BOUND}; required bound: reduce L*det^2")
+        _check_enumerable(M)
         fibers = []
         for q, part in _sl2_parts(M):
             # l | q and e = 1 mod q: a scaled part reduces mod l as it is
@@ -298,18 +308,12 @@ def same_right_coset(gamma: CongSubgroup, x: Mat, y: Mat) -> bool:
     return z in gamma
 
 
-def right_coset_key(gamma: CongSubgroup, beta: Mat, n: int):
-    """A key of the right coset Gamma beta of an integral beta of determinant
-    n > 0: keys agree exactly when the right cosets do, whatever the two
-    determinants.
-
-    beta = u H with u in SL2(Z) and H = [[a, b], [0, d]] its Hermite normal
-    form (ad = n, 0 <= b < d); the key is (a, b, d, the label of u mod L in
-    gamma.class_table).  It depends only on beta mod L*n, so beta may be any
-    matrix congruent mod L*n to one of determinant n.
-    """
+def _hnf(beta: Mat, n: int):
+    """(a, b, d) for the Hermite normal form [[a, b], [0, d]] under SL2(Z) of
+    an integral beta of determinant n > 0 (ad = n, 0 <= b < d).  It is the
+    form of the row lattice of beta, which contains n Z^2, so it depends only
+    on beta mod n."""
     p, q, r, s = beta
-    L = gamma.level
     g = gcd(p, r)
     a = gcd(g, n)  # the gcd of the first column of the row lattice
     d = n // a
@@ -319,11 +323,74 @@ def right_coset_key(gamma: CongSubgroup, beta: Mat, n: int):
         # lattice is (a, c (x q - y s)) mod n
         x, y = _xgcd_pair(p // g, r // g)
         b = pow(g // a, -1, d) * (x * q - y * s) % d
-    # u = beta H^-1 = beta adj(H) / n, exact since beta is congruent to an
-    # integral u H mod L*n
-    u = ((p // a) % L, (a * q - b * p) // n % L,
-         (r // a) % L, (a * s - b * r) // n % L)
-    return a, b, d, gamma.class_table[u]
+    return a, b, d
+
+
+def _label(gamma: CongSubgroup, w: Mat, hnf, m: int, unit: int):
+    """The label in gamma.class_table of u = unit * w adj(H) / m mod L, for
+    H = [[a, b], [0, d]] given as hnf = (a, b, d) and m dividing w adj(H)."""
+    p, q, r, s = w
+    a, b, d = hnf
+    u = (p * d // m, (a * q - b * p) // m, r * d // m, (a * s - b * r) // m)
+    return gamma.class_table[tuple(unit * v % gamma.level for v in u)]
+
+
+def right_coset_key(gamma: CongSubgroup, beta: Mat, n: int):
+    """A key of the right coset Gamma beta of an integral beta of determinant
+    n > 0: keys agree exactly when the right cosets do, whatever the two
+    determinants.
+
+    beta = u H with u in SL2(Z) and H = [[a, b], [0, d]] its Hermite normal
+    form (ad = n, 0 <= b < d); the key is (a, b, d, the label of u mod L in
+    gamma.class_table).  It depends only on beta mod L*n, so beta may be any
+    matrix congruent mod L*n to one of determinant n: u = beta adj(H) / n is
+    then exact mod L, since beta adj(H) is congruent to n u mod L*n.
+    """
+    hnf = _hnf(beta, n)
+    return (*hnf, _label(gamma, beta, hnf, n, 1))
+
+
+def _crt_fibers(gamma: CongSubgroup, alpha: CosetMatrix):
+    """The level-M preimage of Gamma (M = L n, n = det alpha) grouped by the
+    right-coset key of alpha g: M and a list of (key, xs, ys) in which g runs
+    over the (x + y) mod M for x in xs and y in ys.
+
+    The preimage is X x Y by CRT, X the level-L*n2 preimage and Y = SL2(Z/n1),
+    where n2 is the part of n whose primes divide L and n1 = n / n2; x and y
+    come scaled by their CRT idempotents.  X is split by the Hermite form of
+    alpha g at one fixed y and Y by the form at one fixed x; each pair of
+    parts has one form H.  Within a pair, x has the label of
+    u = n1^-1 (alpha x adj(H) / n2) mod L, since alpha x adj(H) is congruent
+    to n u mod L*n2."""
+    n, L, a = alpha.det, gamma.level, alpha.entries
+    M = L * n
+    _check_enumerable(M)
+    n1 = n
+    while gcd(n1, L) > 1:
+        n1 //= gcd(n1, L)
+    m, n2 = M // n1, n // n1
+    ex, ey = n1 * pow(n1, -1, m), m * pow(m, -1, n1)
+    xs = [(mat_mul(a, x), tuple(ex * v for v in x))
+          for x in gamma.to_level(m).elements]
+    ys = [tuple(ey * v for v in y) for y in _sl2_elements(n1)]
+
+    def hnf(x, y):
+        return _hnf(mat_mul(a, _combine((x, y), M)), n)
+
+    x_parts, y_parts = defaultdict(list), defaultdict(list)
+    for x in xs:
+        x_parts[hnf(x[1], ys[0])].append(x)
+    for y in ys:
+        y_parts[hnf(xs[0][1], y)].append(y)
+    unit, fibers = pow(n1, -1, L), []
+    for px in x_parts.values():
+        for py in y_parts.values():
+            h = hnf(px[0][1], py[0])
+            by_label = defaultdict(list)
+            for ax, x in px:
+                by_label[_label(gamma, ax, h, n2, unit)].append(x)
+            fibers += [((*h, label), fx, py) for label, fx in by_label.items()]
+    return M, fibers
 
 
 def coset_reps(gamma: CongSubgroup, alpha: CosetMatrix):
@@ -331,17 +398,19 @@ def coset_reps(gamma: CongSubgroup, alpha: CosetMatrix):
     disjoint union of the Gamma delta_i, as a tuple kept per subgroup.
 
     Gamma alpha g for g in the level-M preimage of Gamma runs over the right
-    cosets; the least g of each key is lifted to SL2(Z), in sorted order."""
+    cosets; the least g of each key is lifted to SL2(Z), in sorted order.
+    The keys come from the CRT split of _crt_fibers: one Hermite form per
+    pair of parts and one label per level-side element, not one key per g;
+    the least g of a key is the least CRT combination over its fiber."""
     if alpha.entries in gamma._coset_reps:
         return gamma._coset_reps[alpha.entries]
-    n = alpha.det
-    M = gamma.level * n
     a = alpha.entries
+    M, fibers = _crt_fibers(gamma, alpha)
     keys = {}  # right-coset key -> its least g
-    for g in gamma.to_level(M).elements:
-        k = right_coset_key(gamma, mat_mul(a, g), n)
-        if k not in keys or g < keys[k]:
-            keys[k] = g
+    for key, xs, ys in fibers:
+        keys[key] = min(((xa + ya) % M, (xb + yb) % M, (xc + yc) % M,
+                         (xd + yd) % M)
+                        for xa, xb, xc, xd in xs for ya, yb, yc, yd in ys)
     reps = tuple(CosetMatrix(mat_mul(a, lift_sl2(g, M)))
                  for g in sorted(keys.values()))
     # certificate independent of the key: pairwise inequivalent

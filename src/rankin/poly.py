@@ -384,7 +384,7 @@ def _subs_image(polys: tuple, values: dict):
         acc = {}
         for e, c in terms.items():
             image(acc, e, c)
-        out.append(MPoly(ring, {x: c for x, c in acc.items() if c}))
+        out.append(MPoly(ring, {x: _frac(c) for x, c in acc.items() if c}))
     return out[:-1], out[-1], kind
 
 

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankin.cosets
-from rankin.cosets import (CongSubgroup, CosetMatrix, IwahoriCell, _pair_invariant,
-                           _sl2_prime_power, _val, coset_reps,
+from rankin.cosets import (CongSubgroup, CosetMatrix, IwahoriCell, _crt_fibers,
+                           _pair_invariant, _sl2_prime_power, _val, coset_reps,
                            double_coset_multiply, iwahori_index, iwahori_invariant,
                            lift_sl2, mat_adj, mat_det, mat_mod, mat_mul,
                            right_coset_key, same_double_coset, same_right_coset,
@@ -109,19 +109,100 @@ _GRID_ALPHAS = ([(1, 0, 0, n) for n in range(1, 7)]
                    (2, 1, 1, 2), (3, 2, 4, 3), (1, 3, 0, 5)])
 
 
-def test_keyed_reps_equal_the_orbit_marking_oracle():
-    cases = 0
+def _grid():
+    """The 560 (subgroup, alpha) cases of the grid."""
     for kind in ("gamma1", "gamma0", "gamma_upper0", "sl2"):
         for L in range(1, 9):
             G = getattr(CongSubgroup, kind)(L)
             for entries in _GRID_ALPHAS:
                 alpha = CosetMatrix(entries)
-                if sl2_order(L * alpha.det) > 10_000:
-                    continue
-                assert coset_reps(G, alpha) == _orbit_marking_reps(G, alpha), (
-                    kind, L, entries)
-                cases += 1
+                if sl2_order(L * alpha.det) <= 10_000:
+                    yield kind, G, alpha
+
+
+def test_keyed_reps_equal_the_orbit_marking_oracle():
+    cases = 0
+    for kind, G, alpha in _grid():
+        assert coset_reps(G, alpha) == _orbit_marking_reps(G, alpha), (
+            kind, G.level, alpha)
+        cases += 1
     assert cases == 560
+
+
+def _keyed_scan_reps(gamma, alpha):
+    """The former coset_reps, kept as the oracle of the CRT split: one
+    right_coset_key per element g of the level-M preimage, and the least g
+    of each key lifted."""
+    n = alpha.det
+    M, a = gamma.level * n, alpha.entries
+    keys = {}
+    for g in gamma.to_level(M).elements:
+        k = right_coset_key(gamma, mat_mul(a, g), n)
+        if k not in keys or g < keys[k]:
+            keys[k] = g
+    return tuple(CosetMatrix(mat_mul(a, lift_sl2(g, M))) for g in sorted(keys.values()))
+
+
+def _split(L, n):
+    """(n1, n2): n2 the part of n whose primes divide L, n1 = n / n2."""
+    n1 = n
+    while math.gcd(n1, L) > 1:
+        n1 //= math.gcd(n1, L)
+    return n1, n // n1
+
+
+def test_split_reps_equal_the_keyed_scan_oracle():
+    cases, both = 0, set()
+    for kind, G, alpha in _grid():
+        assert coset_reps(G, alpha) == _keyed_scan_reps(G, alpha), (
+            kind, G.level, alpha)
+        cases += 1
+        if min(_split(G.level, alpha.det)) > 1:
+            both.add((G.level, alpha.entries))
+    assert cases == 560
+    # both CRT factors nontrivial, e.g. L = 2 and L = 4 with diag(1, 6)
+    assert {(2, (1, 0, 0, 6)), (4, (1, 0, 0, 6))} <= both
+
+
+@pytest.mark.parametrize("N,p", [(5, 2), (5, 3), (7, 2), (7, 3), (11, 3), (13, 2)])
+def test_hecke_reps_equal_the_keyed_scan_oracle(N, p):
+    # beyond the size cap of the orbit-marking oracle
+    G = CongSubgroup.gamma1(N)
+    for entries in ((p, 0, 0, 1), (p * p, 0, 0, 1)):
+        alpha = CosetMatrix(entries)
+        assert coset_reps(G, alpha) == _keyed_scan_reps(G, alpha), entries
+
+
+_FIBER_ALPHAS = [CosetMatrix(e) for e in ((1, 0, 0, 6), (9, 0, 0, 1), (2, 1, 0, 3),
+                                          (1, 2, 3, 8), (3, 2, 4, 3), (2, 0, 0, 2))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["gamma1", "gamma0", "gamma_upper0"]),
+       L=st.integers(1, 6), alpha=st.sampled_from(_FIBER_ALPHAS))
+def test_split_keys_are_the_right_coset_keys(data, kind, L, alpha):
+    # each fiber's key is the key of alpha CRT(x, y) for every x and y in it,
+    # and the fibers cover the level-M preimage once
+    G = getattr(CongSubgroup, kind)(L)
+    M, fibers = _crt_fibers(G, alpha)
+    assert sum(len(xs) * len(ys) for _, xs, ys in fibers) == len(G.to_level(M))
+    key, xs, ys = data.draw(st.sampled_from(fibers))
+    x, y = data.draw(st.sampled_from(xs)), data.draw(st.sampled_from(ys))
+    g = mat_mod(tuple(u + v for u, v in zip(x, y)), M)
+    assert g in G.to_level(M).elements
+    assert key == right_coset_key(G, mat_mul(alpha.entries, g), alpha.det)
+
+
+def test_split_scan_builds_no_level_M_preimage(monkeypatch):
+    levels, lifts = [], []
+    to_level, lift = CongSubgroup.to_level, rankin.cosets.lift_sl2
+    monkeypatch.setattr(CongSubgroup, "to_level",
+                        lambda self, M: levels.append(M) or to_level(self, M))
+    monkeypatch.setattr(rankin.cosets, "lift_sl2",
+                        lambda g, M: lifts.append(g) or lift(g, M))
+    assert len(coset_reps(CongSubgroup.gamma1(5), CosetMatrix((9, 0, 0, 1)))) == 12
+    assert 45 not in levels
+    assert len(lifts) == 12
 
 
 _KEY_GROUPS = [CongSubgroup.gamma1(5), CongSubgroup.gamma0(4),

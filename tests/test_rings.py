@@ -649,6 +649,7 @@ _a, _p = TARGET.vars()
 @example((_x * _s ** -1 + 1, {"x": RatFunc(_a, _p), "y": F(1), "s": F(0)}))  # 0^-1
 @example((_x * _s ** -1 + _y * _s * 3, {"x": F(0), "y": _a * _p * F(2),
                                         "s": RatFunc(_p * 2, _a * _a, False)}))
+@example((_y + _s + 1, {"x": F(0), "y": F(0), "s": RatFunc(_p ** 2, _a * 3)}))  # Fraction(1, 1)
 def test_monomial_substitution_matches_power_tables(case):
     poly, values = case
     with mock.patch.object(poly_module, "_monomial_image", poly_module._table_image):
