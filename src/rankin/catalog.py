@@ -9,18 +9,24 @@ status is "PASS" or "FAIL".  FAIL witnesses always carry the mismatch data.
 from __future__ import annotations
 
 import functools
+import os
+import random
 import time
 from fractions import Fraction as F
 
 from . import normrel as nr
 from . import operators as ops
 from .arith import primes_upto
+from .cosets import (IwahoriCell, iwahori_index, iwahori_invariant,
+                     t_prime_square_identity)
 from .eisenstein import (EisensteinSpec, eisenstein_qexp, equivariant_gm,
                          hecke_T, p_depletion, two_param_eisenstein)
-from .forms import (congruence_prime_scan, load_bundled, p_stabilize,
-                    ratio_minpoly_and_root_of_unity)
+from .euler import (functional_symmetry_check, joint_coefficient_ring,
+                    local_correction, rankin_euler_factor, weil_check)
+from .forms import (congruence_prime_scan, eta_oracle_level11, ingest,
+                    load_bundled, p_stabilize, ratio_minpoly_and_root_of_unity)
 from .otsuki import otsuki_trace_check
-from .siegel import distribution_check, dlog_matches_weight_two
+from .siegel import _dlog_mismatch, distribution_check, dlog_matches_weight_two
 
 
 def _bool_entry(ok, witness=None):
@@ -33,7 +39,6 @@ def _bool_entry(ok, witness=None):
 
 def _spot_evaluation(lhs, rhs, seed):
     """Evaluate two operator polynomials at a seeded random rational point."""
-    import random
     rng = random.Random(seed)
     point = {"a": F(rng.randrange(-9, 9)), "b": F(rng.randrange(-9, 9)),
              "df": F(rng.randrange(1, 9)), "dg": F(rng.randrange(1, 9)),
@@ -97,7 +102,6 @@ def run_twist_system(cfg):
 
 
 def run_functional_symmetry(cfg):
-    from .euler import functional_symmetry_check
     ok = functional_symmetry_check()
     return _bool_entry(ok, None if ok else
                        "the dual-form identity fails with K, L, J = "
@@ -107,7 +111,6 @@ def run_functional_symmetry(cfg):
 def run_interp_literal_reading(cfg):
     # the one reading of the dual-form claim that is genuinely false; PASS
     # here means the engine correctly refutes it
-    from .euler import functional_symmetry_check
     refuted = not functional_symmetry_check(literal_reading=True)
     return _bool_entry(refuted, "the starred modification factor equals the "
                                 "starred variant, not the unstarred one")
@@ -173,7 +176,6 @@ def run_hecke_square(cfg):
     failures = {}
     details = {}
     for (N, p) in ((5, 2), (5, 3), (7, 2)):
-        from .cosets import t_prime_square_identity
         rep = t_prime_square_identity(N, p)
         details[f"({N},{p})"] = rep["diamond"]
         if not rep["holds"]:
@@ -185,7 +187,6 @@ def _iwahori_table(p):
     """(rows, misses): rows {j, diagonal, antidiagonal} give the Iwahori
     indices of the two cells of exponent j = 0..3 at p, and misses the
     (kind, j) whose index is not p^(2j), resp. p^(2j+1)."""
-    from .cosets import IwahoriCell, iwahori_index
     rows, misses = [], []
     for j in range(4):
         row = {"j": j}
@@ -199,7 +200,6 @@ def _iwahori_table(p):
 
 
 def run_iwahori(cfg):
-    from .cosets import iwahori_invariant
     failures = [(tag, p, j) for p in (2, 3, 5) for tag, j in _iwahori_table(p)[1]]
     cells = {iwahori_invariant(m, 3) for m in
              [(F(1, 3), F(0), F(0), F(3)), (F(0), -F(1, 3), F(3), F(0)),
@@ -210,10 +210,8 @@ def run_iwahori(cfg):
 
 
 def run_worked_example(cfg):
-    f = _form(cfg, "f11.eigenform")
-    g = _form(cfg, "g26.eigenform")
+    f, g = _form_pair(cfg)
     out = {}
-    from .forms import eta_oracle_level11
     eta = eta_oracle_level11(min(f.bound, 120))
     out["oracle_agrees"] = all(f.a(n) == f.ring.coerce(c)
                                for n, c in enumerate(eta, start=1))
@@ -253,9 +251,7 @@ def run_otsuki(cfg):
 
 
 def run_correction(cfg):
-    from .euler import joint_coefficient_ring, local_correction
-    f = _form(cfg, "f11.eigenform")
-    g = _form(cfg, "g26.eigenform")
+    f, g = _form_pair(cfg)
     joint, mf, mg = joint_coefficient_ring(f, g)
 
     def fstream(p, r):
@@ -278,9 +274,7 @@ def run_correction(cfg):
 
 
 def run_weil(cfg):
-    from .euler import rankin_euler_factor, weil_check
-    f = _form(cfg, "f11.eigenform")
-    g = _form(cfg, "g26.eigenform")
+    f, g = _form_pair(cfg)
     bad = [p for p in (3, 5, 7, 17, 19, 23, 29, 31, 37, 41, 43, 47)
            if not weil_check(rankin_euler_factor(f, g, p), p, 2, 2)]
     return _bool_entry(not bad, bad or None)
@@ -314,9 +308,9 @@ MUTATIONS = [
     ("A-ell: coefficient perturbed",
      lambda: not nr.derive_A_ell(mutate=True)[2]),
     ("functional symmetry: twist index shifted",
-     lambda: not _fsc(mutate_shift=1)),
+     lambda: not functional_symmetry_check(mutate_shift=1)),
     ("functional symmetry: literal starred reading",
-     lambda: not _fsc(literal_reading=True)),
+     lambda: not functional_symmetry_check(literal_reading=True)),
     ("iwahori: exponent law |2j+1| -> |2j|",
      lambda: _iwahori_mutation()),
     ("otsuki: hatted leading Frobenius reading",
@@ -327,11 +321,6 @@ MUTATIONS = [
 ]
 
 
-def _fsc(*a, **k):
-    from .euler import functional_symmetry_check
-    return functional_symmetry_check(*a, **k)
-
-
 def _euler_mutation(idx):
     eig = nr.local_factor_coeffs_eigen()
     mutated = ops.operator_euler_coeffs(mutate=idx)
@@ -339,7 +328,6 @@ def _euler_mutation(idx):
 
 
 def _iwahori_mutation():
-    from .cosets import iwahori_index
     anti = (F(0), -F(1, 2), F(2), F(0))
     return iwahori_index(anti, 2, mutate=True) != 2 ** 3
 
@@ -347,7 +335,6 @@ def _iwahori_mutation():
 def _dlog_mutation():
     """dlog g = +F, with the minus sign dropped, must fail on the rows:
     lead - c_0 or some row of theta - F is nonzero."""
-    from .siegel import _dlog_mismatch
     return _dlog_mismatch(F(1, 3), 30, sign=-1) is not None
 
 
@@ -454,13 +441,17 @@ def _form(cfg, name):
     return _load_form(cfg.get("data"), name)
 
 
+def _form_pair(cfg):
+    """The bundled pair (f11, g26), or the files of that name in
+    ``cfg["data"]``."""
+    return _form(cfg, "f11.eigenform"), _form(cfg, "g26.eigenform")
+
+
 @functools.cache
 def _load_form(data_dir, name):
     """The eigenform in file ``name`` of ``data_dir`` (default: bundled),
     parsed once per process."""
     if data_dir:
-        import os
-        from .forms import ingest
         return ingest(os.path.join(data_dir, name))
     return load_bundled(name)
 

@@ -13,9 +13,15 @@ import json
 import sys
 from fractions import Fraction as F
 
+from . import siegel
 from .catalog import (NORM_RELATION_IDS, _OTSUKI_FAMILY_A, _dist_shapes,
-                      _iwahori_table, run_catalog)
-from .forms import FormDataError
+                      _form_pair, _iwahori_table, run_catalog)
+from .cosets import check_square_identity_args, t_prime_square_identity
+from .eisenstein import EisensteinSpec, eisenstein_qexp
+from .euler import (check_good_prime, hecke_polynomial, rankin_euler_factor,
+                    weil_check)
+from .forms import FormDataError, hypothesis_report, ingest
+from .otsuki import otsuki_trace_check, trace_check_args
 
 
 class UsageError(Exception):
@@ -109,6 +115,17 @@ def build_parser():
     return ap
 
 
+def _entry(ident, statement, ok, witness):
+    """A report entry of a check run outside the catalog (not timed)."""
+    return {"id": ident, "statement": statement,
+            "status": "PASS" if ok else "FAIL", "witness": witness, "ms": 0}
+
+
+def _write_json(report, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=1, sort_keys=True, default=str)
+
+
 def _emit(report, json_path):
     lines = []
     for e in report["entries"]:
@@ -122,8 +139,7 @@ def _emit(report, json_path):
                          f"{op if len(op) <= 400 else op[:400] + ' ...'}")
     print("\n".join(lines))
     if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True, default=str)
+        _write_json(report, json_path)
         print(f"report written to {json_path}")
     return 0 if all(e["status"] == "PASS" for e in report["entries"]) else 1
 
@@ -143,6 +159,10 @@ def cmd_verify(args):
         ids = None
     else:
         ids = NORM_RELATION_IDS
+    if args.data:
+        # a missing or corrupt form file is a data error here, before an
+        # entry would turn it into a FAIL
+        _form_pair(cfg)
     try:
         report = run_catalog(ids, cfg)
     except KeyError as exc:
@@ -151,7 +171,6 @@ def cmd_verify(args):
 
 
 def cmd_qexp(args):
-    from .eisenstein import EisensteinSpec, eisenstein_qexp
     prec = _prec(args)
     spec = _checked(EisensteinSpec, args.family, args.k, args.alpha, j=args.j)
     series = eisenstein_qexp(spec, prec)
@@ -160,47 +179,35 @@ def cmd_qexp(args):
 
 
 def cmd_dist(args):
-    from .siegel import distribution_args, distribution_check
     prec = _prec(args)
     shapes = _dist_shapes(args.m)
     selected = shapes if args.shape == "all" else {args.shape: shapes[args.shape]}
     if args.N < 1:
         raise UsageError(f"--N must be positive, got {args.N}")
     for M in selected.values():
-        _checked(distribution_args, 0, F(1, args.N), M, args.c)
+        _checked(siegel.distribution_args, 0, F(1, args.N), M, args.c)
     entries = []
     for name, M in sorted(selected.items()):
-        ok, wit = distribution_check(0, F(1, args.N), M, args.c, prec)
-        entries.append({"id": name,
-                        "statement": f"matrix {M}, parameter 1/{args.N}, "
-                                     f"c = {args.c}",
-                        "status": "PASS" if ok else "FAIL",
-                        "witness": wit if not ok else None, "ms": 0})
+        ok, wit = siegel.distribution_check(0, F(1, args.N), M, args.c, prec)
+        entries.append(_entry(name, f"matrix {M}, parameter 1/{args.N}, "
+                                    f"c = {args.c}", ok, None if ok else wit))
     return _emit({"schema": 1, "entries": entries}, args.json)
 
 
 def cmd_hecke(args):
-    from .cosets import check_square_identity_args, t_prime_square_identity
     _checked(check_square_identity_args, args.level, args.prime)
     rep = t_prime_square_identity(args.level, args.prime)
-    entries = [{"id": "hecke-square",
-                "statement": f"T'^2 = S' + (p+1)<p^-1>R at level {args.level}, "
-                             f"p = {args.prime}",
-                "status": "PASS" if rep["holds"] else "FAIL",
-                "witness": rep["constituents"], "ms": 0}]
-    p = args.prime
-    table, misses = _iwahori_table(p)
-    entries.append({"id": "iwahori-table",
-                    "statement": f"indices p^|2j| and p^|2j+1| at p = {p}",
-                    "status": "FAIL" if misses else "PASS", "witness": table,
-                    "ms": 0})
+    table, misses = _iwahori_table(args.prime)
+    entries = [_entry("hecke-square",
+                      f"T'^2 = S' + (p+1)<p^-1>R at level {args.level}, "
+                      f"p = {args.prime}", rep["holds"], rep["constituents"]),
+               _entry("iwahori-table",
+                      f"indices p^|2j| and p^|2j+1| at p = {args.prime}",
+                      not misses, table)]
     return _emit({"schema": 1, "entries": entries}, args.json)
 
 
 def cmd_euler(args):
-    from .euler import (check_good_prime, hecke_polynomial,
-                        rankin_euler_factor, weil_check)
-    from .forms import ingest
     f, g = ingest(args.ffile), ingest(args.gfile)
     if args.prime > min(f.bound, g.bound):
         raise UsageError(f"--prime {args.prime} is beyond the coefficient "
@@ -216,22 +223,14 @@ def cmd_euler(args):
     ok = weil_check(fac, args.prime, f.weight, g.weight)
     print(f"reciprocal-root bound p^((k+l-2)/2): {'PASS' if ok else 'FAIL'}")
     if args.json:
-        report = {"schema": 1, "entries": [
-            {"id": "euler-factor", "statement": str(fac),
-             "status": "PASS" if ok else "FAIL", "witness": None, "ms": 0}]}
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True, default=str)
+        _write_json({"schema": 1, "entries": [
+            _entry("euler-factor", str(fac), ok, None)]}, args.json)
     return 0 if ok else 1
 
 
 def cmd_example(args):
-    from .catalog import _form
-    from .forms import hypothesis_report
     cfg = {"data": args.data}
-    # a missing or corrupt form file is a data error here, before the entry
-    # would turn it into a FAIL
-    f = _form(cfg, "f11.eigenform")
-    g = _form(cfg, "g26.eigenform")
+    f, g = _form_pair(cfg)  # a data error here, not a FAIL of the entry
     report = run_catalog(["worked-example"], cfg)
     entry = report["entries"][0]
     wit = entry["witness"]
@@ -253,13 +252,10 @@ def cmd_example(args):
 
 
 def cmd_otsuki(args):
-    from .otsuki import otsuki_trace_check, trace_check_args
     _checked(trace_check_args, args.m, args.ell, _OTSUKI_FAMILY_A)
     ok, wit = otsuki_trace_check(args.m, args.ell, _OTSUKI_FAMILY_A)
-    entry = {"id": "otsuki-trace",
-             "statement": f"weighted-trace identity at (m, ell) = "
-                          f"({args.m}, {args.ell})",
-             "status": "PASS" if ok else "FAIL", "witness": wit, "ms": 0}
+    entry = _entry("otsuki-trace", f"weighted-trace identity at (m, ell) = "
+                                   f"({args.m}, {args.ell})", ok, wit)
     return _emit({"schema": 1, "entries": [entry]}, args.json)
 
 
@@ -282,10 +278,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except FormDataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
+    except (FormDataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

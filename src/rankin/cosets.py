@@ -493,11 +493,7 @@ def check_square_identity_args(N: int, p: int):
         raise ValueError(f"p = {p} is not a prime")
     if N % p == 0:
         raise ValueError("p must not divide the level")
-    # multiplicative in coprime parts, and p^2 need not be factored
-    order = sl2_order(N) * p ** 3 * sl2_order(p)
-    if order > ENUMERATION_BOUND:
-        raise ValueError(f"|SL2(Z/{N * p * p})| = {order} exceeds the "
-                         f"enumeration bound {ENUMERATION_BOUND}")
+    _check_enumerable(N * p * p)
 
 
 def t_prime_square_identity(N: int, p: int):

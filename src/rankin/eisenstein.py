@@ -19,8 +19,9 @@ from fractions import Fraction
 
 from .cyclo import CycloElt, CyclotomicField
 from .groupring import GroupRing
-from .poly import QQ
+from .poly import QQ, cyclotomic_polynomial
 from .qseries import QSeries
+from .quotring import QuotRing, join
 from .zeta import polylog_negative, zeta_negative
 
 FAMILIES = ("E", "F", "Etilde")
@@ -94,7 +95,7 @@ def _divisor_rows(N: int, a: int, sign: int, wd: int, wq: int, prec: int,
 def eisenstein_rows(spec: EisensteinSpec, prec: int):
     """(field, c_0, _divisor_rows of c_1 .. c_prec) of the q-expansion."""
     N, k = spec.conductor, spec.k
-    a = int(spec.alpha * N) % N if N > 1 else 0
+    a = spec.alpha.numerator
     if spec.family == "Etilde":
         rows = _divisor_rows(N, a, 1, 1, 0, prec, shift=-2)
     else:
@@ -116,22 +117,22 @@ def eisenstein_constant(spec: EisensteinSpec, field=None):
     """Exact constant term of the q-expansion."""
     N = spec.conductor
     F = field if field is not None else CyclotomicField(N)
-    a = int(spec.alpha * N) % N if N > 1 else 0
+    a = spec.alpha.numerator
     k, j = spec.k, spec.j
 
     def zs(kk, sgn=1):
         # sum_{n>=1} zeta^(sgn * a n) n^(kk-1), regularized
-        if a % N == 0 or N == 1:
+        if not a:
             return F.coerce(zeta_negative(kk)) if kk >= 2 else None
         return polylog_negative(kk - 1, F.zeta(sgn * a))
 
     if spec.family == "Etilde":
-        if a % N == 0 or N == 1:
+        if not a:
             return F.zero()
         return zs(2) + QQ(1, 12)
 
     if k == 1:
-        if a % N == 0 or N == 1:
+        if not a:
             return F.zero()
         return (zs(1) - zs(1, -1)) * QQ(1, 2)
 
@@ -140,7 +141,7 @@ def eisenstein_constant(spec: EisensteinSpec, field=None):
     if spec.family == "E" and 0 < j < k - 1:
         return F.zero()
     # E family, j = 0, k >= 2
-    if a % N == 0 or N == 1:
+    if not a:
         return F.coerce(zeta_negative(k))
     return zs(k)
 
@@ -157,7 +158,7 @@ def two_param_eisenstein(alpha, k1: int, k2: int, p: int, prec: int) -> QSeries:
     if N % p == 0:
         raise ValueError(f"p = {p} must not divide the parameter denominator {N}")
     F = CyclotomicField(N)
-    a = int(alpha * N) % N if N > 1 else 0
+    a = alpha.numerator
     eps = 1 if (k1 + k2) % 2 else -1
     rows = _divisor_rows(N, a, eps, k1, k2, prec)
     coeffs = [F.zero()] + [F.zero() if n % p == 0 else CycloElt(F, tuple(F.reduce_powers(r)))
@@ -255,8 +256,6 @@ class _GmRing(GroupRing):
     form, with a helper for powers of zeta_m."""
 
     def __init__(self, m: int, form_ring):
-        from .quotring import QuotRing, join
-        from .poly import cyclotomic_polynomial
         phi_m = cyclotomic_polynomial(m)
         deg = len(phi_m) - 1
         lower = [-c for c in phi_m[:-1]]

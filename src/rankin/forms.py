@@ -260,17 +260,13 @@ def _parse_univariate(s: str):
     return [out.get(k, QQ(0)) for k in range(deg + 1)]
 
 
-def format_value(x: QuotElt) -> str:
-    """Canonical printing of a coefficient as a polynomial in t."""
-    name = x.ring.gen_names[0]
-    by_pow = {}
-    for e, c in x.rep.terms.items():
-        by_pow[e[0]] = c
-    if not by_pow:
-        return "0"
+def _format_t(terms) -> str:
+    """Canonical printing of the polynomial in t with the given (power,
+    coefficient) pairs, in ascending powers and zeros skipped."""
     parts = []
-    for k in sorted(by_pow):
-        c = by_pow[k]
+    for k, c in terms:
+        if not c:
+            continue
         if k == 0:
             parts.append(str(c))
         else:
@@ -281,18 +277,19 @@ def format_value(x: QuotElt) -> str:
                 parts.append(f"-{tpow}")
             else:
                 parts.append(f"{c}*{tpow}")
-    return "+".join(parts).replace("+-", "-")
+    return "+".join(parts).replace("+-", "-") or "0"
+
+
+def format_value(x: QuotElt) -> str:
+    """Canonical printing of a coefficient as a polynomial in t."""
+    return _format_t(sorted((e[0], c) for e, c in x.rep.terms.items()))
 
 
 def serialize_eigenform(form: Eigenform) -> str:
     lines = [f"# {note}" for note in form.provenance]
-    fp = "+".join(
-        (f"{c}" if k == 0 else ("t" if k == 1 else f"t^{k}") if c == 1 else
-         f"{c}*" + ("t" if k == 1 else f"t^{k}"))
-        for k, c in enumerate(form.field_poly) if c
-    ).replace("+-", "-")
     lines.append(f"level={form.level} weight={form.weight} "
-                 f"charmod={form.character.modulus} field={fp}")
+                 f"charmod={form.character.modulus} "
+                 f"field={_format_t(enumerate(form.field_poly))}")
     for g, v in sorted(form.character.gen_values.items()):
         lines.append(f"chargen {g}:{format_value(form.ring.coerce(v))}")
     for n in sorted(form.coefficients):

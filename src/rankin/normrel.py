@@ -23,7 +23,7 @@ from .arith import crt, factor, prime_factors
 from .operators import (ONE, OP_RING, P, composite_norm_p2_closed,
                         composite_norm_p3_closed, higher_norm_step2,
                         higher_norm_step3, is_canonical_operator,
-                        second_norm_operator)
+                        operator_euler_coeffs, second_norm_operator)
 from .poly import MPoly, PolyRing, QQ, RatFunc, poly_eval, poly_mul
 
 
@@ -141,7 +141,6 @@ def operator_euler_specializes() -> bool:
     weight-(2,2) eigenvalue local factor, plus the root-symbol factorization
 
         prod over (r, s) in {al, be} x {ga, de} of (1 - r s X)."""
-    from .operators import operator_euler_coeffs
     eig = local_factor_coeffs_eigen()
     for c_op, c_eig in zip(operator_euler_coeffs(), eig):
         if specialize_eigen(c_op) != c_eig:

@@ -144,14 +144,14 @@ class CycloCover:
             raise ValueError("polynomial must have constant term 1")
         nums, den = vec
         t = self.ring.var(f"tau{v}")
-        # orbit decomposition of the functional graph k -> v k mod M
-        remaining = set(range(self.M))
+        # the weak components of the functional graph k -> v k mod M, each
+        # ascending, in the order of their least elements
+        blocks = {}
+        for k in range(self.M):
+            blocks.setdefault(_cycle_min(k, v, self.M), []).append(k)
         sol = [None] * self.M
         detprod = self.ring.one()
-        while remaining:
-            k0 = min(remaining)
-            comp = sorted(_component(k0, v, self.M) & remaining)
-            remaining -= set(comp)
+        for comp in blocks.values():
             idx = {k: i for i, k in enumerate(comp)}
             n = len(comp)
             mat = [[self.ring.zero() for _ in range(n)] for _ in range(n)]
@@ -186,22 +186,15 @@ class CycloCover:
         return out, vec[1]
 
 
-def _component(k0: int, v: int, M: int):
-    """Weakly connected component of k0 in the graph k -> v k mod M."""
-    comp = {k0}
-    frontier = {k0}
-    while frontier:
-        new = set()
-        for k in frontier:
-            fwd = (k * v) % M
-            if fwd not in comp:
-                new.add(fwd)
-            for j in range(M):
-                if (j * v) % M == k and j not in comp:
-                    new.add(j)
-        comp |= new
-        frontier = new
-    return comp
+def _cycle_min(k: int, v: int, M: int) -> int:
+    """The least element of the cycle that k -> v k mod M runs into.  Each
+    weak component of this functional graph holds exactly one cycle, so the
+    value names the component of k."""
+    seen = {}
+    while k not in seen:
+        seen[k] = len(seen)
+        k = k * v % M
+    return min(list(seen)[seen[k]:])
 
 
 def project_to_field(cover: CycloCover, m: int, vec):

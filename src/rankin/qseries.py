@@ -31,12 +31,10 @@ class QSeries:
             shift = 0
             while shift < len(coeffs) and not coeffs[shift]:
                 shift += 1
+            # a zero series keeps its window position for precision bookkeeping
             if shift and shift < len(coeffs):
                 lead += shift
                 coeffs = coeffs[shift:]
-            elif shift == len(coeffs):
-                # zero series: keep window position for precision bookkeeping
-                pass
         self.lead = lead
         self.coeffs = coeffs
         self.unit = unit

@@ -152,6 +152,21 @@ def test_example_bad_data_exit_3(tmp_path, capsys, damage):
     assert ("g26.eigenform" if damage == "missing" else "(5, 2)") in captured.err
 
 
+@pytest.mark.parametrize("damage", ["missing", "corrupt"])
+def test_verify_bad_data_exit_3(tmp_path, capsys, damage):
+    # the entries that read the forms would otherwise FAIL with the error
+    (tmp_path / "f11.eigenform").write_text(open(F11).read())
+    if damage == "corrupt":
+        (tmp_path / "g26.eigenform").write_text(
+            open(G26).read().replace("\n25: -4\n", "\n25: -3\n"))
+    rc = main(["verify-norm-relations", "--all", "--data", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("data error: ") and captured.err.count("\n") == 1
+    assert ("g26.eigenform" if damage == "missing" else "(5, 2)") in captured.err
+
+
 def test_example_prints_the_minimal_polynomial_of_its_degree(tmp_path, capsys):
     # with f11 in place of g26 the ratio has a cubic minimal polynomial
     for name in ("f11.eigenform", "g26.eigenform"):

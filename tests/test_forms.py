@@ -92,6 +92,17 @@ class TestIngestion:
         with pytest.raises(FormDataError, match="missing coefficient"):
             parse_eigenform(text)
 
+    def test_field_polynomial_round_trip(self):
+        # a -1 coefficient of the field polynomial prints as -t, as it does
+        # in a coefficient line
+        form = parse_eigenform("level=1 weight=2 charmod=1 field=t^2-t+1\n"
+                               "1: 1\n")
+        text = serialize_eigenform(form)
+        assert "field=1-t+t^2\n" in text
+        again = parse_eigenform(text)
+        assert again.field_poly == form.field_poly == [1, -1, 1]
+        assert serialize_eigenform(again) == text
+
 
 class TestEtaOracle:
     def test_matches_bundled_form(self, f11):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankin.otsuki import (CycloCover, bareiss_solve, corrected_element,
-                           otsuki_trace_check)
+from rankin.otsuki import (CycloCover, _cycle_min, bareiss_solve,
+                           corrected_element, otsuki_trace_check)
 from rankin.poly import PolyRing, QQ
 
 
@@ -155,6 +155,32 @@ class TestTraceIdentity:
     def test_dimension_guard(self):
         with pytest.raises(ValueError, match="16"):
             otsuki_trace_check(25, 3, {3: ([F(1)], [F(1)]), 5: ([F(1)], [F(1)])})
+
+    def test_cycle_min_blocks_are_the_weak_components(self):
+        # oracle: grow each weak component of k -> v k mod M by search,
+        # least untaken element first
+        def components(v, M):
+            out, taken = [], set()
+            for k0 in range(M):
+                if k0 in taken:
+                    continue
+                comp, frontier = {k0}, [k0]
+                while frontier:
+                    k = frontier.pop()
+                    for j in [k * v % M] + [j for j in range(M) if j * v % M == k]:
+                        if j not in comp:
+                            comp.add(j)
+                            frontier.append(j)
+                out.append(sorted(comp))
+                taken |= comp
+            return out
+
+        for M in range(1, 40):
+            for v in range(M):
+                blocks = {}
+                for k in range(M):
+                    blocks.setdefault(_cycle_min(k, v, M), []).append(k)
+                assert list(blocks.values()) == components(v, M), (v, M)
 
     def test_constant_term_guard(self):
         with pytest.raises(ValueError, match="constant term"):

@@ -1,8 +1,9 @@
 """The declared dependencies are exactly the third-party imports of the
 package, so installing it pulls in nothing unused and misses nothing; the
 package runs on the standard library alone; no check in the package is
-an assert statement, which python -O strips; and every ring element class
-derives its operators from the one protocol base, arith.RingElt."""
+an assert statement, which python -O strips; no function imports a sibling
+module lazily; and every ring element class derives its operators from the
+one protocol base, arith.RingElt."""
 
 import ast
 import functools
@@ -46,6 +47,17 @@ def test_no_assert_statements_in_the_package():
     # python -O strips assert statements; soundness checks raise explicitly
     found = [f"{path.name}:{node.lineno}" for path, tree in _package_trees()
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_relative_imports_inside_functions():
+    # rankin/__init__ imports every module, so a lazy import of a sibling
+    # buys nothing; stdlib lazy imports stay allowed
+    found = [f"{path.name}:{node.lineno}" for path, tree in _package_trees()
+             for func in ast.walk(tree)
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func)
+             if isinstance(node, ast.ImportFrom) and node.level > 0]
     assert found == []
 
 
