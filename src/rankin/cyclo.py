@@ -80,17 +80,18 @@ class CyclotomicField:
         self.L = L
         self.phi = euler_phi(L)
         self.modulus = cyclotomic_polynomial(L)
-        # x^k reduced mod Phi_L for 0 <= k < L, as dense vectors of length phi
-        self._powers = []
-        for k in range(L):
-            xk = [QQ(0)] * k + [QQ(1)]
-            _, r = poly_divmod(xk, self.modulus)
-            self._powers.append(self._pad(r))
-        # cyclotomic reduction has integer entries, stored as ints so that
-        # integral arithmetic stays on the fast integer path; the reduction
-        # rows for the product range 0 <= k <= 2 phi - 2 follow from
-        # x^L = 1 mod Phi_L
-        self._powers = [tuple(_as_int(c) for c in row) for row in self._powers]
+        # x^k mod Phi_L for 0 <= k < L as int vectors of length phi (ints keep
+        # integral arithmetic on the fast path): x times the row before, less
+        # its lead times the monic Phi_L.  The reduction rows for products,
+        # 0 <= k <= 2 phi - 2, follow from x^L = 1 mod Phi_L
+        low = [int(c) for c in self.modulus[:-1]]
+        row = [1] + [0] * (self.phi - 1)
+        self._powers = [tuple(row)]
+        for k in range(1, L):
+            lead, row = row[-1], [0] + row[:-1]
+            if lead:
+                row = [a - lead * b for a, b in zip(row, low)]
+            self._powers.append(tuple(row))
         self._redrows = [self._powers[k % L] for k in range(2 * self.phi - 1)]
         self._ready = True
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .arith import RATIONALS, prime_factors
 from .poly import (MPoly, PolyRing, QQ, RatFunc, poly_add, poly_derivative,
-                   poly_divmod, poly_eval, poly_mul, poly_neg, poly_xgcd)
+                   poly_divmod, poly_eval, poly_gcd, poly_mul, poly_neg)
 from .quotring import join
 
 
@@ -164,8 +164,8 @@ def weil_check(factor: EulerFactor, p: int, k: int, l: int) -> bool:
     H = [c * rho ** i for i, c in enumerate(squares[::2])]
     while not H[0]:
         H.pop(0)
-    H = poly_divmod(H, poly_xgcd(H, poly_derivative(H))[0])[0]
-    g = poly_xgcd(H, H[::-1])[0]
+    H = poly_divmod(H, poly_gcd(H, poly_derivative(H)))[0]
+    g = poly_gcd(H, H[::-1])
     h = poly_divmod(H, g)[0]
     while len(h) > 1:
         c = h[0] / h[-1]

@@ -29,9 +29,10 @@ with sigma_l^(-1) the plain inverse Frobenius of Q(zeta_m), equivalently
 tau_l sigma_hat_l^(-1).  Reading that leading inverse as the hatted operator
 inserts a stray tau_l^(-1) and fails; the checker can exhibit this.
 
-All linear algebra is fraction-free: one Bareiss elimination of the
-augmented system over the polynomial ring, then exact back substitution,
-so no rational-function normalization is ever needed.
+All linear algebra is fraction-free, so no rational-function normalization
+is ever needed: F(sigma_hat_v) is unitriangular off the cycles of k -> v k,
+solved there by substitution, and a circulant on each cycle, inverted by one
+Bareiss solve per cycle length over the polynomial ring.
 """
 
 from __future__ import annotations
@@ -136,46 +137,61 @@ class CycloCover:
     def solve_poly(self, coeffs, v: int, vec):
         """x with F(sigma_hat_v) x = vec; F(0) must be 1.
 
-        The operator permutes the fibres of k -> v k, so the system splits
-        into the orbits of multiplication by v on Z/M; each block is solved
-        fraction-freely.
+        F(sigma_hat_v) = sum_j c_j tau^j P^j with P e_k = e_(v k).  Off the
+        cycles of k -> v k, x follows by forward substitution, deepest first.
+        On a cycle k, v k, ... of length L the operator is the circulant
+        sum_j c_j tau^j S^j, whose inverse is the circulant of r / D for
+        C r = D e_0: one solve per cycle length.
         """
         if QQ(coeffs[0]) != 1:
             raise ValueError("polynomial must have constant term 1")
+        M, ring = self.M, self.ring
         nums, den = vec
-        t = self.ring.var(f"tau{v}")
-        # the weak components of the functional graph k -> v k mod M, each
-        # ascending, in the order of their least elements
-        blocks = {}
-        for k in range(self.M):
-            blocks.setdefault(_cycle_min(k, v, self.M), []).append(k)
-        sol = [None] * self.M
-        detprod = self.ring.one()
-        for comp in blocks.values():
-            idx = {k: i for i, k in enumerate(comp)}
-            n = len(comp)
-            mat = [[self.ring.zero() for _ in range(n)] for _ in range(n)]
-            for i, k in enumerate(comp):
-                mat[i][i] = mat[i][i] + 1
-            # F(shat) column action: basis e_k -> sum_j coeffs[j] tau^j e_(v^j k)
-            for j, c in enumerate(coeffs[1:], start=1):
-                if not QQ(c):
-                    continue
-                tj = t ** j * QQ(c)
-                for k in comp:
-                    target = (k * pow(v, j, self.M)) % self.M
-                    mat[idx[target]][idx[k]] = mat[idx[target]][idx[k]] + tj
-            rhs = [nums[k] for k in comp]
-            xs, det = bareiss_solve(mat, rhs)
-            for k, x in zip(comp, xs):
-                sol[k] = (x, det)
-            detprod = detprod * det
-        # common denominator across blocks
-        out = []
-        for k in range(self.M):
-            x, det = sol[k]
-            out.append(x * detprod.exact_div(det))
-        return out, den * detprod
+        t = ring.var(f"tau{v}")
+        steps = [(j, pow(v, j, M), t ** j * QQ(c))
+                 for j, c in enumerate(coeffs) if j and QQ(c)]
+        # the cycle nodes are the image of k -> v^M k; depth is the number of
+        # steps a node takes to reach one
+        on_cycle = {k * pow(v, M, M) % M for k in range(M)}
+        depth = [next(s for s in range(M) if k * pow(v, s, M) % M in on_cycle)
+                 for k in range(M)]
+        x = list(nums)
+        for k in sorted(range(M), key=depth.__getitem__, reverse=True):
+            if not depth[k]:
+                break
+            if x[k]:
+                for _, w, tc in steps:
+                    x[k * w % M] = x[k * w % M] - tc * x[k]
+        kernels, over, seen = {}, {}, set()
+        for k0 in sorted(on_cycle):
+            if k0 in seen:
+                continue
+            cyc = [k0]
+            while cyc[-1] * v % M != k0:
+                cyc.append(cyc[-1] * v % M)
+            seen.update(cyc)
+            L, b = len(cyc), [x[k] for k in cyc]
+            if not any(b):
+                continue
+            if L not in kernels:
+                col = [ring.one()] + [ring.zero()] * (L - 1)
+                for j, _, tc in steps:
+                    col[j % L] = col[j % L] + tc
+                circ = [[col[(i - l) % L] for l in range(L)] for i in range(L)]
+                kernels[L] = bareiss_solve(circ, [ring.one()] + [ring.zero()] * (L - 1))
+            r, D = kernels[L]
+            for i, k in enumerate(cyc):
+                x[k] = sum((r[(i - l) % L] * b[l] for l in range(L)
+                            if r[(i - l) % L] and b[l]), ring.zero())
+                over[k] = D
+        # one common denominator: the product of the distinct D used
+        dens = list(dict.fromkeys(over.values()))
+        detprod = ring.one()
+        for D in dens:
+            detprod = detprod * D
+        scale = {D: detprod.exact_div(D) for D in dens}
+        return ([x[k] * scale[over[k]] if k in over else x[k] * detprod
+                 for k in range(M)], den * detprod)
 
     def galois_trace(self, m: int, vec):
         """Orbit sum over the units t = 1 mod m of Z/M."""
@@ -184,17 +200,6 @@ class CycloCover:
             if gcd(t, self.M) == 1 and t % m == 1 % m:
                 out = [a + b for a, b in zip(out, self.frobenius(t, vec)[0])]
         return out, vec[1]
-
-
-def _cycle_min(k: int, v: int, M: int) -> int:
-    """The least element of the cycle that k -> v k mod M runs into.  Each
-    weak component of this functional graph holds exactly one cycle, so the
-    value names the component of k."""
-    seen = {}
-    while k not in seen:
-        seen[k] = len(seen)
-        k = k * v % M
-    return min(list(seen)[seen[k]:])
 
 
 def project_to_field(cover: CycloCover, m: int, vec):

@@ -643,6 +643,14 @@ def poly_divmod(p, q):
     return poly_trim(quot), poly_trim(r)
 
 
+def poly_gcd(p, q):
+    """The monic gcd in Q[x], by the remainder sequence alone."""
+    a, b = [QQ(x) for x in p], [QQ(x) for x in q]
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else a
+
+
 def poly_xgcd(p, q):
     """Return (g, u, v) with u*p + v*q = g, g monic."""
     a, b = [QQ(x) for x in p], [QQ(x) for x in q]

@@ -9,7 +9,8 @@ inversion is a linear solve and fails exactly on zero divisors.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
+from operator import add
 
 from .arith import RingElt, solve
 from .poly import MPoly, PolyRing, QQ
@@ -58,6 +59,7 @@ class QuotRing:
         for name in self.gen_names:
             self.dimension *= self.degrees[name]
         self._basis = None
+        self._rows = [[self.rewrites[n].terms] for n in names]
 
     def __repr__(self):
         rels = ", ".join(f"{n}^{self.degrees[n]}" for n in self.gen_names)
@@ -121,19 +123,36 @@ class QuotRing:
     # -- reduction -----------------------------------------------------------
 
     def _reduce(self, p: MPoly) -> MPoly:
-        for name in reversed(self.gen_names):
-            d = self.degrees[name]
-            low = self.rewrites[name]
-            while p.degree(name) >= d:
-                split = p.coefficients_in(name)
-                acc = p.ring.zero()
-                for k, coeff in split.items():
-                    if k < d:
-                        acc = acc + coeff * p.ring.var(name, k)
-                    else:
-                        acc = acc + coeff * p.ring.var(name, k - d) * low
-                p = acc
-        return p
+        """The normal form of p: one pass per generator, last first."""
+        terms = p.terms
+        for i in reversed(range(len(self.gen_names))):
+            terms = self._pass(i, terms)
+        return p if terms is p.terms else MPoly(p.ring, terms)
+
+    def _pass(self, i: int, terms: dict) -> dict:
+        """``terms`` with each g_i^k (k >= d_i) replaced by its row."""
+        d = self.degrees[self.gen_names[i]]
+        if all(e[i] < d for e in terms):
+            return terms
+        out = {}
+        for e, c in terms.items():
+            if e[i] < d:
+                out[e] = out.get(e, 0) + c
+                continue
+            e0 = e[:i] + (0,) + e[i + 1:]
+            for e2, c2 in self._row(i, e[i]).items():
+                x = tuple(map(add, e0, e2))
+                out[x] = out.get(x, 0) + c * c2
+        return {e: c for e, c in out.items() if c}
+
+    def _row(self, i: int, k: int) -> dict:
+        """The terms of g_i^k reduced in g_i alone (k >= d_i), built from
+        g_i^(k-1) * g_i, whose pass needs only the row of g_i^d_i, and kept."""
+        rows, d = self._rows[i], self.degrees[self.gen_names[i]]
+        while len(rows) <= k - d:
+            rows.append(self._pass(i, {e[:i] + (e[i] + 1,) + e[i + 1:]: c
+                                       for e, c in rows[-1].items()}))
+        return rows[k - d]
 
     def basis(self):
         """Monomial basis as exponent tuples, in a fixed order."""
@@ -218,23 +237,27 @@ class QuotElt(RingElt):
         """Monic minimal polynomial over Q of multiplication by this element,
         as a dense Fraction list (constant first).  With zero divisors in the
         ring this is the least common annihilator across the components, so
-        it may factor; the element is always a root."""
+        it may factor; the element is always a root.  Each power is reduced
+        against the pivot rows of the earlier ones, which carry their
+        combinations of powers; one reduces to zero by degree n.
+        """
         ring = self.ring
-        n = ring.dimension
+        rows = []   # (pivot, row with 1 at the pivot, combination of powers)
         xd = ring.one()
-        reprs = []
-        for d in range(n + 1):
+        for d in count():
             v = ring.to_vector(xd)
-            reprs.append(v)
-            # attempt to express v as a combination of previous powers
-            mat = [[reprs[j][i] for j in range(d)] for i in range(n)]
-            sol = solve(mat, v, QQ(0))
-            if sol is not None:
-                # self^d = sum sol[j] * self^j  ->  minpoly
-                coeffs = [-c for c in sol] + [QQ(1)]
-                return coeffs
+            comb = [QQ(0)] * d + [QQ(1)]
+            for p, row, rc in rows:
+                c = v[p]
+                if c:
+                    v = [a - c * b for a, b in zip(v, row)]
+                    comb = [a - c * b for a, b in zip(comb, rc)] + comb[len(rc):]
+            p = next((i for i, a in enumerate(v) if a), None)
+            if p is None:
+                return comb
+            c = v[p]
+            rows.append((p, [a / c for a in v], [a / c for a in comb]))
             xd = xd * self
-        raise AssertionError("no minimal polynomial found (impossible)")
 
     def __str__(self):
         return str(self.rep)

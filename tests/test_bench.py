@@ -72,6 +72,28 @@ def test_clean_runs_exit_zero(bench, tmp_path, monkeypatch):
                                "change": {"revision": "stub", "src_lines": 1}}
 
 
+def test_verdict_medians_and_wins_are_printed_per_workload(bench, tmp_path, monkeypatch,
+                                                            capsys):
+    stub = stub_run()
+    calls = []
+
+    def run(tree, workload, seed, seconds, trace):
+        # the change wins every pair but the fourth, which it ties
+        result = stub(tree, workload, seed, seconds, trace)
+        if os.path.basename(tree) == "change":
+            calls.append(tree)
+            if len(calls) % (bench.PAIRS + 1) == 4:
+                result["metrics"]["verdict_s"]["value"] = 0.5
+        return result
+
+    monkeypatch.setattr(bench, "run", run)
+    main(bench, tmp_path)
+    err = capsys.readouterr().err.splitlines()
+    lines = [line for line in err if "median" in line]
+    assert lines == [f"{w} verdict_s median: parent 0.5000 s, change 0.4000 s; "
+                     f"change better in 9 of 10 pairs" for w in bench.WORKLOADS]
+
+
 def test_moved_counters_are_written_and_printed(bench, tmp_path, monkeypatch, capsys):
     stub = stub_run()
 

@@ -1,14 +1,67 @@
 """The weighted-trace identity for corrected cyclotomic elements."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankin.otsuki import (CycloCover, _cycle_min, bareiss_solve,
-                           corrected_element, otsuki_trace_check)
+from rankin import otsuki
+from rankin.otsuki import (CycloCover, bareiss_solve, corrected_element,
+                           otsuki_trace_check)
 from rankin.poly import PolyRing, QQ
+
+
+def _cycle_min(k, v, M):
+    """The least element of the cycle that k -> v k mod M runs into.  Each
+    weak component of this functional graph holds exactly one cycle, so the
+    value names the component of k."""
+    seen = {}
+    while k not in seen:
+        seen[k] = len(seen)
+        k = k * v % M
+    return min(list(seen)[seen[k]:])
+
+
+def weak_components(v, M):
+    """The weak components of k -> v k mod M, each ascending, in the order of
+    their least elements."""
+    blocks = {}
+    for k in range(M):
+        blocks.setdefault(_cycle_min(k, v, M), []).append(k)
+    return list(blocks.values())
+
+
+def solve_poly_per_block(cover, coeffs, v, vec):
+    """The oracle of CycloCover.solve_poly: one Bareiss solve of the whole
+    system on each weak component.  Returns, per k, x_k det and det, with
+    det the determinant of k's block, and the common denominator: den times
+    every block's determinant."""
+    nums, den = vec
+    ring, M = cover.ring, cover.M
+    t = ring.var(f"tau{v}")
+    sol = [None] * M
+    detprod = ring.one()
+    for comp in weak_components(v, M):
+        idx = {k: i for i, k in enumerate(comp)}
+        n = len(comp)
+        mat = [[ring.zero() for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            mat[i][i] = mat[i][i] + 1
+        # F(shat) column action: basis e_k -> sum_j coeffs[j] tau^j e_(v^j k)
+        for j, c in enumerate(coeffs[1:], start=1):
+            if not QQ(c):
+                continue
+            tj = t ** j * QQ(c)
+            for k in comp:
+                target = (k * pow(v, j, M)) % M
+                mat[idx[target]][idx[k]] = mat[idx[target]][idx[k]] + tj
+        xs, det = bareiss_solve(mat, [nums[k] for k in comp])
+        for k, x in zip(comp, xs):
+            sol[k] = (x, det)
+        detprod = detprod * det
+    return sol, den * detprod
 
 
 def bareiss_det(mat):
@@ -177,11 +230,83 @@ class TestTraceIdentity:
 
         for M in range(1, 40):
             for v in range(M):
-                blocks = {}
-                for k in range(M):
-                    blocks.setdefault(_cycle_min(k, v, M), []).append(k)
-                assert list(blocks.values()) == components(v, M), (v, M)
+                assert weak_components(v, M) == components(v, M), (v, M)
 
     def test_constant_term_guard(self):
         with pytest.raises(ValueError, match="constant term"):
             otsuki_trace_check(1, 3, {3: ([F(0), F(1)], [F(1)])})
+
+
+TAU_RINGS = {v: PolyRing((f"tau{v}",)) for v in (2, 3, 5, 7)}
+
+
+def _random_system(rng, M, v):
+    """A random F with F(0) = 1 (degree 1..4, some zero coefficients) and a
+    sparse right side over Q[tau_v] with a common denominator."""
+    ring = TAU_RINGS[v]
+    t = ring.var(f"tau{v}")
+    coeffs = [F(1)] + [F(rng.choice([0, 0, 1, -1, 2, -3, 1])) / rng.choice([1, 1, 2])
+                       for _ in range(rng.randint(1, 4))]
+    nums = [ring.zero()] * M
+    for k in rng.sample(range(M), rng.randint(1, min(M, 4))):
+        nums[k] = ring.const(rng.randint(-3, 3)) + t * rng.randint(-2, 2)
+    return coeffs, (nums, ring.one() + t * rng.choice([0, 1]))
+
+
+class TestCoverSolve:
+    def test_substitution_solve_equals_the_per_block_oracle(self):
+        # compared by cross-multiplication with each component's own
+        # denominator, and checked against the operator itself
+        rng = random.Random(2112)
+        for trial in range(240):
+            M, v = rng.randint(1, 30), rng.choice([2, 3, 5, 7])
+            cover = CycloCover(M, TAU_RINGS[v])
+            coeffs, vec = _random_system(rng, M, v)
+            got, gden = cover.solve_poly(coeffs, v, vec)
+            want, _ = solve_poly_per_block(cover, coeffs, v, vec)
+            # x_k det / (det den), with det the determinant of k's block
+            for k, (x, det) in enumerate(want):
+                assert got[k] * det * vec[1] == x * gden, (trial, M, v, k)
+            back, bden = cover.apply_poly(coeffs, v, (got, gden))
+            assert all(a * vec[1] == b * bden for a, b in zip(back, vec[0])), (M, v)
+
+    def test_denominator_is_the_product_of_the_distinct_kernels(self):
+        # F = 1 - 2X at v = 2, M = 15: the orbits of 2 are {0}, {5, 10} and
+        # three of length 4, and the circulant of length L has determinant
+        # 1 - (2 tau)^L; the per-block denominator takes one per component
+        ring = TAU_RINGS[2]
+        cover = CycloCover(15, ring)
+        t = ring.var("tau2")
+        vec = ([ring.one()] * 15, ring.one())
+        _, den = cover.solve_poly([F(1), F(-2)], 2, vec)
+        assert den == (1 - 2 * t) * (1 - 4 * t ** 2) * (1 - 16 * t ** 4)
+        _, oden = solve_poly_per_block(cover, [F(1), F(-2)], 2, vec)
+        assert oden == (1 - 2 * t) * (1 - 4 * t ** 2) * (1 - 16 * t ** 4) ** 3
+
+    @pytest.mark.parametrize("M,v", [(15, 2), (21, 2), (30, 2), (26, 3), (24, 7)])
+    def test_one_kernel_solve_per_cycle_length(self, monkeypatch, M, v):
+        calls = []
+
+        def counting(mat, rhs):
+            calls.append(len(rhs))
+            return bareiss_solve(mat, rhs)
+
+        monkeypatch.setattr(otsuki, "bareiss_solve", counting)
+        ring = TAU_RINGS[v]
+        cover = CycloCover(M, ring)
+        coeffs = [F(1), F(-1), F(3)]
+        comps = weak_components(v, M)
+        # v^M k lies on the cycle of k's component
+        lengths = {len({k * pow(v, M + i, M) % M for i in range(M)})
+                   for k in range(M)}
+        assert len(comps) > len(lengths)
+        # a vector supported on one weak component: one solve at most
+        comp = max(comps, key=len)
+        nums = [ring.one() if k in comp else ring.zero() for k in range(M)]
+        cover.solve_poly(coeffs, v, (nums, ring.one()))
+        assert len(calls) <= 1
+        # every component at once: once per distinct cycle length, not per
+        # block
+        del calls[:]
+        cover.solve_poly(coeffs, v, ([ring.one()] * M, ring.one()))
+        assert sorted(calls) == sorted(lengths)

@@ -14,8 +14,9 @@ from rankin.cyclo import CyclotomicField
 from rankin.forms import load_bundled
 from rankin.groupring import RATIONALS, GroupRing, augment_mod
 from rankin import poly as poly_module
-from rankin.poly import (MPoly, PolyRing, RatFunc, _exact_div_laurent, cyclotomic_polynomial,
-                         poly_divmod)
+from rankin.poly import (MPoly, PolyRing, QQ, RatFunc, _exact_div_laurent,
+                         cyclotomic_polynomial, poly_divmod, poly_gcd, poly_mul,
+                         poly_xgcd)
 from rankin.qseries import QSeries
 from rankin.quotring import QuotElt, QuotRing, ZeroDivisor, join
 
@@ -112,6 +113,24 @@ class TestCyclotomic:
                 _, r = poly_divmod([F(0)] * k + [F(1)], cyclotomic_polynomial(L))
                 assert K._redrows[k] == tuple(r) + (0,) * (K.phi - len(r)), (L, k)
 
+    def test_power_rows_are_remainders(self):
+        # oracle: x^k mod Phi_L by polynomial division, each row the
+        # remainder of x times the one before, and the last row directly
+        for L in range(1, 121):
+            K = CyclotomicField(L)
+            phi_l = cyclotomic_polynomial(L)
+
+            def padded(r):
+                return tuple(r) + (0,) * (K.phi - len(r))
+
+            r = [F(1)]
+            for k in range(L):
+                assert K._powers[k] == padded(r), (L, k)
+                r = poly_divmod([F(0)] + r, phi_l)[1]
+            top = poly_divmod([F(0)] * (L - 1) + [F(1)], phi_l)[1]
+            assert K._powers[L - 1] == padded(top), L
+            assert all(type(c) is int for row in K._powers for c in row)
+
     @given(st.integers(0, 11), st.integers(0, 11))
     @settings(max_examples=20, deadline=None)
     def test_zeta_multiplicative(self, a, b):
@@ -130,6 +149,11 @@ class TestQuotRing:
         R = QuotRing([("x", 2, [F(1), F(1)])])
         assert R.gen("x").minpoly() == [F(-1), F(-1), F(1)]
         assert R.one().minpoly() == [F(-1), F(1)]
+        # Q[x]/(x^2): nilpotents
+        x = NILPOTENT.gen("x")
+        assert x.minpoly() == [F(0), F(0), F(1)]
+        assert (x + 3).minpoly() == [F(9), F(-6), F(1)]
+        assert NILPOTENT.zero().minpoly() == [F(0), F(1)]
 
     def test_zero_divisor_reported(self):
         R = QuotRing([("t", 2, [F(1), F(0)])])  # t^2 = 1
@@ -785,3 +809,114 @@ class TestArith:
             ((s - root) * y).inverse()
         unit = s * s + 5   # its values 6, 9, 14 at the roots are nonzero
         assert unit * unit.inverse() == 1
+
+
+# ---------------------------------------------------------------------------
+# quotient-ring reduction and minimal polynomials against the earlier
+# routes, which stay as oracles
+# ---------------------------------------------------------------------------
+
+def _reduce_oracle(ring, p):
+    """The normal form by splitting p in each generator and rewriting its
+    high powers, last generator first, until none is left."""
+    for name in reversed(ring.gen_names):
+        d = ring.degrees[name]
+        low = ring.rewrites[name]
+        while p.degree(name) >= d:
+            acc = p.ring.zero()
+            for k, coeff in p.coefficients_in(name).items():
+                if k < d:
+                    acc = acc + coeff * p.ring.var(name, k)
+                else:
+                    acc = acc + coeff * p.ring.var(name, k - d) * low
+            p = acc
+    return p
+
+
+def _minpoly_oracle(x):
+    """Solve for each power as a combination of the earlier ones, degree by
+    degree, until one is."""
+    ring = x.ring
+    n = ring.dimension
+    xd = ring.one()
+    reprs = []
+    for d in range(n + 1):
+        v = ring.to_vector(xd)
+        reprs.append(v)
+        sol = solve([[reprs[j][i] for j in range(d)] for i in range(n)], v, QQ(0))
+        if sol is not None:
+            return [-c for c in sol] + [QQ(1)]
+        xd = xd * x
+    raise AssertionError("no minimal polynomial found")
+
+
+NILPOTENT = QuotRing([("x", 2, [F(0), F(0)])])   # Q[x]/(x^2)
+
+
+@st.composite
+def towers(draw):
+    """Q[g1, ..., gr]/(...) with r <= 3 and dimension <= 12; each relation may
+    involve the earlier generators at powers past their degrees, and many
+    rings have zero divisors."""
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)
+                   .filter(lambda ds: prod(ds) <= 12))
+    r = len(degrees)
+    gens = []
+    for i, (name, d) in enumerate(zip("xyz", degrees)):
+        # exponents over all r generators: earlier ones up to degree + 1,
+        # this one below d, later ones 0
+        exps = st.tuples(*[st.integers(0, k + 1) for k in degrees[:i]],
+                         st.integers(0, d - 1), *[st.just(0)] * (r - i - 1))
+        gens.append((name, d, draw(st.dictionaries(exps, coefficients, max_size=3))))
+    return QuotRing(gens)
+
+
+rings = st.one_of(st.just(NILPOTENT), towers())
+
+
+def _unreduced(draw, ring, max_exp=4, max_size=5):
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(ring.gen_names))
+    return ring.poly_ring.from_terms(draw(st.dictionaries(exps, coefficients,
+                                                          max_size=max_size)))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_reduction_rows_match_the_splitting_oracle(data):
+    ring = data.draw(rings)
+    p = _unreduced(data.draw, ring)
+    got = ring._reduce(p)
+    assert got.terms == _reduce_oracle(ring, p).terms
+    assert all(type(c) in (int, F) for c in got.terms.values())
+    assert all(k < ring.degrees[n] for e in got.terms for n, k in zip(ring.gen_names, e))
+    # the product of two elements reduces as the oracle does
+    x, y = ring.from_poly(p), ring.from_poly(_unreduced(data.draw, ring))
+    assert (x * y).rep.terms == _reduce_oracle(ring, x.rep * y.rep).terms
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_echelon_minpoly_matches_the_solving_oracle(data):
+    ring = data.draw(rings)
+    x = ring.from_poly(_unreduced(data.draw, ring, max_exp=2, max_size=3))
+    got = x.minpoly()
+    want = _minpoly_oracle(x)
+    assert got == want and all(type(c) is F for c in got)
+    # the element is a root
+    assert sum((c * x ** k for k, c in enumerate(got)), ring.zero()) == 0
+
+
+@st.composite
+def gcd_pairs(draw):
+    """Two dense polynomials over Q with a random common factor."""
+    def poly(lo, hi):
+        return draw(st.lists(coefficients, min_size=lo, max_size=hi))
+    common = poly(1, 3)
+    return poly_mul(poly(0, 4), common), poly_mul(poly(0, 4), common)
+
+
+@given(gcd_pairs())
+@settings(max_examples=60, deadline=None)
+def test_gcd_is_the_xgcd_gcd(pair):
+    p, q = pair
+    assert poly_gcd(p, q) == poly_xgcd(p, q)[0]

@@ -18,7 +18,9 @@ and the traced counters; per workload, as ``moved``, each traced counter
 whose value differs between the trees, as [parent, change] (None where a
 tree has no such counter), which is also printed on standard error; and, per
 end-to-end metric, the pairs in which the change did better than the parent
-(ties count for neither), in the direction BENCHMARK.json gives.
+(ties count for neither), in the direction BENCHMARK.json gives.  After each
+workload one line on standard error gives the median verdict_s of both trees
+and the pairs the change won.
 
 Paths of different lengths are a usage error (exit code 2, no file
 written), since peak_rss_mb moves with that length; so is a tree with no git
@@ -115,6 +117,10 @@ def bench_workload(trees: dict, workload: str, seed: int, seconds: float,
                           if (y[m] - x[m]) * sign[direction] > 0)
                    for m, direction in better.items()}
     out["pairs"] = PAIRS
+    parent, change = (out[name]["summary"]["verdict_s"]["median"]
+                      for name in ("parent", "change"))
+    print(f"{workload} verdict_s median: parent {parent:.4f} s, change {change:.4f} s; "
+          f"change better in {out['wins']['verdict_s']} of {PAIRS} pairs", file=sys.stderr)
     return out
 
 
