@@ -148,8 +148,8 @@ def run_two_param(cfg):
     prec = cfg.get("prec", 50)
     failures = []
     for k in (1, 3, 4):
+        E = eisenstein_qexp(EisensteinSpec("E", k, F(1, 5)), prec)
         for p in (2, 3):
-            E = eisenstein_qexp(EisensteinSpec("E", k, F(1, 5)), prec)
             if two_param_eisenstein(F(1, 5), k - 1, 0, p, prec) != p_depletion(E, p):
                 failures.append((k, p))
     Fs = eisenstein_qexp(EisensteinSpec("F", 3, F(1, 5)), prec)
@@ -276,7 +276,7 @@ def run_correction(cfg):
 def run_weil(cfg):
     f, g = _form_pair(cfg)
     bad = [p for p in (3, 5, 7, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-           if not weil_check(rankin_euler_factor(f, g, p), p, 2, 2)]
+           if not weil_check(rankin_euler_factor(f, g, p), p, f.weight, g.weight)]
     return _bool_entry(not bad, bad or None)
 
 

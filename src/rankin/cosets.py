@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -611,10 +611,16 @@ def iwahori_invariant(g, p: int) -> IwahoriCell:
     inv = _pair_invariant(g, p)
     for j in (inv[0], -inv[0]):
         for kind in ("diagonal", "antidiagonal"):
-            cell = IwahoriCell(kind, j)
-            if _pair_invariant(cell.representative(p), p) == inv:
-                return cell
+            if _cell_invariant(kind, j, p) == inv:
+                return IwahoriCell(kind, j)
     raise AssertionError("no Iwahori cell matched")
+
+
+@cache
+def _cell_invariant(kind: str, j: int, p: int):
+    """The lattice-pair invariants of the representative of the Iwahori cell
+    (kind, j) at p."""
+    return _pair_invariant(IwahoriCell(kind, j).representative(p), p)
 
 
 def iwahori_index(g, p: int, mutate: bool = False) -> int:

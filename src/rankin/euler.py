@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .arith import RATIONALS, prime_factors
-from .poly import (MPoly, PolyRing, QQ, RatFunc, poly_add, poly_derivative,
-                   poly_divmod, poly_eval, poly_gcd, poly_mul, poly_neg)
+from .poly import (MPoly, PolyRing, QQ, RatFunc, poly_derivative, poly_eval,
+                   poly_mul, poly_neg, poly_trim)
 from .quotring import join
 
 
@@ -150,6 +151,13 @@ def weil_check(factor: EulerFactor, p: int, k: int, l: int) -> bool:
     distinct roots in [-2, 2] (a Sturm count).  The other roots, those of
     h = H/g, come in no such pairs and lie on no circle point, so the
     Schur-Cohn recursion decides them without a singular case.
+
+    Every step runs on primitive integer polynomials: the denominators of N
+    are cleared once, gcds come from primitive remainder sequences, the
+    Schur-Cohn step h <- h_d h - h_0 (reversed h) is made primitive, and the
+    Sturm sequence is built from pseudo-remainders times a positive power of
+    the divisor's |lc|.  None of these scalings moves a root or a sign
+    change, so the verdict is that of the same steps over Q.
     """
     if factor.degree < 1:
         return True
@@ -159,40 +167,108 @@ def weil_check(factor: EulerFactor, p: int, k: int, l: int) -> bool:
     else:
         ext, _ = factor.ring.adjoin("X", [-c for c in rev[:-1]])
         norm = ext.gen("X").minpoly()
-    rho = QQ(p) ** (k + l - 2)
-    squares = poly_mul(norm, [-c if i % 2 else c for i, c in enumerate(norm)])
-    H = [c * rho ** i for i, c in enumerate(squares[::2])]
+    den = lcm(*(c.denominator for c in norm))
+    norm = [c.numerator * (den // c.denominator) for c in norm]
+    # H(w) = G(rho w), times p^(-e deg G) when e = k + l - 2 is negative
+    e, top = k + l - 2, len(norm) - 1
+    squares = _zmul(norm, [-c if i % 2 else c for i, c in enumerate(norm)])
+    H = [c * p ** (e * i - min(e, 0) * top) for i, c in enumerate(squares[::2])]
     while not H[0]:
         H.pop(0)
-    H = poly_divmod(H, poly_gcd(H, poly_derivative(H)))[0]
-    g = poly_gcd(H, H[::-1])
-    h = poly_divmod(H, g)[0]
+    H = _primitive(H)
+    H = _zdiv(H, _zgcd(H, poly_derivative(H)))[0]
+    g = _zgcd(H, H[::-1])
+    h = _zdiv(H, g)[0]
     while len(h) > 1:
-        c = h[0] / h[-1]
-        if abs(c) >= 1:
+        if abs(h[0]) >= abs(h[-1]):
             return False
-        h = [x - c * y for x, y in zip(h, h[::-1])][1:]
+        h = _primitive([h[-1] * x - h[0] * y for x, y in zip(h, h[::-1])][1:])
     for r in (1, -1):
-        q, rem = poly_divmod(g, [QQ(-r), QQ(1)])
-        if not rem:
-            g = q
+        if not _zeval(g, r):
+            g = _zdiv(g, [-r, 1])[0]
     m = (len(g) - 1) // 2
-    M, dickson, prev = [g[m]], [QQ(0), QQ(1)], [QQ(2)]
+    M, dickson, prev = [g[m]], [0, 1], [2]
     for c in g[m + 1:]:
         # dickson = w^j + w^-j as a polynomial in s = w + 1/w
-        M = poly_add(M, [c * x for x in dickson])
-        dickson, prev = poly_add([QQ(0)] + dickson, poly_neg(prev)), dickson
-    return _sturm_count(M, -2, 2) == m
+        M = _zadd(M, [c * x for x in dickson])
+        dickson, prev = _zadd([0] + dickson, poly_neg(prev)), dickson
+    return _zsturm_count(M, -2, 2) == m
 
 
-def _sturm_count(f, a, b) -> int:
-    """The number of distinct real roots of f in (a, b]."""
+# dense polynomials over Z, constant first, for the Weil check
+
+def _primitive(f):
+    """f divided by the (positive) gcd of its coefficients."""
+    c = gcd(*f)
+    return f if c == 1 else [x // c for x in f]
+
+
+def _zadd(f, g):
+    if len(f) < len(g):
+        f, g = g, f
+    out = list(f)
+    for i, c in enumerate(g):
+        out[i] += c
+    return poly_trim(out)
+
+
+def _zmul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
+
+
+def _zeval(f, x):
+    total = 0
+    for c in reversed(f):
+        total = total * x + c
+    return total
+
+
+def _zdiv(f, g):
+    """(q, r) with f = q g + r, for f and g whose long division over Q
+    divides exactly at each step: g primitive and dividing f (Gauss), or f
+    scaled as in ``_zprem``."""
+    d, lead = len(g) - 1, g[-1]
+    r, q = list(f), [0] * max(0, len(f) - d)
+    for k in reversed(range(len(q))):
+        c = q[k] = r[k + d] // lead
+        if c:
+            for j, b in enumerate(g):
+                r[k + j] -= c * b
+    return q, poly_trim(r[:d])
+
+
+def _zprem(f, g):
+    """The remainder of |lc(g)|^(deg f - deg g + 1) f on division by g, which
+    is integral and a positive multiple of the remainder over Q."""
+    scale = abs(g[-1]) ** max(0, len(f) - len(g) + 1)
+    return _zdiv([c * scale for c in f], g)[1]
+
+
+def _zgcd(f, g):
+    """A primitive gcd of f and g over Q, by the primitive remainder
+    sequence (Collins 1967)."""
+    while g:
+        f, g = g, _zprem(f, g)
+        if g:
+            g = _primitive(g)
+    return _primitive(f)
+
+
+def _zsturm_count(f, a, b) -> int:
+    """The number of distinct real roots of f in (a, b]: a Sturm sequence of
+    positive multiples of the remainders over Q, so the signs are theirs."""
     seq = [f, poly_derivative(f)]
     while seq[-1]:
-        seq.append(poly_neg(poly_divmod(seq[-2], seq[-1])[1]))
+        r = _zprem(seq[-2], seq[-1])
+        seq.append(_primitive(poly_neg(r)) if r else r)
 
     def changes(x):
-        signs = [v for v in (poly_eval(q, x) for q in seq[:-1]) if v]
+        signs = [v for v in (_zeval(q, x) for q in seq[:-1]) if v]
         return sum(1 for u, v in zip(signs, signs[1:]) if (u < 0) != (v < 0))
 
     return changes(a) - changes(b)

@@ -178,10 +178,15 @@ def parse_eigenform(text: str) -> Eigenform:
         # comments carry provenance notes
         level=N weight=k charmod=M field=<monic polynomial in t>
         chargen a:<value>        (zero or more)
-        n: <polynomial in t>     (coefficient lines)
+        n: <value>               (coefficient lines)
+
+    A value is a sum of terms c, c*t, ct, t, c*t^k, ct^k or t^k, each with
+    an optional sign (one before the first term, one between terms), where c
+    is an integer or a fraction a/b; spaces are ignored.  Anything else is a
+    FormDataError naming the line.
     """
     header = None
-    chargens = {}
+    chargens = []
     coeff_lines = []
     provenance = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -193,6 +198,7 @@ def parse_eigenform(text: str) -> Eigenform:
             continue
         if header is None:
             header = dict(_HEADER_RE.findall(line))
+            header_line = lineno
             for key in ("level", "weight", "charmod", "field"):
                 if key not in header:
                     raise FormDataError(f"line {lineno}: missing header key {key}")
@@ -200,7 +206,9 @@ def parse_eigenform(text: str) -> Eigenform:
         if line.startswith("chargen"):
             body = line[len("chargen"):].strip()
             g, _, val = body.partition(":")
-            chargens[int(g)] = val.strip()
+            if not g.strip().isdigit():
+                raise FormDataError(f"line {lineno}: cannot parse {line!r}")
+            chargens.append((lineno, int(g), val.strip()))
             continue
         m = re.match(r"^(\d+)\s*:\s*(.+)$", line)
         if not m:
@@ -208,22 +216,18 @@ def parse_eigenform(text: str) -> Eigenform:
         coeff_lines.append((lineno, int(m.group(1)), m.group(2).strip()))
     if header is None:
         raise FormDataError("missing header line")
-    field_poly = _parse_univariate(header["field"])
+    field_poly = _parse_value(header["field"], header_line)
     if field_poly[-1] != 1:
         raise FormDataError("field polynomial must be monic")
     deg = len(field_poly) - 1
     if deg == 0:
         raise FormDataError("field polynomial must involve t")
     ring = QuotRing([("t", deg, [-c for c in field_poly[:-1]])])
-    char_values = {g: _poly_in_t(ring, _parse_univariate(v))
-                   for g, v in chargens.items()}
+    char_values = {g: ring.from_dense("t", _parse_value(v, lineno))
+                   for lineno, g, v in chargens}
     character = DirichletChar(int(header["charmod"]), char_values, ring)
-    coeffs = {}
-    for lineno, n, val in coeff_lines:
-        try:
-            coeffs[n] = _poly_in_t(ring, _parse_univariate(val))
-        except Exception as exc:
-            raise FormDataError(f"line {lineno}: bad value {val!r}: {exc}") from exc
+    coeffs = {n: ring.from_dense("t", _parse_value(val, lineno))
+              for lineno, n, val in coeff_lines}
     form = Eigenform(int(header["level"]), int(header["weight"]), character,
                      ring, coeffs, provenance, field_poly)
     expected = set(range(1, max(coeffs) + 1))
@@ -234,30 +238,34 @@ def parse_eigenform(text: str) -> Eigenform:
     return form
 
 
-def _poly_in_t(ring: QuotRing, dense):
-    return ring.from_dense(ring.gen_names[0], dense)
+# one term of a value: sign, then c, c*t, ct or t, then an optional ^k on t
+_TERM_RE = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)(?:\*?(t)(?:\^(\d+))?)?|(t)(?:\^(\d+))?)")
 
 
-def _parse_univariate(s: str):
-    """Parse sums of rational multiples of powers of t into a dense list."""
+def _parse_value(s: str, lineno: int):
+    """A value in t as a dense list, ints for integral coefficients and
+    Fractions for the a/b terms; the terms must cover the whole string."""
     s = s.replace(" ", "")
-    if not s:
-        raise ValueError("empty value")
-    tokens = re.findall(r"[+-]?[^+-]+", s)
-    out = {}
-    for tok in tokens:
-        sign = -1 if tok.startswith("-") else 1
-        tok = tok.lstrip("+-")
-        if "t" in tok:
-            coef_part, _, pow_part = tok.partition("t")
-            coef = QQ(coef_part.rstrip("*")) if coef_part.rstrip("*") else QQ(1)
-            power = int(pow_part[1:]) if pow_part.startswith("^") else 1
+    out, pos = {}, 0
+    while pos < len(s):
+        m = _TERM_RE.match(s, pos)
+        if not m or not (m.group(1) or pos == 0):
+            raise FormDataError(f"line {lineno}: bad value {s!r}")
+        sign, coef, t, k, bare_t, bare_k = m.groups()
+        if coef is None:
+            c, power = 1, (int(bare_k) if bare_k else 1)
         else:
-            coef = QQ(tok)
-            power = 0
-        out[power] = out.get(power, QQ(0)) + sign * coef
-    deg = max(out)
-    return [out.get(k, QQ(0)) for k in range(deg + 1)]
+            power = (int(k) if k else 1) if t else 0
+            try:
+                c = Fraction(coef) if "/" in coef else int(coef)
+            except ZeroDivisionError:
+                raise FormDataError(
+                    f"line {lineno}: bad value {s!r}: zero denominator") from None
+        out[power] = out.get(power, 0) + (-c if sign == "-" else c)
+        pos = m.end()
+    if not out:
+        raise FormDataError(f"line {lineno}: empty value")
+    return [out.get(k, 0) for k in range(max(out) + 1)]
 
 
 def _format_t(terms) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, product
+from math import gcd, lcm
 from operator import add
 
 from .arith import RingElt, solve
@@ -115,10 +116,10 @@ class QuotRing:
 
     def from_dense(self, name, coeffs):
         """c0 + c1*g + c2*g^2 + ... for a single generator ``name``."""
-        p = self.poly_ring.zero()
-        for k, c in enumerate(coeffs):
-            p = p + self.poly_ring.var(name, k) * QQ(c)
-        return self.from_poly(p)
+        i = self.poly_ring.index[name]
+        zero = (0,) * len(self.gen_names)
+        return self.from_poly(self.poly_ring.from_terms(
+            {zero[:i] + (k,) + zero[i + 1:]: c for k, c in enumerate(coeffs)}))
 
     # -- reduction -----------------------------------------------------------
 
@@ -237,26 +238,40 @@ class QuotElt(RingElt):
         """Monic minimal polynomial over Q of multiplication by this element,
         as a dense Fraction list (constant first).  With zero divisors in the
         ring this is the least common annihilator across the components, so
-        it may factor; the element is always a root.  Each power is reduced
-        against the pivot rows of the earlier ones, which carry their
-        combinations of powers; one reduces to zero by degree n.
+        it may factor; the element is always a root.
+
+        Fraction-free incremental echelon: each power's coordinates are an int
+        row over one denominator, recorded in its combination of powers; the
+        row is reduced against the stored pivot rows by cross-multiplication
+        and made primitive together with its combination.  One row reduces to
+        zero by degree n, and its combination, divided by its last entry, is
+        the monic relation.
         """
         ring = self.ring
-        rows = []   # (pivot, row with 1 at the pivot, combination of powers)
+        idx = {e: i for i, e in enumerate(ring.basis())}
+        rows = []   # (pivot, primitive int row, its combination of powers)
         xd = ring.one()
         for d in count():
-            v = ring.to_vector(xd)
-            comb = [QQ(0)] * d + [QQ(1)]
+            terms = xd.rep.terms
+            den = lcm(*(c.denominator for c in terms.values()))
+            v = [0] * ring.dimension
+            for e, c in terms.items():
+                v[idx[e]] = c.numerator * (den // c.denominator)
+            comb = [0] * d + [den]
             for p, row, rc in rows:
                 c = v[p]
                 if c:
-                    v = [a - c * b for a, b in zip(v, row)]
-                    comb = [a - c * b for a, b in zip(comb, rc)] + comb[len(rc):]
+                    a = row[p]
+                    v = [a * x - c * y for x, y in zip(v, row)]
+                    comb = ([a * x - c * y for x, y in zip(comb, rc)]
+                            + [a * x for x in comb[len(rc):]])
+            g = gcd(*v, *comb)
+            if g > 1:
+                v, comb = [x // g for x in v], [x // g for x in comb]
             p = next((i for i, a in enumerate(v) if a), None)
             if p is None:
-                return comb
-            c = v[p]
-            rows.append((p, [a / c for a in v], [a / c for a in comb]))
+                return [Fraction(c, comb[-1]) for c in comb]
+            rows.append((p, v, comb))
             xd = xd * self
 
     def __str__(self):

@@ -85,3 +85,13 @@ def test_polynomial_coefficients_are_int_or_fraction(monkeypatch):
     report = run_catalog(ids, {"prec": 100, "seed": 0, "data": None, "guard": 8})
     assert [e["id"] for e in report["entries"] if e["status"] != "PASS"] == []
     assert bad == []
+
+
+def test_two_param_family_builds_each_eisenstein_series_once(monkeypatch):
+    specs = []
+    real = catalog.eisenstein_qexp
+    monkeypatch.setattr(catalog, "eisenstein_qexp",
+                        lambda spec, prec: specs.append(spec) or real(spec, prec))
+    (entry,) = run_catalog(["two-param-family"])["entries"]
+    assert entry["status"] == "PASS"
+    assert [(s.family, s.k) for s in specs] == [("E", 1), ("E", 3), ("E", 4), ("F", 3)]

@@ -519,6 +519,18 @@ class TestIwahori:
         assert iwahori_invariant(g, p) == cell == _bounded_cell_search(g, p)
 
 
+def test_cell_invariants_are_computed_once(monkeypatch):
+    # after one call at (p, j), a second finds the cell from the cached cell
+    # invariants and computes only the invariant of g itself
+    g = (F(0), -F(1, 3), F(3), F(0))
+    cell = iwahori_invariant(g, 3)
+    calls = []
+    real = rankin.cosets._pair_invariant
+    monkeypatch.setattr(rankin.cosets, "_pair_invariant",
+                        lambda m, p: calls.append(m) or real(m, p))
+    assert iwahori_invariant(g, 3) == cell and calls == [g]
+
+
 def _bounded_cell_search(g, p):
     """The former search over every cell with |j| <= 2 max |v(entry)| + 2,
     kept as the oracle of iwahori_invariant."""

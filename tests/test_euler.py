@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 
 import rankin.euler
 from conftest import SYMMETRY_BOX, general_sides_specialize, oracle_symmetry_sides
-from rankin.euler import (SYM_RING, BadPrimeError, EulerFactor,
+from rankin.catalog import run_catalog
+from rankin.euler import (SYM_RING, BadPrimeError, EulerFactor, _zsturm_count,
                           functional_symmetry_check, hecke_polynomial,
                           interpolation_factors, joint_coefficient_ring,
                           local_correction, rankin_euler_factor, weil_check)
-from rankin.forms import load_bundled
+from rankin.forms import bundled_path, load_bundled
+from rankin.poly import (QQ, poly_add, poly_derivative, poly_divmod, poly_eval,
+                         poly_gcd, poly_mul, poly_neg)
 from rankin.quotring import QuotRing
 
 
@@ -237,6 +240,133 @@ class TestWeil:
         p, k, l, lams = case
         truth = all(a * a + b * b <= p ** (k + l - 2) for a, b in lams)
         assert weil_check(_factor_with_roots(lams), p, k, l) is truth
+
+
+# ---------------------------------------------------------------------------
+# the Weil check over Q, kept as the oracle of the integer one
+# ---------------------------------------------------------------------------
+
+def _weil_check_oracle(factor, p, k, l):
+    """The same steps as ``weil_check`` on Fraction polynomials: monic gcds,
+    the Schur-Cohn step h <- h - (h_0 / h_d) reversed h, and a Sturm
+    sequence of negated remainders over Q."""
+    if factor.degree < 1:
+        return True
+    rev = factor.coefficients[::-1]
+    if factor.ring is None:
+        norm = [QQ(c) for c in rev]
+    else:
+        ext, _ = factor.ring.adjoin("X", [-c for c in rev[:-1]])
+        norm = ext.gen("X").minpoly()
+    rho = QQ(p) ** (k + l - 2)
+    squares = poly_mul(norm, [-c if i % 2 else c for i, c in enumerate(norm)])
+    H = [c * rho ** i for i, c in enumerate(squares[::2])]
+    while not H[0]:
+        H.pop(0)
+    H = poly_divmod(H, poly_gcd(H, poly_derivative(H)))[0]
+    g = poly_gcd(H, H[::-1])
+    h = poly_divmod(H, g)[0]
+    while len(h) > 1:
+        c = h[0] / h[-1]
+        if abs(c) >= 1:
+            return False
+        h = [x - c * y for x, y in zip(h, h[::-1])][1:]
+    for r in (1, -1):
+        q, rem = poly_divmod(g, [QQ(-r), QQ(1)])
+        if not rem:
+            g = q
+    m = (len(g) - 1) // 2
+    M, dickson, prev = [g[m]], [QQ(0), QQ(1)], [QQ(2)]
+    for c in g[m + 1:]:
+        M = poly_add(M, [c * x for x in dickson])
+        dickson, prev = poly_add([QQ(0)] + dickson, poly_neg(prev)), dickson
+    return _sturm_count(M, -2, 2) == m
+
+
+def _sturm_count(f, a, b) -> int:
+    """The number of distinct real roots of f in (a, b]."""
+    seq = [f, poly_derivative(f)]
+    while seq[-1]:
+        seq.append(poly_neg(poly_divmod(seq[-2], seq[-1])[1]))
+
+    def changes(x):
+        signs = [v for v in (poly_eval(q, x) for q in seq[:-1]) if v]
+        return sum(1 for u, v in zip(signs, signs[1:]) if (u < 0) != (v < 0))
+
+    return changes(a) - changes(b)
+
+
+@st.composite
+def rational_factors(draw):
+    """(p, k, l, factor) with the factor over Q a product of small pieces:
+    1 - a X, 1 + b X + c X^2 with c = +-rho (roots on the circle, or
+    w = +-1 for b = 0), random quadratics, some of them repeated."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    k, l = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rho = p ** (k + l - 2)
+    small = st.fractions(-9, 9, max_denominator=3)
+    piece = st.one_of(
+        st.builds(lambda a: [F(1), -a], small),
+        st.builds(lambda b, s: [F(1), b, F(s * rho)], small, st.sampled_from([1, -1])),
+        st.builds(lambda b, c: [F(1), b, c], small, small))
+    coeffs = [F(1)]
+    for fac in draw(st.lists(piece, min_size=1, max_size=3)):
+        for _ in range(draw(st.integers(1, 2))):
+            coeffs = poly_mul(coeffs, fac)
+    return p, k, l, EulerFactor(coeffs, None)
+
+
+class TestIntegerWeil:
+    @pytest.mark.parametrize("p", [3, 5, 7, 17, 19, 23, 29, 31, 37, 41, 43, 47])
+    def test_catalog_primes_and_the_exponent_mutant(self, pair, p):
+        fac = rankin_euler_factor(*pair, p)
+        for k, l in ((2, 2), (2, 1)):   # (2, 1): the bound p^(k+l-3)
+            assert weil_check(fac, p, k, l) == _weil_check_oracle(fac, p, k, l)
+
+    @given(rational_factors())
+    @settings(max_examples=80, deadline=None)
+    @example((3, 2, 2, EulerFactor([F(1), F(0), F(9)], None)))    # w = -1
+    @example((3, 2, 2, EulerFactor([F(1), F(0), F(-9)], None)))   # w = 1
+    @example((2, 1, 1, EulerFactor([F(1), F(-2), F(1)], None)))   # repeated 1
+    @example((2, 1, 2, EulerFactor([F(1), F(1, 2), F(2)], None)))  # on the circle
+    @example((2, 1, 0, EulerFactor([F(1), F(-1, 2), F(1, 4)], None)))  # rho = 1/2
+    @example((2, 1, 0, EulerFactor([F(1), F(-1)], None)))              # rho = 1/2
+    def test_rational_factors_match_the_oracle(self, case):
+        p, k, l, fac = case
+        assert weil_check(fac, p, k, l) == _weil_check_oracle(fac, p, k, l)
+
+    @given(weil_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_gaussian_factors_match_the_oracle(self, case):
+        p, k, l, lams = case
+        fac = _factor_with_roots(lams)
+        assert weil_check(fac, p, k, l) == _weil_check_oracle(fac, p, k, l)
+
+    # sparse coefficients, so that remainders skip degrees and |lc| matters
+    @given(st.lists(st.sampled_from([0, 0, 0, -3, -1, 1, 2]) | st.integers(-20, 20),
+                    min_size=1, max_size=7).filter(lambda f: f[-1]),
+           st.integers(-3, 0), st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    @example([0, 1, 0, 0, -1], -2, 1)   # x - x^4: a remainder two degrees down
+    def test_sturm_count_matches_the_oracle(self, f, a, b):
+        assert _zsturm_count(f, a, b) == _sturm_count([F(c) for c in f], a, b)
+
+    def test_weights_of_the_forms_reach_the_catalog(self, tmp_path):
+        # Delta = q prod (1 - q^n)^24, level 1 and weight 12, as the f of the
+        # pair: its reciprocal roots have |lambda|^2 = p^11 * p
+        B = 50
+        series = [1] + [0] * B
+        for n in range(1, B + 1):
+            for _ in range(24):
+                for i in range(B, n - 1, -1):
+                    series[i] -= series[i - n]
+        (tmp_path / "f11.eigenform").write_text(
+            "level=1 weight=12 charmod=1 field=t\n"
+            + "".join(f"{n}: {series[n - 1]}\n" for n in range(1, B + 1)))
+        (tmp_path / "g26.eigenform").write_text(bundled_path("g26.eigenform").read_text())
+        (entry,) = run_catalog(["weil-bounds"], {"data": str(tmp_path)})["entries"]
+        assert series[:5] == [1, -24, 252, -1472, 4830]
+        assert (entry["status"], entry["witness"]) == ("PASS", None)
 
 
 def _oracle_check(k, l, j, literal_reading=False, mutate_shift=0):

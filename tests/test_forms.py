@@ -5,8 +5,12 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rankin.forms import (DirichletChar, FormDataError, eta_oracle_level11,
+from rankin.cli import main
+from rankin.forms import (DirichletChar, FormDataError, _format_t, _parse_value,
+                          bundled_path, eta_oracle_level11,
                           congruence_prime_scan, hypothesis_report,
                           is_root_of_unity_poly, load_bundled, parse_eigenform,
                           p_stabilize, ratio_minpoly_and_root_of_unity,
@@ -102,6 +106,61 @@ class TestIngestion:
         again = parse_eigenform(text)
         assert again.field_poly == form.field_poly == [1, -1, 1]
         assert serialize_eigenform(again) == text
+
+
+# values the former token scan read as something else: t*3, t3 and tt as t,
+# --1 as -1, 1.5 as 3/2
+MALFORMED = ["t*3", "t3", "tt", "--1", "3*", "t^", "^2", "1+", "+", "1.5", "2/0",
+             "3**t", "t^-1", "1/2/3"]
+
+
+class TestValueGrammar:
+    @pytest.mark.parametrize("value", MALFORMED)
+    def test_malformed_coefficient_names_the_line(self, value):
+        text = f"level=26 weight=2 charmod=1 field=t^2+1\n1: 1\n2: {value}\n"
+        with pytest.raises(FormDataError, match="^line 3: "):
+            parse_eigenform(text)
+
+    @pytest.mark.parametrize("value", ["t*3", "--1"])
+    def test_malformed_field_and_character_name_the_line(self, value):
+        with pytest.raises(FormDataError, match="^line 1: "):
+            parse_eigenform(f"level=1 weight=2 charmod=1 field={value}\n1: 1\n")
+        with pytest.raises(FormDataError, match="^line 2: "):
+            parse_eigenform(f"level=26 weight=2 charmod=26 field=t^2+1\n"
+                            f"chargen 7:{value}\n1: 1\n")
+        with pytest.raises(FormDataError, match="^line 2: "):
+            parse_eigenform("level=26 weight=2 charmod=26 field=t^2+1\n"
+                            "chargen x:-1\n1: 1\n")
+
+    @pytest.mark.parametrize("value", ["t*3", "t3", "tt", "--1"])
+    def test_cli_exits_3_on_a_malformed_value(self, tmp_path, capsys, value):
+        text = bundled_path("f11.eigenform").read_text()
+        assert "\n2: -2\n" in text
+        bad = tmp_path / "f.eigenform"
+        bad.write_text(text.replace("\n2: -2\n", f"\n2: {value}\n"))
+        rc = main(["euler-factor", "--f", str(bad),
+                   "--g", str(bundled_path("g26.eigenform")), "--prime", "3"])
+        err = capsys.readouterr().err
+        assert rc == 3 and err.startswith("data error: line ") and value in err
+
+    @pytest.mark.parametrize("value, dense", [
+        ("3t", [0, 3]), ("3*t", [0, 3]), ("-t^2", [0, 0, -1]), ("+2", [2]),
+        ("1/2t^3-1/2", [F(-1, 2), 0, 0, F(1, 2)]), ("t-t", [0, 0]),
+        (" 2 + 3 * t ", [2, 3]), ("4/2", [2]), ("t^0+t", [1, 1])])
+    def test_well_formed_values(self, value, dense):
+        assert _parse_value(value, 1) == dense
+
+    @given(st.lists(st.one_of(st.integers(-50, 50),
+                              st.fractions(-50, 50, max_denominator=9)),
+                    min_size=1, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_format_then_parse_gives_the_value(self, dense):
+        while len(dense) > 1 and not dense[-1]:
+            dense.pop()
+        got = _parse_value(_format_t(enumerate(dense)), 1)
+        assert got[:len(dense)] == dense and not any(got[len(dense):])
+        # integral coefficients come back as ints
+        assert all(type(c) is int for c in got if F(c).denominator == 1)
 
 
 class TestEtaOracle:

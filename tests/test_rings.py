@@ -854,10 +854,11 @@ NILPOTENT = QuotRing([("x", 2, [F(0), F(0)])])   # Q[x]/(x^2)
 
 
 @st.composite
-def towers(draw):
+def towers(draw, coeffs=coefficients):
     """Q[g1, ..., gr]/(...) with r <= 3 and dimension <= 12; each relation may
     involve the earlier generators at powers past their degrees, and many
-    rings have zero divisors."""
+    rings have zero divisors.  The relations draw their coefficients from
+    ``coeffs``."""
     degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)
                    .filter(lambda ds: prod(ds) <= 12))
     r = len(degrees)
@@ -867,7 +868,7 @@ def towers(draw):
         # this one below d, later ones 0
         exps = st.tuples(*[st.integers(0, k + 1) for k in degrees[:i]],
                          st.integers(0, d - 1), *[st.just(0)] * (r - i - 1))
-        gens.append((name, d, draw(st.dictionaries(exps, coefficients, max_size=3))))
+        gens.append((name, d, draw(st.dictionaries(exps, coeffs, max_size=3))))
     return QuotRing(gens)
 
 
@@ -904,6 +905,22 @@ def test_echelon_minpoly_matches_the_solving_oracle(data):
     assert got == want and all(type(c) is F for c in got)
     # the element is a root
     assert sum((c * x ** k for k, c in enumerate(got)), ring.zero()) == 0
+
+
+proper_fractions = st.fractions(-3, 3, max_denominator=6).filter(lambda c: c.denominator > 1)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_fraction_free_minpoly_over_fraction_relations(data):
+    # every relation and every coefficient of the element is a non-integral
+    # Fraction, so each power's row has its own denominator
+    ring = data.draw(towers(proper_fractions))
+    exps = st.tuples(*[st.integers(0, 2)] * len(ring.gen_names))
+    x = ring.from_poly(ring.poly_ring.from_terms(
+        data.draw(st.dictionaries(exps, proper_fractions, min_size=1, max_size=3))))
+    got = x.minpoly()
+    assert got == _minpoly_oracle(x) and all(type(c) is F for c in got)
 
 
 @st.composite
