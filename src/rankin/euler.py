@@ -253,9 +253,7 @@ def _zgcd(f, g):
     """A primitive gcd of f and g over Q, by the primitive remainder
     sequence (Collins 1967)."""
     while g:
-        f, g = g, _zprem(f, g)
-        if g:
-            g = _primitive(g)
+        f, g = g, _primitive(_zprem(f, g))
     return _primitive(f)
 
 
@@ -264,8 +262,7 @@ def _zsturm_count(f, a, b) -> int:
     positive multiples of the remainders over Q, so the signs are theirs."""
     seq = [f, poly_derivative(f)]
     while seq[-1]:
-        r = _zprem(seq[-2], seq[-1])
-        seq.append(_primitive(poly_neg(r)) if r else r)
+        seq.append(_primitive(poly_neg(_zprem(seq[-2], seq[-1]))))
 
     def changes(x):
         signs = [v for v in (_zeval(q, x) for q in seq[:-1]) if v]

@@ -324,7 +324,7 @@ class TestIntegerWeil:
             assert weil_check(fac, p, k, l) == _weil_check_oracle(fac, p, k, l)
 
     @given(rational_factors())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @example((3, 2, 2, EulerFactor([F(1), F(0), F(9)], None)))    # w = -1
     @example((3, 2, 2, EulerFactor([F(1), F(0), F(-9)], None)))   # w = 1
     @example((2, 1, 1, EulerFactor([F(1), F(-2), F(1)], None)))   # repeated 1
@@ -336,7 +336,7 @@ class TestIntegerWeil:
         assert weil_check(fac, p, k, l) == _weil_check_oracle(fac, p, k, l)
 
     @given(weil_cases())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=30, deadline=None)
     def test_gaussian_factors_match_the_oracle(self, case):
         p, k, l, lams = case
         fac = _factor_with_roots(lams)
@@ -346,7 +346,7 @@ class TestIntegerWeil:
     @given(st.lists(st.sampled_from([0, 0, 0, -3, -1, 1, 2]) | st.integers(-20, 20),
                     min_size=1, max_size=7).filter(lambda f: f[-1]),
            st.integers(-3, 0), st.integers(0, 3))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @example([0, 1, 0, 0, -1], -2, 1)   # x - x^4: a remainder two degrees down
     def test_sturm_count_matches_the_oracle(self, f, a, b):
         assert _zsturm_count(f, a, b) == _sturm_count([F(c) for c in f], a, b)

@@ -153,7 +153,7 @@ class TestValueGrammar:
     @given(st.lists(st.one_of(st.integers(-50, 50),
                               st.fractions(-50, 50, max_denominator=9)),
                     min_size=1, max_size=6))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=50, deadline=None)
     def test_format_then_parse_gives_the_value(self, dense):
         while len(dense) > 1 and not dense[-1]:
             dense.pop()

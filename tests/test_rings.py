@@ -911,7 +911,7 @@ proper_fractions = st.fractions(-3, 3, max_denominator=6).filter(lambda c: c.den
 
 
 @given(st.data())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=30, deadline=None)
 def test_fraction_free_minpoly_over_fraction_relations(data):
     # every relation and every coefficient of the element is a non-integral
     # Fraction, so each power's row has its own denominator
