@@ -1,6 +1,7 @@
 """The exact arithmetic every layer shares: factorization, Euler's phi,
 primes, the Chinese remainder theorem, square-and-multiply powers, inverses,
-Gauss-Jordan solves over Q, and the coefficient-ring protocol.
+Gauss-Jordan solves over Q, the coefficient-ring protocol, and the error a
+failed internal certificate raises.
 
 The ring protocol: a ring has zero(), one() and coerce() and compares
 structurally; its elements subclass RingElt and carry it as ``.ring``; sums
@@ -13,6 +14,11 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+
+
+class VerificationError(AssertionError):
+    """An internal certificate failed: a computed result did not pass the
+    independent check that guards it."""
 
 
 def factor(n: int):

@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .arith import factor, prime_factors
+from .arith import VerificationError, factor, prime_factors
 from .poly import QQ
 
 Mat = tuple  # (a, b, c, d)
@@ -241,7 +241,7 @@ def lift_sl2(g: Mat, M: int) -> Mat:
     while gcd(cc, dd + t * M) != 1:
         t += 1
         if t > 4 * M:
-            raise AssertionError("no coprime lift found")
+            raise VerificationError("no coprime lift found")
     dd = dd + t * M
     # complete to determinant 1: x*dd - y*cc = 1
     x, y = _xgcd_pair(dd, cc)
@@ -250,10 +250,10 @@ def lift_sl2(g: Mat, M: int) -> Mat:
     s = next((s for s in range(M)
               if (x + s * cc - a) % M == 0 and (y + s * dd - b) % M == 0), None)
     if s is None:
-        raise AssertionError("no top-row adjustment found (input not in SL2?)")
+        raise VerificationError("no top-row adjustment found (input not in SL2?)")
     lift = (x + s * cc, y + s * dd, cc, dd)
     if mat_det(lift) != 1 or mat_mod(lift, M) != (a, b, c % M, d % M):
-        raise AssertionError(f"{lift} is not an SL2(Z) lift of {g} mod {M}")
+        raise VerificationError(f"{lift} is not an SL2(Z) lift of {g} mod {M}")
     return lift
 
 
@@ -417,7 +417,7 @@ def coset_reps(gamma: CongSubgroup, alpha: CosetMatrix):
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             if same_right_coset(gamma, reps[i].entries, reps[j].entries):
-                raise AssertionError(f"{reps[i]} and {reps[j]} share a coset")
+                raise VerificationError(f"{reps[i]} and {reps[j]} share a coset")
     gamma._coset_reps[alpha.entries] = reps
     cell = frozenset(keys)
     gamma._cells.update(dict.fromkeys(cell, cell))
@@ -458,9 +458,9 @@ def double_coset_multiply(gamma: CongSubgroup, alpha: CosetMatrix,
         cell = coset_reps(gamma, rep)
         counts = [groups.pop(k)[1] for k in _cell_keys(gamma, rep) if k in groups]
         if len(set(counts)) != 1:
-            raise AssertionError("multiplicity not constant on a double coset")
+            raise VerificationError("multiplicity not constant on a double coset")
         if len(counts) != len(cell):
-            raise AssertionError("product does not cover a full double coset")
+            raise VerificationError("product does not cover a full double coset")
         canonical = min(c.entries for c in cell)
         result.append((CosetMatrix(canonical), counts[0], len(cell)))
     result.sort(key=lambda t: t[0].entries)
@@ -613,7 +613,7 @@ def iwahori_invariant(g, p: int) -> IwahoriCell:
         for kind in ("diagonal", "antidiagonal"):
             if _cell_invariant(kind, j, p) == inv:
                 return IwahoriCell(kind, j)
-    raise AssertionError("no Iwahori cell matched")
+    raise VerificationError("no Iwahori cell matched")
 
 
 @cache

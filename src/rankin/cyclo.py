@@ -12,12 +12,8 @@ from fractions import Fraction
 from math import lcm
 
 from .arith import RingElt, euler_phi
-from .poly import (QQ, cyclotomic_polynomial, poly_divmod, poly_trim,
-                   poly_xgcd)
-
-
-def _as_int(c):
-    return c.numerator if c.denominator == 1 else c
+from .poly import (QQ, _div, cyclotomic_polynomial, poly_trim, poly_xgcd,
+                   power_rows)
 
 
 def slot_bytes(bound: int) -> int:
@@ -81,22 +77,11 @@ class CyclotomicField:
         self.phi = euler_phi(L)
         self.modulus = cyclotomic_polynomial(L)
         # x^k mod Phi_L for 0 <= k < L as int vectors of length phi (ints keep
-        # integral arithmetic on the fast path): x times the row before, less
-        # its lead times the monic Phi_L.  The reduction rows for products,
-        # 0 <= k <= 2 phi - 2, follow from x^L = 1 mod Phi_L
-        low = [int(c) for c in self.modulus[:-1]]
-        row = [1] + [0] * (self.phi - 1)
-        self._powers = [tuple(row)]
-        for k in range(1, L):
-            lead, row = row[-1], [0] + row[:-1]
-            if lead:
-                row = [a - lead * b for a, b in zip(row, low)]
-            self._powers.append(tuple(row))
+        # integral arithmetic on the fast path).  The reduction rows for
+        # products, 0 <= k <= 2 phi - 2, follow from x^L = 1 mod Phi_L
+        self._powers = power_rows([int(c) for c in self.modulus], L)
         self._redrows = [self._powers[k % L] for k in range(2 * self.phi - 1)]
         self._ready = True
-
-    def _pad(self, coeffs):
-        return tuple(list(coeffs) + [QQ(0)] * (self.phi - len(coeffs)))
 
     def __repr__(self):
         return f"Q(zeta_{self.L})"
@@ -124,11 +109,11 @@ class CyclotomicField:
         return CycloElt(self, self._powers[k % self.L])
 
     def from_coeffs(self, coeffs):
-        coeffs = [QQ(c) for c in coeffs]
-        if len(coeffs) > self.phi:
-            _, r = poly_divmod(coeffs, self.modulus)
-            coeffs = list(r)
-        return CycloElt(self, self._pad(coeffs))
+        """sum_j coeffs[j] zeta^j, the exponents folded mod L."""
+        row = [0] * self.L
+        for j, c in enumerate(coeffs):
+            row[j % self.L] += QQ(c)
+        return CycloElt(self, tuple(self.reduce_powers(row)))
 
     def reduce_powers(self, row) -> list:
         """The coordinate vector of sum_j row[j] zeta^j (0 <= j < L)."""
@@ -151,7 +136,7 @@ class CyclotomicField:
         """The elements with coordinate vectors row / d, for integer rows."""
         if d == 1:
             return [CycloElt(self, tuple(r)) for r in rows]
-        return [CycloElt(self, tuple(_as_int(Fraction(c, d)) for c in r))
+        return [CycloElt(self, tuple(_div(c, d) for c in r))
                 for r in rows]
 
     def mul_rows(self, a, b, n: int):
@@ -189,10 +174,6 @@ class CyclotomicField:
                         row[j] += c * r
             out.append(row)
         return out
-
-    def reduce(self, dense):
-        _, r = poly_divmod(dense, self.modulus)
-        return CycloElt(self, self._pad(r))
 
 
 class CycloElt(RingElt):
@@ -262,8 +243,7 @@ class CycloElt(RingElt):
         if len(g) != 1:
             raise ZeroDivisionError(
                 f"non-unit {self} in {self.ring}: gcd with modulus is {g}")
-        inv = [c / g[0] for c in u]
-        return self.ring.reduce(inv)
+        return self.ring.from_coeffs(u)
 
     def to_complex(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.ring.L)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import VerificationError
 from .cyclo import CycloElt, CyclotomicField
 from .groupring import GroupRing
 from .poly import QQ, cyclotomic_polynomial
@@ -286,6 +287,6 @@ def equivariant_gm(form, m: int, prec: int):
                                          an * ring.base_zeta(n * a))
         tau = universal_gauss_sum(n, m, ring)
         if total != tau * ring.coerce(an):
-            raise AssertionError(f"Gauss-sum factorization fails at n={n}")
+            raise VerificationError(f"Gauss-sum factorization fails at n={n}")
         coeffs.append(total)
     return QSeries(ring, 0, coeffs, normalize=False), ring

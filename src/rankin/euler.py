@@ -10,9 +10,9 @@ import functools
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .arith import RATIONALS, prime_factors
-from .poly import (MPoly, PolyRing, QQ, RatFunc, poly_derivative, poly_eval,
-                   poly_mul, poly_neg, poly_trim)
+from .arith import RATIONALS, VerificationError, prime_factors
+from .poly import (MPoly, PolyRing, QQ, RatFunc, poly_add, poly_derivative,
+                   poly_eval, poly_mul, poly_neg, poly_trim)
 from .quotring import join
 
 
@@ -38,13 +38,8 @@ class EulerFactor:
     def __eq__(self, other):
         if not isinstance(other, EulerFactor):
             return NotImplemented
-        n = max(len(self.coefficients), len(other.coefficients))
-        for i in range(n):
-            a = self.coefficients[i] if i < len(self.coefficients) else 0
-            b = other.coefficients[i] if i < len(other.coefficients) else 0
-            if not (a == b):
-                return False
-        return True
+        return (poly_trim(list(self.coefficients))
+                == poly_trim(list(other.coefficients)))
 
     def __call__(self, x):
         return poly_eval(self.coefficients, x)
@@ -106,7 +101,7 @@ def rankin_euler_factor(f, g, p: int) -> EulerFactor:
               (ef * ef * eg * eg) * pkl ** 2]
     fac = EulerFactor(coeffs, joint)
     if not _factored_form_agrees(f, g, p, fac):
-        raise AssertionError("dual-path factor check failed")
+        raise VerificationError("dual-path factor check failed")
     return fac
 
 
@@ -171,7 +166,7 @@ def weil_check(factor: EulerFactor, p: int, k: int, l: int) -> bool:
     norm = [c.numerator * (den // c.denominator) for c in norm]
     # H(w) = G(rho w), times p^(-e deg G) when e = k + l - 2 is negative
     e, top = k + l - 2, len(norm) - 1
-    squares = _zmul(norm, [-c if i % 2 else c for i, c in enumerate(norm)])
+    squares = poly_mul(norm, [-c if i % 2 else c for i, c in enumerate(norm)])
     H = [c * p ** (e * i - min(e, 0) * top) for i, c in enumerate(squares[::2])]
     while not H[0]:
         H.pop(0)
@@ -184,48 +179,25 @@ def weil_check(factor: EulerFactor, p: int, k: int, l: int) -> bool:
             return False
         h = _primitive([h[-1] * x - h[0] * y for x, y in zip(h, h[::-1])][1:])
     for r in (1, -1):
-        if not _zeval(g, r):
+        if not poly_eval(g, r):
             g = _zdiv(g, [-r, 1])[0]
     m = (len(g) - 1) // 2
     M, dickson, prev = [g[m]], [0, 1], [2]
     for c in g[m + 1:]:
         # dickson = w^j + w^-j as a polynomial in s = w + 1/w
-        M = _zadd(M, [c * x for x in dickson])
-        dickson, prev = _zadd([0] + dickson, poly_neg(prev)), dickson
+        M = poly_add(M, [c * x for x in dickson])
+        dickson, prev = poly_add([0] + dickson, poly_neg(prev)), dickson
     return _zsturm_count(M, -2, 2) == m
 
 
-# dense polynomials over Z, constant first, for the Weil check
+# primitive parts, exact division, pseudo-remainders, gcds and Sturm counts
+# of dense polynomials over Z (constant first) for the Weil check; its sums,
+# products and values are the generic poly helpers, which keep ints
 
 def _primitive(f):
     """f divided by the (positive) gcd of its coefficients."""
     c = gcd(*f)
     return f if c == 1 else [x // c for x in f]
-
-
-def _zadd(f, g):
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] += c
-    return poly_trim(out)
-
-
-def _zmul(f, g):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return out
-
-
-def _zeval(f, x):
-    total = 0
-    for c in reversed(f):
-        total = total * x + c
-    return total
 
 
 def _zdiv(f, g):
@@ -265,7 +237,7 @@ def _zsturm_count(f, a, b) -> int:
         seq.append(_primitive(poly_neg(_zprem(seq[-2], seq[-1]))))
 
     def changes(x):
-        signs = [v for v in (_zeval(q, x) for q in seq[:-1]) if v]
+        signs = [v for v in (poly_eval(q, x) for q in seq[:-1]) if v]
         return sum(1 for u, v in zip(signs, signs[1:]) if (u < 0) != (v < 0))
 
     return changes(a) - changes(b)

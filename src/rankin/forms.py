@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .arith import RATIONALS, factor, primes_upto
-from .poly import QQ, poly_divmod
+from .arith import RATIONALS, VerificationError, factor, primes_upto
+from .poly import QQ, _div, poly_derivative, poly_eval, power_rows
 from .quotring import QuotRing, QuotElt, join
 
 
@@ -85,7 +85,7 @@ class DirichletChar:
         for k in range(1, len(self._table) + 1):
             if all(v ** k == self._one for v in self._table.values()):
                 return k
-        raise AssertionError("no order found")
+        raise VerificationError("no order found")
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +353,7 @@ class PadicPlace:
         self.roots = {}
         for name in ring.gen_names:
             h, hp = self._gen_poly_mod(name, p, self.roots)
-            sep = [r for r in range(p) if _eval_int(h, r, p) == 0 and _eval_int(hp, r, p)]
+            sep = [r for r in range(p) if poly_eval(h, r) % p == 0 and poly_eval(hp, r) % p]
             if not sep:
                 raise FormDataError(
                     f"no simple root mod {p} for {name}; place not supported")
@@ -382,24 +382,21 @@ class PadicPlace:
             for name in self.ring.gen_names:
                 h, hp = self._gen_poly_mod(name, mod, {**self._lifted, **lifted})
                 r = self._lifted[name]
-                fr = _eval_int(h, r, mod)
-                fpr = _eval_int(hp, r, mod)
-                r = (r - fr * pow(fpr, -1, mod)) % mod
+                r = (r - poly_eval(h, r) * pow(poly_eval(hp, r), -1, mod)) % mod
                 lifted[name] = r
             self._lifted = lifted
             self._lift_prec *= 2
 
     def _gen_poly_mod(self, name, mod, roots):
         """Defining polynomial of ``name`` with earlier-generator coefficients
-        evaluated at ``roots``, mod ``mod``; returns (h, h')."""
+        evaluated at ``roots``, reduced mod ``mod``, and its derivative."""
         d = self.ring.degrees[name]
         low = self.ring.rewrites[name]
         h = [0] * (d + 1)
         h[d] = 1
         for k, cf in low.coefficients_in(name).items():
             h[k] = (h[k] - self._reduce_mpoly(cf, roots, mod)) % mod
-        hp = [(i * h[i]) % mod for i in range(1, d + 1)]
-        return h, hp
+        return h, poly_derivative(h)
 
     def reduce(self, x: QuotElt, k: int = 1) -> int:
         """The image of x in Z/p^k (denominators must be prime to p)."""
@@ -429,13 +426,6 @@ class PadicPlace:
             k *= 2
         raise FormDataError(
             f"valuation of {x} exceeds precision 64 (zero divisor?)")
-
-
-def _eval_int(coeffs, r, mod):
-    total = 0
-    for c in reversed(coeffs):
-        total = (total * r + c) % mod
-    return total
 
 
 @dataclass
@@ -473,7 +463,7 @@ def p_stabilize(form: Eigenform, p: int) -> Stabilization:
         # good-prime weight-2 roots are always distinct
         disc = ap * ap - 4 * const
         if disc.is_zero():
-            raise AssertionError(f"repeated Hecke roots at p = {p}")
+            raise VerificationError(f"repeated Hecke roots at p = {p}")
     # Newton polygon of X^2 - a_p X + const: vertices (0, k-1), (1, v(a_p)), (2, 0)
     place = PadicPlace(form.ring, p)
     vap = place.valuation(ap) if not ap.is_zero() else None
@@ -492,7 +482,7 @@ def p_stabilize(form: Eigenform, p: int) -> Stabilization:
         place_root = ext_place.roots["s"]
         root_vals = (ext_place.valuation(alpha), ext_place.valuation(beta))
         if sorted(root_vals) != [0, int(km1)]:
-            raise AssertionError(f"ordinary root valuations {root_vals}")
+            raise VerificationError(f"ordinary root valuations {root_vals}")
     return Stabilization(p, ext, alpha, beta, slopes, ordinary, root_vals, place_root)
 
 
@@ -519,18 +509,17 @@ def ratio_minpoly_and_root_of_unity(st_f: Stabilization, st_g: Stabilization):
 
 
 def is_root_of_unity_poly(mp) -> bool:
-    """A monic rational polynomial annihilates a root of unity only if it is
-    integral; then test divisibility of x^M - 1 over the degree-based bound."""
-    if any(c.denominator != 1 for c in mp):
+    """Whether the nonzero rational polynomial mp divides x^M - 1 over Q for
+    some 1 <= M <= 2 d^2 + 2, d its degree (a constant divides x - 1).  Such
+    a divisor, made monic, is a product of cyclotomic polynomials and so
+    integral; for it, x^M is 1 modulo it exactly when the power row of x^M
+    equals that of 1."""
+    monic = [_div(c, mp[-1]) for c in mp]
+    if not all(isinstance(c, int) for c in monic):
         return False
     d = len(mp) - 1
-    bound = 2 * d * d + 2
-    for M in range(1, bound + 1):
-        xm = [QQ(-1)] + [QQ(0)] * (M - 1) + [QQ(1)]
-        _, r = poly_divmod(xm, mp)
-        if not r:
-            return True
-    return False
+    rows = power_rows(monic, 2 * d * d + 3)
+    return rows[0] in rows[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +566,7 @@ def residue_places(form: Eigenform, p: int):
             elif e[0] == 1:
                 v += cv
             else:
-                raise AssertionError("unreduced element")
+                raise VerificationError("unreduced element")
         return u % p, v % p
     return [("inert", red)]
 

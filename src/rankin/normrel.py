@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import reduce
 from math import gcd
 
-from .arith import crt, factor, prime_factors
+from .arith import VerificationError, crt, factor, prime_factors
 from .operators import (ONE, OP_RING, P, composite_norm_p2_closed,
                         composite_norm_p3_closed, higher_norm_step2,
                         higher_norm_step3, is_canonical_operator,
@@ -68,11 +68,11 @@ def derive_composite_norms():
     expr2 = _norm_down(_norm_down({2: ONE}, 2, rules), 1, rules)
     expr3 = _norm_down(_norm_down(_norm_down({3: ONE}, 3, rules), 2, rules), 1, rules)
     if set(expr2) != {0} or set(expr3) != {0}:
-        raise AssertionError("composite norms did not reach the base layer")
+        raise VerificationError("composite norms did not reach the base layer")
     derived2, derived3 = expr2[0], expr3[0]
     closed2, closed3 = composite_norm_p2_closed(), composite_norm_p3_closed()
     if not (is_canonical_operator(derived2) and is_canonical_operator(derived3)):
-        raise AssertionError("derived composite norms are not canonical")
+        raise VerificationError("derived composite norms are not canonical")
     return (derived2, derived3, closed2, closed3,
             derived2 == closed2, derived3 == closed3)
 
@@ -189,7 +189,7 @@ def pstab_projection_formula(drop_denominator_term: bool = False):
     n1 = specialize_roots(second_norm_operator())
     d2, d3, _, _, ok2, ok3 = derive_composite_norms()
     if not (ok2 and ok3):
-        raise AssertionError("composite norms failed; projection derivation unsound")
+        raise VerificationError("composite norms failed; projection derivation unsound")
     n2 = specialize_roots(d2)
     n3 = specialize_roots(d3)
     p0 = one - (AL * BE * PR ** -1) * (GA * DE * PR ** -1) * SR ** -2
@@ -228,7 +228,7 @@ def corestriction_solved_polynomial():
         c = by_s.get(1 - i, EIG_RING.zero())
         coeffs_from_display.append(-c.subs({"s": EIG_RING.one()}))
     if set(by_s) - {1 - i for i in range(5)}:
-        raise AssertionError("unexpected Frobenius powers in the display")
+        raise VerificationError("unexpected Frobenius powers in the display")
     lf = local_factor_coeffs_eigen()
     closed = []
     for i, c in enumerate(lf):
@@ -331,11 +331,11 @@ def build_twist_system(m_max: int):
             # q divides every m/ell except m/q; all those give the same value mod q
             vals = {pairs[i][0] % q for i, ell in enumerate(primes) if ell != q}
             if len(vals) != 1:
-                raise AssertionError(f"inconsistent twist constraints at m={m}, q={q}")
+                raise VerificationError(f"inconsistent twist constraints at m={m}, q={q}")
             prime_pairs.append((vals.pop(), q))
         gammas[m] = crt(prime_pairs)
         if gcd(gammas[m], m) != 1:
-            raise AssertionError(f"twist value not a unit at m={m}")
+            raise VerificationError(f"twist value not a unit at m={m}")
     return gammas
 
 

@@ -19,7 +19,7 @@ from functools import reduce
 from math import gcd
 from operator import sub
 
-from .arith import RingElt
+from .arith import RingElt, VerificationError
 
 QQ = Fraction
 
@@ -576,7 +576,8 @@ def _normalize_ratfunc(num: MPoly, den: MPoly):
 
 # ---------------------------------------------------------------------------
 # dense univariate helpers (lists, index = degree); the coefficients may be
-# any ring elements that add and multiply with Fractions
+# ints, Fractions or ring elements.  Sums, products and values start from the
+# int 0, so int lists give ints and the other types are kept
 # ---------------------------------------------------------------------------
 
 def poly_trim(p):
@@ -586,9 +587,9 @@ def poly_trim(p):
 
 
 def poly_add(p, q):
-    r = [QQ(0)] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        r[i] += c
+    if len(p) < len(q):
+        p, q = q, p
+    r = list(p)
     for i, c in enumerate(q):
         r[i] += c
     return poly_trim(r)
@@ -601,7 +602,7 @@ def poly_neg(p):
 def poly_mul(p, q):
     if not p or not q:
         return []
-    r = [QQ(0)] * (len(p) + len(q) - 1)
+    r = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if not a:
             continue
@@ -616,10 +617,24 @@ def poly_derivative(p):
 
 
 def poly_eval(p, x):
-    total = QQ(0)
+    total = 0
     for c in reversed(p):
         total = total * x + c
     return total
+
+
+def power_rows(f, n: int) -> list:
+    """x^k mod the monic polynomial f for 0 <= k < n, as tuples of length
+    deg f (ints for an integer f): x times the row before, less its lead
+    times f."""
+    rows, row = [], [1] + [0] * (len(f) - 1)   # x^0, one slot too long
+    for _ in range(n):
+        lead = row[-1]
+        if lead:
+            row = [a - lead * b for a, b in zip(row, f)]
+        rows.append(tuple(row[:-1]))
+        row = [0] + row[:-1]
+    return rows
 
 
 def poly_divmod(p, q):
@@ -681,6 +696,6 @@ def cyclotomic_polynomial(n: int):
         if n % d == 0:
             p, r = poly_divmod(p, cyclotomic_polynomial(d))
             if r:
-                raise AssertionError(f"Phi_{d} does not divide x^{n} - 1")
+                raise VerificationError(f"Phi_{d} does not divide x^{n} - 1")
     _CYCLO_CACHE[n] = list(p)
     return p

@@ -2,8 +2,9 @@
 
 Each generator g_i carries a monic defining polynomial h_i whose lower-order
 coefficients may involve earlier generators, so towers like
-Q[i][s]/(s^2 - a*s + c) are supported.  No irreducibility is assumed:
-inversion is a linear solve and fails exactly on zero divisors.
+Q[i][s]/(s^2 - a*s + c) are supported.  No irreducibility is assumed: an
+element x with minimal polynomial m is inverted through m(x) = 0, which
+fails exactly when m(0) = 0, that is on zero divisors.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from itertools import count, product
 from math import gcd, lcm
 from operator import add
 
-from .arith import RingElt, solve
-from .poly import MPoly, PolyRing, QQ
+from .arith import RingElt
+from .poly import MPoly, PolyRing, QQ, poly_eval
 
 
 class ZeroDivisor(ZeroDivisionError):
@@ -218,21 +219,13 @@ class QuotElt(RingElt):
     __rmul__ = __mul__
 
     def inverse(self) -> "QuotElt":
-        ring = self.ring
-        basis = ring.basis()
-        n = ring.dimension
-        # columns: self * basis monomial, as vectors
-        cols = []
-        for e in basis:
-            mono = QuotElt(ring, ring.poly_ring.from_terms({e: 1}))
-            cols.append(ring.to_vector(self * mono))
-        # solve sum_j x_j * cols[j] = e_1
-        mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-        rhs = [QQ(1)] + [QQ(0)] * (n - 1)
-        sol = solve(mat, rhs, QQ(0))
-        if sol is None:
-            raise ZeroDivisor(f"{self} is a zero divisor in {ring}")
-        return ring.from_vector(sol)
+        """x^-1 = -(m(x) - m(0)) / (m(0) x) for the minimal polynomial m of
+        x; when m(0) = 0, (m / X)(x) is nonzero (m is minimal) and x times it
+        is 0, so x is a zero divisor."""
+        m = self.minpoly()
+        if not m[0]:
+            raise ZeroDivisor(f"{self} is a zero divisor in {self.ring}")
+        return poly_eval(m[1:], self) * (-1 / m[0])
 
     def minpoly(self):
         """Monic minimal polynomial over Q of multiplication by this element,

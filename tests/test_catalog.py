@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rankin import catalog
+from rankin import catalog, euler
 from rankin.catalog import CATALOG, MUTATIONS, NORM_RELATION_IDS, run_catalog
 from rankin.poly import MPoly
 
@@ -95,3 +95,13 @@ def test_two_param_family_builds_each_eisenstein_series_once(monkeypatch):
     (entry,) = run_catalog(["two-param-family"])["entries"]
     assert entry["status"] == "PASS"
     assert [(s.family, s.k) for s in specs] == [("E", 1), ("E", 3), ("E", 4), ("F", 3)]
+
+
+@pytest.mark.parametrize("fault, name", [
+    (lambda *args: False, "VerificationError: dual-path factor check failed"),
+    (lambda *args: 1 // 0, "ZeroDivisionError: integer division or modulo by zero")])
+def test_witness_names_a_failed_certificate_and_a_crash(monkeypatch, fault, name):
+    # the dual-path check of the good-prime factor fails, or crashes
+    monkeypatch.setattr(euler, "_factored_form_agrees", fault)
+    (entry,) = run_catalog(["weil-bounds"])["entries"]
+    assert (entry["status"], entry["witness"]) == ("FAIL", name)

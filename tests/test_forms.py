@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankin.cli import main
@@ -15,6 +15,7 @@ from rankin.forms import (DirichletChar, FormDataError, _format_t, _parse_value,
                           is_root_of_unity_poly, load_bundled, parse_eigenform,
                           p_stabilize, ratio_minpoly_and_root_of_unity,
                           serialize_eigenform)
+from rankin.poly import cyclotomic_polynomial, poly_divmod, poly_mul
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +228,40 @@ class TestRatioMinpoly:
         assert is_root_of_unity_poly([F(1), F(-1), F(1)]) is True     # x^2 - x + 1
         assert is_root_of_unity_poly([F(1), F(6, 17), F(-21, 17), F(6, 17), F(1)]) is False
         assert is_root_of_unity_poly([F(-2), F(1)]) is False
+
+    def test_answer_is_over_q(self):
+        # the leading coefficient is divided out first; a constant divides x - 1
+        assert is_root_of_unity_poly([2, 0, 2]) is True             # 2x^2 + 2
+        assert is_root_of_unity_poly([F(1, 2), 0, F(1, 2)]) is True
+        assert is_root_of_unity_poly([1, 0, 2]) is False            # 2x^2 + 1
+        assert is_root_of_unity_poly([1]) is True
+        assert is_root_of_unity_poly([F(-3, 2)]) is True
+
+    @given(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 12]), min_size=1, max_size=3),
+           st.integers(0, 4), st.integers(-1, 1),
+           st.sampled_from([F(1), F(-1), F(3), F(-2, 3)]))
+    @settings(max_examples=60, deadline=None)
+    def test_root_of_unity_matches_the_division_loop(self, ns, i, bump, scale):
+        # products of cyclotomic polynomials of degree <= 6, one coefficient
+        # perturbed, times a rational scalar
+        mp = [F(1)]
+        for n in ns:
+            mp = poly_mul(mp, cyclotomic_polynomial(n))
+        assume(len(mp) <= 7)
+        i = min(i, len(mp) - 2)
+        mp[i] += bump
+        mp = [c * scale for c in mp]
+        assert is_root_of_unity_poly(mp) is _root_of_unity_oracle(mp)
+
+
+def _root_of_unity_oracle(mp):
+    """Whether mp divides x^M - 1 over Q for some 1 <= M <= 2 d^2 + 2, by long
+    division of each x^M - 1."""
+    d = len(mp) - 1
+    for M in range(1, 2 * d * d + 3):
+        if not poly_divmod([F(-1)] + [F(0)] * (M - 1) + [F(1)], mp)[1]:
+            return True
+    return False
 
 
 class TestCongruenceScan:

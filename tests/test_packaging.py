@@ -1,7 +1,8 @@
 """The declared dependencies are exactly the third-party imports of the
 package, so installing it pulls in nothing unused and misses nothing; the
 package runs on the standard library alone; no check in the package is
-an assert statement, which python -O strips; no function imports a sibling
+an assert statement, which python -O strips, and a failed one raises
+VerificationError, not AssertionError; no function imports a sibling
 module lazily; and every ring element class derives its operators from the
 one protocol base, arith.RingElt."""
 
@@ -47,6 +48,21 @@ def test_no_assert_statements_in_the_package():
     # python -O strips assert statements; soundness checks raise explicitly
     found = [f"{path.name}:{node.lineno}" for path, tree in _package_trees()
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_failed_checks_raise_verification_error():
+    # a failed internal certificate raises arith.VerificationError, so a
+    # catalog witness tells it from a crash; AssertionError itself is not
+    # raised in the package
+    def raised(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return exc.id if isinstance(exc, ast.Name) else None
+
+    found = [f"{path.name}:{node.lineno}" for path, tree in _package_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and raised(node) == "AssertionError"]
     assert found == []
 
 

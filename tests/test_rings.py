@@ -15,8 +15,8 @@ from rankin.forms import load_bundled
 from rankin.groupring import RATIONALS, GroupRing, augment_mod
 from rankin import poly as poly_module
 from rankin.poly import (MPoly, PolyRing, QQ, RatFunc, _exact_div_laurent,
-                         cyclotomic_polynomial, poly_divmod, poly_gcd, poly_mul,
-                         poly_xgcd)
+                         cyclotomic_polynomial, poly_add, poly_divmod, poly_eval,
+                         poly_gcd, poly_mul, poly_xgcd, power_rows)
 from rankin.qseries import QSeries
 from rankin.quotring import QuotElt, QuotRing, ZeroDivisor, join
 
@@ -937,3 +937,83 @@ def gcd_pairs(draw):
 def test_gcd_is_the_xgcd_gcd(pair):
     p, q = pair
     assert poly_gcd(p, q) == poly_xgcd(p, q)[0]
+
+
+# ---------------------------------------------------------------------------
+# the dense helpers on ints, power rows and the minimal-polynomial inverse
+# against the routes they replaced
+# ---------------------------------------------------------------------------
+
+int_polys = st.lists(st.integers(-9, 9), max_size=6)
+
+
+@given(int_polys, int_polys, st.integers(-5, 5))
+@settings(max_examples=60, deadline=None)
+def test_dense_helpers_keep_int_lists_int(p, q, x):
+    fp, fq = [F(c) for c in p], [F(c) for c in q]
+    for got, want in ((poly_add(p, q), poly_add(fp, fq)),
+                      (poly_mul(p, q), poly_mul(fp, fq)),
+                      ([poly_eval(p, x)], [poly_eval(fp, F(x))])):
+        assert got == want and all(type(c) is int for c in got)
+
+
+@given(st.lists(st.integers(-4, 4), max_size=5), st.integers(0, 30))
+@settings(max_examples=60, deadline=None)
+def test_power_rows_are_the_division_remainders(low, n):
+    f = low + [1]
+    d = len(low)
+    rows = power_rows(f, n)
+    assert len(rows) == n
+    for k, row in enumerate(rows):
+        r = poly_divmod([F(0)] * k + [F(1)], [F(c) for c in f])[1]
+        assert row == tuple(r) + (0,) * (d - len(r)), (f, k)
+        assert all(type(c) is int for c in row)
+
+
+@given(st.integers(1, 30), st.lists(coefficients, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_from_coeffs_is_the_division_remainder(L, coeffs):
+    # the exponents are folded mod L before the power rows reduce them
+    K = CyclotomicField(L)
+    r = poly_divmod([F(c) for c in coeffs], cyclotomic_polynomial(L))[1]
+    assert K.from_coeffs(coeffs).coeffs == tuple(r) + (0,) * (K.phi - len(r))
+
+
+def _inverse_oracle(x):
+    """Gauss-Jordan on the columns x * basis monomial; None for a zero
+    divisor."""
+    ring = x.ring
+    cols = [ring.to_vector(x * ring.from_poly(ring.poly_ring.from_terms({e: 1})))
+            for e in ring.basis()]
+    n = ring.dimension
+    sol = solve([[col[i] for col in cols] for i in range(n)],
+                [F(1)] + [F(0)] * (n - 1), F(0))
+    return None if sol is None else ring.from_vector(sol)
+
+
+T_SQUARED_ONE = QuotRing([("t", 2, [F(1), F(0)])])   # Q[t]/(t^2 - 1)
+
+
+def _check_inverse(x):
+    want = _inverse_oracle(x)
+    if want is None:
+        with pytest.raises(ZeroDivisor):
+            x.inverse()
+    else:
+        got = x.inverse()
+        assert got == want and x * got == 1
+
+
+@pytest.mark.parametrize("ring, terms", [
+    (T_SQUARED_ONE, {(1,): 1, (0,): -1}), (T_SQUARED_ONE, {(1,): 1, (0,): 1}),
+    (T_SQUARED_ONE, {(1,): 2, (0,): 1}), (T_SQUARED_ONE, {(1,): 1}),
+    (NILPOTENT, {(1,): 1}), (NILPOTENT, {(1,): 1, (0,): 3}), (NILPOTENT, {})])
+def test_minpoly_inverse_on_small_rings(ring, terms):
+    _check_inverse(ring.from_poly(ring.poly_ring.from_terms(terms)))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_minpoly_inverse_matches_the_solving_oracle(data):
+    ring = data.draw(st.one_of(st.just(T_SQUARED_ONE), rings))
+    _check_inverse(ring.from_poly(_unreduced(data.draw, ring, max_exp=2, max_size=3)))
