@@ -1,7 +1,7 @@
 """The exact arithmetic every layer shares: factorization, Euler's phi,
 primes, the Chinese remainder theorem, square-and-multiply powers, inverses,
-Gauss-Jordan solves over Q, the coefficient-ring protocol, and the error a
-failed internal certificate raises.
+Gauss-Jordan solves over Q, the coefficient-ring protocol, the base of the
+value types, and the error a failed internal certificate raises.
 
 The ring protocol: a ring has zero(), one() and coerce() and compares
 structurally; its elements subclass RingElt and carry it as ``.ring``; sums
@@ -152,6 +152,29 @@ class RingElt:
         if n < 0:
             return power(self.inverse(), -n, self.ring.one())
         return power(self, n, self.ring.one())
+
+
+class Record:
+    """A value type whose fields are its __slots__: equal when of the same
+    class with equal field tuples, hashed as that tuple, and shown as
+    Class(field=value, ...).  Subclasses set the fields in __init__."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def solve(mat, rhs, zero):

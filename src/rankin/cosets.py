@@ -26,13 +26,12 @@ arithmetic.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from .arith import VerificationError, factor, prime_factors
+from .arith import Record, VerificationError, factor, prime_factors
 from .poly import QQ
 
 Mat = tuple  # (a, b, c, d)
@@ -274,13 +273,13 @@ def _xgcd_pair(dd: int, cc: int):
     return old_s, -old_t
 
 
-@dataclass(frozen=True)
-class CosetMatrix:
-    entries: Mat
+class CosetMatrix(Record):
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        if mat_det(self.entries) <= 0:
+    def __init__(self, entries: Mat):
+        if mat_det(entries) <= 0:
             raise ValueError("coset matrices must have positive determinant")
+        self.entries = entries
 
     @property
     def det(self):
@@ -546,10 +545,12 @@ def t_prime_square_identity(N: int, p: int):
 # Iwahori double cosets in SL2(Q_p)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IwahoriCell:
-    kind: str       # "diagonal" | "antidiagonal"
-    exponent: int
+class IwahoriCell(Record):
+    __slots__ = ("kind", "exponent")
+
+    def __init__(self, kind: str, exponent: int):
+        self.kind = kind            # "diagonal" | "antidiagonal"
+        self.exponent = exponent
 
     def representative(self, p: int):
         j = self.exponent

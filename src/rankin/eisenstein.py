@@ -14,10 +14,9 @@ and -B_k/k for a zero one (and the k = 1 antisymmetrization).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import VerificationError
+from .arith import Record, VerificationError
 from .cyclo import CycloElt, CyclotomicField
 from .groupring import GroupRing
 from .poly import QQ, cyclotomic_polynomial
@@ -28,15 +27,14 @@ from .zeta import polylog_negative, zeta_negative
 FAMILIES = ("E", "F", "Etilde")
 
 
-@dataclass(frozen=True)
-class EisensteinSpec:
-    family: str
-    k: int
-    alpha: Fraction
-    j: int = 0
+class EisensteinSpec(Record):
+    __slots__ = ("family", "k", "alpha", "j")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", QQ(self.alpha) % 1)
+    def __init__(self, family: str, k: int, alpha: Fraction, j: int = 0):
+        self.family = family
+        self.k = k
+        self.alpha = QQ(alpha) % 1
+        self.j = j
         validate_spec(self)
 
     @property

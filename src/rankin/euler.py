@@ -7,10 +7,9 @@ correction polynomial.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import gcd, lcm
 
-from .arith import RATIONALS, VerificationError, prime_factors
+from .arith import RATIONALS, Record, VerificationError, prime_factors
 from .poly import (MPoly, PolyRing, QQ, RatFunc, poly_add, poly_derivative,
                    poly_eval, poly_mul, poly_neg, poly_trim)
 from .quotring import join
@@ -20,16 +19,14 @@ class BadPrimeError(ValueError):
     pass
 
 
-@dataclass
 class EulerFactor:
     """1 + c1 X + ... + c_d X^d with coefficients in an exact ring."""
 
-    coefficients: list
-    ring: object = None
-
-    def __post_init__(self):
-        if not self.coefficients[0] == 1:
+    def __init__(self, coefficients: list, ring=None):
+        if not coefficients[0] == 1:
             raise ValueError("constant term of a local factor must be 1")
+        self.coefficients = coefficients
+        self.ring = ring
 
     @property
     def degree(self) -> int:
@@ -254,11 +251,14 @@ SYM_RING = PolyRing(("al", "be", "ga", "de", "p", "K", "L", "J"),
 _AL, _BE, _GA, _DE, _P, _K, _L, _J = SYM_RING.vars()
 
 
-@dataclass(frozen=True)
-class InterpFactors:
-    modification: RatFunc          # 1 - beta/(p alpha)
-    modification_star: RatFunc     # 1 - beta/alpha
-    convolution: RatFunc           # four-binomial factor at the twist
+class InterpFactors(Record):
+    __slots__ = ("modification", "modification_star", "convolution")
+
+    def __init__(self, modification: RatFunc, modification_star: RatFunc,
+                 convolution: RatFunc):
+        self.modification = modification              # 1 - beta/(p alpha)
+        self.modification_star = modification_star    # 1 - beta/alpha
+        self.convolution = convolution                # four-binomial factor at the twist
 
 
 def _binom(num: MPoly, den: MPoly) -> RatFunc:

@@ -7,7 +7,6 @@ prime window, and the hypothesis checklist for the bundled pair.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -92,15 +91,17 @@ class DirichletChar:
 # the Eigenform container
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Eigenform:
-    level: int
-    weight: int
-    character: DirichletChar
-    ring: QuotRing
-    coefficients: dict            # n -> QuotElt
-    provenance: list = field(default_factory=list)
-    field_poly: list = field(default_factory=list)   # dense, monic, in t
+    def __init__(self, level: int, weight: int, character: DirichletChar,
+                 ring: QuotRing, coefficients: dict,
+                 provenance: list | None = None, field_poly: list | None = None):
+        self.level = level
+        self.weight = weight
+        self.character = character
+        self.ring = ring
+        self.coefficients = coefficients     # n -> QuotElt
+        self.provenance = [] if provenance is None else provenance
+        self.field_poly = [] if field_poly is None else field_poly   # dense, monic, in t
 
     @property
     def bound(self) -> int:
@@ -131,8 +132,13 @@ class Eigenform:
         return self.ring.coerce(self.character.value(n))
 
     def validate(self):
-        """Check a_1 = 1, multiplicativity on coprime pairs, and the
-        prime-power recursion on the stored range."""
+        """Check a_1 = 1, the prime-power recursion and multiplicativity on
+        coprime pairs, on the stored range.
+
+        Multiplicativity is checked as a_n = a_q a_(n/q) for each n that is
+        not a prime power, q the prime-power part of n at its least prime:
+        by induction on n, this holds exactly when a_mn = a_m a_n for every
+        coprime pair m, n with mn <= bound."""
         B = self.bound
         if 1 not in self.coefficients or not (self.coefficients[1] == 1):
             raise FormDataError("a_1 must be 1")
@@ -144,13 +150,25 @@ class Eigenform:
                     raise FormDataError(
                         f"Hecke recursion fails at (p, r) = ({p}, {r})")
                 r += 1
+        c = self.coefficients
+        for n in range(2, B + 1):
+            p, e = factor(n)[0]
+            q = p ** e
+            if q < n and not (c[n] == c[q] * c[n // q]):
+                self._raise_first_coprime_failure()
+        return True
+
+    def _raise_first_coprime_failure(self):
+        """Raise the FormDataError naming the first coprime pair (m, n), by m
+        and then n, with a_mn != a_m a_n."""
+        B = self.bound
+        c = self.coefficients
         for m in range(2, B + 1):
             for n in range(2, B // m + 1):
-                if gcd(m, n) == 1:
-                    if not (self.coefficients[m * n]
-                            == self.coefficients[m] * self.coefficients[n]):
-                        raise FormDataError(f"multiplicativity fails at ({m}, {n})")
-        return True
+                if gcd(m, n) == 1 and not (c[m * n] == c[m] * c[n]):
+                    raise FormDataError(f"multiplicativity fails at ({m}, {n})")
+        raise VerificationError(
+            "a prime-power product failed but no coprime pair does")
 
     def prime_power_direct(self, p: int, r: int) -> QuotElt:
         """Recursion value computed from the stored a_p only."""
@@ -169,7 +187,31 @@ class Eigenform:
 # the line-oriented file format
 # ---------------------------------------------------------------------------
 
-_HEADER_RE = re.compile(r"(\w+)=([^\s]+)")
+_HEADER_KEYS = ("level", "weight", "charmod", "field")
+
+
+def _parse_header(line: str, lineno: int) -> dict:
+    """The header line: each of _HEADER_KEYS exactly once as key=value and
+    nothing else, with level, weight and charmod positive decimal integers
+    (returned as ints)."""
+    header = {}
+    for token in line.split():
+        key, _, value = token.partition("=")
+        if key not in _HEADER_KEYS or not value:
+            raise FormDataError(f"line {lineno}: bad header entry {token!r}")
+        if key in header:
+            raise FormDataError(f"line {lineno}: repeated header key {key}")
+        header[key] = value
+    for key in _HEADER_KEYS:
+        if key not in header:
+            raise FormDataError(f"line {lineno}: missing header key {key}")
+        if key != "field":
+            value = header[key]
+            if not re.fullmatch(r"0*[1-9][0-9]*", value):
+                raise FormDataError(f"line {lineno}: {key} must be a positive "
+                                    f"integer, got {value!r}")
+            header[key] = int(value)
+    return header
 
 
 def parse_eigenform(text: str) -> Eigenform:
@@ -180,6 +222,8 @@ def parse_eigenform(text: str) -> Eigenform:
         chargen a:<value>        (zero or more)
         n: <value>               (coefficient lines)
 
+    The header holds each of its four keys once, in any order, and nothing
+    else; N, k and M are positive decimal integers.
     A value is a sum of terms c, c*t, ct, t, c*t^k, ct^k or t^k, each with
     an optional sign (one before the first term, one between terms), where c
     is an integer or a fraction a/b; spaces are ignored.  Anything else is a
@@ -197,11 +241,8 @@ def parse_eigenform(text: str) -> Eigenform:
             provenance.append(line[1:].strip())
             continue
         if header is None:
-            header = dict(_HEADER_RE.findall(line))
+            header = _parse_header(line, lineno)
             header_line = lineno
-            for key in ("level", "weight", "charmod", "field"):
-                if key not in header:
-                    raise FormDataError(f"line {lineno}: missing header key {key}")
             continue
         if line.startswith("chargen"):
             body = line[len("chargen"):].strip()
@@ -225,10 +266,10 @@ def parse_eigenform(text: str) -> Eigenform:
     ring = QuotRing([("t", deg, [-c for c in field_poly[:-1]])])
     char_values = {g: ring.from_dense("t", _parse_value(v, lineno))
                    for lineno, g, v in chargens}
-    character = DirichletChar(int(header["charmod"]), char_values, ring)
+    character = DirichletChar(header["charmod"], char_values, ring)
     coeffs = {n: ring.from_dense("t", _parse_value(val, lineno))
               for lineno, n, val in coeff_lines}
-    form = Eigenform(int(header["level"]), int(header["weight"]), character,
+    form = Eigenform(header["level"], header["weight"], character,
                      ring, coeffs, provenance, field_poly)
     expected = set(range(1, max(coeffs) + 1))
     if set(coeffs) != expected:
@@ -428,19 +469,21 @@ class PadicPlace:
             f"valuation of {x} exceeds precision 64 (zero divisor?)")
 
 
-@dataclass
 class Stabilization:
     """The two roots of X^2 - a_p X + p^(k-1) chi(p) in a quadratic extension
     of the coefficient ring, with exact slope data at a chosen place."""
 
-    p: int
-    ring: QuotRing
-    alpha: QuotElt
-    beta: QuotElt
-    slopes: tuple
-    ordinary: bool
-    root_valuations: tuple | None
-    place_root: int | None
+    def __init__(self, p: int, ring: QuotRing, alpha: QuotElt, beta: QuotElt,
+                 slopes: tuple, ordinary: bool, root_valuations: tuple | None,
+                 place_root: int | None):
+        self.p = p
+        self.ring = ring
+        self.alpha = alpha
+        self.beta = beta
+        self.slopes = slopes
+        self.ordinary = ordinary
+        self.root_valuations = root_valuations
+        self.place_root = place_root
 
     def summary(self):
         return {"p": self.p, "slopes": [str(s) for s in self.slopes],

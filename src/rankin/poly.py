@@ -5,8 +5,8 @@ integer arithmetic runs on Python ints, and a Fraction is built only where a
 division makes a non-integral value (``_div``; a sum or product of Fractions
 may still leave an integral Fraction, which compares and hashes as the int).
 Coefficients leave as Fractions wherever the caller may divide them: ``subs``
-to a rational, ``constant_value`` and ``QuotRing.to_vector``, because
-int / int and int ** -k give floats.  Variables flagged as invertible may
+to a rational and ``constant_value``, because int / int and int ** -k give
+floats.  Variables flagged as invertible may
 carry negative exponents; all other exponents are >= 0.  Equality of rational
 functions is decided by cross-multiplication, so it never depends on gcd
 reduction.

@@ -163,19 +163,6 @@ class QuotRing:
             self._basis = [tuple(e) for e in product(*ranges)]
         return self._basis
 
-    def to_vector(self, x: "QuotElt"):
-        """Coordinates in the monomial basis, as Fractions (the solves that
-        take them divide)."""
-        idx = {e: i for i, e in enumerate(self.basis())}
-        v = [QQ(0)] * self.dimension
-        for e, c in x.rep.terms.items():
-            v[idx[e]] = QQ(c)
-        return v
-
-    def from_vector(self, v):
-        terms = {e: QQ(c) for e, c in zip(self.basis(), v) if QQ(c)}
-        return QuotElt(self, self.poly_ring.from_terms(terms))
-
 
 class QuotElt(RingElt):
     """Element of a QuotRing, stored as a reduced MPoly in the generators."""

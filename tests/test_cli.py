@@ -167,6 +167,36 @@ def test_verify_bad_data_exit_3(tmp_path, capsys, damage):
     assert ("g26.eigenform" if damage == "missing" else "(5, 2)") in captured.err
 
 
+G26_HEADER = "level=26 weight=2 charmod=26 field=t^2+1"
+
+
+@pytest.mark.parametrize("header", [
+    "level=abc weight=2 charmod=26 field=t^2+1",
+    "level=26 weight=2.5 charmod=26 field=t^2+1",
+    "level=26 weight=2 charmod=x field=t^2+1",
+    "level=-26 weight=2 charmod=26 field=t^2+1",   # read as level -26: PASS
+    "level=0 weight=2 charmod=26 field=t^2+1",     # read as level 0: FAIL
+    "level=26 weight=2 charmod=26 field=t^2+1 level=7",
+    "level=26 weight=2 charmod=26 field=t^2+1 conductor=13",
+    "level=26 weight=2 charmod=26 field=t^2+1 extra",
+    "level=26 weight=2 charmod=26",
+])
+def test_bad_header_exit_3(tmp_path, capsys, header):
+    # the header holds level, weight, charmod and field once each and
+    # nothing else, with level, weight and charmod positive integers
+    text = open(G26).read()
+    lineno = text.splitlines().index(G26_HEADER) + 1
+    (tmp_path / "f11.eigenform").write_text(open(F11).read())
+    (tmp_path / "g26.eigenform").write_text(text.replace(G26_HEADER, header))
+    rc = main(["verify-norm-relations", "--identity", "weil-bounds",
+               "--data", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith(f"data error: line {lineno}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_example_prints_the_minimal_polynomial_of_its_degree(tmp_path, capsys):
     # with f11 in place of g26 the ratio has a cubic minimal polynomial
     for name in ("f11.eigenform", "g26.eigenform"):

@@ -382,6 +382,28 @@ class TestCosetReps:
             coset_reps(G, CosetMatrix((64, 0, 0, 1)))
 
 
+class TestValueTypes:
+    def test_coset_matrix_keeps_its_contract(self):
+        m = (2, 1, 0, 3)
+        x = CosetMatrix(m)
+        assert x == CosetMatrix(m) and x != CosetMatrix((3, 0, 0, 2))
+        assert x.__eq__(m) is NotImplemented and x != m
+        assert hash(x) == hash((m,)) and repr(x) == str(x) == "[2 1; 0 3]"
+        assert x.det == 6 and (x * x).entries == (4, 5, 0, 9)
+        for bad in ((1, 0, 0, 0), (0, 1, 1, 0), (1, 2, 3, 4)):
+            with pytest.raises(ValueError, match="positive determinant"):
+                CosetMatrix(bad)
+
+    def test_iwahori_cell_keeps_its_contract(self):
+        cell = IwahoriCell("diagonal", 1)
+        assert repr(cell) == "IwahoriCell(kind='diagonal', exponent=1)"
+        assert str(cell) == "diagonal(1)"
+        assert cell == IwahoriCell("diagonal", 1)
+        assert cell != IwahoriCell("antidiagonal", 1) and cell != IwahoriCell("diagonal", 2)
+        assert cell.__eq__(("diagonal", 1)) is NotImplemented
+        assert hash(cell) == hash(("diagonal", 1))
+
+
 class TestHeckeSquare:
     @pytest.mark.parametrize("N,p", [(5, 2), (7, 2), (5, 3), (11, 2), (13, 2),
                                      (7, 3)])

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rankin.arith import factor
 from rankin.cli import main
 from rankin.forms import (DirichletChar, FormDataError, _format_t, _parse_value,
                           bundled_path, eta_oracle_level11,
-                          congruence_prime_scan, hypothesis_report,
+                          congruence_prime_scan, format_value, hypothesis_report,
                           is_root_of_unity_poly, load_bundled, parse_eigenform,
                           p_stabilize, ratio_minpoly_and_root_of_unity,
                           serialize_eigenform)
@@ -97,6 +98,10 @@ class TestIngestion:
         with pytest.raises(FormDataError, match="missing coefficient"):
             parse_eigenform(text)
 
+    def test_header_keys_in_any_order(self):
+        form = parse_eigenform("field=t charmod=1 weight=12 level=1\n1: 1\n")
+        assert (form.level, form.weight, form.character.modulus) == (1, 12, 1)
+
     def test_field_polynomial_round_trip(self):
         # a -1 coefficient of the field polynomial prints as -t, as it does
         # in a coefficient line
@@ -162,6 +167,46 @@ class TestValueGrammar:
         assert got[:len(dense)] == dense and not any(got[len(dense):])
         # integral coefficients come back as ints
         assert all(type(c) is int for c in got if F(c).denominator == 1)
+
+
+def _first_coprime_failure(coefficients):
+    """Oracle: the message naming the first coprime pair (m, n), by m and
+    then n, with a_mn != a_m a_n, from a scan of every such pair; None when
+    there is none."""
+    B = max(coefficients)
+    for m in range(2, B + 1):
+        for n in range(2, B // m + 1):
+            if gcd(m, n) == 1 and not (coefficients[m * n]
+                                       == coefficients[m] * coefficients[n]):
+                return f"multiplicativity fails at ({m}, {n})"
+    return None
+
+
+# the indices whose coefficient the prime-power checks do not decide alone
+NOT_PRIME_POWERS = [n for n in range(2, 121) if len(factor(n)) > 1]
+
+
+class TestMultiplicativity:
+    @pytest.mark.parametrize("name", ["f11.eigenform", "g26.eigenform"])
+    def test_bundled_files_pass_the_pair_scan(self, name):
+        form = load_bundled(name)
+        assert form.validate() and _first_coprime_failure(form.coefficients) is None
+
+    @pytest.mark.parametrize("name", ["f11.eigenform", "g26.eigenform"])
+    def test_each_damaged_index_is_named_as_the_pair_scan_names_it(self, name):
+        # a(n) + 1 at every index n <= 120 that is not a prime power: the
+        # package and the pair scan reject the same file with the same text
+        form = load_bundled(name)
+        text = bundled_path(name).read_text()
+        assert form.bound == 120 and len(NOT_PRIME_POWERS) == 79
+        for n in NOT_PRIME_POWERS:
+            line, bad = (f"\n{n}: {format_value(v)}\n" for v in (form.a(n), form.a(n) + 1))
+            assert line in text
+            want = _first_coprime_failure({**form.coefficients, n: form.a(n) + 1})
+            assert want is not None
+            with pytest.raises(FormDataError) as exc:
+                parse_eigenform(text.replace(line, bad))
+            assert str(exc.value) == want, n
 
 
 class TestEtaOracle:

@@ -4,7 +4,10 @@ package runs on the standard library alone; no check in the package is
 an assert statement, which python -O strips, and a failed one raises
 VerificationError, not AssertionError; no function imports a sibling
 module lazily; and every ring element class derives its operators from the
-one protocol base, arith.RingElt."""
+one protocol base, arith.RingElt; importing the package loads no
+code-generation machinery (dataclasses, inspect, ast, dis, tokenize), and the
+hand-written classes that replaced dataclasses keep their equality, hash,
+repr, checks and fresh default lists."""
 
 import ast
 import functools
@@ -13,9 +16,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+
+from rankin.eisenstein import EisensteinSpec
+from rankin.euler import SYM_RING, InterpFactors, interpolation_factors
+from rankin.forms import Eigenform, load_bundled
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -132,3 +140,57 @@ def test_report_survives_python_O(tmp_path, capsys):
             entry.pop("ms")
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+def test_import_loads_no_code_generation_modules():
+    # dataclasses imports inspect, ast, dis and tokenize, and each decorated
+    # class execs generated code; the package writes its classes by hand
+    code = ("import sys; before = set(sys.modules); import rankin; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, cwd=ROOT,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert run.returncode == 0, run.stderr
+    added = set(run.stdout.split())
+    assert "rankin.forms" in added
+    assert added & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+
+
+def test_eisenstein_spec_normalizes_validates_and_compares_by_value():
+    spec = EisensteinSpec("E", 2, F(6, 5))
+    assert spec.alpha == F(1, 5) and spec.j == 0 and spec.conductor == 5
+    assert spec == EisensteinSpec("E", 2, F(1, 5), 0) != EisensteinSpec("E", 2, F(2, 5))
+    assert spec.__eq__(("E", 2, F(1, 5), 0)) is NotImplemented
+    assert hash(spec) == hash(("E", 2, F(1, 5), 0))
+    assert repr(spec) == "EisensteinSpec(family='E', k=2, alpha=Fraction(1, 5), j=0)"
+    assert EisensteinSpec("F", 2, F(-4, 5)).alpha == F(1, 5)
+    assert EisensteinSpec("E", 4, 3).alpha == 0
+    for bad in [("G", 2, F(1, 5)), ("E", 0, F(1, 5)), ("Etilde", 3, F(1, 5)),
+                ("F", 2, 0), ("E", 2, F(1, 5), 2), ("E", 2, 0, 1)]:
+        with pytest.raises(ValueError):
+            EisensteinSpec(*bad)
+
+
+def test_interpolation_factors_compare_by_value():
+    p = SYM_RING.var("p")
+    fac = interpolation_factors(p ** 2)
+    assert fac == interpolation_factors(p ** 2) != interpolation_factors(p)
+    fields = (fac.modification, fac.modification_star, fac.convolution)
+    assert fac == InterpFactors(*fields) and fac.__eq__(fields) is NotImplemented
+    # the hash is that of the tuple of fields, and RatFunc is unhashable
+    for value in (fac, fields):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    assert repr(fac) == (f"InterpFactors(modification={fields[0]!r}, "
+                         f"modification_star={fields[1]!r}, convolution={fields[2]!r})")
+
+
+def test_eigenforms_get_fresh_default_lists():
+    f11 = load_bundled("f11.eigenform")
+    one, two = (Eigenform(1, 2, f11.character, f11.ring, {1: f11.ring.one()})
+                for _ in range(2))
+    one.provenance.append("note")
+    one.field_poly.append(1)
+    assert two.provenance == [] and two.field_poly == []
+    # records compare by identity and hash
+    assert one != two and len({one, two, one}) == 2

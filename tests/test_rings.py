@@ -241,6 +241,22 @@ halves = st.integers(-8, 8).map(lambda k: F(k, 2))  # cheaper to draw than st.fr
 LAURENT = PolyRing(("x", "s"), invertible={"s"})
 
 
+def to_vector(x):
+    """Coordinates of a QuotElt in the monomial basis of its ring, as
+    Fractions (the solves that take them divide)."""
+    idx = {e: i for i, e in enumerate(x.ring.basis())}
+    v = [QQ(0)] * x.ring.dimension
+    for e, c in x.rep.terms.items():
+        v[idx[e]] = QQ(c)
+    return v
+
+
+def from_vector(ring, v):
+    """The element of a QuotRing with coordinates v in its monomial basis."""
+    terms = {e: QQ(c) for e, c in zip(ring.basis(), v) if QQ(c)}
+    return QuotElt(ring, ring.poly_ring.from_terms(terms))
+
+
 def _vector(n, unit):
     # a nonzero vector where the element must be a unit
     return st.lists(halves, min_size=n, max_size=n).filter(lambda v: any(v) or not unit)
@@ -251,7 +267,7 @@ def _cyclo(draw, unit):
 
 
 def _quot(draw, unit):
-    return QuotRing([("t", 2, [F(2), F(0)])]).from_vector(draw(_vector(2, unit)))
+    return from_vector(QuotRing([("t", 2, [F(2), F(0)])]), draw(_vector(2, unit)))
 
 
 def _group_ring(draw, unit):
@@ -576,7 +592,7 @@ def test_int_coefficients_match_fraction_arithmetic(data):
             r = RatFunc(p, q)
             _differential(lambda a: a ** -k, r)
             _differential(lambda a, b: a / b, r, RatFunc(q + unit, p))
-    x = CUBIC.from_vector(data.draw(st.lists(coefficients, min_size=3, max_size=3)))
+    x = from_vector(CUBIC, data.draw(st.lists(coefficients, min_size=3, max_size=3)))
     _differential(lambda a: a.minpoly(), x)
     if x:
         _differential(lambda a: a.inverse(), x)
@@ -841,7 +857,7 @@ def _minpoly_oracle(x):
     xd = ring.one()
     reprs = []
     for d in range(n + 1):
-        v = ring.to_vector(xd)
+        v = to_vector(xd)
         reprs.append(v)
         sol = solve([[reprs[j][i] for j in range(d)] for i in range(n)], v, QQ(0))
         if sol is not None:
@@ -983,12 +999,12 @@ def _inverse_oracle(x):
     """Gauss-Jordan on the columns x * basis monomial; None for a zero
     divisor."""
     ring = x.ring
-    cols = [ring.to_vector(x * ring.from_poly(ring.poly_ring.from_terms({e: 1})))
+    cols = [to_vector(x * ring.from_poly(ring.poly_ring.from_terms({e: 1})))
             for e in ring.basis()]
     n = ring.dimension
     sol = solve([[col[i] for col in cols] for i in range(n)],
                 [F(1)] + [F(0)] * (n - 1), F(0))
-    return None if sol is None else ring.from_vector(sol)
+    return None if sol is None else from_vector(ring, sol)
 
 
 T_SQUARED_ONE = QuotRing([("t", 2, [F(1), F(0)])])   # Q[t]/(t^2 - 1)
