@@ -6,10 +6,9 @@ division makes a non-integral value (``_div``; a sum or product of Fractions
 may still leave an integral Fraction, which compares and hashes as the int).
 Coefficients leave as Fractions wherever the caller may divide them: ``subs``
 to a rational and ``constant_value``, because int / int and int ** -k give
-floats.  Variables flagged as invertible may
-carry negative exponents; all other exponents are >= 0.  Equality of rational
-functions is decided by cross-multiplication, so it never depends on gcd
-reduction.
+floats.  Variables flagged as invertible may carry negative exponents; all
+other exponents are >= 0.  Equality of rational functions is decided by
+cross-multiplication, so it never depends on gcd reduction.
 """
 
 from __future__ import annotations
