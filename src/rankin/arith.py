@@ -118,7 +118,11 @@ class RationalRing:
         return Fraction(1)
 
     def coerce(self, x):
-        return x if isinstance(x, Fraction) else Fraction(x)
+        if isinstance(x, Fraction):
+            return x
+        if isinstance(x, int):
+            return Fraction(x)
+        raise TypeError(f"cannot coerce {x!r} to a rational")
 
     def __repr__(self):
         return "Q"

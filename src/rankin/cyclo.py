@@ -99,7 +99,8 @@ class CyclotomicField:
             if x.ring is self:
                 return x
             raise TypeError(f"element of {x.ring}, expected {self}")
-        x = x if isinstance(x, int) else QQ(x)
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"cannot coerce {x!r} to {self}")
         v = [0] * self.phi
         v[0] = x
         return CycloElt(self, tuple(v))

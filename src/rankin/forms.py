@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .arith import RATIONALS, VerificationError, factor, primes_upto
 from .poly import QQ, _div, poly_derivative, poly_eval, power_rows
@@ -142,15 +142,18 @@ class Eigenform:
         B = self.bound
         if 1 not in self.coefficients or not (self.coefficients[1] == 1):
             raise FormDataError("a_1 must be 1")
-        for p in primes_upto(B):
+        c = self.coefficients
+        for p in primes_upto(isqrt(B)):
+            # one running recursion per prime, as in prime_power_direct
+            scale = self.char_value(p) * QQ(p) ** (self.weight - 1)
+            prev2, prev1 = self.ring.one(), c[p]
             r = 2
             while p ** r <= B:
-                expect = self.prime_power_direct(p, r)
-                if not (self.coefficients[p ** r] == expect):
+                prev2, prev1 = prev1, c[p] * prev1 - scale * prev2
+                if not (c[p ** r] == prev1):
                     raise FormDataError(
                         f"Hecke recursion fails at (p, r) = ({p}, {r})")
                 r += 1
-        c = self.coefficients
         for n in range(2, B + 1):
             p, e = factor(n)[0]
             q = p ** e

@@ -9,6 +9,16 @@ to a rational and ``constant_value``, because int / int and int ** -k give
 floats.  Variables flagged as invertible may carry negative exponents; all
 other exponents are >= 0.  Equality of rational functions is decided by
 cross-multiplication, so it never depends on gcd reduction.
+
+``MPoly.__mul__`` dispatches in this order: an MPoly of the same ring object
+goes straight to the product; an int or Fraction scales the coefficients with
+no exponent arithmetic (0 gives the zero polynomial, 1 gives the operand
+itself); a RatFunc returns NotImplemented; anything else goes through
+``PolyRing.coerce``, which raises TypeError for another ring or a float.  In
+the product, a one-term operand with exponent zero is that scalar, and one
+with coefficient 1 only shifts the exponents; the double loop is left for
+operands of several terms.  A product may therefore share its operand's
+``terms``: values are never mutated after construction.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd
-from operator import sub
+from operator import add, sub
 
 from .arith import RingElt, VerificationError
 
@@ -145,7 +155,8 @@ class MPoly(RingElt):
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = self.ring.coerce(other)
+        if not (isinstance(other, MPoly) and other.ring is self.ring):
+            other = self.ring.coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e, 0) + c
@@ -157,26 +168,46 @@ class MPoly(RingElt):
 
     __radd__ = __add__
 
+    def __sub__(self, other):
+        if not (isinstance(other, MPoly) and other.ring is self.ring):
+            other = self.ring.coerce(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e, 0) - c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return MPoly(self.ring, out)
+
     def __neg__(self):
         return MPoly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, RatFunc):
-            return NotImplemented
-        other = self.ring.coerce(other)
+        if not (isinstance(other, MPoly) and other.ring is self.ring):
+            if isinstance(other, (int, Fraction)):
+                return self._scale(_frac(other))
+            if isinstance(other, RatFunc):
+                return NotImplemented
+            other = self.ring.coerce(other)
         many, one = self.terms, other.terms
         if len(many) == 1:
             many, one = one, many
         if len(one) == 1:
-            # one term: shift the exponents and scale; a product of nonzero
-            # rationals is nonzero and the shift is injective
+            # one term c x^e: a product of nonzero rationals is nonzero and
+            # the shift by e is injective, so no term cancels
             (e2, c2), = one.items()
-            return MPoly(self.ring, {tuple(a + b for a, b in zip(e1, e2)): c1 * c2
+            if e2 == self.ring._zero_exp:
+                return (other if one is self.terms else self)._scale(c2)
+            if c2 == 1:
+                return MPoly(self.ring, {tuple(map(add, e1, e2)): c1
+                                         for e1, c1 in many.items()})
+            return MPoly(self.ring, {tuple(map(add, e1, e2)): c1 * c2
                                      for e1, c1 in many.items()})
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
@@ -185,6 +216,15 @@ class MPoly(RingElt):
         return MPoly(self.ring, out)
 
     __rmul__ = __mul__
+
+    def _scale(self, c) -> "MPoly":
+        """self * c for a coefficient c: no exponent arithmetic, and self
+        itself when c is 1."""
+        if c == 1:
+            return self
+        if not c:
+            return MPoly(self.ring, {})
+        return MPoly(self.ring, {e: v * c for e, v in self.terms.items()})
 
     def inverse(self) -> "MPoly":
         """Inverse of a single-term polynomial whose variables are invertible."""

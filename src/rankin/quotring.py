@@ -88,7 +88,7 @@ class QuotRing:
             if x.ring == self:
                 return x
             raise TypeError(f"element of {x.ring}, expected {self}")
-        return QuotElt(self, self.poly_ring.const(QQ(x)))
+        return QuotElt(self, self.poly_ring.const(x))
 
     def gen(self, name):
         return QuotElt(self, self.poly_ring.var(name))
@@ -187,21 +187,28 @@ class QuotElt(RingElt):
         return hash((self.ring, frozenset(self.rep.terms.items())))
 
     def __add__(self, other):
-        other = self.ring.coerce(other)
+        if not (isinstance(other, QuotElt) and other.ring is self.ring):
+            other = self.ring.coerce(other)
         return QuotElt(self.ring, self.rep + other.rep)
 
     __radd__ = __add__
+
+    def __sub__(self, other):
+        if not (isinstance(other, QuotElt) and other.ring is self.ring):
+            other = self.ring.coerce(other)
+        return QuotElt(self.ring, self.rep - other.rep)
 
     def __neg__(self):
         return QuotElt(self.ring, -self.rep)
 
     def __mul__(self, other):
+        if isinstance(other, QuotElt):
+            if other.ring is not self.ring:
+                other = self.ring.coerce(other)
+            return QuotElt(self.ring, self.ring._reduce(self.rep * other.rep))
         if isinstance(other, (int, Fraction)):
             return QuotElt(self.ring, self.rep * other)
-        if not isinstance(other, QuotElt):
-            return NotImplemented
-        other = self.ring.coerce(other)
-        return QuotElt(self.ring, self.ring._reduce(self.rep * other.rep))
+        return NotImplemented
 
     __rmul__ = __mul__
 

@@ -3,20 +3,23 @@ polynomial, the congruence scan and the hypothesis checklist."""
 
 from fractions import Fraction as F
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rankin.arith import factor
+from rankin.arith import factor, primes_upto
 from rankin.cli import main
-from rankin.forms import (DirichletChar, FormDataError, _format_t, _parse_value,
+from rankin.forms import (DirichletChar, Eigenform, FormDataError, _format_t,
+                          _parse_value,
                           bundled_path, eta_oracle_level11,
                           congruence_prime_scan, format_value, hypothesis_report,
                           is_root_of_unity_poly, load_bundled, parse_eigenform,
                           p_stabilize, ratio_minpoly_and_root_of_unity,
                           serialize_eigenform)
 from rankin.poly import cyclotomic_polynomial, poly_divmod, poly_mul
+from rankin.quotring import QuotElt
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +210,62 @@ class TestMultiplicativity:
             with pytest.raises(FormDataError) as exc:
                 parse_eigenform(text.replace(line, bad))
             assert str(exc.value) == want, n
+
+
+def _first_recursion_failure(form):
+    """Oracle: the message naming the first (p, r), by p and then r, with
+    a(p^r) unequal to the Hecke recursion run again from a_p for each r;
+    None when there is none."""
+    B = form.bound
+    for p in primes_upto(B):
+        r = 2
+        while p ** r <= B:
+            if not (form.coefficients[p ** r] == form.prime_power_direct(p, r)):
+                return f"Hecke recursion fails at (p, r) = ({p}, {r})"
+            r += 1
+    return None
+
+
+# the prime powers p^r <= 120 (r >= 1) that the recursion checks decide: a_p
+# starts the recursion at p, and p^2 <= 120
+RECURSION_INDICES = [p ** r for p in (2, 3, 5, 7) for r in range(1, 7) if p ** r <= 120]
+
+
+class TestPrimePowerRecursion:
+    @pytest.mark.parametrize("name", ["f11.eigenform", "g26.eigenform"])
+    def test_each_damaged_prime_power_is_named_as_the_per_r_loop_names_it(self, name):
+        # a(p^r) + 1 at every index the recursion checks: the package and the
+        # per-r oracle reject the same file with the same text
+        form = load_bundled(name)
+        text = bundled_path(name).read_text()
+        assert _first_recursion_failure(form) is None
+        assert len(RECURSION_INDICES) == 14
+        for n in RECURSION_INDICES:
+            line, bad = (f"\n{n}: {format_value(v)}\n" for v in (form.a(n), form.a(n) + 1))
+            assert line in text
+            damaged = Eigenform(form.level, form.weight, form.character, form.ring,
+                                {**form.coefficients, n: form.a(n) + 1})
+            want = _first_recursion_failure(damaged)
+            assert want is not None
+            with pytest.raises(FormDataError) as exc:
+                parse_eigenform(text.replace(line, bad))
+            assert str(exc.value) == want, n
+
+    @pytest.mark.parametrize("name", ["f11.eigenform", "g26.eigenform"])
+    def test_validation_runs_one_recursion_per_prime(self, name):
+        # 24 products for the prime powers (1 + 2 per exponent r >= 2 at
+        # p = 2, 3, 5, 7) and 79 for the indices that are not prime powers
+        form = load_bundled(name)
+        calls = []
+        product = QuotElt.__mul__
+
+        def counted(x, y):
+            calls.append(1)
+            return product(x, y)
+
+        with mock.patch.object(QuotElt, "__mul__", counted):
+            assert form.validate()
+        assert len(calls) == 24 + len(NOT_PRIME_POWERS)
 
 
 class TestEtaOracle:

@@ -7,12 +7,15 @@ module lazily; and every ring element class derives its operators from the
 one protocol base, arith.RingElt; importing the package loads no
 code-generation machinery (dataclasses, inspect, ast, dis, tokenize), and the
 hand-written classes that replaced dataclasses keep their equality, hash,
-repr, checks and fresh default lists."""
+repr, checks and fresh default lists; and every coefficient ring of the
+package rejects floats and strings."""
 
 import ast
 import functools
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -21,9 +24,15 @@ from pathlib import Path
 
 import pytest
 
-from rankin.eisenstein import EisensteinSpec
+import rankin
+from rankin.arith import RATIONALS
+from rankin.cyclo import CyclotomicField
+from rankin.eisenstein import EisensteinSpec, _GmRing
 from rankin.euler import SYM_RING, InterpFactors, interpolation_factors
 from rankin.forms import Eigenform, load_bundled
+from rankin.groupring import GroupRing
+from rankin.poly import PolyRing
+from rankin.quotring import QuotRing
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -194,3 +203,43 @@ def test_eigenforms_get_fresh_default_lists():
     assert two.provenance == [] and two.field_poly == []
     # records compare by identity and hash
     assert one != two and len({one, two, one}) == 2
+
+
+def _ring_classes():
+    """The names of the classes defined in the package that have zero(),
+    one() and coerce(): its coefficient rings."""
+    found = set()
+    for info in pkgutil.iter_modules(rankin.__path__):
+        module = importlib.import_module(f"rankin.{info.name}")
+        for name, cls in vars(module).items():
+            if (isinstance(cls, type) and cls.__module__ == module.__name__
+                    and all(hasattr(cls, a) for a in ("zero", "one", "coerce"))):
+                found.add(name)
+    return found
+
+
+_SQRT2 = QuotRing([("t", 2, [F(2), F(0)])])
+RINGS = {
+    "RationalRing": lambda: RATIONALS,
+    "CyclotomicField": lambda: CyclotomicField(5),
+    "GroupRing": lambda: GroupRing(5),
+    "_GmRing": lambda: _GmRing(3, _SQRT2),
+    "PolyRing": lambda: PolyRing(("x", "s"), invertible={"s"}),
+    "QuotRing": lambda: _SQRT2,
+}
+
+
+def test_every_ring_is_covered():
+    # a ring added to the package must join RINGS, and so the test below
+    assert _ring_classes() == set(RINGS)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_rings_reject_floats_and_strings(name):
+    # exact rings take ints and Fractions only: a float such as 0.1 would
+    # enter as its binary expansion
+    ring = RINGS[name]()
+    assert ring.coerce(F(1, 2)) * 2 == ring.one() == ring.coerce(1)
+    for bad in (0.5, "1/2"):
+        with pytest.raises(TypeError):
+            ring.coerce(bad)
