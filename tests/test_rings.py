@@ -699,48 +699,34 @@ def test_monomial_substitution_matches_power_tables(case):
 
 # ---------------------------------------------------------------------------
 # the scalar and monomial fast paths of MPoly and QuotElt products against the
-# general double loop, which stays here as the oracle
+# general double loop, which stays here as the oracle (_naive_mul)
 # ---------------------------------------------------------------------------
-
-def _double_loop(p, q):
-    """Oracle: the product of two term dicts over every pair of terms,
-    shifted by the generator-expression exponent sum; no zero kept."""
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
 
 # scalars: 0 and 1 as ints and as Fractions, integral Fractions, other values
 scalars = st.one_of(st.sampled_from([0, 1, -1, F(0), F(1), F(3)]), typed_coefficients)
 
 
 @st.composite
-def operands(draw, ring=SOURCE):
-    """An MPoly as it stands: zero, a constant, a unit monomial (coefficient
-    1), a monomial with another coefficient, or several terms; Laurent
-    exponents in the invertible variable."""
+def operands(draw):
+    """An MPoly over SOURCE as it stands: zero, a constant, a unit monomial
+    (coefficient 1), a monomial with another coefficient, or several terms;
+    Laurent exponents in s."""
     kind = draw(st.sampled_from(["zero", "constant", "unit", "monomial", "terms"]))
     if kind == "zero":
-        return ring.zero()
+        return SOURCE.zero()
     if kind == "constant":
-        return MPoly(ring, {ring._zero_exp: draw(scalars.filter(bool))})
+        return MPoly(SOURCE, {SOURCE._zero_exp: draw(scalars.filter(bool))})
     if kind == "terms":
-        return _raw_terms(draw, ring, -2, 2, 4, min_size=2)
-    mono = _raw_terms(draw, ring, -2, 2, 1, min_size=1)
+        return _raw_terms(draw, SOURCE, -2, 2, 4, min_size=2)
+    mono = _raw_terms(draw, SOURCE, -2, 2, 1, min_size=1)
     if kind == "unit":
         (e, _), = mono.terms.items()
-        return MPoly(ring, {e: draw(st.sampled_from([1, F(1)]))})
+        return MPoly(SOURCE, {e: draw(st.sampled_from([1, F(1)]))})
     return mono
 
 
 def _as_poly(b):
+    """An operand as an MPoly over SOURCE, a scalar as its constant."""
     return b if isinstance(b, MPoly) else MPoly(SOURCE, {SOURCE._zero_exp: b} if b else {})
 
 
@@ -762,7 +748,7 @@ def _stored(x):
 @example(_x * _y + 1, _x * _y * -1 + _s)
 def test_mpoly_fast_paths_match_the_double_loop(a, b):
     bp = _as_poly(b)
-    want = _double_loop(a.terms, bp.terms)
+    want = _naive_mul(a, bp)
     for got in (a * b, b * a):
         assert got.ring is SOURCE and _stored(got) == want
     diff = a - b
@@ -776,7 +762,7 @@ def test_mpoly_rings_compare_structurally_in_products_and_sums(a, b):
     twin = PolyRing(SOURCE.names, invertible=SOURCE.invertible)
     other = PolyRing(SOURCE.names)
     bp = _as_poly(b)
-    want = _double_loop(a.terms, bp.terms)
+    want = _naive_mul(a, bp)
     b2 = MPoly(twin, bp.terms)
     assert twin is not SOURCE and twin == SOURCE
     assert (a * b2).terms == (b2 * a).terms == want
@@ -797,12 +783,13 @@ TOWER = QuotRing([("i", 2, [F(-1), F(0)]), ("u", 2, {(0, 0): F(1, 2), (1, 1): 3}
 
 
 @st.composite
-def tower_elements(draw, ring=TOWER):
-    """An element of TOWER reduced from a polynomial of higher degree."""
+def tower_elements(draw):
+    """An element of TOWER, half of them reduced from a polynomial of higher
+    degree."""
     exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
     if draw(st.booleans()):
         exps = exps.filter(lambda e: e[0] < 2 and e[1] < 2)
-    return ring.from_poly(ring.poly_ring.from_terms(
+    return TOWER.from_poly(TOWER.poly_ring.from_terms(
         draw(st.dictionaries(exps, scalars.filter(bool), max_size=3))))
 
 
@@ -810,7 +797,7 @@ def tower_elements(draw, ring=TOWER):
 @settings(max_examples=80, deadline=None)
 def test_quotelt_fast_paths_match_the_reduced_double_loop(x, y):
     yq = y if isinstance(y, QuotElt) else TOWER.coerce(y)
-    want = TOWER._reduce(MPoly(TOWER.poly_ring, _double_loop(x.rep.terms, yq.rep.terms)))
+    want = TOWER._reduce(MPoly(TOWER.poly_ring, _naive_mul(x.rep, yq.rep)))
     for got in (x * y, y * x):
         assert got.ring is TOWER and _stored(got.rep) == want.terms
     assert _stored((x - y).rep) == _stored((x + (-yq)).rep) == _stored((x + -y).rep)
