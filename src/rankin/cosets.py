@@ -11,11 +11,15 @@ keys mean equal right cosets, so grouping is a dict lookup.
 coset_reps splits its scan by CRT.  With n = n1 n2, n2 the part of n whose
 primes divide L, the level-M preimage of Gamma is X x Y for X the level-L*n2
 preimage and Y = SL2(Z/n1).  The lattice of alpha g contains n Z^2, so its
-Hermite form depends on alpha x mod n2 and alpha y mod n1 apart: one form is
-computed per pair of parts of X and Y.  The label depends on x and H alone.
-The key is not trusted on its own: the representatives coset_reps returns
-are certified pairwise inequivalent by same_right_coset, which tests
-beta' beta^-1 in Gamma directly.
+Hermite form depends on alpha x mod n2 and alpha y mod n1 apart.  Y is split
+by its n1-local lattice, the form of alpha y mod n1 at level n1, on the raw
+y; X by the level-M form at one fixed y; one level-M form is computed per
+pair of parts.  The label depends on x and H alone.  The least g of a fiber
+is found one coordinate at a time: the least i-th entry of (x + e y) mod M
+fixes, by CRT, the i-th entries of x and of y.  The key is not trusted on
+its own: the representatives coset_reps returns are certified pairwise
+inequivalent by same_right_coset, which tests beta' beta^-1 in Gamma
+directly.
 
 The Iwahori subgroup is the lower-triangular-mod-p one (upper-right entry
 divisible by p); its double cosets in SL2(Q_p) are detected by the four
@@ -351,14 +355,17 @@ def right_coset_key(gamma: CongSubgroup, beta: Mat, n: int):
 
 def _crt_fibers(gamma: CongSubgroup, alpha: CosetMatrix):
     """The level-M preimage of Gamma (M = L n, n = det alpha) grouped by the
-    right-coset key of alpha g: M and a list of (key, xs, ys) in which g runs
-    over the (x + y) mod M for x in xs and y in ys.
+    right-coset key of alpha g: M, e and a list of (key, xs, ys) in which g
+    runs over the (x + e y) mod M for x in xs and y in ys.
 
     The preimage is X x Y by CRT, X the level-L*n2 preimage and Y = SL2(Z/n1),
-    where n2 is the part of n whose primes divide L and n1 = n / n2; x and y
-    come scaled by their CRT idempotents.  X is split by the Hermite form of
-    alpha g at one fixed y and Y by the form at one fixed x; each pair of
-    parts has one form H.  Within a pair, x has the label of
+    where n2 is the part of n whose primes divide L and n1 = n / n2; x comes
+    scaled by its CRT idempotent, y raw, and e is the idempotent of n1.  Y is
+    split by the Hermite form of alpha y mod n1 at level n1: the row lattice
+    of alpha y plus n1 Z^2 has index n1, since n2 and det y are units at the
+    primes of n1, and it is the n1-local part of the lattice of alpha g.  X is
+    split by the level-M form of alpha g at one fixed y; each pair of parts
+    has one form H.  Within a pair, x has the label of
     u = n1^-1 (alpha x adj(H) / n2) mod L, since alpha x adj(H) is congruent
     to n u mod L*n2."""
     n, L, a = alpha.det, gamma.level, alpha.entries
@@ -371,16 +378,16 @@ def _crt_fibers(gamma: CongSubgroup, alpha: CosetMatrix):
     ex, ey = n1 * pow(n1, -1, m), m * pow(m, -1, n1)
     xs = [(mat_mul(a, x), tuple(ex * v for v in x))
           for x in gamma.to_level(m).elements]
-    ys = [tuple(ey * v for v in y) for y in _sl2_elements(n1)]
+    ys, a1 = _sl2_elements(n1), mat_mod(a, n1)
 
     def hnf(x, y):
-        return _hnf(mat_mul(a, _combine((x, y), M)), n)
+        return _hnf(mat_mul(a, tuple((u + ey * v) % M for u, v in zip(x, y))), n)
 
     x_parts, y_parts = defaultdict(list), defaultdict(list)
     for x in xs:
         x_parts[hnf(x[1], ys[0])].append(x)
     for y in ys:
-        y_parts[hnf(xs[0][1], y)].append(y)
+        y_parts[_hnf(mat_mul(a1, y), n1)].append(y)
     unit, fibers = pow(n1, -1, L), []
     for px in x_parts.values():
         for py in y_parts.values():
@@ -389,7 +396,22 @@ def _crt_fibers(gamma: CongSubgroup, alpha: CosetMatrix):
             for ax, x in px:
                 by_label[_label(gamma, ax, h, n2, unit)].append(x)
             fibers += [((*h, label), fx, py) for label, fx in by_label.items()]
-    return M, fibers
+    return M, ey, fibers
+
+
+def _least_combination(xs, ys, e: int, M: int) -> Mat:
+    """The least (x + e y) mod M over x in xs and y in ys, found one entry at
+    a time: the values mod M of the i-th entries are distinct for distinct
+    pairs (x_i, y_i) by CRT, so the least one fixes x_i and y_i, and only the
+    x and y that carry them stay in play for the next entry."""
+    g = []
+    for i in range(4):
+        v, u, w = min(((u + e * w) % M, u, w)
+                      for u in {x[i] for x in xs} for w in {y[i] for y in ys})
+        g.append(v)
+        xs = [x for x in xs if x[i] == u]
+        ys = [y for y in ys if y[i] == w]
+    return tuple(g)
 
 
 def coset_reps(gamma: CongSubgroup, alpha: CosetMatrix):
@@ -398,18 +420,15 @@ def coset_reps(gamma: CongSubgroup, alpha: CosetMatrix):
 
     Gamma alpha g for g in the level-M preimage of Gamma runs over the right
     cosets; the least g of each key is lifted to SL2(Z), in sorted order.
-    The keys come from the CRT split of _crt_fibers: one Hermite form per
-    pair of parts and one label per level-side element, not one key per g;
-    the least g of a key is the least CRT combination over its fiber."""
+    The keys come from the CRT split of _crt_fibers: Y = SL2(Z/n1) split by
+    its n1-local lattice, one level-M Hermite form per pair of parts and one
+    label per level-side element, not one key per g; the least g of a key is
+    its fiber's least CRT combination, found one entry at a time."""
     if alpha.entries in gamma._coset_reps:
         return gamma._coset_reps[alpha.entries]
     a = alpha.entries
-    M, fibers = _crt_fibers(gamma, alpha)
-    keys = {}  # right-coset key -> its least g
-    for key, xs, ys in fibers:
-        keys[key] = min(((xa + ya) % M, (xb + yb) % M, (xc + yc) % M,
-                         (xd + yd) % M)
-                        for xa, xb, xc, xd in xs for ya, yb, yc, yd in ys)
+    M, e, fibers = _crt_fibers(gamma, alpha)
+    keys = {key: _least_combination(xs, ys, e, M) for key, xs, ys in fibers}
     reps = tuple(CosetMatrix(mat_mul(a, lift_sl2(g, M)))
                  for g in sorted(keys.values()))
     # certificate independent of the key: pairwise inequivalent

@@ -102,6 +102,7 @@ class Eigenform:
         self.coefficients = coefficients     # n -> QuotElt
         self.provenance = [] if provenance is None else provenance
         self.field_poly = [] if field_poly is None else field_poly   # dense, monic, in t
+        self._powers = {}  # p -> [a(p^0), a(p^1), ...] by the Hecke recursion
 
     @property
     def bound(self) -> int:
@@ -126,7 +127,24 @@ class Eigenform:
             return self.ring.one()
         if p ** r in self.coefficients:
             return self.coefficients[p ** r]
-        return self.prime_power_direct(p, r)
+        return self._prime_powers(p, r)[r]
+
+    def _prime_powers(self, p: int, r: int) -> list:
+        """The list a(p^0), a(p^1), ... of the Hecke recursion from the
+        stored a_p, kept per prime and extended by one running recursion to
+        at least a(p^r)."""
+        powers = self._powers.get(p)
+        if powers is None:
+            if p not in self.coefficients:
+                raise ValueError(f"a_{p} is beyond the coefficient table "
+                                 f"(bound {self.bound})")
+            powers = self._powers[p] = [self.ring.one(), self.coefficients[p]]
+        if len(powers) <= r:
+            ap = powers[1]
+            scale = self.char_value(p) * QQ(p) ** (self.weight - 1)
+            while len(powers) <= r:
+                powers.append(ap * powers[-1] - scale * powers[-2])
+        return powers
 
     def char_value(self, n: int) -> QuotElt:
         return self.ring.coerce(self.character.value(n))
@@ -144,16 +162,17 @@ class Eigenform:
             raise FormDataError("a_1 must be 1")
         c = self.coefficients
         for p in primes_upto(isqrt(B)):
-            # one running recursion per prime, as in prime_power_direct
-            scale = self.char_value(p) * QQ(p) ** (self.weight - 1)
-            prev2, prev1 = self.ring.one(), c[p]
-            r = 2
-            while p ** r <= B:
-                prev2, prev1 = prev1, c[p] * prev1 - scale * prev2
-                if not (c[p ** r] == prev1):
+            # the running recursion from the stored a_p, kept for prime_power;
+            # a list filled before is run again, not trusted
+            self._powers.pop(p, None)
+            top = 2
+            while p ** (top + 1) <= B:
+                top += 1
+            powers = self._prime_powers(p, top)
+            for r in range(2, top + 1):
+                if not (c[p ** r] == powers[r]):
                     raise FormDataError(
                         f"Hecke recursion fails at (p, r) = ({p}, {r})")
-                r += 1
         for n in range(2, B + 1):
             p, e = factor(n)[0]
             q = p ** e
@@ -174,7 +193,8 @@ class Eigenform:
             "a prime-power product failed but no coprime pair does")
 
     def prime_power_direct(self, p: int, r: int) -> QuotElt:
-        """Recursion value computed from the stored a_p only."""
+        """Recursion value computed from the stored a_p only, restarted on
+        each call: the oracle of the per-prime list."""
         if p not in self.coefficients:
             raise ValueError(f"a_{p} is beyond the coefficient table "
                              f"(bound {self.bound})")

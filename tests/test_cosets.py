@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
@@ -13,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankin.cosets
-from rankin.cosets import (CongSubgroup, CosetMatrix, IwahoriCell, _crt_fibers,
-                           _pair_invariant, _sl2_prime_power, _val, coset_reps,
+from rankin.cosets import (CongSubgroup, CosetMatrix, IwahoriCell, _combine,
+                           _crt_fibers, _hnf, _least_combination, _pair_invariant,
+                           _sl2_elements, _sl2_prime_power, _val, coset_reps,
                            double_coset_multiply, iwahori_index, iwahori_invariant,
                            lift_sl2, mat_adj, mat_det, mat_mod, mat_mul,
                            right_coset_key, same_double_coset, same_right_coset,
@@ -109,20 +111,24 @@ _GRID_ALPHAS = ([(1, 0, 0, n) for n in range(1, 7)]
                    (2, 1, 1, 2), (3, 2, 4, 3), (1, 3, 0, 5)])
 
 
-def _grid():
-    """The 560 (subgroup, alpha) cases of the grid."""
+@pytest.fixture(scope="module")
+def grid():
+    """The 560 (subgroup, alpha) cases of the grid, shared by the oracle
+    tests so that each subgroup builds its level-M preimages once."""
+    cases = []
     for kind in ("gamma1", "gamma0", "gamma_upper0", "sl2"):
         for L in range(1, 9):
             G = getattr(CongSubgroup, kind)(L)
             for entries in _GRID_ALPHAS:
                 alpha = CosetMatrix(entries)
                 if sl2_order(L * alpha.det) <= 10_000:
-                    yield kind, G, alpha
+                    cases.append((kind, G, alpha))
+    return cases
 
 
-def test_keyed_reps_equal_the_orbit_marking_oracle():
+def test_keyed_reps_equal_the_orbit_marking_oracle(grid):
     cases = 0
-    for kind, G, alpha in _grid():
+    for kind, G, alpha in grid:
         assert coset_reps(G, alpha) == _orbit_marking_reps(G, alpha), (
             kind, G.level, alpha)
         cases += 1
@@ -151,9 +157,9 @@ def _split(L, n):
     return n1, n // n1
 
 
-def test_split_reps_equal_the_keyed_scan_oracle():
+def test_split_reps_equal_the_keyed_scan_oracle(grid):
     cases, both = 0, set()
-    for kind, G, alpha in _grid():
+    for kind, G, alpha in grid:
         assert coset_reps(G, alpha) == _keyed_scan_reps(G, alpha), (
             kind, G.level, alpha)
         cases += 1
@@ -184,13 +190,46 @@ def test_split_keys_are_the_right_coset_keys(data, kind, L, alpha):
     # each fiber's key is the key of alpha CRT(x, y) for every x and y in it,
     # and the fibers cover the level-M preimage once
     G = getattr(CongSubgroup, kind)(L)
-    M, fibers = _crt_fibers(G, alpha)
+    M, e, fibers = _crt_fibers(G, alpha)
     assert sum(len(xs) * len(ys) for _, xs, ys in fibers) == len(G.to_level(M))
     key, xs, ys = data.draw(st.sampled_from(fibers))
     x, y = data.draw(st.sampled_from(xs)), data.draw(st.sampled_from(ys))
-    g = mat_mod(tuple(u + v for u, v in zip(x, y)), M)
+    g = mat_mod(tuple(u + e * v for u, v in zip(x, y)), M)
     assert g in G.to_level(M).elements
     assert key == right_coset_key(G, mat_mul(alpha.entries, g), alpha.det)
+
+
+def _level_M_y_parts(gamma, alpha):
+    """The former split of Y = SL2(Z/n1), kept as the oracle of the split by
+    the n1-local lattice: each y scaled by its CRT idempotent and keyed by the
+    level-M Hermite form of alpha CRT(x0, y) at one fixed x0 of X."""
+    n, L = alpha.det, gamma.level
+    n1, n2 = _split(L, n)
+    M, m = L * n, L * n2
+    ex, ey = n1 * pow(n1, -1, m), m * pow(m, -1, n1)
+    x0 = tuple(ex * v for v in next(iter(gamma.to_level(m).elements)))
+    parts = defaultdict(set)
+    for y in _sl2_elements(n1):
+        g = _combine((x0, tuple(ey * v for v in y)), M)
+        parts[_hnf(mat_mul(alpha.entries, g), n)].add(y)
+    return {frozenset(part) for part in parts.values()}
+
+
+def _pair_walk_min(xs, ys, e, M):
+    """The former least g of a fiber, kept as the oracle of
+    _least_combination: the least (x + e y) mod M over all |xs| |ys| pairs."""
+    return min(tuple((u + e * v) % M for u, v in zip(x, y)) for x in xs for y in ys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["gamma1", "gamma0", "gamma_upper0"]),
+       L=st.integers(1, 6), alpha=st.sampled_from(_FIBER_ALPHAS))
+def test_local_split_and_least_combination_equal_the_level_M_oracles(kind, L, alpha):
+    G = getattr(CongSubgroup, kind)(L)
+    M, e, fibers = _crt_fibers(G, alpha)
+    assert {frozenset(ys) for _, _, ys in fibers} == _level_M_y_parts(G, alpha)
+    for _, xs, ys in fibers:
+        assert _least_combination(xs, ys, e, M) == _pair_walk_min(xs, ys, e, M)
 
 
 def test_split_scan_builds_no_level_M_preimage(monkeypatch):

@@ -267,6 +267,23 @@ class TestPrimePowerRecursion:
             assert form.validate()
         assert len(calls) == 24 + len(NOT_PRIME_POWERS)
 
+    @pytest.mark.parametrize("name", ["f11.eigenform", "g26.eigenform"])
+    def test_prime_power_list_equals_the_restarted_recursion(self, name):
+        # the per-prime list, past the table and at primes above sqrt(bound),
+        # against prime_power_direct restarted from a_p for each r
+        form = load_bundled(name)
+        for p in (2, 3, 11, 13):
+            powers = form._prime_powers(p, 12)
+            assert powers[0] == form.ring.one()
+            direct = [form.prime_power_direct(p, r) for r in range(1, 13)]
+            assert powers[1:13] == direct
+            assert [form.prime_power(p, r) for r in range(1, 13)] == direct
+            assert form._prime_powers(p, 12) is powers
+        # a second read is a lookup, with no product
+        with mock.patch.object(QuotElt, "__mul__", side_effect=AssertionError):
+            assert [form.prime_power(p, 12) for p in (2, 13)] == [
+                form._powers[2][12], form._powers[13][12]]
+
 
 class TestEtaOracle:
     def test_matches_bundled_form(self, f11):
