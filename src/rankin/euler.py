@@ -97,37 +97,47 @@ def rankin_euler_factor(f, g, p: int) -> EulerFactor:
               -(ef * A * eg * B) * pkl,
               (ef * ef * eg * eg) * pkl ** 2]
     fac = EulerFactor(coeffs, joint)
-    if not _factored_form_agrees(f, g, p, fac):
+    if not _power_sums_agree(f, g, p, fac):
         raise VerificationError("dual-path factor check failed")
     return fac
 
 
-def splitting_ring(f, g, p: int):
-    """Extend the joint coefficient ring by the two Hecke-polynomial roots
-    rx, ry; returns (ring, lift, rx, ry, A, B) with A = a_p(f), B = a_p(g)
-    transported, so the conjugate roots are A - rx and B - ry."""
+def _power_sum_coefficients(f, g, p: int) -> list:
+    """The coefficients [c0, ..., c4] = [1, -e1, e2, -e3, e4] of the
+    good-prime factor prod (1 - lambda X) over its four reciprocal roots
+    lambda, over a new join of the coefficient rings, from the power sums of
+    the roots by Newton's identities.
+
+    With alpha, beta the roots of X^2 - a_p(f) X + eps_f(p) p^(k-1), the sums
+    t_f(r) = alpha^r + beta^r follow t(0) = 2, t(1) = a_p and
+    t(r) = a_p t(r-1) - eps_f(p) p^(k-1) t(r-2); t_g likewise.  The roots
+    alpha gamma, alpha delta, beta gamma, beta delta have the power sums
+    s_r = t_f(r) t_g(r), and Newton's identities
+    r e_r = sum_(i=1..r) (-1)^(i-1) e_(r-i) s_i read r c_r = -sum_(i=1..r)
+    c_(r-i) s_i (Cohen, A Course in Computational Algebraic Number Theory,
+    4.3)."""
     joint, mf, mg = joint_coefficient_ring(f, g)
-    k, l = f.weight, g.weight
-    A, B = mf(f.a(p)), mg(g.a(p))
-    ef, eg = mf(f.char_value(p)), mg(g.char_value(p))
 
-    with_rx, lift_rx = joint.adjoin("rx", [-(ef * QQ(p) ** (k - 1)), A])
-    ext, lift_ry = with_rx.adjoin(
-        "ry", [lift_rx(-(eg * QQ(p) ** (l - 1))), lift_rx(B)])
+    def traces(form, transport):
+        ap = transport(form.a(p))
+        scale = transport(form.char_value(p)) * QQ(p) ** (form.weight - 1)
+        t = [2, ap]
+        for _ in range(3):
+            t.append(ap * t[-1] - scale * t[-2])
+        return t
 
-    def lift(x):
-        return lift_ry(lift_rx(x))
+    s = [x * y for x, y in zip(traces(f, mf), traces(g, mg))]
+    c = [joint.one()]
+    for r in range(1, 5):
+        total = sum((c[r - i] * s[i] for i in range(2, r + 1)), c[r - 1] * s[1])
+        c.append(total * QQ(-1, r))
+    return c
 
-    return ext, lift, ext.gen("rx"), ext.gen("ry"), lift(A), lift(B)
 
-
-def _factored_form_agrees(f, g, p, fac):
-    """Recompute the factor as the product of (1 - root_f root_g X) over the
-    four root pairs in the splitting ring of the two quadratics."""
-    ext, lift, rx, ry, A, B = splitting_ring(f, g, p)
-    prod = functools.reduce(poly_mul, ([ext.one(), -(rf * rg)]
-                                       for rf in (rx, A - rx) for rg in (ry, B - ry)))
-    return prod == [lift(c) for c in fac.coefficients]
+def _power_sums_agree(f, g, p, fac) -> bool:
+    """The second path of rankin_euler_factor: the factor from Newton's
+    identities equals ``fac`` coefficient by coefficient."""
+    return _power_sum_coefficients(f, g, p) == list(fac.coefficients)
 
 
 def weil_check(factor: EulerFactor, p: int, k: int, l: int) -> bool:
@@ -278,20 +288,28 @@ def interpolation_factors(twist: MPoly) -> InterpFactors:
     return InterpFactors(e_f, e_star, e_conv)
 
 
-def _dual_form_sides(mutate_shift: int = 0):
-    """The (image, expected) pairs of the dual-form symmetry, for every
-    weight k, l and twist j at once: the modification factor, its
-    level-lowering variant and the convolution factor at twist J, each under
-    the dual-form map al -> K/be, be -> K/al, ga -> L/de, de -> L/ga, against
-    the same factor and the convolution factor at the dual twist
-    p^(k+l-1-j) = K L p / J, times p^mutate_shift."""
+@functools.cache
+def _dual_form_images():
+    """(image, factor) for the modification factor, its level-lowering
+    variant and the convolution factor at twist J, the image taken under
+    the dual-form map al -> K/be, be -> K/al, ga -> L/de, de -> L/ga; built
+    once per process."""
     star = {"al": RatFunc(_K, _BE), "be": RatFunc(_K, _AL),
             "ga": RatFunc(_L, _DE), "de": RatFunc(_L, _GA)}
     fac = interpolation_factors(_J)
+    return tuple((r.subs(star), r)
+                 for r in (fac.modification, fac.modification_star, fac.convolution))
+
+
+def _dual_form_sides(mutate_shift: int = 0):
+    """The (image, expected) pairs of the dual-form symmetry, for every
+    weight k, l and twist j at once: the images of _dual_form_images against
+    the same factor, except that the convolution factor's image is set
+    against the convolution factor at the dual twist p^(k+l-1-j) = K L p / J,
+    times p^mutate_shift."""
+    mod, mod_star, (conv_star, _) = _dual_form_images()
     fac_dual = interpolation_factors(_K * _L * _P ** (1 + mutate_shift) * _J.inverse())
-    return ((fac.modification.subs(star), fac.modification),
-            (fac.modification_star.subs(star), fac.modification_star),
-            (fac.convolution.subs(star), fac_dual.convolution))
+    return mod, mod_star, (conv_star, fac_dual.convolution)
 
 
 def functional_symmetry_check(literal_reading: bool = False,
@@ -313,10 +331,11 @@ def functional_symmetry_check(literal_reading: bool = False,
     variant equals the unstarred modification factor; ``mutate_shift``
     multiplies the dual twist by p^mutate_shift.
     """
+    if literal_reading:
+        (_, e_f), (e_star_star, _), _ = _dual_form_images()
+        return e_star_star == e_f
     (e_f_star, e_f), (e_star_star, e_star), (conv_star, conv_dual) = \
         _dual_form_sides(mutate_shift)
-    if literal_reading:
-        return e_star_star == e_f
     if not (e_f_star == e_f and e_star_star == e_star and conv_star == conv_dual):
         return False
     # the full ratio conv(dual) * mod^* * mod_star^* / (mod * mod_star * conv^*)

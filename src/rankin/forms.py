@@ -198,6 +198,8 @@ class Eigenform:
         if p not in self.coefficients:
             raise ValueError(f"a_{p} is beyond the coefficient table "
                              f"(bound {self.bound})")
+        if r == 0:
+            return self.ring.one()
         ap = self.coefficients[p]
         scale = self.char_value(p) * QQ(p) ** (self.weight - 1)
         prev2, prev1 = self.ring.one(), ap

@@ -16,6 +16,7 @@ since norm composed with restriction is the field degree.
 
 from __future__ import annotations
 
+import functools
 from functools import reduce
 from math import gcd
 
@@ -58,21 +59,33 @@ def _norm_down(expr: dict, layer: int, rules: dict) -> dict:
     return out
 
 
-def derive_composite_norms():
-    """Compose one-step norms down to the base layer for the p^2 and p^3
-    classes, compare against the closed forms, and return
-
-        (derived_p2, derived_p3, closed_p2, closed_p3, match2, match3).
-    """
+@functools.cache
+def _composed_norms():
+    """(derived_p2, derived_p3, closed_p2, closed_p3): the p^2 and p^3
+    classes normed down to the base layer, and the closed forms.  Built once
+    per process; a derivation that fails its shape checks raises on every
+    call, since nothing is cached then."""
     rules = norm_rules()
     expr2 = _norm_down(_norm_down({2: ONE}, 2, rules), 1, rules)
     expr3 = _norm_down(_norm_down(_norm_down({3: ONE}, 3, rules), 2, rules), 1, rules)
     if set(expr2) != {0} or set(expr3) != {0}:
         raise VerificationError("composite norms did not reach the base layer")
     derived2, derived3 = expr2[0], expr3[0]
-    closed2, closed3 = composite_norm_p2_closed(), composite_norm_p3_closed()
     if not (is_canonical_operator(derived2) and is_canonical_operator(derived3)):
         raise VerificationError("derived composite norms are not canonical")
+    return derived2, derived3, composite_norm_p2_closed(), composite_norm_p3_closed()
+
+
+def derive_composite_norms():
+    """Compose one-step norms down to the base layer for the p^2 and p^3
+    classes, compare against the closed forms, and return
+
+        (derived_p2, derived_p3, closed_p2, closed_p3, match2, match3).
+
+    The operators are built once per process; the comparisons run on each
+    call.
+    """
+    derived2, derived3, closed2, closed3 = _composed_norms()
     return (derived2, derived3, closed2, closed3,
             derived2 == closed2, derived3 == closed3)
 
@@ -107,14 +120,16 @@ def specialize_roots(op: MPoly) -> MPoly:
                     "s": SR, "p": PR})
 
 
-def local_factor_coeffs_eigen(ring=EIG_RING):
-    """[X^0..X^4] of the weight-(2,2) local factor in the eigenvalue symbols."""
+@functools.cache
+def local_factor_coeffs_eigen(ring=EIG_RING) -> tuple:
+    """(X^0..X^4) of the weight-(2,2) local factor in the eigenvalue symbols,
+    built once per process and ring."""
     af, ag, ef, eg, _, p = ring.vars()
-    return [ring.one(),
+    return (ring.one(),
             -af * ag,
             p * af * af * eg + p * ef * ag * ag - 2 * p ** 2 * ef * eg,
             -p ** 2 * ef * af * eg * ag,
-            p ** 4 * ef ** 2 * eg ** 2]
+            p ** 4 * ef ** 2 * eg ** 2)
 
 
 def corestriction_display(mutate_degree: bool = False) -> MPoly:
@@ -173,23 +188,34 @@ def pstab_projection_formula(drop_denominator_term: bool = False):
 
     Returns (RatFunc result, bool match).  ``drop_denominator_term`` removes
     the (al ga - al de) factor from the interpolation denominator, a mutation
-    that must break the match.
+    that must break the match.  Only the denominator is built on each call;
+    the composite norms are compared on each call too.
     """
+    denom_factors = [AL * GA - AL * DE, AL * GA - BE * GA, AL * GA - BE * DE]
+    if drop_denominator_term:
+        denom_factors = denom_factors[1:]
+    D = ROOT_RING.one()
+    for f in denom_factors:
+        D = D * f
+    *_, ok2, ok3 = derive_composite_norms()
+    if not (ok2 and ok3):
+        raise VerificationError("composite norms failed; projection derivation unsound")
+    total, target = _pstab_numerator_and_target()
+    result = RatFunc(total, D)
+    return result, result == target
+
+
+@functools.cache
+def _pstab_numerator_and_target():
+    """The numerator of the projection and the target RatFunc of
+    pstab_projection_formula, built once per process."""
     R = ROOT_RING
     one = R.one()
     # interpolation cubic numerator: (X - al de)(X - be ga)(X - be de)
     num_coeffs = reduce(poly_mul, ([-r, one] for r in (AL * DE, BE * GA, BE * DE)))
-    denom_factors = [AL * GA - AL * DE, AL * GA - BE * GA, AL * GA - BE * DE]
-    if drop_denominator_term:
-        denom_factors = denom_factors[1:]
-    D = one
-    for f in denom_factors:
-        D = D * f
     # specialized norm operators (layer expressions pushed to the base)
+    d2, d3, _, _ = _composed_norms()
     n1 = specialize_roots(second_norm_operator())
-    d2, d3, _, _, ok2, ok3 = derive_composite_norms()
-    if not (ok2 and ok3):
-        raise VerificationError("composite norms failed; projection derivation unsound")
     n2 = specialize_roots(d2)
     n3 = specialize_roots(d3)
     p0 = one - (AL * BE * PR ** -1) * (GA * DE * PR ** -1) * SR ** -2
@@ -200,12 +226,10 @@ def pstab_projection_formula(drop_denominator_term: bool = False):
         jr = num_coeffs[r]
         for i in range(r + 1):
             total = total + jr * SR ** i * pieces[r - i]
-    result = RatFunc(total, D)
     target_num = AL * GA
     for prod_term in (BE * DE, AL * DE, BE * GA):
         target_num = target_num * (one - prod_term * PR ** -1 * SR ** -1)
-    target = RatFunc(target_num, (GA - DE) * (AL - BE))
-    return result, result == target
+    return total, RatFunc(target_num, (GA - DE) * (AL - BE))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ inside intermediate Euler-factor evaluations at p^(-1) s^(-1).
 
 from __future__ import annotations
 
+import functools
+
 from .poly import MPoly, PolyRing, poly_eval
 
 OP_RING = PolyRing(("a", "b", "df", "dg", "s", "p"),
@@ -85,11 +87,14 @@ def pair_T_psquare() -> MPoly:
 
 # -- the degree-(p-1) norm operator and its rewriting -------------------------
 
+@functools.cache
 def second_norm_operator() -> MPoly:
     """Right-hand side of the degree-(p-1) norm relation at a good prime:
 
         -s + ab + [(p+1) df dg - df b^2 - a^2 dg] s^-1
            + df dg ab s^-2 - p (df dg)^2 s^-3.
+
+    Built once per process; every comparison with it runs on each call.
     """
     return (-S + pair_T()
             + ((P + 1) * pair_diamond() - pair_T_square_right() - pair_T_square_left()) * S ** -1

@@ -2,6 +2,9 @@
 
 import pytest
 
+import rankin.euler
+import rankin.normrel
+import rankin.operators
 import rankin.qseries
 from rankin.euler import SYM_RING, _dual_form_sides, interpolation_factors
 from rankin.poly import RatFunc
@@ -19,6 +22,26 @@ def refuse_series_kernels(monkeypatch):
         for name in SERIES_KERNELS:
             monkeypatch.setattr(rankin.qseries, name, refuse)
     return install
+
+
+# the symbolic derivations that rankin builds once per process
+DERIVATION_CACHES = (rankin.operators.second_norm_operator,
+                     rankin.normrel._composed_norms,
+                     rankin.normrel.local_factor_coeffs_eigen,
+                     rankin.normrel._pstab_numerator_and_target,
+                     rankin.euler._dual_form_images)
+
+
+@pytest.fixture
+def fresh_derivations():
+    """Empty every derivation cache before the test and again after it, so
+    that the test builds the derivations under its own patches and leaves
+    none of what it built behind."""
+    for cached in DERIVATION_CACHES:
+        cached.cache_clear()
+    yield
+    for cached in DERIVATION_CACHES:
+        cached.cache_clear()
 
 
 # the weights and twists of the dual-form symmetry checked one at a time:

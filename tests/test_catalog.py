@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import DERIVATION_CACHES
 from rankin import catalog, euler
 from rankin.catalog import CATALOG, MUTATIONS, NORM_RELATION_IDS, run_catalog
 from rankin.poly import MPoly
@@ -66,11 +67,11 @@ def test_mutation_count():
     assert len(MUTATIONS) >= 10
 
 
-def test_polynomial_coefficients_are_int_or_fraction(monkeypatch):
+def test_polynomial_coefficients_are_int_or_fraction(monkeypatch, fresh_derivations):
     """Floats appear only in the cmath cross-checks: no catalog entry that
     runs on MPoly may build one with a coefficient other than an int or a
-    Fraction.  The form cache is emptied first, so that its contents are
-    built under the check."""
+    Fraction.  The form and derivation caches are emptied first, so that
+    their contents are built under the check."""
     bad = []
     init = MPoly.__init__
 
@@ -85,6 +86,26 @@ def test_polynomial_coefficients_are_int_or_fraction(monkeypatch):
     report = run_catalog(ids, {"prec": 100, "seed": 0, "data": None, "guard": 8})
     assert [e["id"] for e in report["entries"] if e["status"] != "PASS"] == []
     assert bad == []
+
+
+# the entries whose verdicts rest on comparing the cached derivations
+COMPARING_ENTRIES = ("composite-norms-a", "composite-norms-b", "pstab-formula",
+                     "functional-symmetry", "mutation-suite")
+
+
+def test_caches_hold_values_and_never_verdicts(monkeypatch, fresh_derivations):
+    # two full runs build each cached derivation once
+    run_catalog()
+    run_catalog()
+    assert [c.cache_info().misses for c in DERIVATION_CACHES] == [1] * len(DERIVATION_CACHES)
+    # with every cache warm, the comparisons still run: a comparison that
+    # always fails makes every entry that compares the derivations FAIL
+    monkeypatch.setattr(MPoly, "__eq__", lambda self, other: False)
+    monkeypatch.setattr(MPoly, "__hash__", lambda self: 0)
+    report = run_catalog(list(COMPARING_ENTRIES))
+    assert {e["id"]: e["status"] for e in report["entries"]} == \
+        dict.fromkeys(COMPARING_ENTRIES, "FAIL")
+    assert [c.cache_info().misses for c in DERIVATION_CACHES] == [1] * len(DERIVATION_CACHES)
 
 
 def test_two_param_family_builds_each_eisenstein_series_once(monkeypatch):
@@ -102,6 +123,6 @@ def test_two_param_family_builds_each_eisenstein_series_once(monkeypatch):
     (lambda *args: 1 // 0, "ZeroDivisionError: integer division or modulo by zero")])
 def test_witness_names_a_failed_certificate_and_a_crash(monkeypatch, fault, name):
     # the dual-path check of the good-prime factor fails, or crashes
-    monkeypatch.setattr(euler, "_factored_form_agrees", fault)
+    monkeypatch.setattr(euler, "_power_sums_agree", fault)
     (entry,) = run_catalog(["weil-bounds"])["entries"]
     assert (entry["status"], entry["witness"]) == ("FAIL", name)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 import rankin.euler
 from conftest import SYMMETRY_BOX, general_sides_specialize, oracle_symmetry_sides
 from rankin.catalog import run_catalog
-from rankin.euler import (SYM_RING, BadPrimeError, EulerFactor, _zsturm_count,
+from rankin.euler import (SYM_RING, BadPrimeError, EulerFactor,
+                          _power_sum_coefficients, _zsturm_count,
                           functional_symmetry_check, hecke_polynomial,
                           interpolation_factors, joint_coefficient_ring,
                           local_correction, rankin_euler_factor, weil_check)
@@ -79,6 +81,66 @@ class TestHeckePolynomial:
             hecke_polynomial(g, 13)
 
 
+def _ap_zero_pair():
+    """Two copies of a weight-2 stand-in form over Q with a_5 = 0, every
+    other a_n = 1 and the trivial character."""
+    R = QuotRing([("t", 1, [F(0)])])
+
+    class Dummy:
+        level, weight, ring = 1, 2, R
+
+        def a(self, n):
+            return R.zero() if n == 5 else R.one()
+
+        def char_value(self, n):
+            return R.one()
+
+    return Dummy(), Dummy()
+
+
+def splitting_ring(f, g, p: int):
+    """Extend the joint coefficient ring by the two Hecke-polynomial roots
+    rx, ry; returns (ring, lift, rx, ry, A, B) with A = a_p(f), B = a_p(g)
+    transported, so the conjugate roots are A - rx and B - ry."""
+    joint, mf, mg = joint_coefficient_ring(f, g)
+    k, l = f.weight, g.weight
+    A, B = mf(f.a(p)), mg(g.a(p))
+    ef, eg = mf(f.char_value(p)), mg(g.char_value(p))
+
+    with_rx, lift_rx = joint.adjoin("rx", [-(ef * QQ(p) ** (k - 1)), A])
+    ext, lift_ry = with_rx.adjoin(
+        "ry", [lift_rx(-(eg * QQ(p) ** (l - 1))), lift_rx(B)])
+
+    def lift(x):
+        return lift_ry(lift_rx(x))
+
+    return ext, lift, ext.gen("rx"), ext.gen("ry"), lift(A), lift(B)
+
+
+def root_pair_product(f, g, p: int):
+    """The oracle of the power-sum path: (prod, lift) with prod the product
+    of (1 - root_f root_g X) over the four root pairs in the splitting ring
+    of the two quadratics, and lift the map of the joint ring into it."""
+    ext, lift, rx, ry, A, B = splitting_ring(f, g, p)
+    prod = reduce(poly_mul, ([ext.one(), -(rf * rg)]
+                             for rf in (rx, A - rx) for rg in (ry, B - ry)))
+    return prod, lift
+
+
+# the good primes of the weil-bounds entry
+WEIL_PRIMES = (3, 5, 7, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+@pytest.mark.parametrize("forms, p", [("bundled", p) for p in WEIL_PRIMES]
+                         + [("ap_zero", 5)])
+def test_power_sums_equal_the_root_pair_product(pair, forms, p):
+    f, g = pair if forms == "bundled" else _ap_zero_pair()
+    prod, lift = root_pair_product(f, g, p)
+    assert [lift(c) for c in _power_sum_coefficients(f, g, p)] == prod
+    fac = rankin_euler_factor(f, g, p)
+    assert [lift(c) for c in fac.coefficients] == prod
+
+
 class TestRankinFactor:
     def test_degree_four_and_constant_one(self, pair):
         fac = rankin_euler_factor(*pair, 3)
@@ -96,22 +158,10 @@ class TestRankinFactor:
         vals = [c.rep.constant_value() for c in fac.coefficients]
         assert vals == [1, -1, -12, -9, 81]
 
-    def test_zero_coefficients_shape(self, pair):
+    def test_zero_coefficients_shape(self):
         # with a_p = 0 on both sides and trivial characters the display
         # collapses to 1 - 2p^2 X^2 + p^4 X^4; emulate by direct formula
-        from rankin.quotring import QuotRing
-        R = QuotRing([("t", 1, [F(0)])])
-
-        class Dummy:
-            level, weight, ring = 1, 2, R
-
-            def a(self, n):
-                return R.zero() if n == 5 else R.one()
-
-            def char_value(self, n):
-                return R.one()
-
-        fac = rankin_euler_factor(Dummy(), Dummy(), 5)
+        fac = rankin_euler_factor(*_ap_zero_pair(), 5)
         vals = [c.rep.constant_value() for c in fac.coefficients]
         assert vals == [1, 0, -2 * 25, 0, 5 ** 4]
 
@@ -125,7 +175,7 @@ class TestRankinFactor:
         coeffs = list(fac.coefficients)
         coeffs[degree] = coeffs[degree] + 1
         raised = EulerFactor(coeffs, fac.ring)
-        assert not rankin.euler._factored_form_agrees(*pair, 3, raised)
+        assert not rankin.euler._power_sums_agree(*pair, 3, raised)
 
     def test_value_is_the_coefficient_sum(self, pair):
         fac = rankin_euler_factor(*pair, 5)
@@ -142,7 +192,7 @@ import rankin.euler as E
 from rankin.forms import load_bundled
 if not sys.flags.optimize:
     sys.exit("run with python -O")
-E._factored_form_agrees = lambda f, g, p, fac: False
+E._power_sums_agree = lambda f, g, p, fac: False
 f, g = load_bundled("f11.eigenform"), load_bundled("g26.eigenform")
 try:
     E.rankin_euler_factor(f, g, 3)
@@ -427,7 +477,7 @@ class TestInterpolationFactors:
             assert _oracle_check(4, 2, 2, mutate_shift=shift) is False
 
     @pytest.mark.parametrize("zeros", ["all", "convolution"])
-    def test_zero_divisor_numerator_raises(self, monkeypatch, zeros):
+    def test_zero_divisor_numerator_raises(self, monkeypatch, fresh_derivations, zeros):
         # the closing ratio divides by mod * mod_star and by the dual
         # convolution factor: a zero numerator there raises ZeroDivisionError
         from rankin.euler import InterpFactors

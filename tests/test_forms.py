@@ -275,9 +275,9 @@ class TestPrimePowerRecursion:
         for p in (2, 3, 11, 13):
             powers = form._prime_powers(p, 12)
             assert powers[0] == form.ring.one()
-            direct = [form.prime_power_direct(p, r) for r in range(1, 13)]
-            assert powers[1:13] == direct
-            assert [form.prime_power(p, r) for r in range(1, 13)] == direct
+            direct = [form.prime_power_direct(p, r) for r in range(13)]
+            assert powers[:13] == direct
+            assert [form.prime_power(p, r) for r in range(13)] == direct
             assert form._prime_powers(p, 12) is powers
         # a second read is a lookup, with no product
         with mock.patch.object(QuotElt, "__mul__", side_effect=AssertionError):
