@@ -106,7 +106,10 @@ def _sl2_parts(m: int):
 
 
 def _sl2_elements(m: int):
-    """All of SL2(Z/m), combined from its prime-power parts."""
+    """All of SL2(Z/m): the prime-power list itself when m is 1 or a prime
+    power, else combined from its prime-power parts."""
+    if len(factor(m)) <= 1:
+        return _sl2_prime_power(m)
     parts = [part for _, part in _sl2_parts(m)]
     return [_combine(combo, m) for combo in product(*parts)]
 

@@ -56,6 +56,20 @@ def _slot_offset(count: int, wb: int) -> int:
                           "little")
 
 
+CONDUCTOR_BOUND = 10 ** 6  # most entries L * phi(L) of a field's power table
+
+
+def check_conductor(L: int):
+    """Raise ValueError unless Q(zeta_L) may be built: L >= 1 and its power
+    table of L * phi(L) ints within CONDUCTOR_BOUND.  An L above the bound is
+    refused before it is factored."""
+    if L < 1:
+        raise ValueError("conductor must be positive")
+    if L > CONDUCTOR_BOUND or L * euler_phi(L) > CONDUCTOR_BOUND:
+        raise ValueError(f"conductor {L} needs a power table of L * phi(L) > "
+                         f"{CONDUCTOR_BOUND} entries")
+
+
 class CyclotomicField:
     """Q(zeta_L), represented as Q[x]/(Phi_L(x))."""
 
@@ -64,6 +78,7 @@ class CyclotomicField:
     def __new__(cls, L: int):
         if L in cls._cache:
             return cls._cache[L]
+        check_conductor(L)
         self = super().__new__(cls)
         cls._cache[L] = self
         return self
@@ -71,15 +86,13 @@ class CyclotomicField:
     def __init__(self, L: int):
         if getattr(self, "_ready", False):
             return
-        if L < 1:
-            raise ValueError("conductor must be positive")
         self.L = L
-        self.phi = euler_phi(L)
         self.modulus = cyclotomic_polynomial(L)
-        # x^k mod Phi_L for 0 <= k < L as int vectors of length phi (ints keep
-        # integral arithmetic on the fast path).  The reduction rows for
-        # products, 0 <= k <= 2 phi - 2, follow from x^L = 1 mod Phi_L
-        self._powers = power_rows([int(c) for c in self.modulus], L)
+        self.phi = len(self.modulus) - 1
+        # x^k mod Phi_L for 0 <= k < L as int vectors of length phi.  The
+        # reduction rows for products, 0 <= k <= 2 phi - 2, follow from
+        # x^L = 1 mod Phi_L
+        self._powers = power_rows(self.modulus, L)
         self._redrows = [self._powers[k % L] for k in range(2 * self.phi - 1)]
         self._ready = True
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import Record, VerificationError
-from .cyclo import CycloElt, CyclotomicField
+from .cyclo import CycloElt, CyclotomicField, check_conductor
 from .groupring import GroupRing
 from .poly import QQ, cyclotomic_polynomial
 from .qseries import QSeries
@@ -63,6 +63,7 @@ def validate_spec(spec: EisensteinSpec):
                 f"twist index {spec.j} outside the allowed range [0, {spec.k - 1}]")
         if spec.k == 2 and spec.j == 1 and spec.alpha == 0:
             raise ValueError("weight-2 twist-1 E series at parameter 0 is not holomorphic")
+    check_conductor(spec.conductor)
 
 
 def check_prec(prec: int):

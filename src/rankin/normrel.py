@@ -138,9 +138,16 @@ def corestriction_display(mutate_degree: bool = False) -> MPoly:
 
     ``mutate_degree`` replaces (p-1) by p for non-vacuity testing.
     """
-    deg = PE if mutate_degree else PE - 1
+    return _corestriction_displays()[bool(mutate_degree)]
+
+
+@functools.cache
+def _corestriction_displays() -> tuple:
+    """The corestriction display and its degree mutant, built once per
+    process."""
     lf = poly_eval(local_factor_coeffs_eigen(), PE ** -1 * SE ** -1)
-    return SE * (deg * (EIG_RING.one() - EF * EG * SE ** -2) - PE * lf)
+    return tuple(SE * (deg * (EIG_RING.one() - EF * EG * SE ** -2) - PE * lf)
+                 for deg in (PE - 1, PE))
 
 
 def specialize_to_corestriction(invert_diamond: bool = False,
@@ -242,8 +249,18 @@ def corestriction_solved_polynomial():
 
         ell * LocalFactor(ell^-1 X) - (ell - 1)(1 - ef eg X^2).
 
-    Returns (coeffs_from_display, coeffs_closed, match).
+    Returns (coeffs_from_display, coeffs_closed, match).  The coefficients
+    are built once per process; match is compared on each call.
     """
+    from_display, closed = _solved_coefficients()
+    match = all(x == y for x, y in zip(from_display, closed))
+    return list(from_display), list(closed), match
+
+
+@functools.cache
+def _solved_coefficients():
+    """(coeffs_from_display, coeffs_closed) of
+    corestriction_solved_polynomial, as tuples."""
     disp = corestriction_display()
     # -s A(s^-1) = disp  ->  A's X^i coefficient = -(coefficient of s^(1-i))
     by_s = disp.coefficients_in("s")
@@ -262,8 +279,7 @@ def corestriction_solved_polynomial():
         if i == 2:
             term = term + (PE - 1) * EF * EG
         closed.append(term)
-    match = all(x == y for x, y in zip(coeffs_from_display, closed))
-    return coeffs_from_display, closed, match
+    return tuple(coeffs_from_display), tuple(closed)
 
 
 def derive_A_ell(mutate: bool = False):

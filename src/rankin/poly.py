@@ -727,14 +727,31 @@ _CYCLO_CACHE = {}
 
 
 def cyclotomic_polynomial(n: int):
-    """The n-th cyclotomic polynomial as a dense Fraction list."""
+    """The n-th cyclotomic polynomial as a dense int list: x^n - 1 divided
+    exactly by the monic Phi_d of each proper divisor d of n."""
     if n in _CYCLO_CACHE:
         return list(_CYCLO_CACHE[n])
-    p = [QQ(-1)] + [QQ(0)] * (n - 1) + [QQ(1)]  # x^n - 1
+    p = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            p, r = poly_divmod(p, cyclotomic_polynomial(d))
+            p, r = _divmod_monic(p, cyclotomic_polynomial(d))
             if r:
                 raise VerificationError(f"Phi_{d} does not divide x^{n} - 1")
     _CYCLO_CACHE[n] = list(p)
     return p
+
+
+def _divmod_monic(p, q):
+    """Division with remainder of the int list p by the monic int list q, in
+    ints: each step subtracts the top coefficient times q, shifted."""
+    r = list(p)
+    d = len(q) - 1
+    low = [(j, b) for j, b in enumerate(q[:-1]) if b]
+    quot = [0] * max(0, len(r) - d)
+    for k in range(len(quot) - 1, -1, -1):
+        c = r.pop()
+        if c:
+            quot[k] = c
+            for j, b in low:
+                r[k + j] -= c * b
+    return poly_trim(quot), poly_trim(r)

@@ -20,6 +20,11 @@ decided on that data: two such products agree to a precision exactly when
 their leading exponents, constants and logarithmic derivatives do.  The
 witness of a failing check comes from the same data, and no check
 multiplies, divides or raises a series to a power.
+
+Parameters are read as int numerators and denominators, with no Fraction
+arithmetic: unit_factors builds one Fraction, its leading exponent, and
+none per binomial, and a side of a distribution relation sums its leading
+exponents over one int denominator.
 """
 
 from __future__ import annotations
@@ -28,16 +33,19 @@ from fractions import Fraction
 from math import gcd
 from operator import add
 
-from .cyclo import CycloElt, CyclotomicField, slot_bytes, truncate_slots, unpack_slots
+from .cyclo import (CycloElt, CyclotomicField, check_conductor, slot_bytes, truncate_slots,
+                    unpack_slots)
 from .eisenstein import EisensteinSpec, check_prec, eisenstein_qexp, eisenstein_rows
 from .poly import QQ
 from .qseries import QSeries
 
 
-def bernoulli2(x: Fraction) -> Fraction:
-    """B2(x) = x^2 - x + 1/6."""
-    x = QQ(x)
-    return x * x - x + QQ(1, 6)
+def _num_den(x) -> tuple:
+    """(numerator, denominator) of the rational x in lowest terms, read off an
+    int or a Fraction with no arithmetic; anything else goes through QQ."""
+    if not isinstance(x, (int, Fraction)):
+        x = QQ(x)
+    return x.numerator, x.denominator
 
 
 def unit_factors(alpha, beta, field: CyclotomicField, prec: int, scale: int = 1):
@@ -45,34 +53,35 @@ def unit_factors(alpha, beta, field: CyclotomicField, prec: int, scale: int = 1)
     evaluated at scale*z, over ``field`` = Q(zeta_L) with L divisible by the
     orders of alpha and beta; requires scale * <alpha> integral.  To
     O(q^(lead + prec + 1)) the unit is q^lead * a0 * prod (1 - zeta^c q^e)
-    over the pairs (c, e) in binomials, 1 <= e <= prec."""
-    alpha = QQ(alpha) % 1
-    beta = QQ(beta) % 1
-    if alpha == 0 and beta == 0:
+    over the pairs (c, e) in binomials, 1 <= e <= prec.
+
+    With <alpha> = a/d and <beta> = bn/bd in lowest terms, c is b = bn (L/bd)
+    or -b mod L, and lead = scale B2(a/d) / 2 = scale (6a^2 - 6ad + d^2) /
+    (12 d^2), the one Fraction built."""
+    a, d = _num_den(alpha)
+    bn, bd = _num_den(beta)
+    a %= d
+    bn %= bd
+    if a == 0 and bn == 0:
         raise ValueError("Siegel unit undefined at zero parameter")
     L = field.L
-    if (beta * L) % 1 != 0:
+    if L % bd:
         raise ValueError(f"second parameter not of order dividing {L}")
-    b = int(beta * L) % L
-    t = scale * alpha
-    if t % 1 != 0:
-        raise ValueError(f"scale {scale} does not clear the fractional exponent {alpha}")
-    t = int(t)
-    lead = bernoulli2(alpha) / 2 * scale
+    b = bn * (L // bd)
+    t, r = divmod(scale * a, d)
+    if r:
+        raise ValueError(f"scale {scale} does not clear the fractional exponent {QQ(a, d)}")
+    lead = QQ(scale * (6 * a * a - 6 * a * d + d * d), 12 * d * d)
     # the n = 0 factor (1 - q^(scale*alpha) zeta^b) is a constant when t = 0
     a0 = field.one() - field.zeta(b) if t == 0 else field.one()
     factors = [(b, t)] if 0 < t <= prec else []
-    n = 1
-    while True:
-        e1 = scale * n + t
-        e2 = scale * n - t
-        if e1 > prec and e2 > prec:
-            break
-        if 0 < e1 <= prec:
-            factors.append((b, e1))
-        if 0 < e2 <= prec:
-            factors.append((-b % L, e2))
-        n += 1
+    # n >= 1 gives (b, scale n + t), then (-b, scale n - t); 0 <= t < scale
+    nb = -b % L
+    for e in range(scale - t, prec + 1, scale):
+        if e + 2 * t <= prec:
+            factors += (b, e + 2 * t), (nb, e)
+        else:
+            factors.append((nb, e))
     return lead, a0, factors
 
 
@@ -130,11 +139,12 @@ def modified_unit_factors(alpha, beta, field, prec, scale, c: int):
     """The c-modified unit g(alpha,beta)^(c^2) / g(c*alpha, c*beta) at scale*z
     as [(c^2, g), (-1, g_c)]: each unit with its exponent, given by
     unit_factors."""
-    orders = (QQ(alpha) % 1).denominator, (QQ(beta) % 1).denominator
-    if gcd(c, 6 * orders[0] * orders[1]) != 1:
+    a, d = _num_den(alpha)
+    bn, bd = _num_den(beta)
+    if gcd(c, 6 * d * bd) != 1:
         raise ValueError(f"c = {c} must be coprime to 6 and the parameter orders")
     return [(c * c, unit_factors(alpha, beta, field, prec, scale)),
-            (-1, unit_factors(c * QQ(alpha), c * QQ(beta), field, prec, scale))]
+            (-1, unit_factors(QQ(c * a, d), QQ(c * bn, bd), field, prec, scale))]
 
 
 def siegel_scaled_c(alpha, beta, field, prec, scale, c: int) -> QSeries:
@@ -227,7 +237,7 @@ def distribution_check(alpha, beta, M, c: int, prec: int = 60):
     u, v, N, bnum = distribution_args(alpha, beta, M, c, prec)
     field = CyclotomicField(u * N)
     # (alpha, beta, scale) of the c-modified units on each side
-    lhs = [(0, QQ(beta), u)]
+    lhs = [(0, QQ(bnum, N), u)]
     rhs = [(QQ(i, v), QQ(bnum + j * N, u * N), v) for i in range(v) for j in range(u)]
     index, lead_lhs, lead_rhs = _first_mismatch(field, prec, c, lhs, rhs)
     witness = {"factors": u * v, "lead_lhs": str(lead_lhs), "lead_rhs": str(lead_rhs)}
@@ -244,17 +254,20 @@ def _side(field, prec, c, units, rows, sign):
     """Add sign * theta of the product of the c-modified units, each given
     as (alpha, beta, scale), to rows; returns (lead, num, den), its leading
     exponent and its constant num / den.  theta of (1 - zeta^b q^e)^w is
-    -w e sum_(k>=1) zeta^(bk) q^(ek)."""
-    lead, consts = 0, [field.one(), field.one()]
+    -w e sum_(k>=1) zeta^(bk) q^(ek).  The leading exponent is summed as an
+    int numerator over an int denominator, one Fraction in all."""
+    n, d, consts = 0, 1, [field.one(), field.one()]
     for alpha, beta, scale in units:
         for w, (unit_lead, a0, factors) in modified_unit_factors(
                 alpha, beta, field, prec, scale, c):
-            lead += w * unit_lead
+            wn, wd = _num_den(w)
+            ln, ld = _num_den(unit_lead)
+            n, d = n * wd * ld + wn * ln * d, d * wd * ld
             if a0 != 1:
                 # a0^w with w in {c^2, -1}: a negative power goes to den
                 consts[w < 0] = consts[w < 0] * a0 ** abs(w)
             _add_theta(rows, factors, sign * w, field.L)
-    return lead, consts[0], consts[1]
+    return QQ(n, d), consts[0], consts[1]
 
 
 def _first_mismatch(field, prec, c, lhs, rhs):
@@ -278,8 +291,8 @@ def _first_mismatch(field, prec, c, lhs, rhs):
     elif num_lhs * den_rhs != num_rhs * den_lhs:
         index = 0
     else:
-        index = next((i for i in range(1, prec + 1) if any(field.reduce_powers(rows[i]))),
-                     None)
+        index = next((i for i in range(1, prec + 1)
+                      if any(rows[i]) and any(field.reduce_powers(rows[i]))), None)
     return index, lead_lhs, lead_rhs
 
 
@@ -318,17 +331,17 @@ def distribution_args(alpha, beta, M, c: int, prec: int = 0):
     checking that distribution_check supports its arguments; raises
     ValueError when it does not."""
     check_prec(prec)
-    alpha = QQ(alpha) % 1
-    beta = QQ(beta) % 1
+    a, d = _num_den(alpha)
+    b, N = _num_den(beta)
     u, v = _diag_entries(M)
-    if alpha != 0:
+    if a % d:
         raise ValueError("only alpha = 0 is supported in the q-expansion model")
-    if beta == 0:
+    if b % N == 0:
         raise ValueError("Siegel unit undefined at zero parameter")
-    N = beta.denominator
     if gcd(c, 6 * u * v * N) != 1:
         raise ValueError(f"c = {c} must be coprime to 6 and the orders involved")
-    return u, v, N, int(beta * N) % N
+    check_conductor(u * N)
+    return u, v, N, b % N
 
 
 def _diag_entries(M):

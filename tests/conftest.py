@@ -29,6 +29,8 @@ DERIVATION_CACHES = (rankin.operators.second_norm_operator,
                      rankin.normrel._composed_norms,
                      rankin.normrel.local_factor_coeffs_eigen,
                      rankin.normrel._pstab_numerator_and_target,
+                     rankin.normrel._corestriction_displays,
+                     rankin.normrel._solved_coefficients,
                      rankin.euler._dual_form_images)
 
 

@@ -90,7 +90,8 @@ def test_polynomial_coefficients_are_int_or_fraction(monkeypatch, fresh_derivati
 
 # the entries whose verdicts rest on comparing the cached derivations
 COMPARING_ENTRIES = ("composite-norms-a", "composite-norms-b", "pstab-formula",
-                     "functional-symmetry", "mutation-suite")
+                     "functional-symmetry", "mutation-suite",
+                     "corestriction-specialization", "A-ell-congruence")
 
 
 def test_caches_hold_values_and_never_verdicts(monkeypatch, fresh_derivations):

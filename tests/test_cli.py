@@ -240,6 +240,9 @@ def test_example_subcommand(capsys):
     ["qexp", "--family", "F", "--k", "2", "--alpha", "0"],
     ["qexp", "--family", "F", "--k", "2", "--alpha", "1/5", "--prec", "-3"],
     ["qexp", "--family", "F", "--k", "2", "--alpha", "1/5", "--prec", "-1"],
+    ["qexp", "--family", "E", "--k", "2", "--alpha", "1/100003", "--prec", "3"],
+    ["dist-check", "--m", "2", "--N", "100003", "--c", "7", "--prec", "3"],
+    ["dist-check", "--m", "1", "--N", "1009", "--c", "7", "--prec", "3"],
     ["hecke-check", "--level", "0", "--prime", "2"],
     ["hecke-check", "--level", "-3", "--prime", "2"],
     ["hecke-check", "--level", "5", "--prime", "0"],

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankin.cosets
+from rankin.arith import factor
 from rankin.cosets import (CongSubgroup, CosetMatrix, IwahoriCell, _combine,
                            _crt_fibers, _hnf, _least_combination, _pair_invariant,
                            _sl2_elements, _sl2_prime_power, _val, coset_reps,
@@ -44,6 +45,17 @@ class TestPreimages:
         brute = [g for g in product(range(q), repeat=4)
                  if (g[0] * g[3] - g[1] * g[2]) % q == 1 % q]
         assert sorted(_sl2_prime_power(q)) == brute
+
+    def test_prime_power_shortcut_equals_the_crt_composition(self):
+        # oracle: the CRT route, each element scaled by its idempotent and
+        # combined, in the same order, for m = 1 and each prime power m <= 64
+        # (other m take that route themselves)
+        for m in range(1, 65):
+            if len(factor(m)) > 1:
+                continue
+            parts = [part for _, part in rankin.cosets._sl2_parts(m)]
+            oracle = [_combine(combo, m) for combo in product(*parts)]
+            assert _sl2_elements(m) == oracle, m
 
     def test_level_one(self):
         G = CongSubgroup.sl2(1)

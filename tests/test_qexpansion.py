@@ -1,13 +1,15 @@
 """Eisenstein q-expansions, Siegel units, distribution relations, Hecke
 operators and the group-ring-valued twisted form."""
 
+import sys
 from fractions import Fraction as F
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rankin.catalog
 import rankin.eisenstein
 import rankin.siegel
 from rankin.cyclo import CyclotomicField
@@ -18,9 +20,9 @@ from rankin.eisenstein import (EisensteinSpec, eisenstein_constant,
                                universal_gauss_sum, _GmRing)
 from rankin.forms import load_bundled
 from rankin.qseries import QSeries
-from rankin.siegel import (bernoulli2, distribution_check,
-                           dlog_matches_weight_two, siegel_scaled,
-                           siegel_scaled_c, siegel_unit_qexp, unit_factors)
+from rankin.siegel import (distribution_check, dlog_matches_weight_two,
+                           modified_unit_factors, siegel_scaled, siegel_scaled_c,
+                           siegel_unit_qexp, unit_factors)
 from rankin.zeta import polylog_negative
 from rankin.siegel import _dlog_mismatch
 from rankin.siegel import _first_mismatch as first_mismatch
@@ -294,6 +296,53 @@ class TestSiegelUnits:
         assert lhs == g ** (c * c - 1)
 
 
+def bernoulli2(x):
+    """B2(x) = x^2 - x + 1/6."""
+    x = F(x)
+    return x * x - x + F(1, 6)
+
+
+def unit_factors_by_fractions(alpha, beta, field, prec, scale=1):
+    """The oracle of unit_factors: its parameters reduced and its lead built
+    with Fraction arithmetic, one binomial exponent pair at a time."""
+    alpha = F(alpha) % 1
+    beta = F(beta) % 1
+    if alpha == 0 and beta == 0:
+        raise ValueError("Siegel unit undefined at zero parameter")
+    L = field.L
+    if (beta * L) % 1 != 0:
+        raise ValueError(f"second parameter not of order dividing {L}")
+    b = int(beta * L) % L
+    t = scale * alpha
+    if t % 1 != 0:
+        raise ValueError(f"scale {scale} does not clear the fractional exponent {alpha}")
+    t = int(t)
+    lead = bernoulli2(alpha) / 2 * scale
+    a0 = field.one() - field.zeta(b) if t == 0 else field.one()
+    factors = [(b, t)] if 0 < t <= prec else []
+    n = 1
+    while True:
+        e1 = scale * n + t
+        e2 = scale * n - t
+        if e1 > prec and e2 > prec:
+            break
+        if 0 < e1 <= prec:
+            factors.append((b, e1))
+        if 0 < e2 <= prec:
+            factors.append((-b % L, e2))
+        n += 1
+    return lead, a0, factors
+
+
+def modified_unit_factors_by_fractions(alpha, beta, field, prec, scale, c):
+    """The oracle of modified_unit_factors, on Fraction parameters."""
+    orders = (F(alpha) % 1).denominator, (F(beta) % 1).denominator
+    if gcd(c, 6 * orders[0] * orders[1]) != 1:
+        raise ValueError(f"c = {c} must be coprime to 6 and the parameter orders")
+    return [(c * c, unit_factors_by_fractions(alpha, beta, field, prec, scale)),
+            (-1, unit_factors_by_fractions(c * F(alpha), c * F(beta), field, prec, scale))]
+
+
 def siegel_by_binomials(alpha, beta, field, prec, scale):
     """The unit product built one binomial at a time with mul_one_minus."""
     alpha, beta = F(alpha) % 1, F(beta) % 1
@@ -342,6 +391,90 @@ class TestPackedSiegelProduct:
 
 
 CATALOG_SETS = ((2, 5, 7), (3, 4, 7), (2, 3, 5))
+
+
+def rational(draw, scale):
+    """A parameter n/d with d <= 24, often a divisor of ``scale`` so that
+    scale clears it, and n from -60 to 60, so negative and > 1 too."""
+    d = draw(st.one_of(st.sampled_from([k for k in range(1, scale + 1) if scale % k == 0]),
+                       st.integers(1, 24)))
+    return F(draw(st.integers(-60, 60)), d)
+
+
+@st.composite
+def unit_args(draw):
+    """(alpha, beta, field, prec, scale): scale <= 6, prec <= 80 and the
+    conductor often a multiple of the order of beta."""
+    scale = draw(st.integers(1, 6))
+    alpha, beta = rational(draw, scale), rational(draw, scale)
+    L = draw(st.one_of(st.integers(1, 3).map(lambda k: k * beta.denominator),
+                       st.integers(1, 24)))
+    return alpha, beta, CyclotomicField(L), draw(st.integers(0, 80)), scale
+
+
+def unit_view(f, *args):
+    """The values f(*args) gives, each unit as (lead, a0 coordinates,
+    binomials), with the types of the leads; or the ValueError text."""
+    try:
+        out = f(*args)
+    except ValueError as e:
+        return "raises", str(e)
+    units = [(1, out)] if len(out) == 3 else out
+    return [(w, lead, type(lead), a0.coeffs, factors) for w, (lead, a0, factors) in units]
+
+
+class TestUnitFactorsOracle:
+    @given(unit_args())
+    @settings(max_examples=300, deadline=None)
+    def test_unit_factors_equal_the_fraction_oracle(self, args):
+        assert unit_view(unit_factors, *args) == unit_view(unit_factors_by_fractions, *args)
+
+    @given(unit_args(), st.sampled_from((1, 2, 3, 5, 7, 11, 13, 25)))
+    @settings(max_examples=200, deadline=None)
+    def test_modified_unit_factors_equal_the_fraction_oracle(self, args, c):
+        assert (unit_view(modified_unit_factors, *args, c)
+                == unit_view(modified_unit_factors_by_fractions, *args, c))
+
+    def test_error_texts(self):
+        K = CyclotomicField(12)
+        for args in ((0, 0, K, 5, 1), (F(7, 3), F(-12, 6), K, 5, 1),
+                     (0, F(1, 5), K, 5, 1), (F(1, 4), F(1, 3), K, 5, 6)):
+            got = unit_view(unit_factors, *args)
+            assert got[0] == "raises" and got == unit_view(unit_factors_by_fractions, *args)
+        assert unit_view(unit_factors, F(5, 4), 0, K, 5, 6) == (
+            "raises", "scale 6 does not clear the fractional exponent 1/4")
+
+
+def siegel_fraction_calls(f, *args):
+    """The calls into fractions.py made directly from rankin.siegel while
+    f(*args) runs: every Fraction built, combined or compared there."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if (event == "call" and frame.f_code.co_filename.endswith("fractions.py")
+                and frame.f_back is not None
+                and frame.f_back.f_globals.get("__name__") == "rankin.siegel"):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        f(*args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+class TestFractionFreeUnits:
+    @pytest.mark.parametrize("m, N, c", CATALOG_SETS)
+    @pytest.mark.parametrize("shape", ["dist1", "dist2", "dist3"])
+    def test_fraction_work_does_not_grow_with_precision(self, m, N, c, shape):
+        M = rankin.catalog._dist_shapes(m)[shape]
+        distribution_check(0, F(1, N), M, c, 10)   # the field is built outside the count
+        at = {prec: siegel_fraction_calls(distribution_check, 0, F(1, N), M, c, prec)
+              for prec in (60, 120)}
+        assert at[60] == at[120], at
+
 
 
 def moved_binomial(position):

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rankin.arith import crt, euler_phi, factor, power, solve
-from rankin.cyclo import CyclotomicField
+from rankin.arith import VerificationError, crt, euler_phi, factor, power, solve
+import rankin.cyclo
+from rankin.cyclo import CyclotomicField, check_conductor
 from rankin.forms import load_bundled
 from rankin.groupring import RATIONALS, GroupRing, augment_mod
 from rankin import poly as poly_module
@@ -86,6 +87,30 @@ class TestMPoly:
 
 
 class TestCyclotomic:
+    def test_conductor_bound(self, monkeypatch):
+        # 997 * 996 entries are within the bound, 1009 * 1008 are not; a
+        # conductor above the bound is refused before it is factored
+        check_conductor(997)
+        for L in (1009, 2310, 0, -3):
+            with pytest.raises(ValueError, match="conductor"):
+                check_conductor(L)
+
+        def refuse(*args):
+            raise AssertionError("factored or tabulated a refused conductor")
+        monkeypatch.setattr(rankin.cyclo, "euler_phi", refuse)
+        with pytest.raises(ValueError, match="conductor 1000001 needs"):
+            check_conductor(10 ** 6 + 1)
+
+    def test_refused_field_builds_and_caches_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a table was built for a refused conductor")
+        monkeypatch.setattr(rankin.cyclo, "cyclotomic_polynomial", refuse)
+        monkeypatch.setattr(rankin.cyclo, "power_rows", refuse)
+        for L in (1009, 100003, 10 ** 7, 0, -3):
+            with pytest.raises(ValueError, match="conductor"):
+                CyclotomicField(L)
+            assert L not in CyclotomicField._cache
+
     def test_relation(self):
         K = CyclotomicField(3)
         z = K.zeta()
@@ -305,6 +330,36 @@ def test_ring_element_protocol(make, data, c):
     assert c / u * u == c
     assert u ** -2 * u ** 2 == 1
     assert not any(hasattr(e, "__dict__") for e in (x, y, u))
+
+
+_FRACTION_CYCLO = {}
+
+
+def cyclotomic_polynomial_by_fractions(n):
+    """The oracle of cyclotomic_polynomial: x^n - 1 divided by each Phi_d,
+    d a proper divisor of n, with Fraction division with remainder."""
+    if n not in _FRACTION_CYCLO:
+        p = [F(-1)] + [F(0)] * (n - 1) + [F(1)]
+        for d in range(1, n):
+            if n % d == 0:
+                p, r = poly_divmod(p, cyclotomic_polynomial_by_fractions(d))
+                assert not r
+        _FRACTION_CYCLO[n] = p
+    return _FRACTION_CYCLO[n]
+
+
+def test_cyclotomic_polynomials_are_the_fraction_oracle_in_ints():
+    for n in range(1, 301):
+        phi = cyclotomic_polynomial(n)
+        assert phi == cyclotomic_polynomial_by_fractions(n), n
+        assert all(type(c) is int for c in phi) and len(phi) == euler_phi(n) + 1, n
+
+
+def test_cyclotomic_polynomial_certifies_each_division(monkeypatch):
+    # a wrong Phi_2 leaves a remainder in x^4 - 1, which must raise
+    monkeypatch.setattr(poly_module, "_CYCLO_CACHE", {2: [2, 1]})
+    with pytest.raises(VerificationError, match="Phi_2 does not divide x\\^4 - 1"):
+        cyclotomic_polynomial(4)
 
 
 def test_cyclotomic_polynomials():
