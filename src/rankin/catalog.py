@@ -231,19 +231,20 @@ def run_worked_example(cfg):
     return _bool_entry(ok, out)
 
 
-# the (F_v, G_v) family of the otsuki-check command
+# the (F_v, G_v) family of the otsuki-check command, and a second family
+# with a fractional coefficient
 _OTSUKI_FAMILY_A = {2: ([F(1), F(-1)], [F(1), F(0), F(-1)]),
                     3: ([F(1), F(-2)], [F(1), F(1)]),
                     5: ([F(1), F(-1), F(2)], [F(1), F(3)])}
+_OTSUKI_FAMILY_B = {2: ([F(1), F(2)], [F(1), F(-1)]),
+                    3: ([F(1), F(1, 2)], [F(1), F(0), F(1)]),
+                    5: ([F(1), F(-1)], [F(1), F(2)])}
 
 
 def run_otsuki(cfg):
-    fam_b = {2: ([F(1), F(2)], [F(1), F(-1)]),
-             3: ([F(1), F(1, 2)], [F(1), F(0), F(1)]),
-             5: ([F(1), F(-1)], [F(1), F(2)])}
     failures = {}
     for (m, ell) in ((1, 3), (4, 3), (3, 5)):
-        for tag, fam in (("a", _OTSUKI_FAMILY_A), ("b", fam_b)):
+        for tag, fam in (("a", _OTSUKI_FAMILY_A), ("b", _OTSUKI_FAMILY_B)):
             ok, wit = otsuki_trace_check(m, ell, fam)
             if not ok:
                 failures[f"(m={m}, ell={ell}, family {tag})"] = wit

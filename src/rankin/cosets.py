@@ -23,20 +23,21 @@ directly.
 
 The Iwahori subgroup is the lower-triangular-mod-p one (upper-right entry
 divisible by p); its double cosets in SL2(Q_p) are detected by the four
-lattice-pair invariants of the standard chain, computed with exact rational
-arithmetic.
+lattice-pair invariants of the standard chain, read as minima of the p-adic
+valuations of the four entries, shifted by the diagonal basis matrices.  The
+index of a cell conjugates by its representative scaled to an integer
+matrix.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import cache, cached_property
-from fractions import Fraction
 from itertools import product
 from math import gcd
 
 from .arith import Record, VerificationError, factor, prime_factors
-from .poly import QQ
+from .poly import QQ, _frac
 
 Mat = tuple  # (a, b, c, d)
 
@@ -574,28 +575,32 @@ class IwahoriCell(Record):
         self.kind = kind            # "diagonal" | "antidiagonal"
         self.exponent = exponent
 
-    def representative(self, p: int):
+    def integral_representative(self, p: int):
+        """p^|j| times the representative: (p^j, 0; 0, p^-j) or
+        (0, -p^-j; p^j, 0) scaled to an integer matrix."""
         j = self.exponent
-        pj = QQ(p) ** j
+        hi, lo = p ** (abs(j) + j), p ** (abs(j) - j)
         if self.kind == "diagonal":
-            return (pj, QQ(0), QQ(0), 1 / pj)
-        return (QQ(0), -1 / pj, pj, QQ(0))
+            return (hi, 0, 0, lo)
+        return (0, -lo, hi, 0)
+
+    def representative(self, p: int):
+        k = p ** abs(self.exponent)
+        return tuple(QQ(x, k) for x in self.integral_representative(p))
 
     def __str__(self):
         return f"{self.kind}({self.exponent})"
 
 
-def _val(x: Fraction, p: int):
-    """p-adic valuation of a rational (None for 0)."""
-    x = QQ(x)
-    if x == 0:
+def _val(x, p: int):
+    """p-adic valuation of an int or a Fraction (None for 0), read from its
+    numerator and denominator."""
+    if not x:
         return None
-    v = 0
-    n = x.numerator
+    v, n, d = 0, x.numerator, x.denominator
     while n % p == 0:
         n //= p
         v += 1
-    d = x.denominator
     while d % p == 0:
         d //= p
         v -= 1
@@ -605,23 +610,22 @@ def _val(x: Fraction, p: int):
 def _pair_invariant(g, p: int):
     """The four lattice-pair invariants of g against the standard chain.
 
-    For basis matrices B_i in {identity, diag(p, 1)} the invariant e(i, j) is
-    the minimal valuation of the entries of B_i^-1 g B_j; the quadruple
-    separates the Iwahori double cosets.
+    For basis matrices B_i = diag(p^i, 1), i in {0, 1}, the invariant e(i, j)
+    is the minimal valuation of the entries of B_i^-1 g B_j = (a p^(j-i),
+    b p^-i; c p^j, d): the valuations of a, b, c, d shifted by j - i, -i, j
+    and 0.  The quadruple (e00, e11, e01, e10) separates the Iwahori double
+    cosets.
     """
-    a, b, c, d = (QQ(v) for v in g)
+    g = tuple(_frac(v) for v in g)
+    a, b, c, d = g
     if a * d - b * c != 1:
         raise ValueError("matrix must lie in SL2(Q)")
+    vals = [_val(x, p) for x in g]
 
-    def emin(mat):
-        vals = [_val(x, p) for x in mat if x != 0]
-        return min(vals)
+    def emin(i, j):
+        return min(v + s for v, s in zip(vals, (j - i, -i, j, 0)) if v is not None)
 
-    g00 = (a, b, c, d)
-    g01 = (a * p, b, c * p, d)
-    g10 = (a / p, b / p, c, d)
-    g11 = (a, b / p, c * p, d)
-    return tuple(emin(m) for m in (g00, g11, g01, g10))
+    return emin(0, 0), emin(1, 1), emin(0, 1), emin(1, 0)
 
 
 def iwahori_invariant(g, p: int) -> IwahoriCell:
@@ -630,7 +634,9 @@ def iwahori_invariant(g, p: int) -> IwahoriCell:
 
     The first invariant, the minimal entry valuation, is -|j| for both cells
     of exponent j and does not change under SL2(Z_p) on either side, so only
-    j = +-e00 can match."""
+    j = +-e00 can match.  Raises ValueError unless p is a prime."""
+    if not isinstance(p, int) or prime_factors(p) != [p]:
+        raise ValueError(f"p = {p} is not a prime")
     inv = _pair_invariant(g, p)
     for j in (inv[0], -inv[0]):
         for kind in ("diagonal", "antidiagonal"):
@@ -649,34 +655,27 @@ def _cell_invariant(kind: str, j: int, p: int):
 def iwahori_index(g, p: int, mutate: bool = False) -> int:
     """[U : U cap g^-1 U g] for the lower-triangular-mod-p Iwahori U.
 
-    Computed on the cell representative: conjugating the two unipotent
+    Computed on the cell representative rep: conjugating the two unipotent
     one-parameter subgroups locates the thresholds r (upper entry) and s
-    (lower entry); the index is p^(r + s - 1).
+    (lower entry); the index is p^(r + s - 1).  The conjugation runs on the
+    integer matrix R = p^|j| rep, whose adjugate is p^|j| rep^-1, so rep m
+    rep^-1 = R m adj(R) / p^(2|j|): valuations drop by 2|j|.
     """
     cell = iwahori_invariant(g, p)
-    rep = cell.representative(p)
+    R = cell.integral_representative(p)
+    drop = 2 * abs(cell.exponent)
 
-    def conj(m):
-        ia, ib, ic, id_ = rep
-        # rep * m * rep^-1 with rep in SL2: inverse = adjugate
-        inv = (id_, -ib, -ic, ia)
-        return mat_mul(mat_mul(rep, m), inv)
+    def threshold(m, base_threshold):
+        # the unipotent m at t = 1, conjugated; its entries are linear in t
+        image = mat_mul(mat_mul(R, m), mat_adj(R))
+        if image[1] != 0:
+            return max(base_threshold, 1 - (_val(image[1], p) - drop))
+        return max(base_threshold, 0 - (_val(image[2], p) - drop))
 
     # upper unipotent (1, t; 0, 1): in U iff v(t) >= 1
-    up = conj((QQ(1), QQ(1), QQ(0), QQ(1)))
+    r = threshold((1, 1, 0, 1), 1)
     # lower unipotent (1, 0; t, 1): in U iff v(t) >= 0
-    low = conj((QQ(1), QQ(0), QQ(1), QQ(1)))
-
-    def threshold(image, base_threshold):
-        # image of the unipotent at t = 1; entries linear in t
-        if image[1] != 0:
-            shift = _val(image[1], p)
-            return max(base_threshold, 1 - shift)
-        shift = _val(image[2], p)
-        return max(base_threshold, 0 - shift)
-
-    r = threshold(up, 1)
-    s = threshold(low, 0)
+    s = threshold((1, 0, 1, 1), 0)
     if mutate:
         return p ** (r + s)
     return p ** (r + s - 1)

@@ -33,15 +33,26 @@ All linear algebra is fraction-free, so no rational-function normalization
 is ever needed: F(sigma_hat_v) is unitriangular off the cycles of k -> v k,
 solved there by substitution, and a circulant on each cycle, inverted by one
 Bareiss solve per cycle length over the polynomial ring.
+
+The coefficients are integers too.  With s_v the lcm of the denominators of
+F_v and G_v, tau_v = s_v tau'_v turns c_j tau_v^j into (c_j s_v^j) tau'_v^j,
+so F_v(sigma_hat_v) = F'_v(sigma_hat'_v) for the integer family F'_v.  The
+substitution is an automorphism of Q(tau) that commutes with every
+Frobenius, so the identity holds in tau' exactly when it holds in tau; both
+sides are computed in tau' (s_v = 1 for an integer family) and a witness is
+mapped back to tau.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm, prod
+from operator import mul
 
 from .arith import euler_phi, prime_factors, solve
 from .cyclo import CyclotomicField
-from .poly import PolyRing, QQ, poly_add
+from .poly import MPoly, PolyRing, QQ, _div, poly_add
 
 
 def bareiss_solve(mat, rhs):
@@ -124,14 +135,15 @@ class CycloCover:
         return [x * t for x in nums], den
 
     def apply_poly(self, coeffs, v: int, vec):
-        """F(sigma_hat_v) vec for F given by its coefficient list."""
+        """F(sigma_hat_v) vec for F given by its coefficient list (ints or
+        Fractions)."""
         nums, den = vec
-        out = [x * QQ(coeffs[0]) for x in nums]
+        out = [x * coeffs[0] for x in nums]
         cur = (nums, den)
         for c in coeffs[1:]:
             cur = self.sigma_hat(v, cur)
-            if QQ(c):
-                out = [a + b * QQ(c) for a, b in zip(out, cur[0])]
+            if c:
+                out = [a + b * c for a, b in zip(out, cur[0])]
         return out, den
 
     def solve_poly(self, coeffs, v: int, vec):
@@ -143,13 +155,13 @@ class CycloCover:
         sum_j c_j tau^j S^j, whose inverse is the circulant of r / D for
         C r = D e_0: one solve per cycle length.
         """
-        if QQ(coeffs[0]) != 1:
+        if coeffs[0] != 1:
             raise ValueError("polynomial must have constant term 1")
         M, ring = self.M, self.ring
         nums, den = vec
         t = ring.var(f"tau{v}")
-        steps = [(j, pow(v, j, M), t ** j * QQ(c))
-                 for j, c in enumerate(coeffs) if j and QQ(c)]
+        steps = [(j, pow(v, j, M), t ** j * c)
+                 for j, c in enumerate(coeffs) if j and c]
         # the cycle nodes are the image of k -> v^M k; depth is the number of
         # steps a node takes to reach one
         on_cycle = {k * pow(v, M, M) % M for k in range(M)}
@@ -184,12 +196,12 @@ class CycloCover:
                 x[k] = sum((r[(i - l) % L] * b[l] for l in range(L)
                             if r[(i - l) % L] and b[l]), ring.zero())
                 over[k] = D
-        # one common denominator: the product of the distinct D used
+        # one common denominator: the product of the distinct D used; a
+        # kernel's scale is the product of the others
         dens = list(dict.fromkeys(over.values()))
-        detprod = ring.one()
-        for D in dens:
-            detprod = detprod * D
-        scale = {D: detprod.exact_div(D) for D in dens}
+        scale = {D: reduce(mul, dens[:i] + dens[i + 1:], ring.one())
+                 for i, D in enumerate(dens)}
+        detprod = reduce(mul, dens, ring.one())
         return ([x[k] * scale[over[k]] if k in over else x[k] * detprod
                  for k in range(M)], den * detprod)
 
@@ -236,14 +248,55 @@ def corrected_element_cover(cover: CycloCover, m: int, families: dict):
 
 
 def corrected_element(m: int, families: dict, ring: PolyRing):
-    """x'_m as a field vector: cover computation projected to Q(zeta_m)."""
+    """x'_m as a field vector: cover computation projected to Q(zeta_m), on
+    the integral families, mapped back to the tau_v of ``families``."""
+    families, scales = _integral_families(families, prime_factors(m))
     cover = CycloCover(m, ring)
-    return project_to_field(cover, m, corrected_element_cover(cover, m, families))
+    nums, den = project_to_field(cover, m, corrected_element_cover(cover, m, families))
+    return [_unscaled(x, scales) for x in nums], _unscaled(den, scales)
+
+
+def _integral_families(families: dict, primes):
+    """({v: (F'_v, G'_v)}, {v: s_v}) over the primes v: s_v is the lcm of the
+    denominators of the coefficients of F_v and G_v, and c_j becomes
+    c_j s_v^j, so that F_v(tau_v P) = F'_v(tau'_v P) with tau_v = s_v tau'_v.
+
+    Raises ValueError for a missing or empty polynomial or a constant term
+    other than 1, and TypeError for a coefficient that is not an int or a
+    Fraction.
+    """
+    out, scales = {}, {}
+    for v in primes:
+        if v not in families:
+            raise ValueError(f"no family (F_{v}, G_{v}) for the prime {v}")
+        pair = families[v]
+        for P in pair:
+            if not P:
+                raise ValueError("family polynomials must not be empty")
+            for c in P:
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError(f"family coefficient {c!r} is not an int or a Fraction")
+            if P[0] != 1:
+                raise ValueError("family polynomials must have constant term 1")
+        s = lcm(*(c.denominator for P in pair for c in P))
+        out[v] = tuple([int(c * s ** j) for j, c in enumerate(P)] for P in pair)
+        scales[v] = s
+    return out, scales
+
+
+def _unscaled(x, scales: dict):
+    """x with each tau'_v replaced by tau_v / s_v."""
+    shifts = [(x.ring.index[f"tau{v}"], s) for v, s in scales.items() if s != 1]
+    if not shifts:
+        return x
+    return MPoly(x.ring, {e: _div(c, prod(s ** e[i] for i, s in shifts))
+                          for e, c in x.terms.items()})
 
 
 def trace_check_args(m: int, ell: int, families: dict):
     """The primes dividing m*ell, after checking that otsuki_trace_check
-    supports its arguments; raises ValueError when it does not."""
+    supports its arguments; raises ValueError (TypeError for a coefficient
+    that is not an int or a Fraction) when it does not."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     if m * ell > 512:  # phi(n) >= sqrt(n / 2) > 16
@@ -255,12 +308,7 @@ def trace_check_args(m: int, ell: int, families: dict):
     if euler_phi(m * ell) > 16:
         raise ValueError("phi(m*ell) must be at most 16")
     primes = prime_factors(m * ell)
-    for v in primes:
-        if v not in families:
-            raise ValueError(f"no family (F_{v}, G_{v}) for the prime {v}")
-        F, G = families[v]
-        if QQ(F[0]) != 1 or QQ(G[0]) != 1:
-            raise ValueError("family polynomials must have constant term 1")
+    _integral_families(families, primes)
     return primes
 
 
@@ -268,12 +316,16 @@ def otsuki_trace_check(m: int, ell: int, families: dict,
                        literal_reading: bool = False):
     """Verify the one-level weighted-trace identity for x'_m.
 
-    ``families`` maps each prime v | m*ell to (F_v, G_v) as rational
-    coefficient lists with constant term 1; ell must be a prime not dividing
-    m and phi(m*ell) must be at most 16.  Returns (bool, witness).
+    ``families`` maps each prime v | m*ell to (F_v, G_v) as coefficient
+    lists of ints and Fractions with constant term 1; ell must be a prime not
+    dividing m and phi(m*ell) must be at most 16.  Returns (bool, witness).
+    Both sides are computed on the integral families, in tau'_v = tau_v / s_v;
+    a witness gives them in tau_v.
     """
     M = m * ell
-    ring = PolyRing(tuple(f"tau{v}" for v in trace_check_args(m, ell, families)))
+    primes = trace_check_args(m, ell, families)
+    families, scales = _integral_families(families, primes)
+    ring = PolyRing(tuple(f"tau{v}" for v in primes))
     cover = CycloCover(M, ring)
     x_big = corrected_element_cover(cover, M, families)
     lhs = project_to_field(cover, m, cover.galois_trace(m, x_big))
@@ -282,14 +334,15 @@ def otsuki_trace_check(m: int, ell: int, families: dict,
     # commutes with both and with solving F_ell(sigma_hat_ell) x = v
     small = CycloCover(m, ring)
     F, G = families[ell]
-    diff = poly_add([QQ(ell - 1) * c for c in G], [QQ(-ell) * c for c in F])
+    diff = poly_add([(ell - 1) * c for c in G], [-ell * c for c in F])
     rhs = small.apply_poly(diff, ell, corrected_element_cover(small, m, families))
     rhs = small.solve_poly(F, ell, rhs)
     # plain inverse Frobenius (= tau_ell * hatted inverse)
     rhs = project_to_field(small, m, small.frobenius(pow(ell, -1, m), rhs))
     if literal_reading:
-        # hatted inverse instead: multiply the left side by tau_ell
-        lhs = ([x * ring.var(f"tau{ell}") for x in lhs[0]], lhs[1])
+        # hatted inverse instead: multiply the left side by tau_ell = s tau'
+        t = ring.var(f"tau{ell}") * scales[ell]
+        lhs = ([x * t for x in lhs[0]], lhs[1])
     ok = _vec_equal(lhs, rhs)
     witness = None
     if not ok:
@@ -297,9 +350,9 @@ def otsuki_trace_check(m: int, ell: int, families: dict,
         rn, rd = rhs
         for i in range(len(ln)):
             if ln[i] * rd != rn[i] * ld:
-                witness = {"basis_index": i,
-                           "lhs": f"({ln[i]}) / ({ld})",
-                           "rhs": f"({rn[i]}) / ({rd})"}
+                lhs_i, rhs_i = (f"({_unscaled(n, scales)}) / ({_unscaled(d, scales)})"
+                                for n, d in ((ln[i], ld), (rn[i], rd)))
+                witness = {"basis_index": i, "lhs": lhs_i, "rhs": rhs_i}
                 break
     return ok, witness
 

@@ -58,6 +58,8 @@ def unit_factors(alpha, beta, field: CyclotomicField, prec: int, scale: int = 1)
     With <alpha> = a/d and <beta> = bn/bd in lowest terms, c is b = bn (L/bd)
     or -b mod L, and lead = scale B2(a/d) / 2 = scale (6a^2 - 6ad + d^2) /
     (12 d^2), the one Fraction built."""
+    if scale < 1:
+        raise ValueError(f"scale must be a positive integer, got {scale}")
     a, d = _num_den(alpha)
     bn, bd = _num_den(beta)
     a %= d

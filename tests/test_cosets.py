@@ -518,6 +518,11 @@ class TestHeckeSquare:
             assert match == [mult]
 
 
+# words in the Iwahori generators (1, p s; 0, 1) (True, s) and (1, 0; t, 1)
+# (False, t)
+IWAHORI_WORDS = st.lists(st.tuples(st.booleans(), st.integers(-3, 3)), max_size=3)
+
+
 class TestIwahori:
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("j", [0, 1, 2, 3])
@@ -576,20 +581,48 @@ class TestIwahori:
     @settings(max_examples=150, deadline=None)
     @given(p=st.sampled_from([2, 3, 5]), j=st.integers(-4, 4),
            kind=st.sampled_from(["diagonal", "antidiagonal"]),
-           left=st.lists(st.tuples(st.booleans(), st.integers(-3, 3)), max_size=3),
-           right=st.lists(st.tuples(st.booleans(), st.integers(-3, 3)), max_size=3))
+           left=IWAHORI_WORDS, right=IWAHORI_WORDS)
     def test_cell_of_an_iwahori_translate(self, p, j, kind, left, right):
-        # u1 * rep * u2 with u1, u2 words in (1, p s; 0, 1) and (1, 0; t, 1)
-        def word(factors):
-            m = (F(1), F(0), F(0), F(1))
-            for upper, x in factors:
-                u = (F(1), F(p * x), F(0), F(1)) if upper else (F(1), F(0), F(x), F(1))
-                m = mat_mul(m, u)
-            return m
-
         cell = IwahoriCell(kind, j)
-        g = mat_mul(mat_mul(word(left), cell.representative(p)), word(right))
+        g = iwahori_translate(p, cell, left, right)
         assert iwahori_invariant(g, p) == cell == _bounded_cell_search(g, p)
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5, 7]), j=st.integers(-4, 4),
+           kind=st.sampled_from(["diagonal", "antidiagonal"]),
+           left=IWAHORI_WORDS, right=IWAHORI_WORDS)
+    def test_valuation_forms_equal_the_fraction_oracles(self, p, j, kind, left, right):
+        cell = IwahoriCell(kind, j)
+        assert cell.representative(p) == representative_by_fractions(cell, p)
+        g = iwahori_translate(p, cell, left, right)
+        assert _pair_invariant(g, p) == pair_invariant_by_fractions(g, p)
+        assert iwahori_invariant(g, p) == cell == _bounded_cell_search(
+            g, p, pair_invariant_by_fractions, representative_by_fractions)
+        for mutate in (False, True):
+            assert (iwahori_index(g, p, mutate)
+                    == iwahori_index_by_fractions(g, p, mutate))
+
+    def test_integer_entries(self):
+        # the integral matrices of the cells, as ints and as Fractions
+        for g in ((1, 0, 0, 1), (0, -1, 1, 0), (2, 3, 1, 2), (F(1), F(0), F(0), F(1))):
+            assert _pair_invariant(g, 2) == pair_invariant_by_fractions(g, 2)
+            assert iwahori_index(g, 2) == iwahori_index_by_fractions(g, 2)
+        assert _val(12, 2) == 2 and _val(F(3, 8), 2) == -3 and _val(0, 2) is None
+
+    @pytest.mark.parametrize("p", [0, 1, 4, 9, -3, 2.0, F(3)])
+    def test_non_prime_p_is_refused(self, monkeypatch, p):
+        # at p = 1 the valuation loop never ended: a valuation that is taken
+        # at all fails the test instead of hanging it
+        def refuse(x, q):
+            raise AssertionError(f"valuation taken at p = {q}")
+
+        monkeypatch.setattr(rankin.cosets, "_val", refuse)
+        cached = rankin.cosets._cell_invariant.cache_info().currsize
+        g = (F(0), -F(1, 2), F(2), F(0))
+        for f in (iwahori_invariant, iwahori_index):
+            with pytest.raises(ValueError, match=f"p = {p} is not a prime"):
+                f(g, p)
+        assert rankin.cosets._cell_invariant.cache_info().currsize == cached
 
 
 def test_cell_invariants_are_computed_once(monkeypatch):
@@ -604,17 +637,93 @@ def test_cell_invariants_are_computed_once(monkeypatch):
     assert iwahori_invariant(g, 3) == cell and calls == [g]
 
 
-def _bounded_cell_search(g, p):
+def _bounded_cell_search(g, p, invariant=_pair_invariant,
+                         representative=IwahoriCell.representative):
     """The former search over every cell with |j| <= 2 max |v(entry)| + 2,
     kept as the oracle of iwahori_invariant."""
-    inv = _pair_invariant(g, p)
+    inv = invariant(g, p)
     bound = 2 * max(abs(_val(x, p)) for x in g if x != 0) + 2
     for j in range(-bound, bound + 1):
         for kind in ("diagonal", "antidiagonal"):
             cell = IwahoriCell(kind, j)
-            if _pair_invariant(cell.representative(p), p) == inv:
+            if invariant(representative(cell, p), p) == inv:
                 return cell
     return None
+
+
+def iwahori_translate(p, cell, left, right):
+    """u1 * rep * u2 for the Iwahori words u1 = left and u2 = right."""
+    def word(factors):
+        m = (F(1), F(0), F(0), F(1))
+        for upper, x in factors:
+            u = (F(1), F(p * x), F(0), F(1)) if upper else (F(1), F(0), F(x), F(1))
+            m = mat_mul(m, u)
+        return m
+
+    return mat_mul(mat_mul(word(left), cell.representative(p)), word(right))
+
+
+def val_by_fractions(x, p):
+    """The former valuation, through a Fraction (None for 0)."""
+    x = F(x)
+    if x == 0:
+        return None
+    v = 0
+    n = x.numerator
+    while n % p == 0:
+        n //= p
+        v += 1
+    d = x.denominator
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
+
+
+def representative_by_fractions(cell, p):
+    """The former IwahoriCell.representative, built from F(p) ** j."""
+    pj = F(p) ** cell.exponent
+    if cell.kind == "diagonal":
+        return (pj, F(0), F(0), 1 / pj)
+    return (F(0), -1 / pj, pj, F(0))
+
+
+def pair_invariant_by_fractions(g, p):
+    """The oracle of _pair_invariant: the minimal valuation of the entries of
+    each of the four Fraction matrices B_i^-1 g B_j."""
+    a, b, c, d = (F(v) for v in g)
+    if a * d - b * c != 1:
+        raise ValueError("matrix must lie in SL2(Q)")
+
+    def emin(mat):
+        return min(val_by_fractions(x, p) for x in mat if x != 0)
+
+    g00 = (a, b, c, d)
+    g01 = (a * p, b, c * p, d)
+    g10 = (a / p, b / p, c, d)
+    g11 = (a, b / p, c * p, d)
+    return tuple(emin(m) for m in (g00, g11, g01, g10))
+
+
+def iwahori_index_by_fractions(g, p, mutate=False):
+    """The oracle of iwahori_index: the two unipotents conjugated by the
+    Fraction representative of the cell the oracle search finds."""
+    cell = _bounded_cell_search(g, p, pair_invariant_by_fractions,
+                                representative_by_fractions)
+    rep = representative_by_fractions(cell, p)
+
+    def conj(m):
+        ia, ib, ic, id_ = rep
+        return mat_mul(mat_mul(rep, m), (id_, -ib, -ic, ia))
+
+    def threshold(image, base_threshold):
+        if image[1] != 0:
+            return max(base_threshold, 1 - val_by_fractions(image[1], p))
+        return max(base_threshold, 0 - val_by_fractions(image[2], p))
+
+    r = threshold(conj((F(1), F(1), F(0), F(1))), 1)
+    s = threshold(conj((F(1), F(0), F(1), F(1))), 0)
+    return p ** (r + s) if mutate else p ** (r + s - 1)
 
 
 def _mat_mul3(a, b, c):

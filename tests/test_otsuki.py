@@ -1,6 +1,7 @@
 """The weighted-trace identity for corrected cyclotomic elements."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -8,9 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankin import otsuki
+from rankin.arith import euler_phi, prime_factors
+from rankin.catalog import _OTSUKI_FAMILY_A, _OTSUKI_FAMILY_B
 from rankin.otsuki import (CycloCover, bareiss_solve, corrected_element,
-                           otsuki_trace_check)
-from rankin.poly import PolyRing, QQ
+                           corrected_element_cover, otsuki_trace_check,
+                           project_to_field, trace_check_args)
+from rankin.poly import PolyRing, QQ, RatFunc, poly_add
 
 
 def _cycle_min(k, v, M):
@@ -310,3 +314,122 @@ class TestCoverSolve:
         del calls[:]
         cover.solve_poly(coeffs, v, ([ring.one()] * M, ring.one()))
         assert sorted(calls) == sorted(lengths)
+
+
+def otsuki_trace_check_unscaled(m, ell, families, literal_reading=False):
+    """The oracle of otsuki_trace_check: both sides computed on the families
+    as given, in the original tau_v, with Fraction coefficients."""
+    M = m * ell
+    ring = PolyRing(tuple(f"tau{v}" for v in trace_check_args(m, ell, families)))
+    cover = CycloCover(M, ring)
+    x_big = corrected_element_cover(cover, M, families)
+    lhs = project_to_field(cover, m, cover.galois_trace(m, x_big))
+    small = CycloCover(m, ring)
+    Fl, Gl = families[ell]
+    diff = poly_add([QQ(ell - 1) * c for c in Gl], [QQ(-ell) * c for c in Fl])
+    rhs = small.apply_poly(diff, ell, corrected_element_cover(small, m, families))
+    rhs = small.solve_poly(Fl, ell, rhs)
+    rhs = project_to_field(small, m, small.frobenius(pow(ell, -1, m), rhs))
+    if literal_reading:
+        lhs = ([x * ring.var(f"tau{ell}") for x in lhs[0]], lhs[1])
+    (ln, ld), (rn, rd) = lhs, rhs
+    for i in range(len(ln)):
+        if ln[i] * rd != rn[i] * ld:
+            return False, {"basis_index": i, "lhs": f"({ln[i]}) / ({ld})",
+                           "rhs": f"({rn[i]}) / ({rd})"}
+    return True, None
+
+
+def witness_side(text, ring):
+    """A witness side "(num) / (den)" read back as a RatFunc over ring: each
+    integer that is not an exponent or part of a name becomes a Fraction."""
+    text = re.sub(r"(?<![\w*^])(\d+)", r"F(\1)", text).replace("^", "**")
+    return eval(text, {"F": F, **{n: RatFunc.from_poly(ring.var(n)) for n in ring.names}})
+
+
+# every (m, ell) that otsuki_trace_check accepts with phi(m ell) <= 8
+SMALL_PAIRS = [(m, ell) for ell in (2, 3, 5, 7) for m in range(1, 16)
+               if m % ell and euler_phi(m * ell) <= 8]
+
+
+@st.composite
+def fractional_families(draw, primes):
+    """(F_v, G_v) for each prime v: degree <= 2, constant term 1, the other
+    coefficients with denominators 2..6 (zero allowed)."""
+    coeff = st.builds(F, st.integers(-4, 4), st.integers(2, 6))
+    poly = st.lists(coeff, min_size=0, max_size=2).map(lambda cs: [F(1)] + cs)
+    return {v: (draw(poly), draw(poly)) for v in primes}
+
+
+class TestIntegralFamilies:
+    def test_small_pairs(self):
+        assert len(SMALL_PAIRS) == 19 and (15, 2) in SMALL_PAIRS and (1, 7) in SMALL_PAIRS
+
+    @pytest.mark.parametrize("m,ell", SMALL_PAIRS)
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_verdicts_and_witnesses_equal_the_unscaled_route(self, m, ell, data):
+        families = data.draw(fractional_families(prime_factors(m * ell)))
+        ring = PolyRing(tuple(f"tau{v}" for v in prime_factors(m * ell)))
+        for literal in (False, True):
+            got = otsuki_trace_check(m, ell, families, literal_reading=literal)
+            want = otsuki_trace_check_unscaled(m, ell, families, literal_reading=literal)
+            assert got[0] == want[0]
+            if want[1] is None:
+                assert got[1] is None
+                continue
+            assert got[1]["basis_index"] == want[1]["basis_index"]
+            for side in ("lhs", "rhs"):
+                assert witness_side(got[1][side], ring) == witness_side(want[1][side], ring)
+
+    @pytest.mark.parametrize("m,ell", SMALL_PAIRS)
+    def test_integer_families_give_the_same_witness_text(self, m, ell):
+        for families in (_OTSUKI_FAMILY_A, {2: ([1, 3], [1, -1, 2]), 3: ([1], [1, 5]),
+                                            5: ([1, 0, -2], [1, 1]), 7: ([1, 2], [1])}):
+            if set(prime_factors(m * ell)) <= set(families):
+                got = otsuki_trace_check(m, ell, families, literal_reading=True)
+                assert got == otsuki_trace_check_unscaled(m, ell, families,
+                                                          literal_reading=True)
+
+    @pytest.mark.parametrize("m,ell", [(1, 3), (4, 3), (3, 5), (2, 3)])
+    def test_fractional_ell_family_still_fails_the_literal_reading(self, m, ell):
+        families = dict(_OTSUKI_FAMILY_B)
+        families[ell] = ([F(1), F(-1, 3), F(5, 6)], [F(1), F(3, 4)])
+        ok, wit = otsuki_trace_check(m, ell, families, literal_reading=True)
+        assert not ok and otsuki_trace_check(m, ell, families)[0]
+        _, want = otsuki_trace_check_unscaled(m, ell, families, literal_reading=True)
+        assert wit["basis_index"] == want["basis_index"]
+        ring = PolyRing(tuple(f"tau{v}" for v in prime_factors(m * ell)))
+        for side in ("lhs", "rhs"):
+            assert witness_side(wit[side], ring) == witness_side(want[side], ring)
+
+    @pytest.mark.parametrize("m,ell", [(4, 3), (3, 5)])
+    def test_family_b_sides_have_int_coefficients(self, monkeypatch, m, ell):
+        sides = []
+        real = otsuki._vec_equal
+        monkeypatch.setattr(otsuki, "_vec_equal",
+                            lambda x, y: sides.extend((x, y)) or real(x, y))
+        assert otsuki_trace_check(m, ell, _OTSUKI_FAMILY_B)[0]
+        coeffs = [c for nums, den in sides for x in nums + [den] for c in x.terms.values()]
+        assert coeffs and all(type(c) is int for c in coeffs)
+
+    def test_corrected_element_is_the_unscaled_element(self):
+        families = {2: ([F(1), F(1, 2)], [F(1), F(0), F(-5, 4)]),
+                    3: ([F(1), F(2, 3)], [F(1), F(1, 6)])}
+        ring = PolyRing(("tau2", "tau3"))
+        nums, den = corrected_element(12, families, ring)
+        cover = CycloCover(12, ring)
+        wnums, wden = project_to_field(cover, 12, corrected_element_cover(cover, 12, families))
+        assert all(a * wden == b * den for a, b in zip(nums, wnums))
+
+    @pytest.mark.parametrize("coeffs,error", [
+        ([1.0, 0.5], TypeError), ([F(1), 0.1], TypeError), (["1"], TypeError),
+        ([1, "2"], TypeError), ([], ValueError), ([F(0), F(1)], ValueError)])
+    def test_family_coefficients_are_validated(self, coeffs, error):
+        for families in ({3: (coeffs, [F(1)])}, {3: ([F(1)], coeffs)}):
+            with pytest.raises(error):
+                trace_check_args(1, 3, families)
+            with pytest.raises(error):
+                otsuki_trace_check(1, 3, families)
+            with pytest.raises(error):
+                corrected_element(3, families, PolyRing(("tau3",)))

@@ -444,6 +444,13 @@ class TestUnitFactorsOracle:
         assert unit_view(unit_factors, F(5, 4), 0, K, 5, 6) == (
             "raises", "scale 6 does not clear the fractional exponent 1/4")
 
+    @pytest.mark.parametrize("scale", [0, -1])
+    def test_scale_below_one_is_refused(self, scale):
+        # scale 0 once raised range()'s own error, and -1 returned a unit
+        # with lead -1/12 and no binomials
+        assert unit_view(unit_factors, 0, F(1, 5), CyclotomicField(5), 10, scale) == (
+            "raises", f"scale must be a positive integer, got {scale}")
+
 
 def siegel_fraction_calls(f, *args):
     """The calls into fractions.py made directly from rankin.siegel while
