@@ -1,7 +1,7 @@
 """The exact arithmetic every layer shares: factorization, Euler's phi,
 primes, the Chinese remainder theorem, square-and-multiply powers, inverses,
-Gauss-Jordan solves over Q, the coefficient-ring protocol, the base of the
-value types, and the error a failed internal certificate raises.
+the coefficient-ring protocol, the base of the value types, and the error a
+failed internal certificate raises.
 
 The ring protocol: a ring has zero(), one() and coerce() and compares
 structurally; its elements subclass RingElt and carry it as ``.ring``; sums
@@ -180,41 +180,3 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
-
-def solve(mat, rhs, zero):
-    """A solution x of mat * x = rhs by Gauss-Jordan elimination, or None when
-    the system is inconsistent.
-
-    ``mat`` is an n x d list of rows of Fractions (int pivots would divide
-    to floats).  The entries of ``rhs`` are
-    Fractions or vectors over Q such as MPoly (anything with v * Fraction,
-    v - w and truth as "nonzero").  Free coordinates are set to ``zero``.
-    """
-    n = len(rhs)
-    d = len(mat[0]) if mat else 0
-    a = [list(row) for row in mat]
-    work = list(rhs)
-    pivots = []
-    row = 0
-    for col in range(d):
-        piv = next((r for r in range(row, n) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        work[row], work[piv] = work[piv], work[row]
-        pv = a[row][col]
-        a[row] = [x / pv for x in a[row]]
-        work[row] = work[row] * (1 / pv)
-        for r in range(n):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-                work[r] = work[r] - work[row] * f
-        pivots.append(col)
-        row += 1
-    if any(work[row:]):
-        return None
-    sol = [zero] * d
-    for r, col in enumerate(pivots):
-        sol[col] = work[r]
-    return sol

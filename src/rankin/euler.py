@@ -10,8 +10,8 @@ import functools
 from math import gcd, lcm
 
 from .arith import RATIONALS, Record, VerificationError, prime_factors
-from .poly import (MPoly, PolyRing, QQ, RatFunc, poly_add, poly_derivative,
-                   poly_eval, poly_mul, poly_neg, poly_trim)
+from .poly import (MPoly, PolyRing, QQ, RatFunc, _zdiv, poly_add,
+                   poly_derivative, poly_eval, poly_mul, poly_neg, poly_trim)
 from .quotring import join
 
 
@@ -197,28 +197,14 @@ def weil_check(factor: EulerFactor, p: int, k: int, l: int) -> bool:
     return _zsturm_count(M, -2, 2) == m
 
 
-# primitive parts, exact division, pseudo-remainders, gcds and Sturm counts
-# of dense polynomials over Z (constant first) for the Weil check; its sums,
-# products and values are the generic poly helpers, which keep ints
+# primitive parts, pseudo-remainders, gcds and Sturm counts of dense
+# polynomials over Z (constant first) for the Weil check; its sums, products,
+# values and exact divisions are the generic poly helpers, which keep ints
 
 def _primitive(f):
     """f divided by the (positive) gcd of its coefficients."""
     c = gcd(*f)
     return f if c == 1 else [x // c for x in f]
-
-
-def _zdiv(f, g):
-    """(q, r) with f = q g + r, for f and g whose long division over Q
-    divides exactly at each step: g primitive and dividing f (Gauss), or f
-    scaled as in ``_zprem``."""
-    d, lead = len(g) - 1, g[-1]
-    r, q = list(f), [0] * max(0, len(f) - d)
-    for k in reversed(range(len(q))):
-        c = q[k] = r[k + d] // lead
-        if c:
-            for j, b in enumerate(g):
-                r[k + j] -= c * b
-    return q, poly_trim(r[:d])
 
 
 def _zprem(f, g):

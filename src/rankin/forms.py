@@ -192,21 +192,6 @@ class Eigenform:
         raise VerificationError(
             "a prime-power product failed but no coprime pair does")
 
-    def prime_power_direct(self, p: int, r: int) -> QuotElt:
-        """Recursion value computed from the stored a_p only, restarted on
-        each call: the oracle of the per-prime list."""
-        if p not in self.coefficients:
-            raise ValueError(f"a_{p} is beyond the coefficient table "
-                             f"(bound {self.bound})")
-        if r == 0:
-            return self.ring.one()
-        ap = self.coefficients[p]
-        scale = self.char_value(p) * QQ(p) ** (self.weight - 1)
-        prev2, prev1 = self.ring.one(), ap
-        for _ in range(r - 1):
-            prev2, prev1 = prev1, ap * prev1 - scale * prev2
-        return prev1
-
 
 # ---------------------------------------------------------------------------
 # the line-oriented file format

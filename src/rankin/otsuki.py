@@ -9,14 +9,22 @@ twisted endomorphisms sigma_hat_v (zeta -> zeta^v times tau_v) are realized
 on the group-algebra cover Q[Z/M] -- basis all M-th roots of unity, where
 they are honest commuting linear maps and F(sigma_hat_v) is invertible
 whenever F has constant term 1.  Corrected elements are computed in the
-cover and projected to the field; the one-level trace is the orbit sum in
-the cover, which intertwines the projection with the Galois trace.  For
-l not dividing m both sides are computed in covers: multiplication by l
-permutes the basis of Q[Z/m], so sigma_hat_l and the plain Frobenius
-e_k -> e_(k t) are permutations there (times tau_l for the hatted one), the
-projection to Q(zeta_m) commutes with both, and solving F(sigma_hat_l) x = v
-in the cover projects to the unique solution in the field.  Only the final
-vectors are projected.
+cover and projected to the field by e_k -> zeta_M^k, read in the power
+basis through the power table of Q(zeta_M).  For l not dividing m both
+sides are computed in covers: multiplication by l permutes the basis of
+Q[Z/m], so sigma_hat_l and the plain Frobenius e_k -> e_(k t) are
+permutations there (times tau_l for the hatted one), the projection to
+Q(zeta_m) commutes with both, and solving F(sigma_hat_l) x = v in the cover
+projects to the unique solution in the field.  Only the final vectors are
+projected.
+
+The one-level trace has a closed form.  For M = m l, u = l^(-1) mod m and
+v = m^(-1) mod l, zeta_M^j = zeta_m^(j u) zeta_l^(j v), and the trace from
+Q(zeta_M) to Q(zeta_m) fixes the first factor and sends zeta_l^(j v) to
+l - 1 when l | j and to -1 otherwise (Washington, Introduction to
+Cyclotomic Fields, ch. 2).  So the level-M cover vector folds to a level-m
+one, coordinate j adding (l - 1) x_j or -x_j at j u mod m, which is then
+projected to Q(zeta_m).
 
 The verified identity, for families F_l, G_l with constant term 1, l not
 dividing m:
@@ -32,7 +40,8 @@ inserts a stray tau_l^(-1) and fails; the checker can exhibit this.
 All linear algebra is fraction-free, so no rational-function normalization
 is ever needed: F(sigma_hat_v) is unitriangular off the cycles of k -> v k,
 solved there by substitution, and a circulant on each cycle, inverted by one
-Bareiss solve per cycle length over the polynomial ring.
+Bareiss solve per cycle length over the polynomial ring.  The projection
+and the trace are integer combinations of the coordinates, with no solve.
 
 The coefficients are integers too.  With s_v the lcm of the denominators of
 F_v and G_v, tau_v = s_v tau'_v turns c_j tau_v^j into (c_j s_v^j) tau'_v^j,
@@ -47,12 +56,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import mul
 
-from .arith import euler_phi, prime_factors, solve
+from .arith import euler_phi, prime_factors
 from .cyclo import CyclotomicField
-from .poly import MPoly, PolyRing, QQ, _div, poly_add
+from .poly import MPoly, PolyRing, _div, poly_add
 
 
 def bareiss_solve(mat, rhs):
@@ -205,35 +214,37 @@ class CycloCover:
         return ([x[k] * scale[over[k]] if k in over else x[k] * detprod
                  for k in range(M)], den * detprod)
 
-    def galois_trace(self, m: int, vec):
-        """Orbit sum over the units t = 1 mod m of Z/M."""
-        out = [self.ring.zero()] * self.M
-        for t in range(1, self.M + 1):
-            if gcd(t, self.M) == 1 and t % m == 1 % m:
-                out = [a + b for a, b in zip(out, self.frobenius(t, vec)[0])]
-        return out, vec[1]
 
-
-def project_to_field(cover: CycloCover, m: int, vec):
-    """Project a cover vector to Q(zeta_m) power-basis coordinates via
-    e_k -> zeta_M^k, expressed in the zeta_m basis (m | M)."""
-    M = cover.M
-    field = CyclotomicField(M)
+def project_to_field(cover: CycloCover, vec):
+    """Q(zeta_M) power-basis coordinates of a cover vector, by
+    e_k -> zeta_M^k."""
+    powers = CyclotomicField(cover.M)._powers
     nums, den = vec
-    big = [cover.ring.zero()] * field.phi
+    out = [cover.ring.zero()] * len(powers[0])
     for k, x in enumerate(nums):
-        if x.is_zero():
+        if x:
+            for i, c in enumerate(powers[k]):
+                if c:
+                    out[i] = out[i] + x * c
+    return out, den
+
+
+def trace_to_field(cover: CycloCover, m: int, vec):
+    """The trace from Q(zeta_M) down to Q(zeta_m) of the projection of a
+    cover vector, in Q(zeta_m) coordinates, for M = m l with l a prime not
+    dividing m: the closed form of the module docstring."""
+    ell = cover.M // m
+    u = pow(ell, -1, m)
+    row = [cover.ring.zero()] * m
+    for j, x in enumerate(vec[0]):
+        if not x:
             continue
-        for i, c in enumerate(field._powers[k]):
-            if c:
-                big[i] = big[i] + x * c
-    # express in the zeta_m power basis inside Q(zeta_M)
-    cols = [field._powers[k * (M // m)] for k in range(euler_phi(m))]
-    coords = solve([[QQ(col[i]) for col in cols] for i in range(field.phi)],
-                   big, cover.ring.zero())
-    if coords is None:
-        raise ValueError("vector does not lie in the subfield")
-    return coords, den
+        k = j * u % m
+        if j % ell:
+            row[k] = row[k] - x
+        else:
+            row[k] = row[k] + x * (ell - 1)
+    return project_to_field(CycloCover(m, cover.ring), (row, vec[1]))
 
 
 def corrected_element_cover(cover: CycloCover, m: int, families: dict):
@@ -249,10 +260,20 @@ def corrected_element_cover(cover: CycloCover, m: int, families: dict):
 
 def corrected_element(m: int, families: dict, ring: PolyRing):
     """x'_m as a field vector: cover computation projected to Q(zeta_m), on
-    the integral families, mapped back to the tau_v of ``families``."""
-    families, scales = _integral_families(families, prime_factors(m))
+    the integral families, mapped back to the tau_v of ``families``.
+
+    Raises ValueError for m < 1 and for a ``ring`` without tau_v for some
+    prime v | m; ``families`` is checked as by ``trace_check_args``.
+    """
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    primes = prime_factors(m)
+    missing = [f"tau{v}" for v in primes if f"tau{v}" not in ring.index]
+    if missing:
+        raise ValueError(f"ring {ring} has no variable {', '.join(missing)}")
+    families, scales = _integral_families(families, primes)
     cover = CycloCover(m, ring)
-    nums, den = project_to_field(cover, m, corrected_element_cover(cover, m, families))
+    nums, den = project_to_field(cover, corrected_element_cover(cover, m, families))
     return [_unscaled(x, scales) for x in nums], _unscaled(den, scales)
 
 
@@ -320,15 +341,16 @@ def otsuki_trace_check(m: int, ell: int, families: dict,
     lists of ints and Fractions with constant term 1; ell must be a prime not
     dividing m and phi(m*ell) must be at most 16.  Returns (bool, witness).
     Both sides are computed on the integral families, in tau'_v = tau_v / s_v;
-    a witness gives them in tau_v.
+    a witness gives them in tau_v.  The left side is x'_(m ell) on the level
+    m ell cover, traced to Q(zeta_m) in closed form (``trace_to_field``); the
+    witness is the first basis index at which the sides differ.
     """
     M = m * ell
     primes = trace_check_args(m, ell, families)
     families, scales = _integral_families(families, primes)
     ring = PolyRing(tuple(f"tau{v}" for v in primes))
     cover = CycloCover(M, ring)
-    x_big = corrected_element_cover(cover, M, families)
-    lhs = project_to_field(cover, m, cover.galois_trace(m, x_big))
+    ln, ld = trace_to_field(cover, m, corrected_element_cover(cover, M, families))
     # right side on the level-m cover: ell is a unit mod m, so sigma_hat_ell
     # and the plain Frobenius permute its basis, and projecting to Q(zeta_m)
     # commutes with both and with solving F_ell(sigma_hat_ell) x = v
@@ -338,26 +360,14 @@ def otsuki_trace_check(m: int, ell: int, families: dict,
     rhs = small.apply_poly(diff, ell, corrected_element_cover(small, m, families))
     rhs = small.solve_poly(F, ell, rhs)
     # plain inverse Frobenius (= tau_ell * hatted inverse)
-    rhs = project_to_field(small, m, small.frobenius(pow(ell, -1, m), rhs))
+    rn, rd = project_to_field(small, small.frobenius(pow(ell, -1, m), rhs))
     if literal_reading:
         # hatted inverse instead: multiply the left side by tau_ell = s tau'
         t = ring.var(f"tau{ell}") * scales[ell]
-        lhs = ([x * t for x in lhs[0]], lhs[1])
-    ok = _vec_equal(lhs, rhs)
-    witness = None
-    if not ok:
-        ln, ld = lhs
-        rn, rd = rhs
-        for i in range(len(ln)):
-            if ln[i] * rd != rn[i] * ld:
-                lhs_i, rhs_i = (f"({_unscaled(n, scales)}) / ({_unscaled(d, scales)})"
-                                for n, d in ((ln[i], ld), (rn[i], rd)))
-                witness = {"basis_index": i, "lhs": lhs_i, "rhs": rhs_i}
-                break
-    return ok, witness
-
-
-def _vec_equal(x, y):
-    xn, xd = x
-    yn, yd = y
-    return all(a * yd == b * xd for a, b in zip(xn, yn))
+        ln = [x * t for x in ln]
+    for i, (a, b) in enumerate(zip(ln, rn)):
+        if a * rd != b * ld:
+            lhs_i, rhs_i = (f"({_unscaled(n, scales)}) / ({_unscaled(d, scales)})"
+                            for n, d in ((a, ld), (b, rd)))
+            return False, {"basis_index": i, "lhs": lhs_i, "rhs": rhs_i}
+    return True, None

@@ -676,6 +676,20 @@ def power_rows(f, n: int) -> list:
     return rows
 
 
+def _zdiv(f, g):
+    """(q, r) with f = q g + r in ints, for f and g whose long division over
+    Q divides exactly at each step: g monic, g primitive and dividing f
+    (Gauss), or f scaled as for a pseudo-remainder."""
+    d, lead = len(g) - 1, g[-1]
+    r, q = list(f), [0] * max(0, len(f) - d)
+    for k in reversed(range(len(q))):
+        c = q[k] = r[k + d] // lead
+        if c:
+            for j, b in enumerate(g):
+                r[k + j] -= c * b
+    return q, poly_trim(r[:d])
+
+
 def poly_divmod(p, q):
     """Division with remainder in Q[x]."""
     if not q:
@@ -695,14 +709,6 @@ def poly_divmod(p, q):
             r[k + j] -= c * b
         r = poly_trim(r)
     return poly_trim(quot), poly_trim(r)
-
-
-def poly_gcd(p, q):
-    """The monic gcd in Q[x], by the remainder sequence alone."""
-    a, b = [QQ(x) for x in p], [QQ(x) for x in q]
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return [c / a[-1] for c in a] if a else a
 
 
 def poly_xgcd(p, q):
@@ -728,30 +734,17 @@ _CYCLO_CACHE = {}
 
 def cyclotomic_polynomial(n: int):
     """The n-th cyclotomic polynomial as a dense int list: x^n - 1 divided
-    exactly by the monic Phi_d of each proper divisor d of n."""
+    exactly by the monic Phi_d of each proper divisor d of n.  Raises
+    ValueError for n < 1."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     if n in _CYCLO_CACHE:
         return list(_CYCLO_CACHE[n])
     p = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            p, r = _divmod_monic(p, cyclotomic_polynomial(d))
+            p, r = _zdiv(p, cyclotomic_polynomial(d))
             if r:
                 raise VerificationError(f"Phi_{d} does not divide x^{n} - 1")
     _CYCLO_CACHE[n] = list(p)
     return p
-
-
-def _divmod_monic(p, q):
-    """Division with remainder of the int list p by the monic int list q, in
-    ints: each step subtracts the top coefficient times q, shifted."""
-    r = list(p)
-    d = len(q) - 1
-    low = [(j, b) for j, b in enumerate(q[:-1]) if b]
-    quot = [0] * max(0, len(r) - d)
-    for k in range(len(quot) - 1, -1, -1):
-        c = r.pop()
-        if c:
-            quot[k] = c
-            for j, b in low:
-                r[k + j] -= c * b
-    return poly_trim(quot), poly_trim(r)

@@ -84,11 +84,11 @@ class QSeries:
             raise TypeError(f"operand over {ring}, expected {self.ring}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, QSeries):
+            # a scalar: coerce raises TypeError for another ring, a float or
+            # a string
             other = QSeries(self.ring, 0, [self.ring.coerce(other)] +
                             [self.ring.zero()] * (self.prec - 1))
-        if not isinstance(other, QSeries):
-            return NotImplemented
         self._check_ring(other.ring)
         lead = min(self.lead, other.lead)
         bound = min(self.order_bound, other.order_bound)
@@ -161,7 +161,9 @@ class QSeries:
     def __truediv__(self, other):
         if isinstance(other, QSeries):
             return self * other.inverse()
-        return self * (1 / QQ(other))
+        if not isinstance(other, (int, Fraction)):
+            other = self.ring.coerce(other)
+        return self * inverse(other)
 
     def __eq__(self, other):
         """Equality on the overlap of the known windows, after stripping

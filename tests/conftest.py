@@ -7,7 +7,7 @@ import rankin.normrel
 import rankin.operators
 import rankin.qseries
 from rankin.euler import SYM_RING, _dual_form_sides, interpolation_factors
-from rankin.poly import RatFunc
+from rankin.poly import QQ, RatFunc, poly_divmod
 
 SERIES_KERNELS = ("_packed_mul", "_schoolbook_mul", "_newton_inverse", "_recurrence_inverse")
 
@@ -77,3 +77,52 @@ def general_sides_specialize(k, l, j):
     return all(side.subs(at) == want
                for pair, want_pair in zip(_dual_form_sides(), oracle_symmetry_sides(k, l, j))
                for side, want in zip(pair, want_pair))
+
+
+# the Fraction routes that the package replaced, kept as oracles
+
+def solve(mat, rhs, zero):
+    """A solution x of mat * x = rhs by Gauss-Jordan elimination, or None when
+    the system is inconsistent.
+
+    ``mat`` is an n x d list of rows of Fractions (int pivots would divide
+    to floats).  The entries of ``rhs`` are
+    Fractions or vectors over Q such as MPoly (anything with v * Fraction,
+    v - w and truth as "nonzero").  Free coordinates are set to ``zero``.
+    """
+    n = len(rhs)
+    d = len(mat[0]) if mat else 0
+    a = [list(row) for row in mat]
+    work = list(rhs)
+    pivots = []
+    row = 0
+    for col in range(d):
+        piv = next((r for r in range(row, n) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        work[row], work[piv] = work[piv], work[row]
+        pv = a[row][col]
+        a[row] = [x / pv for x in a[row]]
+        work[row] = work[row] * (1 / pv)
+        for r in range(n):
+            if r != row and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+                work[r] = work[r] - work[row] * f
+        pivots.append(col)
+        row += 1
+    if any(work[row:]):
+        return None
+    sol = [zero] * d
+    for r, col in enumerate(pivots):
+        sol[col] = work[r]
+    return sol
+
+
+def poly_gcd(p, q):
+    """The monic gcd in Q[x], by the remainder sequence alone."""
+    a, b = [QQ(x) for x in p], [QQ(x) for x in q]
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else a

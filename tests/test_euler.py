@@ -13,16 +13,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rankin.euler
-from conftest import SYMMETRY_BOX, general_sides_specialize, oracle_symmetry_sides
+from conftest import (SYMMETRY_BOX, general_sides_specialize, oracle_symmetry_sides,
+                      poly_gcd)
 from rankin.catalog import run_catalog
 from rankin.euler import (SYM_RING, BadPrimeError, EulerFactor,
-                          _power_sum_coefficients, _zsturm_count,
+                          _power_sum_coefficients, _zgcd, _zsturm_count,
                           functional_symmetry_check, hecke_polynomial,
                           interpolation_factors, joint_coefficient_ring,
                           local_correction, rankin_euler_factor, weil_check)
 from rankin.forms import bundled_path, load_bundled
 from rankin.poly import (QQ, poly_add, poly_derivative, poly_divmod, poly_eval,
-                         poly_gcd, poly_mul, poly_neg)
+                         poly_mul, poly_neg)
 from rankin.quotring import QuotRing
 
 
@@ -400,6 +401,17 @@ class TestIntegerWeil:
     @example([0, 1, 0, 0, -1], -2, 1)   # x - x^4: a remainder two degrees down
     def test_sturm_count_matches_the_oracle(self, f, a, b):
         assert _zsturm_count(f, a, b) == _sturm_count([F(c) for c in f], a, b)
+
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=4),
+           st.lists(st.integers(-6, 6), max_size=4), st.lists(st.integers(-6, 6), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    @example([1, 1], [1, -1], [])            # gcd with the zero polynomial
+    @example([2, 4], [3], [-5])             # a content the gcds drop
+    def test_primitive_gcd_is_the_monic_fraction_gcd(self, common, a, b):
+        f, g = poly_mul(a, common), poly_mul(b, common)
+        got = _zgcd(f, g)
+        assert all(type(c) is int for c in got)
+        assert [F(c, got[-1]) for c in got] == poly_gcd(f, g)
 
     def test_weights_of_the_forms_reach_the_catalog(self, tmp_path):
         # Delta = q prod (1 - q^n)^24, level 1 and weight 12, as the f of the

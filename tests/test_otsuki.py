@@ -3,17 +3,20 @@
 import random
 import re
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import solve
 from rankin import otsuki
 from rankin.arith import euler_phi, prime_factors
 from rankin.catalog import _OTSUKI_FAMILY_A, _OTSUKI_FAMILY_B
+from rankin.cyclo import CyclotomicField
 from rankin.otsuki import (CycloCover, bareiss_solve, corrected_element,
                            corrected_element_cover, otsuki_trace_check,
-                           project_to_field, trace_check_args)
+                           project_to_field, trace_check_args, trace_to_field)
 from rankin.poly import PolyRing, QQ, RatFunc, poly_add
 
 
@@ -66,6 +69,38 @@ def solve_poly_per_block(cover, coeffs, v, vec):
             sol[k] = (x, det)
         detprod = detprod * det
     return sol, den * detprod
+
+
+def galois_trace_orbit_sum(cover, m, vec):
+    """The oracle of the closed-form trace: the orbit sum over the units
+    t = 1 mod m of Z/M, in the cover."""
+    out = [cover.ring.zero()] * cover.M
+    for t in range(1, cover.M + 1):
+        if gcd(t, cover.M) == 1 and t % m == 1 % m:
+            out = [a + b for a, b in zip(out, cover.frobenius(t, vec)[0])]
+    return out, vec[1]
+
+
+def project_by_solve(cover, m, vec):
+    """The oracle of project_to_field and trace_to_field: a cover vector
+    projected by e_k -> zeta_M^k and expressed in the zeta_m power basis
+    inside Q(zeta_M) (m | M) by a Gauss-Jordan solve over Q."""
+    M = cover.M
+    field = CyclotomicField(M)
+    nums, den = vec
+    big = [cover.ring.zero()] * field.phi
+    for k, x in enumerate(nums):
+        if x.is_zero():
+            continue
+        for i, c in enumerate(field._powers[k]):
+            if c:
+                big[i] = big[i] + x * c
+    cols = [field._powers[k * (M // m)] for k in range(euler_phi(m))]
+    coords = solve([[QQ(col[i]) for col in cols] for i in range(field.phi)],
+                   big, cover.ring.zero())
+    if coords is None:
+        raise ValueError("vector does not lie in the subfield")
+    return coords, den
 
 
 def bareiss_det(mat):
@@ -173,12 +208,10 @@ class TestTraceIdentity:
         # trace of x'_3 to level 1: coefficient bookkeeping done by the
         # checker; verify via the cover directly
         cover = CycloCover(3, ring)
-        from rankin.otsuki import corrected_element_cover, project_to_field
-        traced = project_to_field(cover, 1,
-                                  cover.galois_trace(1, corrected_element_cover(
-                                      cover, 3, {3: ([F(1), F(-2)], [F(1), F(1)])})))
-        n, d = traced
-        assert n[0] * (1 - 2 * tau) == (8 * tau - 1) * d
+        x = corrected_element_cover(cover, 3, {3: ([F(1), F(-2)], [F(1), F(1)])})
+        for n, d in (project_by_solve(cover, 1, galois_trace_orbit_sum(cover, 1, x)),
+                     trace_to_field(cover, 1, x)):
+            assert n[0] * (1 - 2 * tau) == (8 * tau - 1) * d
 
     def test_trivial_families_classical_trace(self):
         for (m, ell) in ((1, 3), (4, 3), (3, 5)):
@@ -323,13 +356,13 @@ def otsuki_trace_check_unscaled(m, ell, families, literal_reading=False):
     ring = PolyRing(tuple(f"tau{v}" for v in trace_check_args(m, ell, families)))
     cover = CycloCover(M, ring)
     x_big = corrected_element_cover(cover, M, families)
-    lhs = project_to_field(cover, m, cover.galois_trace(m, x_big))
+    lhs = project_by_solve(cover, m, galois_trace_orbit_sum(cover, m, x_big))
     small = CycloCover(m, ring)
     Fl, Gl = families[ell]
     diff = poly_add([QQ(ell - 1) * c for c in Gl], [QQ(-ell) * c for c in Fl])
     rhs = small.apply_poly(diff, ell, corrected_element_cover(small, m, families))
     rhs = small.solve_poly(Fl, ell, rhs)
-    rhs = project_to_field(small, m, small.frobenius(pow(ell, -1, m), rhs))
+    rhs = project_by_solve(small, m, small.frobenius(pow(ell, -1, m), rhs))
     if literal_reading:
         lhs = ([x * ring.var(f"tau{ell}") for x in lhs[0]], lhs[1])
     (ln, ld), (rn, rd) = lhs, rhs
@@ -405,11 +438,14 @@ class TestIntegralFamilies:
 
     @pytest.mark.parametrize("m,ell", [(4, 3), (3, 5)])
     def test_family_b_sides_have_int_coefficients(self, monkeypatch, m, ell):
+        # both sides leave through project_to_field, the left one from
+        # inside trace_to_field
         sides = []
-        real = otsuki._vec_equal
-        monkeypatch.setattr(otsuki, "_vec_equal",
-                            lambda x, y: sides.extend((x, y)) or real(x, y))
+        real = otsuki.project_to_field
+        monkeypatch.setattr(otsuki, "project_to_field",
+                            lambda cover, vec: sides.append(real(cover, vec)) or sides[-1])
         assert otsuki_trace_check(m, ell, _OTSUKI_FAMILY_B)[0]
+        assert len(sides) == 2
         coeffs = [c for nums, den in sides for x in nums + [den] for c in x.terms.values()]
         assert coeffs and all(type(c) is int for c in coeffs)
 
@@ -419,7 +455,7 @@ class TestIntegralFamilies:
         ring = PolyRing(("tau2", "tau3"))
         nums, den = corrected_element(12, families, ring)
         cover = CycloCover(12, ring)
-        wnums, wden = project_to_field(cover, 12, corrected_element_cover(cover, 12, families))
+        wnums, wden = project_by_solve(cover, 12, corrected_element_cover(cover, 12, families))
         assert all(a * wden == b * den for a, b in zip(nums, wnums))
 
     @pytest.mark.parametrize("coeffs,error", [
@@ -433,3 +469,65 @@ class TestIntegralFamilies:
                 otsuki_trace_check(1, 3, families)
             with pytest.raises(error):
                 corrected_element(3, families, PolyRing(("tau3",)))
+
+
+def _integral_family(rng):
+    """(F, G) with int coefficients, constant term 1 and degree <= 2."""
+    return tuple([1] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 2))]
+                 for _ in range(2))
+
+
+def _cover_vectors(rng, cover):
+    """Cover vectors of level M = m ell: every basis vector, x'_M for two
+    random integral families, and sparse random vectors whose other
+    coordinates are ring.zero()."""
+    ring, M = cover.ring, cover.M
+    primes = prime_factors(M)
+    out = [cover.basis_vec(j) for j in range(M)]
+    for _ in range(2):
+        families = {v: _integral_family(rng) for v in primes}
+        out.append(corrected_element_cover(cover, M, families))
+    taus = ring.vars()
+    for _ in range(4):
+        nums = [ring.zero()] * M
+        for j in rng.sample(range(M), rng.randint(1, min(M, 5))):
+            nums[j] = ring.const(rng.randint(-3, 3)) + rng.choice(taus) * rng.randint(-2, 2)
+        out.append((nums, ring.one() + rng.choice(taus) * rng.randint(0, 2)))
+    return out
+
+
+def _same_vector(got, want):
+    """Coordinate for coordinate as MPolys of equal terms, and the same
+    denominator."""
+    (gn, gd), (wn, wd) = got, want
+    return (len(gn) == len(wn) and gd.terms == wd.terms
+            and all(type(a) is type(b) and a.terms == b.terms for a, b in zip(gn, wn)))
+
+
+class TestClosedFormTrace:
+    @pytest.mark.parametrize("m,ell", SMALL_PAIRS)
+    def test_trace_and_projection_equal_the_solve_oracle(self, m, ell):
+        rng = random.Random(100 * m + ell)
+        ring = PolyRing(tuple(f"tau{v}" for v in prime_factors(m * ell)))
+        cover, small = CycloCover(m * ell, ring), CycloCover(m, ring)
+        zeros = 0
+        for vec in _cover_vectors(rng, cover):
+            got = trace_to_field(cover, m, vec)
+            want = project_by_solve(cover, m, galois_trace_orbit_sum(cover, m, vec))
+            assert _same_vector(got, want), (m, ell, vec)
+            zeros += sum(not x for x in got[0])
+            # the level-m projection, on the fold of the same vector
+            folded = ([sum(vec[0][j::m], ring.zero()) for j in range(m)], vec[1])
+            assert _same_vector(project_to_field(small, folded),
+                                project_by_solve(small, m, folded))
+        # some traces have zero coordinates, except where Q(zeta_m) = Q
+        assert zeros or euler_phi(m) == 1
+
+    @pytest.mark.parametrize("m,ring,name", [
+        (0, PolyRing(("tau3",)), "m must be positive, got 0"),
+        (-6, PolyRing(("tau2", "tau3")), "m must be positive, got -6"),
+        (3, PolyRing(("tau2",)), r"ring PolyRing\(\['tau2'\]\) has no variable tau3"),
+        (30, PolyRing(("tau3",)), "has no variable tau2, tau5")])
+    def test_corrected_element_arguments_are_checked(self, m, ring, name):
+        with pytest.raises(ValueError, match=name):
+            corrected_element(m, _OTSUKI_FAMILY_A, ring)

@@ -117,6 +117,22 @@ def test_operands_over_another_ring_raise():
     assert (q_series + 1).coefficient(0) == 2 and (q_series * F(1, 2)).ring is RATIONALS
 
 
+@pytest.mark.parametrize("ring, scalars", [
+    (RATIONALS, (1, F(1, 2))),
+    (CyclotomicField(5), (1, F(1, 2), CyclotomicField(5).zeta()))])
+def test_scalars_add_subtract_and_divide(ring, scalars):
+    # a scalar of the coefficient ring, or a rational, is coerced into it
+    s = QSeries(ring, 0, [ring.coerce(c) for c in (2, 0, -1, F(3, 4))])
+    for c in scalars:
+        assert s - c == s + (-c)
+        assert (s - c) + c == s
+        assert (s / c) * c == s
+    for bad in (CyclotomicField(7).zeta(), 0.5, "1"):
+        for op in (lambda x: s + x, lambda x: s - x, lambda x: s / x):
+            with pytest.raises(TypeError):
+                op(bad)
+
+
 # -- packed paths over Q(zeta_L) against the schoolbook and recurrence oracles
 
 CONDUCTORS = (1, 2, 3, 4, 5, 12, 35)

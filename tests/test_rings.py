@@ -9,15 +9,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rankin.arith import VerificationError, crt, euler_phi, factor, power, solve
+from conftest import poly_gcd, solve
+from rankin.arith import VerificationError, crt, euler_phi, factor, power
 import rankin.cyclo
 from rankin.cyclo import CyclotomicField, check_conductor
 from rankin.forms import load_bundled
 from rankin.groupring import RATIONALS, GroupRing, augment_mod
 from rankin import poly as poly_module
-from rankin.poly import (MPoly, PolyRing, QQ, RatFunc, _exact_div_laurent,
+from rankin.poly import (MPoly, PolyRing, QQ, RatFunc, _exact_div_laurent, _zdiv,
                          cyclotomic_polynomial, poly_add, poly_divmod, poly_eval,
-                         poly_gcd, poly_mul, poly_xgcd, power_rows)
+                         poly_mul, poly_trim, poly_xgcd, power_rows)
 from rankin.qseries import QSeries
 from rankin.quotring import QuotElt, QuotRing, ZeroDivisor, join
 
@@ -360,6 +361,28 @@ def test_cyclotomic_polynomial_certifies_each_division(monkeypatch):
     monkeypatch.setattr(poly_module, "_CYCLO_CACHE", {2: [2, 1]})
     with pytest.raises(VerificationError, match="Phi_2 does not divide x\\^4 - 1"):
         cyclotomic_polynomial(4)
+
+
+@pytest.mark.parametrize("n", [0, -1, -3])
+def test_cyclotomic_polynomial_refuses_n_below_one(monkeypatch, n):
+    # refused before the cache is read or written, even with an entry there
+    cache = {n: [-1, 1]}
+    monkeypatch.setattr(poly_module, "_CYCLO_CACHE", cache)
+    with pytest.raises(ValueError, match=f"n must be positive, got {n}"):
+        cyclotomic_polynomial(n)
+    cache.clear()
+    with pytest.raises(ValueError):
+        cyclotomic_polynomial(n)
+    assert cache == {}
+
+
+@given(st.lists(st.integers(-9, 9), max_size=8), st.lists(st.integers(-4, 4), max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_integer_division_by_a_monic_polynomial_is_the_fraction_division(f, low):
+    f, g = poly_trim(f), low + [1]
+    q, r = _zdiv(f, g)
+    assert (q, r) == poly_divmod(f, g)
+    assert all(type(c) is int for c in q + r)
 
 
 def test_cyclotomic_polynomials():
