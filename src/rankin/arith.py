@@ -1,7 +1,7 @@
 """The exact arithmetic every layer shares: factorization, Euler's phi,
 primes, the Chinese remainder theorem, square-and-multiply powers, inverses,
-the coefficient-ring protocol, the base of the value types, and the error a
-failed internal certificate raises.
+the coefficient-ring protocol, the base of the value types, the error a
+failed internal certificate raises and the error of a bad eigenform file.
 
 The ring protocol: a ring has zero(), one() and coerce() and compares
 structurally; its elements subclass RingElt and carry it as ``.ring``; sums
@@ -19,6 +19,12 @@ from fractions import Fraction
 class VerificationError(AssertionError):
     """An internal certificate failed: a computed result did not pass the
     independent check that guards it."""
+
+
+class FormDataError(ValueError):
+    """An eigenform file that does not parse or fails validation; forms
+    raises it, and the CLI reports it as a data error without loading
+    forms."""
 
 
 def factor(n: int):

@@ -17,7 +17,7 @@ from fractions import Fraction as F
 from . import normrel as nr
 from . import operators as ops
 from .arith import primes_upto
-from .cosets import (IwahoriCell, iwahori_index, iwahori_invariant,
+from .cosets import (_iwahori_table, iwahori_index, iwahori_invariant,
                      t_prime_square_identity)
 from .eisenstein import (EisensteinSpec, eisenstein_qexp, equivariant_gm,
                          hecke_T, p_depletion, two_param_eisenstein)
@@ -25,8 +25,9 @@ from .euler import (functional_symmetry_check, joint_coefficient_ring,
                     local_correction, rankin_euler_factor, weil_check)
 from .forms import (congruence_prime_scan, eta_oracle_level11, ingest,
                     load_bundled, p_stabilize, ratio_minpoly_and_root_of_unity)
-from .otsuki import otsuki_trace_check
-from .siegel import _dlog_mismatch, distribution_check, dlog_matches_weight_two
+from .otsuki import _OTSUKI_FAMILY_A, otsuki_trace_check
+from .siegel import (_dist_shapes, _dlog_mismatch, distribution_check,
+                     dlog_matches_weight_two)
 
 
 def _bool_entry(ok, witness=None):
@@ -127,12 +128,6 @@ def run_dlog(cfg):
     return _bool_entry(not failures, failures or {"precision": prec})
 
 
-def _dist_shapes(m):
-    """The matrices of the three distribution relations at m, by name."""
-    return {"dist1": ((m, 0), (0, 1)), "dist2": ((1, 0), (0, m)),
-            "dist3": ((m, 0), (0, m))}
-
-
 def run_distribution(cfg):
     prec = cfg.get("prec", 60)
     failures = {}
@@ -183,22 +178,6 @@ def run_hecke_square(cfg):
     return _bool_entry(not failures, failures or details)
 
 
-def _iwahori_table(p):
-    """(rows, misses): rows {j, diagonal, antidiagonal} give the Iwahori
-    indices of the two cells of exponent j = 0..3 at p, and misses the
-    (kind, j) whose index is not p^(2j), resp. p^(2j+1)."""
-    rows, misses = [], []
-    for j in range(4):
-        row = {"j": j}
-        for kind, tag, e in (("diagonal", "diag", 2 * j),
-                             ("antidiagonal", "anti", 2 * j + 1)):
-            row[kind] = iwahori_index(IwahoriCell(kind, j).representative(p), p)
-            if row[kind] != p ** e:
-                misses.append((tag, j))
-        rows.append(row)
-    return rows, misses
-
-
 def run_iwahori(cfg):
     failures = [(tag, p, j) for p in (2, 3, 5) for tag, j in _iwahori_table(p)[1]]
     cells = {iwahori_invariant(m, 3) for m in
@@ -231,11 +210,8 @@ def run_worked_example(cfg):
     return _bool_entry(ok, out)
 
 
-# the (F_v, G_v) family of the otsuki-check command, and a second family
-# with a fractional coefficient
-_OTSUKI_FAMILY_A = {2: ([F(1), F(-1)], [F(1), F(0), F(-1)]),
-                    3: ([F(1), F(-2)], [F(1), F(1)]),
-                    5: ([F(1), F(-1), F(2)], [F(1), F(3)])}
+# a second family, beside the otsuki-check command's, with a fractional
+# coefficient
 _OTSUKI_FAMILY_B = {2: ([F(1), F(2)], [F(1), F(-1)]),
                     3: ([F(1), F(1, 2)], [F(1), F(0), F(1)]),
                     5: ([F(1), F(-1)], [F(1), F(2)])}

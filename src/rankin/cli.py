@@ -4,6 +4,10 @@ with text or JSON reports.
 
 Exit status: 0 when every selected check passes, 2 on usage errors, 3 on
 data-file errors, 1 when some check fails.
+
+Each command handler imports the modules it uses, so a single check loads
+only its own part of the package; only verify-norm-relations and
+example-7-5 load the catalog.
 """
 
 from __future__ import annotations
@@ -13,15 +17,7 @@ import json
 import sys
 from fractions import Fraction as F
 
-from . import siegel
-from .catalog import (NORM_RELATION_IDS, _OTSUKI_FAMILY_A, _dist_shapes,
-                      _form_pair, _iwahori_table, run_catalog)
-from .cosets import check_square_identity_args, t_prime_square_identity
-from .eisenstein import EisensteinSpec, eisenstein_qexp
-from .euler import (check_good_prime, hecke_polynomial, rankin_euler_factor,
-                    weil_check)
-from .forms import FormDataError, hypothesis_report, ingest
-from .otsuki import otsuki_trace_check, trace_check_args
+from .arith import FormDataError
 
 
 class UsageError(Exception):
@@ -151,6 +147,7 @@ def _prec(args):
 
 
 def cmd_verify(args):
+    from .catalog import NORM_RELATION_IDS, _form_pair, run_catalog
     cfg = {"prec": _prec(args), "seed": args.seed, "data": args.data,
            "guard": args.guard}
     if args.identity:
@@ -171,6 +168,7 @@ def cmd_verify(args):
 
 
 def cmd_qexp(args):
+    from .eisenstein import EisensteinSpec, eisenstein_qexp
     prec = _prec(args)
     spec = _checked(EisensteinSpec, args.family, args.k, args.alpha, j=args.j)
     series = eisenstein_qexp(spec, prec)
@@ -179,22 +177,25 @@ def cmd_qexp(args):
 
 
 def cmd_dist(args):
+    from .siegel import _dist_shapes, distribution_args, distribution_check
     prec = _prec(args)
     shapes = _dist_shapes(args.m)
     selected = shapes if args.shape == "all" else {args.shape: shapes[args.shape]}
     if args.N < 1:
         raise UsageError(f"--N must be positive, got {args.N}")
     for M in selected.values():
-        _checked(siegel.distribution_args, 0, F(1, args.N), M, args.c)
+        _checked(distribution_args, 0, F(1, args.N), M, args.c)
     entries = []
     for name, M in sorted(selected.items()):
-        ok, wit = siegel.distribution_check(0, F(1, args.N), M, args.c, prec)
+        ok, wit = distribution_check(0, F(1, args.N), M, args.c, prec)
         entries.append(_entry(name, f"matrix {M}, parameter 1/{args.N}, "
                                     f"c = {args.c}", ok, None if ok else wit))
     return _emit({"schema": 1, "entries": entries}, args.json)
 
 
 def cmd_hecke(args):
+    from .cosets import (_iwahori_table, check_square_identity_args,
+                         t_prime_square_identity)
     _checked(check_square_identity_args, args.level, args.prime)
     rep = t_prime_square_identity(args.level, args.prime)
     table, misses = _iwahori_table(args.prime)
@@ -208,6 +209,9 @@ def cmd_hecke(args):
 
 
 def cmd_euler(args):
+    from .euler import (check_good_prime, hecke_polynomial,
+                        rankin_euler_factor, weil_check)
+    from .forms import ingest
     f, g = ingest(args.ffile), ingest(args.gfile)
     if args.prime > min(f.bound, g.bound):
         raise UsageError(f"--prime {args.prime} is beyond the coefficient "
@@ -229,6 +233,8 @@ def cmd_euler(args):
 
 
 def cmd_example(args):
+    from .catalog import _form_pair, run_catalog
+    from .forms import hypothesis_report
     cfg = {"data": args.data}
     f, g = _form_pair(cfg)  # a data error here, not a FAIL of the entry
     report = run_catalog(["worked-example"], cfg)
@@ -252,6 +258,7 @@ def cmd_example(args):
 
 
 def cmd_otsuki(args):
+    from .otsuki import _OTSUKI_FAMILY_A, otsuki_trace_check, trace_check_args
     _checked(trace_check_args, args.m, args.ell, _OTSUKI_FAMILY_A)
     ok, wit = otsuki_trace_check(args.m, args.ell, _OTSUKI_FAMILY_A)
     entry = _entry("otsuki-trace", f"weighted-trace identity at (m, ell) = "

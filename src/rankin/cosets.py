@@ -679,3 +679,19 @@ def iwahori_index(g, p: int, mutate: bool = False) -> int:
     if mutate:
         return p ** (r + s)
     return p ** (r + s - 1)
+
+
+def _iwahori_table(p):
+    """(rows, misses): rows {j, diagonal, antidiagonal} give the Iwahori
+    indices of the two cells of exponent j = 0..3 at p, and misses the
+    (kind, j) whose index is not p^(2j), resp. p^(2j+1)."""
+    rows, misses = [], []
+    for j in range(4):
+        row = {"j": j}
+        for kind, tag, e in (("diagonal", "diag", 2 * j),
+                             ("antidiagonal", "anti", 2 * j + 1)):
+            row[kind] = iwahori_index(IwahoriCell(kind, j).representative(p), p)
+            if row[kind] != p ** e:
+                misses.append((tag, j))
+        rows.append(row)
+    return rows, misses

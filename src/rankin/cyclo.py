@@ -213,6 +213,8 @@ class CycloElt(RingElt):
         return hash((self.ring.L, self.coeffs))
 
     def __add__(self, other):
+        if not isinstance(other, (CycloElt, int, Fraction)):
+            return NotImplemented
         other = self.ring.coerce(other)
         return CycloElt(self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 

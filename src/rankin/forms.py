@@ -10,13 +10,10 @@ import re
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .arith import RATIONALS, VerificationError, factor, primes_upto
+from .arith import (RATIONALS, FormDataError, VerificationError, factor,
+                    primes_upto)
 from .poly import QQ, _div, poly_derivative, poly_eval, power_rows
 from .quotring import QuotRing, QuotElt, join
-
-
-class FormDataError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,14 @@ def _unscaled(x, scales: dict):
                           for e, c in x.terms.items()})
 
 
+# the (F_v, G_v) family of the otsuki-check command
+_OTSUKI_FAMILY_A = {2: ([Fraction(1), Fraction(-1)],
+                        [Fraction(1), Fraction(0), Fraction(-1)]),
+                    3: ([Fraction(1), Fraction(-2)], [Fraction(1), Fraction(1)]),
+                    5: ([Fraction(1), Fraction(-1), Fraction(2)],
+                        [Fraction(1), Fraction(3)])}
+
+
 def trace_check_args(m: int, ell: int, families: dict):
     """The primes dividing m*ell, after checking that otsuki_trace_check
     supports its arguments; raises ValueError (TypeError for a coefficient

@@ -45,7 +45,9 @@ def _frac(x):
 
 def _div(a, b):
     """The coefficient a / b: a Fraction, or an int when it is integral (never
-    the float of int / int)."""
+    the float of int / int); an exact int quotient builds no Fraction."""
+    if a.__class__ is int and b.__class__ is int and b and not a % b:
+        return a // b
     q = Fraction(a, b)
     return q.numerator if q.denominator == 1 else q
 

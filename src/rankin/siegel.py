@@ -328,6 +328,12 @@ def _coefficient(field, prec, c, units, n):
     return num * CycloElt(field, tuple(bm)) / den
 
 
+def _dist_shapes(m):
+    """The matrices of the three distribution relations at m, by name."""
+    return {"dist1": ((m, 0), (0, 1)), "dist2": ((1, 0), (0, m)),
+            "dist3": ((m, 0), (0, m))}
+
+
 def distribution_args(alpha, beta, M, c: int, prec: int = 0):
     """(u, v, N, b) for M = diag(u, v) and beta = b/N in lowest terms, after
     checking that distribution_check supports its arguments; raises

@@ -23,8 +23,8 @@ def bench(tmp_path, monkeypatch):
     module = load_bench()
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 1,
-        "end_to_end": [{"name": "verdict_s", "better": "lower"},
-                       {"name": "pass_ratio", "better": "higher"}]}))
+        "end_to_end": [{"name": "verdict_s", "unit": "s", "better": "lower"},
+                       {"name": "pass_ratio", "unit": "ratio", "better": "higher"}]}))
     for tree, sources in (("parent", {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"}),
                           ("change", {"a.py": "x = 1\n", "notes.txt": "not\ncounted\n"}),
                           ("chg", {"a.py": "x = 1\n"})):
@@ -89,9 +89,34 @@ def test_verdict_medians_and_wins_are_printed_per_workload(bench, tmp_path, monk
     monkeypatch.setattr(bench, "run", run)
     main(bench, tmp_path)
     err = capsys.readouterr().err.splitlines()
-    lines = [line for line in err if "median" in line]
+    lines = [line for line in err if "verdict_s median" in line]
     assert lines == [f"{w} verdict_s median: parent 0.5000 s, change 0.4000 s; "
                      f"change better in 9 of 10 pairs" for w in bench.WORKLOADS]
+
+
+def test_every_end_to_end_metric_is_summarised_per_workload(bench, tmp_path, monkeypatch,
+                                                            capsys):
+    stub = stub_run()
+
+    def run(tree, workload, seed, seconds, trace):
+        # the change has the higher pass_ratio in the first pair only
+        result = stub(tree, workload, seed, seconds, trace)
+        if os.path.basename(tree) == "parent" and workload == "hecke":
+            run.parent_calls += 1
+            if run.parent_calls == 1:
+                result["metrics"]["pass_ratio"]["value"] = 0.9
+        return result
+
+    run.parent_calls = 0
+    monkeypatch.setattr(bench, "run", run)
+    main(bench, tmp_path)
+    err = capsys.readouterr().err.splitlines()
+    lines = [line for line in err if "median" in line]
+    assert lines == [line for w in bench.WORKLOADS for line in (
+        f"{w} verdict_s median: parent 0.5000 s, change 0.4000 s; "
+        f"change better in 10 of 10 pairs",
+        f"{w} pass_ratio median: parent 1.0000 ratio, change 1.0000 ratio; "
+        f"change better in {int(w == 'hecke')} of 10 pairs")]
 
 
 def test_moved_counters_are_written_and_printed(bench, tmp_path, monkeypatch, capsys):

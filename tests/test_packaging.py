@@ -2,13 +2,18 @@
 package, so installing it pulls in nothing unused and misses nothing; the
 package runs on the standard library alone; no check in the package is
 an assert statement, which python -O strips, and a failed one raises
-VerificationError, not AssertionError; no function imports a sibling
-module lazily; and every ring element class derives its operators from the
-one protocol base, arith.RingElt; importing the package loads no
-code-generation machinery (dataclasses, inspect, ast, dis, tokenize), and the
-hand-written classes that replaced dataclasses keep their equality, hash,
-repr, checks and fresh default lists; and every coefficient ring of the
-package rejects floats and strings."""
+VerificationError, not AssertionError; only the CLI's command handlers
+import a sibling module inside a function; and every ring element class
+derives its operators from the one protocol base, arith.RingElt.
+
+Each entry point loads only what it uses: a bare `import rankin` loads no
+module of the package, each public name loads its defining module on first
+access, and the single-check commands never load the catalog; the package
+with every module loaded still loads no code-generation machinery
+(dataclasses, inspect, ast, dis, tokenize), and the hand-written classes
+that replaced dataclasses keep their equality, hash, repr, checks and fresh
+default lists; and every coefficient ring of the package rejects floats and
+strings."""
 
 import ast
 import functools
@@ -83,15 +88,42 @@ def test_failed_checks_raise_verification_error():
     assert found == []
 
 
+def _function_level_sibling_imports(trees):
+    """file:line of each relative import inside a function, except in the
+    top-level cmd_* handlers of cli.py."""
+    found = []
+    for path, tree in trees:
+        handlers = set()
+        if path.name == "cli.py":
+            handlers = {node for node in tree.body if isinstance(node, ast.FunctionDef)
+                        and node.name.startswith("cmd_")}
+        found += [f"{path.name}:{node.lineno}" for func in ast.walk(tree)
+                  if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and func not in handlers
+                  for node in ast.walk(func)
+                  if isinstance(node, ast.ImportFrom) and node.level > 0]
+    return found
+
+
 def test_no_relative_imports_inside_functions():
-    # rankin/__init__ imports every module, so a lazy import of a sibling
-    # buys nothing; stdlib lazy imports stay allowed
-    found = [f"{path.name}:{node.lineno}" for path, tree in _package_trees()
-             for func in ast.walk(tree)
-             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-             for node in ast.walk(func)
-             if isinstance(node, ast.ImportFrom) and node.level > 0]
-    assert found == []
+    # a sibling imported inside a function would compile, the first time a
+    # check calls it, inside that check's timing; the CLI's command handlers
+    # are the one exception, so that each command loads only what it uses.
+    # Stdlib lazy imports stay allowed
+    assert _function_level_sibling_imports(_package_trees()) == []
+
+
+@pytest.mark.parametrize("name, source, found", [
+    ("catalog.py", "def run(cfg):\n    from .siegel import distribution_check\n", 1),
+    ("cli.py", "def _emit(report):\n    from .forms import ingest\n", 1),
+    ("cli.py", "def cmd_x(args):\n    def inner():\n        from . import forms\n", 1),
+    ("cli.py", "class C:\n    def cmd_x(self):\n        from . import forms\n", 1),
+    ("cli.py", "def cmd_x(args):\n    from .forms import ingest\n    import json\n", 0),
+    ("siegel.py", "def f():\n    from importlib.resources import files\n", 0),
+])
+def test_sibling_import_guard_can_fail(name, source, found):
+    trees = [(Path(name), ast.parse(source))]
+    assert len(_function_level_sibling_imports(trees)) == found
 
 
 def test_ring_element_classes_derive_from_ring_elt():
@@ -151,18 +183,97 @@ def test_report_survives_python_O(tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
-def test_import_loads_no_code_generation_modules():
-    # dataclasses imports inspect, ast, dis and tokenize, and each decorated
-    # class execs generated code; the package writes its classes by hand
-    code = ("import sys; before = set(sys.modules); import rankin; "
-            "print(' '.join(sorted(set(sys.modules) - before)))")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=120, cwd=ROOT,
+MODULES = {f"rankin.{path.stem}" for path in (ROOT / "src" / "rankin").glob("*.py")
+           if path.stem != "__init__"}
+
+
+def _loaded(code):
+    """The modules that ``code`` loads in a fresh interpreter."""
+    script = (f"import sys\nbefore = set(sys.modules)\n{code}\n"
+              "print(' '.join(sorted(set(sys.modules) - before)))")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=300, cwd=ROOT,
                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert run.returncode == 0, run.stderr
-    added = set(run.stdout.split())
-    assert "rankin.forms" in added
+    return set(run.stdout.splitlines()[-1].split())
+
+
+def _package_modules(loaded):
+    return {name for name in loaded if name.startswith("rankin.")}
+
+
+def test_import_loads_no_code_generation_modules():
+    # dataclasses imports inspect, ast, dis and tokenize, and each decorated
+    # class execs generated code; the package writes its classes by hand.
+    # The CLI and the catalog between them load every module, so none is
+    # left out of the check
+    added = _loaded("import rankin.cli, rankin.catalog")
+    assert MODULES <= added
     assert added & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+
+
+def test_bare_import_loads_no_module():
+    assert _package_modules(_loaded("import rankin")) == set()
+
+
+def test_loading_a_form_loads_its_modules_only():
+    added = _loaded("import rankin\nrankin.load_bundled('f11.eigenform')")
+    assert _package_modules(added) == {"rankin.arith", "rankin.poly", "rankin.quotring",
+                                       "rankin.forms", "rankin.data"}
+
+
+_CLI = "from rankin.cli import main\nassert main({argv!r}) == 0"
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["hecke-check", "--level", "5", "--prime", "2"],
+     {"catalog", "euler", "siegel", "eisenstein", "otsuki"}),
+    (["qexp", "--k", "2", "--alpha", "1/5", "--prec", "5"], {"catalog"}),
+    (["dist-check", "--m", "2", "--N", "5", "--c", "7", "--prec", "10"], {"catalog"}),
+    (["euler-factor", "--f", "src/rankin/data/f11.eigenform",
+      "--g", "src/rankin/data/g26.eigenform", "--prime", "3"], {"catalog"}),
+    (["otsuki-check"], {"catalog"}),
+])
+def test_single_check_commands_skip_the_catalog(argv, absent):
+    added = _package_modules(_loaded(_CLI.format(argv=argv)))
+    assert "rankin.cli" in added
+    assert added & {f"rankin.{name}" for name in absent} == set()
+
+
+def test_catalog_command_loads_every_module():
+    added = _loaded(_CLI.format(argv=["verify-norm-relations"]))
+    assert MODULES <= added
+
+
+def test_every_export_is_its_defining_modules_object():
+    assert len(rankin.__all__) == 57
+    for module, names in rankin._EXPORTS.items():
+        defining = importlib.import_module(f"rankin.{module}")
+        for name in names:
+            assert getattr(rankin, name) is getattr(defining, name), name
+    assert sorted(rankin._MODULE_OF) == rankin.__all__
+
+
+def test_submodules_resolve_after_a_bare_import():
+    added = _loaded("import rankin\nassert rankin.eisenstein.EisensteinSpec is "
+                    "rankin.EisensteinSpec\nassert rankin.zeta.__name__ == 'rankin.zeta'")
+    assert {"rankin.eisenstein", "rankin.zeta"} <= added
+
+
+def test_star_import_and_dir_cover_every_export():
+    namespace = {}
+    exec("from rankin import *", namespace)
+    assert set(rankin.__all__) <= set(namespace) and len(rankin.__all__) == 57
+    assert set(rankin.__all__) <= set(dir(rankin))
+    assert "__version__" in dir(rankin)
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "nosuchmodule", "a.b", "_EXPORT"])
+def test_unknown_names_raise_attribute_error(name):
+    message = f"module 'rankin' has no attribute '{name}'"
+    with pytest.raises(AttributeError, match=f"^{re.escape(message)}$"):
+        getattr(rankin, name)
+    assert not hasattr(rankin, name)
 
 
 def test_eisenstein_spec_normalizes_validates_and_compares_by_value():

@@ -133,6 +133,20 @@ def test_scalars_add_subtract_and_divide(ring, scalars):
                 op(bad)
 
 
+def test_cyclotomic_scalar_on_either_side_of_a_series():
+    # CycloElt defers to the series for an operand it does not know, so the
+    # scalar may stand on the left; a float is still refused on both sides
+    K5 = CyclotomicField(5)
+    z = K5.zeta()
+    s = QSeries(K5, 0, [K5.coerce(c) for c in (2, 0, -1, F(3, 4))])
+    assert z + s == s + z and (z + s).ring is K5
+    assert z - s == -s + z == -(s - z)
+    assert z - (s + z) == -s
+    for op in (lambda: z + 0.5, lambda: 0.5 + z, lambda: z - 0.5):
+        with pytest.raises(TypeError):
+            op()
+
+
 # -- packed paths over Q(zeta_L) against the schoolbook and recurrence oracles
 
 CONDUCTORS = (1, 2, 3, 4, 5, 12, 35)

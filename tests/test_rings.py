@@ -1169,6 +1169,35 @@ def test_dense_helpers_keep_int_lists_int(p, q, x):
         assert got == want and all(type(c) is int for c in got)
 
 
+_coefficients = st.one_of(st.integers(-60, 60),
+                          st.fractions(min_value=-9, max_value=9, max_denominator=6))
+
+
+@given(_coefficients, _coefficients.filter(bool))
+@example(0, -3)
+@example(12, -4)
+@example(-12, 1)
+@example(7, -1)
+@example(7, 2)
+@example(F(6), 3)
+@example(6, F(3, 2))
+@settings(max_examples=200, deadline=None)
+def test_coefficient_division_is_the_normalized_fraction(a, b):
+    want = F(a, b)
+    got = poly_module._div(a, b)
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else F)
+
+
+def test_exact_int_quotients_build_no_fraction():
+    with mock.patch.object(poly_module, "Fraction", side_effect=AssertionError):
+        assert [poly_module._div(a, b) for a, b in ((12, -4), (0, 7), (-9, 1), (5, -1))] \
+            == [-3, 0, -9, -5]
+    for a in (0, 3, F(1, 2)):
+        with pytest.raises(ZeroDivisionError):
+            poly_module._div(a, 0)
+
+
 @given(st.lists(st.integers(-4, 4), max_size=5), st.integers(0, 30))
 @settings(max_examples=60, deadline=None)
 def test_power_rows_are_the_division_remainders(low, n):

@@ -19,8 +19,8 @@ whose value differs between the trees, as [parent, change] (None where a
 tree has no such counter), which is also printed on standard error; and, per
 end-to-end metric, the pairs in which the change did better than the parent
 (ties count for neither), in the direction BENCHMARK.json gives.  After each
-workload one line on standard error gives the median verdict_s of both trees
-and the pairs the change won.
+workload one line per end-to-end metric on standard error gives its median in
+both trees and the pairs the change won.
 
 Paths of different lengths are a usage error (exit code 2, no file
 written), since peak_rss_mb moves with that length; so is a tree with no git
@@ -85,7 +85,7 @@ def summary(values: list) -> dict:
 
 
 def bench_workload(trees: dict, workload: str, seed: int, seconds: float,
-                   better: dict) -> dict:
+                   better: dict, units: dict) -> dict:
     runs = {name: [] for name in trees}
     for i in range(PAIRS):
         for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
@@ -117,10 +117,10 @@ def bench_workload(trees: dict, workload: str, seed: int, seconds: float,
                           if (y[m] - x[m]) * sign[direction] > 0)
                    for m, direction in better.items()}
     out["pairs"] = PAIRS
-    parent, change = (out[name]["summary"]["verdict_s"]["median"]
-                      for name in ("parent", "change"))
-    print(f"{workload} verdict_s median: parent {parent:.4f} s, change {change:.4f} s; "
-          f"change better in {out['wins']['verdict_s']} of {PAIRS} pairs", file=sys.stderr)
+    for m, unit in units.items():
+        parent, change = (out[name]["summary"][m]["median"] for name in ("parent", "change"))
+        print(f"{workload} {m} median: parent {parent:.4f} {unit}, change {change:.4f} "
+              f"{unit}; change better in {out['wins'][m]} of {PAIRS} pairs", file=sys.stderr)
     return out
 
 
@@ -160,13 +160,14 @@ def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    units = {m["name"]: m["unit"] for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
 
     report = {"label": args.label, "python": platform.python_version(),
               "cpus": os.cpu_count(), "seed": args.seed, "seconds": seconds,
               "trees": {name: {"revision": revisions[name], "src_lines": src_lines(path)}
                         for name, path in trees.items()},
-              "workloads": {w: bench_workload(trees, w, args.seed, seconds, better)
+              "workloads": {w: bench_workload(trees, w, args.seed, seconds, better, units)
                             for w in WORKLOADS}}
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:
