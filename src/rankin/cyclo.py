@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 
 from .arith import RingElt, euler_phi
@@ -56,7 +57,9 @@ def _slot_offset(count: int, wb: int) -> int:
                           "little")
 
 
-CONDUCTOR_BOUND = 10 ** 6  # most entries L * phi(L) of a field's power table
+# most entries L * phi(L) of a field's dense power table; its image table holds
+# the nonzero ones of these, as index and value tuples
+CONDUCTOR_BOUND = 10 ** 6
 
 
 def check_conductor(L: int):
@@ -89,11 +92,12 @@ class CyclotomicField:
         self.L = L
         self.modulus = cyclotomic_polynomial(L)
         self.phi = len(self.modulus) - 1
-        # x^k mod Phi_L for 0 <= k < L as int vectors of length phi.  The
-        # reduction rows for products, 0 <= k <= 2 phi - 2, follow from
-        # x^L = 1 mod Phi_L
+        # x^k mod Phi_L (0 <= k < L) as int vectors of length phi, and the image
+        # table of their nonzero coordinates; reductions read row k mod L
         self._powers = power_rows(self.modulus, L)
-        self._redrows = [self._powers[k % L] for k in range(2 * self.phi - 1)]
+        ints = list(range(self.phi))
+        self._images = [(tuple(compress(ints, row)), tuple(filter(None, row)))
+                        for row in self._powers]
         self._ready = True
 
     def __repr__(self):
@@ -130,13 +134,13 @@ class CyclotomicField:
         return CycloElt(self, tuple(self.reduce_powers(row)))
 
     def reduce_powers(self, row) -> list:
-        """The coordinate vector of sum_j row[j] zeta^j (0 <= j < L)."""
-        out = [0] * self.phi
-        for x, power in zip(row, self._powers):
+        """The coordinates of sum_j row[j] zeta^j, row of length L (j < phi: as given)."""
+        phi = self.phi
+        out = [x or 0 for x in row[:phi]]
+        for x, (index, value) in zip(row[phi:], self._images[phi:]):
             if x:
-                for i, r in enumerate(power):
-                    if r:
-                        out[i] += x * r
+                for i, r in zip(index, value):
+                    out[i] += x * r
         return out
 
     def rows(self, elts):
@@ -176,15 +180,13 @@ class CyclotomicField:
         x = pack_slots([c for r in a for c in r + gap], wb)
         y = x if square else pack_slots([c for r in b for c in r + gap], wb)
         slots = unpack_slots(x * y, n * stride, wb)
-        reducers = [(k, [(j, r) for j, r in enumerate(self._redrows[k]) if r])
-                    for k in range(phi, stride)]
+        L, images = self.L, self._images
         out = []
         for i in range(0, n * stride, stride):
             row = slots[i:i + phi]
-            for k, red in reducers:
-                c = slots[i + k]
+            for k, c in enumerate(slots[i + phi:i + stride], phi):
                 if c:
-                    for j, r in red:
+                    for j, r in zip(*images[k % L]):
                         row[j] += c * r
             out.append(row)
         return out
@@ -239,15 +241,11 @@ class CycloElt(RingElt):
                     if b:
                         conv[i + j] += a * b
         out = conv[:phi]
-        rows = self.ring._redrows
-        for k in range(phi, 2 * phi - 1):
-            c = conv[k]
+        L, images = self.ring.L, self.ring._images
+        for k, c in enumerate(conv[phi:], phi):
             if c:
-                row = rows[k]
-                for i in range(phi):
-                    r = row[i]
-                    if r:
-                        out[i] += c * r
+                for i, r in zip(*images[k % L]):
+                    out[i] += c * r
         return CycloElt(self.ring, tuple(out))
 
     __rmul__ = __mul__

@@ -83,12 +83,13 @@ def _divisor_rows(N: int, a: int, sign: int, wd: int, wq: int, prec: int,
     rows = [[0] * N for _ in range(prec + 1)]
     for d in range(1, prec + 1):
         dw, i, j = num(d) ** wd, a * d % N, -a * d % N
-        for m, mw in enumerate(mpow[:prec // d], 1):
+        # rows[d::d] are the rows of d m, m = 1 .. prec // d
+        for row, mw in zip(rows[d::d], mpow):
             w = dw * mw
-            row = rows[d * m]
             row[i] += w
             row[j] += sign * w
-            row[0] += shift * w
+            if shift:
+                row[0] += shift * w
     return rows
 
 

@@ -218,14 +218,13 @@ class CycloCover:
 def project_to_field(cover: CycloCover, vec):
     """Q(zeta_M) power-basis coordinates of a cover vector, by
     e_k -> zeta_M^k."""
-    powers = CyclotomicField(cover.M)._powers
+    field = CyclotomicField(cover.M)
     nums, den = vec
-    out = [cover.ring.zero()] * len(powers[0])
-    for k, x in enumerate(nums):
+    out = [cover.ring.zero()] * field.phi
+    for x, (index, value) in zip(nums, field._images):
         if x:
-            for i, c in enumerate(powers[k]):
-                if c:
-                    out[i] = out[i] + x * c
+            for i, c in zip(index, value):
+                out[i] = out[i] + x * c
     return out, den
 
 

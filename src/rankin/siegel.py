@@ -117,19 +117,18 @@ def _binomial_product(field: CyclotomicField, factors, n: int) -> list:
     powers of zeta, each reducing to a vector with entries of absolute value
     at most C; so no coordinate exceeds C * max P_i.
     """
-    L, phi, powers = field.L, field.phi, field._powers
+    L, phi, images = field.L, field.phi, field._images
     count = [1] + [0] * (n - 1)
     for _, e in factors:
         count[e:] = map(add, count[e:], count[:n - e])
-    wb = slot_bytes(max(abs(x) for row in powers for x in row) * max(count))
+    wb = slot_bytes(max(abs(v) for _, value in images for v in value) * max(count))
     width = 8 * wb
-    images = [[(k, v) for k, v in enumerate(row) if v] for row in powers]
     S = [1] + [0] * (phi - 1)
     for c, e in factors:
         T = [0] * phi
         for j, s in enumerate(S):
             if s:
-                for k, v in images[(j + c) % L]:
+                for k, v in zip(*images[(j + c) % L]):
                     T[k] += v * s
         for k, t in enumerate(T):
             if t:
@@ -209,11 +208,13 @@ def _dlog_mismatch(alpha, prec, sign=1):
 
 def _add_theta(rows, factors, w, L):
     """Add w * theta to rows (one row of L ints per power of q); theta = -sum
-    e zeta^(bk) q^(ek), k >= 1, is dlog of prod (1 - zeta^b q^e) over factors."""
+    e zeta^(bk) q^(ek), k >= 1, is dlog of prod (1 - zeta^b q^e) over factors,
+    walked over the rows of the multiples of e with j = bk mod L a running sum."""
     for b, e in factors:
-        x = w * e
-        for k, i in enumerate(range(e, len(rows), e), 1):
-            rows[i][b * k % L] -= x
+        x, j = w * e, 0
+        for row in rows[e::e]:
+            j = (j + b) % L
+            row[j] -= x
 
 
 _SUPPORTED_SHAPES = "diagonal matrices diag(u, v) with positive integer entries (including scalars)"

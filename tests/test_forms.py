@@ -117,6 +117,18 @@ class TestIngestion:
         assert serialize_eigenform(again) == text
 
 
+class TestCharacterClosure:
+    @pytest.mark.parametrize("modulus,gen_values,message", [
+        (13, {2: F(1, 2)}, "not multiplicative at 1"),
+        (13, {2: F(-1), 4: F(-1)}, "not multiplicative at 4"),
+        (15, {2: F(-1)}, "do not generate the unit group"),
+        (8, {3: F(-1)}, "do not generate the unit group")])
+    def test_error_texts(self, modulus, gen_values, message):
+        # the first conflict of the closure names the unit where it appears
+        with pytest.raises(FormDataError, match=message):
+            DirichletChar(modulus, gen_values)
+
+
 # values the former token scan read as something else: t*3, t3 and tt as t,
 # --1 as -1, 1.5 as 3/2
 MALFORMED = ["t*3", "t3", "tt", "--1", "3*", "t^", "^2", "1+", "+", "1.5", "2/0",

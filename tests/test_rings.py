@@ -132,12 +132,21 @@ class TestCyclotomic:
         assert abs(x.to_complex() - y.to_complex()) < 1e-10
 
     def test_reduction_rows_are_remainders(self):
-        # oracle: x^k mod Phi_L by polynomial division
+        # oracle: x^k mod Phi_L by polynomial division, for every exponent a
+        # product reduces (k <= 2 phi - 2) and every row of the image table
+        # (k < L), read through the table at k mod L
         for L in range(1, 41):
             K = CyclotomicField(L)
-            for k in range(2 * K.phi - 1):
+            assert len(K._images) == L
+            for k in range(max(L, 2 * K.phi - 1)):
                 _, r = poly_divmod([F(0)] * k + [F(1)], cyclotomic_polynomial(L))
-                assert K._redrows[k] == tuple(r) + (0,) * (K.phi - len(r)), (L, k)
+                index, value = K._images[k % L]
+                dense = [0] * K.phi
+                for i, v in zip(index, value):
+                    dense[i] = v
+                assert tuple(dense) == tuple(r) + (0,) * (K.phi - len(r)), (L, k)
+                assert list(index) == sorted(set(index)), (L, k)
+                assert all(type(v) is int and v for v in value), (L, k)
 
     def test_power_rows_are_remainders(self):
         # oracle: x^k mod Phi_L by polynomial division, each row the
