@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankin import siegel
-from rankin.cyclo import CycloElt, CyclotomicField, pack_slots, slot_bytes, unpack_slots
-from rankin.cyclo import truncate_slots
+from rankin.cyclo import (CycloElt, CyclotomicField, pack_slots, slot_bytes, truncate_slots,
+                          unpack_slots)
 from rankin.eisenstein import _divisor_rows
 from rankin.otsuki import CycloCover, project_to_field
 from rankin.poly import PolyRing
