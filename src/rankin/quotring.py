@@ -91,7 +91,7 @@ class QuotRing:
         return QuotElt(self, self.poly_ring.const(x))
 
     def gen(self, name):
-        return QuotElt(self, self.poly_ring.var(name))
+        return self.from_poly(self.poly_ring.var(name))
 
     def from_poly(self, p: MPoly):
         return QuotElt(self, self._reduce(p))

@@ -30,7 +30,8 @@ exponents over one int denominator.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import repeat
+from math import gcd, prod
 from operator import add
 
 from .cyclo import (CycloElt, CyclotomicField, check_conductor, slot_bytes, truncate_slots,
@@ -201,16 +202,17 @@ def _dlog_mismatch(alpha, prec, sign=1):
     field, c0, rows = eisenstein_rows(EisensteinSpec("F", 2, alpha), prec)
     if sign < 0:
         c0, rows = -c0, [[-x for x in r] for r in rows]
-    _add_theta(rows, factors, 1, field.L)
+    _add_theta(rows, zip(factors, repeat(1)), field.L)
     return 0 if lead + c0 else next((n for n in range(1, prec + 1) if any(rows[n])
                                      and any(field.reduce_powers(rows[n]))), None)
 
 
-def _add_theta(rows, factors, w, L):
-    """Add w * theta to rows (one row of L ints per power of q); theta = -sum
-    e zeta^(bk) q^(ek), k >= 1, is dlog of prod (1 - zeta^b q^e) over factors,
-    walked over the rows of the multiples of e with j = bk mod L a running sum."""
-    for b, e in factors:
+def _add_theta(rows, pairs, L):
+    """Add theta to rows (one row of L ints per power of q); theta = -sum w e
+    zeta^(bk) q^(ek), k >= 1, is dlog of prod (1 - zeta^b q^e)^w over the
+    pairs ((b, e), w), walked over the rows of the multiples of e with j = bk
+    mod L a running sum."""
+    for (b, e), w in pairs:
         x, j = w * e, 0
         for row in rows[e::e]:
             j = (j + b) % L
@@ -232,10 +234,11 @@ def distribution_check(alpha, beta, M, c: int, prec: int = 60):
     (v alpha', u beta') = (alpha, beta).  Only alpha = 0 is supported (the
     q-model of the units at the zero cusp).  Returns (bool, witness).
 
-    _first_mismatch decides from the leading exponents, constants and
-    logarithmic derivatives, with no series built.  At a mismatch the
-    witness names it; at a coefficient, _coefficient gives each side's
-    coefficient there from that side's own rows.
+    _first_mismatch decides from the leading exponents and one table of
+    the net exponents of the constants and binomials, with no series built.
+    At a mismatch the witness names it; at a coefficient, _coefficient gives
+    each side's coefficient there from that side's own table, or the text
+    saying that it is not integral.
     """
     u, v, N, bnum = distribution_args(alpha, beta, M, c, prec)
     field = CyclotomicField(u * N)
@@ -247,30 +250,40 @@ def distribution_check(alpha, beta, M, c: int, prec: int = 60):
     if index == "leading exponent":
         witness["mismatch"] = index
     elif index is not None:
-        witness["mismatch"] = {"index": index,
-                               "lhs": str(_coefficient(field, prec, c, lhs, index)),
-                               "rhs": str(_coefficient(field, prec, c, rhs, index))}
+        witness["mismatch"] = mismatch = {"index": index}
+        for side, units in (("lhs", lhs), ("rhs", rhs)):
+            try:
+                mismatch[side] = str(_coefficient(field, prec, c, units, index))
+            except ArithmeticError as e:    # the side's coefficient is not integral
+                mismatch[side] = str(e)
     return index is None, witness
 
 
-def _side(field, prec, c, units, rows, sign):
-    """Add sign * theta of the product of the c-modified units, each given
-    as (alpha, beta, scale), to rows; returns (lead, num, den), its leading
-    exponent and its constant num / den.  theta of (1 - zeta^b q^e)^w is
-    -w e sum_(k>=1) zeta^(bk) q^(ek).  The leading exponent is summed as an
-    int numerator over an int denominator, one Fraction in all."""
-    n, d, consts = 0, 1, [field.one(), field.one()]
+def _side(field, prec, c, units, net, consts, sign):
+    """Add sign * w to net[(b, e)] for each binomial (1 - zeta^b q^e)^w, and
+    to consts[a0] for each constant a0^w with a0 != 1, of the product of the
+    c-modified units, each given as (alpha, beta, scale); returns its leading
+    exponent, summed as an int numerator over an int denominator."""
+    n, d = 0, 1
     for alpha, beta, scale in units:
         for w, (unit_lead, a0, factors) in modified_unit_factors(
                 alpha, beta, field, prec, scale, c):
             wn, wd = _num_den(w)
             ln, ld = _num_den(unit_lead)
             n, d = n * wd * ld + wn * ln * d, d * wd * ld
+            w *= sign
             if a0 != 1:
-                # a0^w with w in {c^2, -1}: a negative power goes to den
-                consts[w < 0] = consts[w < 0] * a0 ** abs(w)
-            _add_theta(rows, factors, sign * w, field.L)
-    return QQ(n, d), consts[0], consts[1]
+                consts[a0] = consts.get(a0, 0) + w
+            for f in factors:
+                net[f] = net.get(f, 0) + w
+    return QQ(n, d)
+
+
+def _constants(field, consts):
+    """(num, den): prod a0^w over the entries a0: w of consts with w > 0,
+    and prod a0^-w over those with w < 0."""
+    return [prod((a0 ** (s * w) for a0, w in consts.items() if s * w > 0), start=field.one())
+            for s in (1, -1)]
 
 
 def _first_mismatch(field, prec, c, lhs, rhs):
@@ -280,22 +293,25 @@ def _first_mismatch(field, prec, c, lhs, rhs):
     leading exponents differ, else the first n at which the coefficients of
     q^(lead + n) differ.
 
-    Over Q, n a_n = sum_(k=1..n) theta_k a_(n-k) for f = a_0 + a_1 q + ...
-    and theta = q d/dq log f.  So, with equal a_0, a_n is the first
-    coefficient to differ exactly when theta_n is the first to differ;
-    theta is summed left minus right into one row of L integers per power
-    of q.
+    The sides are netted, lhs minus rhs, into one table (_side).  Each a0 =
+    1 - zeta^b is nonzero, so the constants agree exactly when num = den
+    (_constants).  Over Q, n a_n = sum_(k=1..n) theta_k a_(n-k) for f = a_0
+    + a_1 q + ... and theta = q d/dq log f.  So, with equal a_0, a_n is the
+    first coefficient to differ exactly when theta_n is; theta is additive,
+    so each nonzero net exponent is sieved once into rows of L integers.
     """
-    rows = [[0] * field.L for _ in range(prec + 1)]
-    lead_lhs, num_lhs, den_lhs = _side(field, prec, c, lhs, rows, 1)
-    lead_rhs, num_rhs, den_rhs = _side(field, prec, c, rhs, rows, -1)
+    net, consts = {}, {}
+    lead_lhs = _side(field, prec, c, lhs, net, consts, 1)
+    lead_rhs = _side(field, prec, c, rhs, net, consts, -1)
     if lead_lhs != lead_rhs:
-        index = "leading exponent"
-    elif num_lhs * den_rhs != num_rhs * den_lhs:
-        index = 0
-    else:
-        index = next((i for i in range(1, prec + 1)
-                      if any(rows[i]) and any(field.reduce_powers(rows[i]))), None)
+        return "leading exponent", lead_lhs, lead_rhs
+    num, den = _constants(field, consts)
+    if num != den:
+        return 0, lead_lhs, lead_rhs
+    rows = [[0] * field.L for _ in range(prec + 1)]
+    _add_theta(rows, ((f, w) for f, w in net.items() if w), field.L)
+    index = next((i for i in range(1, prec + 1)
+                  if any(rows[i]) and any(field.reduce_powers(rows[i]))), None)
     return index, lead_lhs, lead_rhs
 
 
@@ -305,12 +321,15 @@ def _coefficient(field, prec, c, units, n):
 
     With its constant num / den divided out, the product is b = 1 + b_1 q +
     ... over Z[zeta], and m b_m = sum_(k=1..m) theta_k b_(m-k) for its
-    logarithmic derivative theta.  Each b_m is kept in the integral basis
-    1, zeta, .., zeta^(phi-1), so every step divides exactly by m.
+    logarithmic derivative theta, sieved from the product's table (_side).
+    Each b_m is kept in the integral basis 1, zeta, .., zeta^(phi-1), so
+    every step divides exactly by m, or raises ArithmeticError.
     """
-    L = field.L
+    L, net, consts = field.L, {}, {}
+    _side(field, prec, c, units, net, consts, 1)
     rows = [[0] * L for _ in range(n + 1)]
-    _, num, den = _side(field, prec, c, units, rows, 1)
+    _add_theta(rows, ((f, w) for f, w in net.items() if w), L)
+    num, den = _constants(field, consts)
     theta = [[(j, t) for j, t in enumerate(r) if t] for r in rows]
     bm = [1] + [0] * (field.phi - 1)
     b = [[(0, 1)]]  # the nonzero coordinates (i, x) of each b_m

@@ -6,6 +6,7 @@ vectors, with the same types (ints stay ints).
 """
 
 import random
+import re
 from fractions import Fraction as F
 
 from hypothesis import example, given, settings
@@ -17,7 +18,7 @@ from rankin.cyclo import (CycloElt, CyclotomicField, pack_slots, slot_bytes, tru
 from rankin.eisenstein import _divisor_rows
 from rankin.otsuki import CycloCover, project_to_field
 from rankin.poly import PolyRing
-from rankin.siegel import (_add_theta, _binomial_product, distribution_check,
+from rankin.siegel import (_add_theta, _binomial_product, _dist_shapes, distribution_check,
                            dlog_matches_weight_two, unit_factors)
 
 
@@ -252,7 +253,7 @@ class TestSieves:
         field, prec, factors = unit
         got = [[0] * field.L for _ in range(prec + 1)]
         want = [[0] * field.L for _ in range(prec + 1)]
-        _add_theta(got, factors, w, field.L)
+        _add_theta(got, [(f, w) for f in factors], field.L)
         add_theta_dense(want, factors, w, field.L)
         assert got == want
         assert all(type(c) is int for r in got for c in r)
@@ -267,7 +268,7 @@ class TestSieves:
         # exponents b outside [0, L) and multiplicities e past the last row
         got = [[0] * L for _ in range(prec + 1)]
         want = [[0] * L for _ in range(prec + 1)]
-        _add_theta(got, factors, w, L)
+        _add_theta(got, [(f, w) for f in factors], L)
         add_theta_dense(want, factors, w, L)
         assert got == want
 
@@ -295,9 +296,9 @@ class TestSieves:
 
 # -- a sieve that drops a multiple must fail the checks --------------------------
 
-def add_theta_without_last_multiple(rows, factors, w, L):
+def add_theta_without_last_multiple(rows, pairs, L):
     """_add_theta with the last multiple of each e dropped."""
-    for b, e in factors:
+    for (b, e), w in pairs:
         x, j = w * e, 0
         for row in rows[e::e][:-1]:
             j = (j + b) % L
@@ -323,3 +324,25 @@ class TestSieveMutant:
         mismatch = witness["mismatch"]
         assert type(mismatch["index"]) is int and 1 <= mismatch["index"] <= 30
         assert mismatch["lhs"] != mismatch["rhs"]
+
+    def test_witness_of_a_non_integral_side(self, monkeypatch):
+        # the mutant's theta need not be the dlog of a series over Z[zeta]:
+        # the witness names the index, and each side whose coefficient is
+        # not integral says so, in place of a coefficient
+        monkeypatch.setattr(siegel, "_add_theta", add_theta_without_last_multiple)
+        grid = [(N, M, c, prec) for N in (3, 4, 5) for m in (2, 3)
+                for M in _dist_shapes(m).values() for c in (5, 7) if c != N
+                for prec in (10, 20, 30, 60)]
+        failed = not_integral = 0
+        for N, M, c, prec in grid:
+            ok, witness = distribution_check(0, F(1, N), M, c, prec)
+            if not ok:
+                failed += 1
+                mismatch = witness["mismatch"]
+                assert type(mismatch["index"]) is int and 1 <= mismatch["index"] <= prec
+                for side in ("lhs", "rhs"):
+                    if "integral" in mismatch[side]:
+                        assert re.fullmatch(r"coefficient \d+ of a Siegel product is "
+                                            r"not integral", mismatch[side])
+                        not_integral += 1
+        assert len(grid) == 120 and failed >= 40 and not_integral > 0

@@ -13,6 +13,7 @@ from conftest import poly_gcd, solve
 from rankin.arith import VerificationError, crt, euler_phi, factor, power
 import rankin.cyclo
 from rankin.cyclo import CyclotomicField, check_conductor
+from rankin.eisenstein import _GmRing
 from rankin.forms import load_bundled
 from rankin.groupring import RATIONALS, GroupRing, augment_mod
 from rankin import poly as poly_module
@@ -212,6 +213,19 @@ class TestQuotRing:
         assert R != QuotRing([("x", 2, [F(2), F(1)])])
         assert R != QuotRing([("y", 2, [F(1), F(1)])])
         assert join(R, R)[0] == join(S, S)[0]
+
+    def test_degree_one_generator_is_reduced(self):
+        # t = 5: the generator is its relation's right-hand side, not t
+        R = QuotRing([("t", 1, [5])])
+        t = R.gen("t")
+        assert t == 5 and not t - 5
+        assert t.rep == R.from_poly(R.poly_ring.var("t")).rep
+
+    def test_degree_one_root_of_unity(self):
+        # Phi_2 = x + 1 has degree 1, so zeta_2 = -1 in the group ring's base
+        ring = _GmRing(2, load_bundled("f11.eigenform").ring)
+        assert ring.base_zeta(1) == -1
+        assert ring.base_zeta(2) == 1 and ring.base_zeta(3) == -1
 
     @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5),
            st.integers(-5, 5))
