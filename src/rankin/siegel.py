@@ -211,12 +211,12 @@ def _add_theta(rows, pairs, L):
     """Add theta to rows (one row of L ints per power of q); theta = -sum w e
     zeta^(bk) q^(ek), k >= 1, is dlog of prod (1 - zeta^b q^e)^w over the
     pairs ((b, e), w), walked over the rows of the multiples of e with j = bk
-    mod L a running sum."""
+    a running sum read mod L."""
     for (b, e), w in pairs:
         x, j = w * e, 0
         for row in rows[e::e]:
-            j = (j + b) % L
-            row[j] -= x
+            j += b
+            row[j % L] -= x
 
 
 _SUPPORTED_SHAPES = "diagonal matrices diag(u, v) with positive integer entries (including scalars)"
