@@ -5,7 +5,9 @@ Three families, indexed by a weight k and a cusp parameter alpha = a/N mod 1:
 * ``E``      -- coefficient of q^n is sum_{d|n} d^(k-1-j) (n/d)^j
                 (zeta^(ad) + (-1)^k zeta^(-ad)), with an optional twist index
                 j in [0, k-1] coming from the weight-raising operator;
-* ``F``      -- the same with the divisor weights (n/d)^(k-1);
+* ``F``      -- the same with the divisor weights (n/d)^(k-1), kept as one
+                table of (b, e) -> x (_f_table) in the shape of a logarithmic
+                derivative of binomials;
 * ``Etilde`` -- weight 2 only, sum_{d|n} d (zeta^(ad) + zeta^(-ad) - 2).
 
 Constant terms are computed exactly: Li_(1-k)(zeta^a) for a nonzero parameter
@@ -33,6 +35,7 @@ class EisensteinSpec(Record):
     def __init__(self, family: str, k: int, alpha: Fraction, j: int = 0):
         self.family = family
         self.k = k
+        check_rational(alpha, "alpha")
         self.alpha = QQ(alpha) % 1
         self.j = j
         validate_spec(self)
@@ -67,8 +70,42 @@ def validate_spec(spec: EisensteinSpec):
 
 
 def check_prec(prec: int):
+    if not isinstance(prec, int) or isinstance(prec, bool):
+        raise TypeError(f"prec must be an int, got {prec!r}")
     if prec < 0:
         raise ValueError(f"prec must be >= 0, got {prec}")
+
+
+def check_rational(x, name: str):
+    """Raise TypeError naming the parameter unless x is an int or a Fraction."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"{name} must be an int or a Fraction, got {x!r}")
+
+
+def sieve_rows(rows, pairs, L: int):
+    """Add sum_(j>=1) x zeta^(bj) q^(ej) to rows (row n the coefficients of
+    zeta^0 .. zeta^(L-1) in q^n) for each ((b, e), x) in pairs, walked over
+    the rows of the multiples of e with bj a running sum read mod L."""
+    for (b, e), x in pairs:
+        j = 0
+        for row in rows[e::e]:
+            j += b
+            row[j % L] += x
+
+
+def _f_table(N: int, a: int, k: int, prec: int, w: int = 1) -> dict:
+    """w times the divisor sums c_1 .. c_prec of the weight-k F series at
+    a/N, as {(b, e): x}: c_n = sum_{e|n} e^(k-1) (zeta^(a n/e) + (-1)^k
+    zeta^(-a n/e)) is the sum of x zeta^(b n/e) over the entries with e | n,
+    the sum sieve_rows adds.  The d-weight is 0, so x depends on e alone, as
+    in the logarithmic derivative of a product of binomials (1 - zeta^b q^e)."""
+    table, s = {}, (-1) ** k
+    for e in range(1, prec + 1):
+        x = w * e ** (k - 1)
+        table[(a % N, e)] = x
+        f = (-a % N, e)
+        table[f] = table.get(f, 0) + s * x
+    return table
 
 
 def _divisor_rows(N: int, a: int, sign: int, wd: int, wq: int, prec: int,
@@ -94,16 +131,26 @@ def _divisor_rows(N: int, a: int, sign: int, wd: int, wq: int, prec: int,
 
 
 def eisenstein_rows(spec: EisensteinSpec, prec: int):
-    """(field, c_0, _divisor_rows of c_1 .. c_prec) of the q-expansion."""
+    """(field, c_0, rows of c_1 .. c_prec) of the q-expansion: the F family's
+    rows sieved from its table (_f_table), the others' from _divisor_rows,
+    whose d-weight varies along the stride."""
     N, k = spec.conductor, spec.k
     a = spec.alpha.numerator
-    if spec.family == "Etilde":
+    if spec.family == "F":
+        rows = [[0] * N for _ in range(prec + 1)]
+        sieve_rows(rows, _f_table(N, a, k, prec).items(), N)
+    elif spec.family == "Etilde":
         rows = _divisor_rows(N, a, 1, 1, 0, prec, shift=-2)
     else:
-        wq = k - 1 if spec.family == "F" else spec.j
-        rows = _divisor_rows(N, a, (-1) ** k, k - 1 - wq, wq, prec)
+        rows = _divisor_rows(N, a, (-1) ** k, k - 1 - spec.j, spec.j, prec)
     F = CyclotomicField(N)
     return F, eisenstein_constant(spec, F), rows
+
+
+def divisor_table(spec: EisensteinSpec, prec: int, w: int = 1) -> dict:
+    """w times the divisor sums c_1 .. c_prec of an F-family series, as the
+    table _f_table gives."""
+    return _f_table(spec.conductor, spec.alpha.numerator, spec.k, prec, w)
 
 
 def eisenstein_qexp(spec: EisensteinSpec, prec: int) -> QSeries:
@@ -152,6 +199,7 @@ def two_param_eisenstein(alpha, k1: int, k2: int, p: int, prec: int) -> QSeries:
     q^n is sum_{d|n} d^k1 (n/d)^k2 (zeta^(ad) + eps zeta^(-ad)) for p not
     dividing n, and 0 otherwise; eps = -(-1)^(k1+k2).  No constant term."""
     check_prec(prec)
+    check_rational(alpha, "alpha")
     alpha = QQ(alpha) % 1
     N = alpha.denominator
     if p < 2:

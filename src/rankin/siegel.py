@@ -30,22 +30,23 @@ exponents over one int denominator.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, prod
 from operator import add
 
 from .cyclo import (CycloElt, CyclotomicField, check_conductor, slot_bytes, truncate_slots,
                     unpack_slots)
-from .eisenstein import EisensteinSpec, check_prec, eisenstein_qexp, eisenstein_rows
+from .eisenstein import (EisensteinSpec, check_prec, check_rational, divisor_table,
+                         eisenstein_constant, eisenstein_qexp, sieve_rows)
 from .poly import QQ
 from .qseries import QSeries
 
 
-def _num_den(x) -> tuple:
+def _num_den(x, name: str = "parameter") -> tuple:
     """(numerator, denominator) of the rational x in lowest terms, read off an
-    int or a Fraction with no arithmetic; anything else goes through QQ."""
+    int or a Fraction with no arithmetic; anything else raises TypeError
+    naming the parameter (check_rational)."""
     if not isinstance(x, (int, Fraction)):
-        x = QQ(x)
+        check_rational(x, name)
     return x.numerator, x.denominator
 
 
@@ -61,8 +62,8 @@ def unit_factors(alpha, beta, field: CyclotomicField, prec: int, scale: int = 1)
     (12 d^2), the one Fraction built."""
     if scale < 1:
         raise ValueError(f"scale must be a positive integer, got {scale}")
-    a, d = _num_den(alpha)
-    bn, bd = _num_den(beta)
+    a, d = _num_den(alpha, "alpha")
+    bn, bd = _num_den(beta, "beta")
     a %= d
     bn %= bd
     if a == 0 and bn == 0:
@@ -141,8 +142,8 @@ def modified_unit_factors(alpha, beta, field, prec, scale, c: int):
     """The c-modified unit g(alpha,beta)^(c^2) / g(c*alpha, c*beta) at scale*z
     as [(c^2, g), (-1, g_c)]: each unit with its exponent, given by
     unit_factors."""
-    a, d = _num_den(alpha)
-    bn, bd = _num_den(beta)
+    a, d = _num_den(alpha, "alpha")
+    bn, bd = _num_den(beta, "beta")
     if gcd(c, 6 * d * bd) != 1:
         raise ValueError(f"c = {c} must be coprime to 6 and the parameter orders")
     return [(c * c, unit_factors(alpha, beta, field, prec, scale)),
@@ -161,6 +162,7 @@ def siegel_unit_qexp(alpha, c: int | None = None, prec: int = 50) -> QSeries:
     lattice, over Q(zeta_N) with N the order of alpha; with ``c`` given,
     returns the c-modified unit."""
     check_prec(prec)
+    check_rational(alpha, "alpha")
     alpha = QQ(alpha) % 1
     if alpha == 0:
         raise ValueError("Siegel unit undefined at zero parameter")
@@ -175,10 +177,11 @@ def dlog_matches_weight_two(alpha, prec: int = 200):
     """Check dlog g_(0,alpha) = -F^(2)_alpha, with constant terms, as q dg/dq
     = -F * g to O(q^(lead + prec + 1)); returns (bool, witness).
 
-    _dlog_mismatch decides on integer rows, with no series built.  At the
-    first mismatch n the witness gives both sides' coefficients of
-    q^(lead + n), (lead + n) g_n and -sum_(k=0..n) F_k g_(n-k), with
-    g_0 .. g_n read from the binomial product of g.
+    _dlog_mismatch decides on one table that nets the binomials of g
+    against F's divisor sums, with no series built; on a PASS nothing is
+    sieved.  At the first mismatch n the witness gives both sides'
+    coefficients of q^(lead + n), (lead + n) g_n and -sum_(k=0..n) F_k
+    g_(n-k), with g_0 .. g_n read from the binomial product of g.
     """
     check_prec(prec)
     n = _dlog_mismatch(alpha, prec)
@@ -196,22 +199,41 @@ def _dlog_mismatch(alpha, prec, sign=1):
     must fail.  For g = q^lead * a0 * prod (1 - zeta^b q^e) (unit_factors)
     with a0 != 0, q dg/dq + sign * F * g = g * (lead + theta + sign * F),
     theta the logarithmic derivative of the binomials; n is where
-    lead + theta + sign * F first is not 0."""
+    lead + theta + sign * F first is not 0.
+
+    The constant term is compared first, as sign * lead + F_0.  Then
+    theta's entries, -e at each binomial (b, e) (_add_theta), are netted
+    into the table of sign * F (divisor_table); on a PASS every entry nets
+    to 0 and nothing is sieved, else the nonzero entries are sieved into
+    rows of L ints.
+    """
+    check_rational(alpha, "alpha")
     alpha = QQ(alpha) % 1
-    lead, _, factors = unit_factors(0, alpha, CyclotomicField(alpha.denominator), prec)
-    field, c0, rows = eisenstein_rows(EisensteinSpec("F", 2, alpha), prec)
-    if sign < 0:
-        c0, rows = -c0, [[-x for x in r] for r in rows]
-    _add_theta(rows, zip(factors, repeat(1)), field.L)
-    return 0 if lead + c0 else next((n for n in range(1, prec + 1) if any(rows[n])
-                                     and any(field.reduce_powers(rows[n]))), None)
+    field = CyclotomicField(alpha.denominator)
+    lead, _, factors = unit_factors(0, alpha, field, prec)
+    spec = EisensteinSpec("F", 2, alpha)
+    if sign * lead + eisenstein_constant(spec, field):
+        return 0
+    net = divisor_table(spec, prec, sign)
+    for f in factors:
+        net[f] = net.get(f, 0) - f[1]
+    pairs = [(f, x) for f, x in net.items() if x]
+    if not pairs:
+        return None
+    rows = [[0] * field.L for _ in range(prec + 1)]
+    sieve_rows(rows, pairs, field.L)
+    return next((n for n in range(1, prec + 1)
+                 if any(rows[n]) and any(field.reduce_powers(rows[n]))), None)
 
 
 def _add_theta(rows, pairs, L):
     """Add theta to rows (one row of L ints per power of q); theta = -sum w e
     zeta^(bk) q^(ek), k >= 1, is dlog of prod (1 - zeta^b q^e)^w over the
     pairs ((b, e), w), walked over the rows of the multiples of e with j = bk
-    a running sum read mod L."""
+    a running sum read mod L.  This is sieve_rows on the entries ((b, e),
+    -w e), walked here with no generator between, which the distribution
+    relations would otherwise pay on each net exponent; the dlog identity
+    nets the entries -e into F's table itself (_dlog_mismatch)."""
     for (b, e), w in pairs:
         x, j = w * e, 0
         for row in rows[e::e]:
@@ -359,8 +381,8 @@ def distribution_args(alpha, beta, M, c: int, prec: int = 0):
     checking that distribution_check supports its arguments; raises
     ValueError when it does not."""
     check_prec(prec)
-    a, d = _num_den(alpha)
-    b, N = _num_den(beta)
+    a, d = _num_den(alpha, "alpha")
+    b, N = _num_den(beta, "beta")
     u, v = _diag_entries(M)
     if a % d:
         raise ValueError("only alpha = 0 is supported in the q-expansion model")

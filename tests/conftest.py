@@ -1,13 +1,20 @@
 """Shared fixtures."""
 
+from fractions import Fraction
+
 import pytest
 
+import rankin.eisenstein
 import rankin.euler
 import rankin.normrel
 import rankin.operators
 import rankin.qseries
+import rankin.siegel
+from rankin.cyclo import CyclotomicField
+from rankin.eisenstein import EisensteinSpec, eisenstein_qexp
 from rankin.euler import SYM_RING, _dual_form_sides, interpolation_factors
 from rankin.poly import QQ, RatFunc, poly_divmod
+from rankin.siegel import siegel_unit_qexp, unit_factors
 
 SERIES_KERNELS = ("_packed_mul", "_schoolbook_mul", "_newton_inverse", "_recurrence_inverse")
 
@@ -126,3 +133,81 @@ def poly_gcd(p, q):
     while b:
         a, b = b, poly_divmod(a, b)[1]
     return [c / a[-1] for c in a] if a else a
+
+
+# -- the dlog identity: its oracles and mutants ------------------------------------
+
+# the parameters of the catalog's dlog entry
+CATALOG_ALPHAS = [Fraction(a, N) for N in (3, 4, 5, 12) for a in range(1, N)]
+
+
+def dlog_by_series(alpha, prec):
+    """dlog_matches_weight_two on series: q dg/dq against -F * g."""
+    g = siegel_unit_qexp(alpha, None, prec)
+    lhs = g.qdq()
+    rhs = (-eisenstein_qexp(EisensteinSpec("F", 2, alpha), prec) * g).truncate(g.prec)
+    if lhs == rhs:
+        return True, None
+    for n, (x, y) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
+        if x != y:
+            return False, {"exponent": n, "lhs": str(x), "rhs": str(y)}
+    return False, None
+
+
+def dlog_mismatch_by_rows(alpha, prec, sign=1):
+    """_dlog_mismatch on two full row tables: F's rows (negated for sign =
+    -1), then theta added to them binomial by binomial, each with exponent
+    1; the first n whose row does not reduce to 0, or None."""
+    alpha = QQ(alpha) % 1
+    lead, _, factors = rankin.siegel.unit_factors(
+        0, alpha, CyclotomicField(alpha.denominator), prec)
+    field, c0, rows = rankin.eisenstein.eisenstein_rows(EisensteinSpec("F", 2, alpha), prec)
+    if sign < 0:
+        c0, rows = -c0, [[-x for x in r] for r in rows]
+    for b, e in factors:
+        j = 0
+        for row in rows[e::e]:
+            j = (j + b) % field.L
+            row[j] -= e
+    return 0 if lead + c0 else next((n for n in range(1, prec + 1) if any(rows[n])
+                                     and any(field.reduce_powers(rows[n]))), None)
+
+
+def moved_binomial(position):
+    """unit_factors with the binomial at ``position`` moved from q^e to
+    q^(e+1) (and dropped when e + 1 exceeds the precision)."""
+    def mutant(alpha, beta, field, prec, scale=1):
+        lead, a0, factors = unit_factors(alpha, beta, field, prec, scale)
+        if factors:
+            b, e = factors[position]
+            del factors[position]
+            if e < prec:
+                factors.append((b, e + 1))
+        return lead, a0, factors
+    return mutant
+
+
+def lead_plus_one(alpha, beta, field, prec, scale=1):
+    lead, a0, factors = unit_factors(alpha, beta, field, prec, scale)
+    return lead + 1, a0, factors
+
+
+def f_table_sign_flipped(N, a, k, prec, w=1):
+    """F's table with the sign of zeta^(-ad) flipped: the entry (-a, e) is
+    -(-1)^k w e^(k-1)."""
+    table = {}
+    for e in range(1, prec + 1):
+        x = w * e ** (k - 1)
+        for f, y in (((a % N, e), x), ((-a % N, e), -(-1) ** k * x)):
+            table[f] = table.get(f, 0) + y
+    return table
+
+
+# Mutants of the dlog identity, as (module, helper, replacement); each helper
+# is read by both the row check and the series path.
+DLOG_MUTANTS = {
+    "binomial-moved": (rankin.siegel, "unit_factors", moved_binomial(0)),
+    "last-binomial-moved": (rankin.siegel, "unit_factors", moved_binomial(-1)),
+    "zeta-minus-ad-sign": (rankin.eisenstein, "_f_table", f_table_sign_flipped),
+    "lead-plus-one": (rankin.siegel, "unit_factors", lead_plus_one),
+}

@@ -20,6 +20,7 @@ from rankin.otsuki import CycloCover, project_to_field
 from rankin.poly import PolyRing
 from rankin.siegel import (_add_theta, _binomial_product, _dist_shapes, distribution_check,
                            dlog_matches_weight_two, unit_factors)
+from conftest import CATALOG_ALPHAS, DLOG_MUTANTS, dlog_by_series
 
 
 # -- oracles: the dense bodies the table replaced ------------------------------
@@ -305,15 +306,32 @@ def add_theta_without_last_multiple(rows, pairs, L):
             row[j] -= x
 
 
+def sieve_without_last_multiple(rows, pairs, L):
+    """sieve_rows with the last multiple of each e dropped."""
+    for (b, e), x in pairs:
+        j = 0
+        for row in rows[e::e][:-1]:
+            j += b
+            row[j % L] += x
+
+
 class TestSieveMutant:
     def test_dlog_fails_at_a_coefficient(self, monkeypatch):
         assert dlog_matches_weight_two(F(1, 5), 30) == (True, None)
-        monkeypatch.setattr(siegel, "_add_theta", add_theta_without_last_multiple)
-        ok, witness = dlog_matches_weight_two(F(1, 5), 30)
-        assert not ok
-        # the witness reads both sides off the series path, which has no
-        # theta sieve: it names the coefficient the rows decided on
-        assert type(witness["exponent"]) is int and 1 <= witness["exponent"] <= 30
+        # a PASS sieves nothing, so the sieve mutant alone leaves it a PASS;
+        # with the last binomial moved past q^30, the one entry left at
+        # each e = 30 is sieved only into row 30, the last multiple
+        monkeypatch.setattr(*DLOG_MUTANTS["last-binomial-moved"])
+        expected = [dlog_by_series(alpha, 30) for alpha in CATALOG_ALPHAS]
+        assert [dlog_matches_weight_two(alpha, 30) for alpha in CATALOG_ALPHAS] == expected
+        for ok, witness in expected:
+            # the witness reads both sides off the series path, which has
+            # no sieve: it names the coefficient the rows decided on
+            assert not ok and type(witness["exponent"]) is int
+            assert 1 <= witness["exponent"] <= 30
+        monkeypatch.setattr(siegel, "sieve_rows", sieve_without_last_multiple)
+        got = [dlog_matches_weight_two(alpha, 30) for alpha in CATALOG_ALPHAS]
+        assert got == [(True, None)] * len(CATALOG_ALPHAS)
 
     def test_distribution_fails_at_a_coefficient(self, monkeypatch):
         args = (0, F(1, 3), ((2, 0), (0, 1)), 7, 30)

@@ -25,6 +25,7 @@ from rankin.siegel import (distribution_check, dlog_matches_weight_two,
                            siegel_unit_qexp, unit_factors)
 from rankin.zeta import polylog_negative
 from rankin.siegel import _dlog_mismatch
+from conftest import CATALOG_ALPHAS, DLOG_MUTANTS, dlog_by_series, moved_binomial
 from rankin.siegel import _first_mismatch as first_mismatch
 
 
@@ -484,20 +485,6 @@ class TestFractionFreeUnits:
 
 
 
-def moved_binomial(position):
-    """unit_factors with the binomial at ``position`` moved from q^e to
-    q^(e+1) (and dropped when e + 1 exceeds the precision)."""
-    def mutant(alpha, beta, field, prec, scale=1):
-        lead, a0, factors = unit_factors(alpha, beta, field, prec, scale)
-        if factors:
-            b, e = factors[position]
-            del factors[position]
-            if e < prec:
-                factors.append((b, e + 1))
-        return lead, a0, factors
-    return mutant
-
-
 # Mutants of the c-modified unit cg = g^(c^2) / g_c that the identity must
 # kill, as (multiplier of the parameters of g_c, scale of g_c, position of a
 # moved binomial).  A wrong exponent of g (c^2 + 1) is not among them: the
@@ -579,19 +566,6 @@ def _by_products(field, prec, c, lhs, rhs):
                                            "rhs": str(right.coeffs[n])}
                     break
     return ok, witness
-
-
-def _dlog_by_series(alpha, prec):
-    """dlog_matches_weight_two on series: q dg/dq against -F * g."""
-    g = siegel_unit_qexp(alpha, None, prec)
-    lhs = g.qdq()
-    rhs = (-eisenstein_qexp(EisensteinSpec("F", 2, alpha), prec) * g).truncate(g.prec)
-    if lhs == rhs:
-        return True, None
-    for n, (x, y) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
-        if x != y:
-            return False, {"exponent": n, "lhs": str(x), "rhs": str(y)}
-    return False, None
 
 
 def witness_index(witness):
@@ -709,35 +683,11 @@ class TestDistribution:
             assert ok
 
 
-CATALOG_ALPHAS = [F(a, N) for N in (3, 4, 5, 12) for a in range(1, N)]
-
-
-def lead_plus_one(alpha, beta, field, prec, scale=1):
-    lead, a0, factors = unit_factors(alpha, beta, field, prec, scale)
-    return lead + 1, a0, factors
-
-
-divisor_rows = rankin.eisenstein._divisor_rows
-
-
-def divisor_rows_sign_flipped(N, a, sign, *args, **kwargs):
-    return divisor_rows(N, a, -sign, *args, **kwargs)
-
-# Mutants of the dlog identity, as (module, helper, replacement); each helper
-# is read by both the row check and the series path.
-DLOG_MUTANTS = {
-    "binomial-moved": (rankin.siegel, "unit_factors", moved_binomial(0)),
-    "last-binomial-moved": (rankin.siegel, "unit_factors", moved_binomial(-1)),
-    "zeta-minus-ad-sign": (rankin.eisenstein, "_divisor_rows", divisor_rows_sign_flipped),
-    "lead-plus-one": (rankin.siegel, "unit_factors", lead_plus_one),
-}
-
-
 class TestDlogRows:
     @pytest.mark.parametrize("mutant", [None] + sorted(DLOG_MUTANTS))
     @pytest.mark.parametrize("prec", [0, 1, 2, 30])
     def test_matches_series_path(self, monkeypatch, mutant, prec):
-        # _dlog_by_series, the series path, is the oracle: the same verdict
+        # dlog_by_series, the series path, is the oracle: the same verdict
         # and witness, or the same error.  A FAIL returns the series path's
         # own witness, so there the test is that the first nonzero reduced
         # row is the exponent the witness names.  At prec 0 there are no
@@ -747,7 +697,7 @@ class TestDlogRows:
         must_fail = mutant is not None and (prec > 0 or mutant == "lead-plus-one")
         for alpha in CATALOG_ALPHAS:
             got = outcome(dlog_matches_weight_two, alpha, prec)
-            assert got == outcome(_dlog_by_series, alpha, prec)
+            assert got == outcome(dlog_by_series, alpha, prec)
             ok, witness = got
             assert ok != must_fail, (alpha, witness)
             if not ok:
@@ -758,7 +708,7 @@ class TestDlogRows:
                                                       refuse_series_kernels, mutant):
         if mutant:
             monkeypatch.setattr(*DLOG_MUTANTS[mutant])
-        expected = [outcome(_dlog_by_series, alpha, 30) for alpha in CATALOG_ALPHAS]
+        expected = [outcome(dlog_by_series, alpha, 30) for alpha in CATALOG_ALPHAS]
         refuse_series_kernels()
         assert [dlog_matches_weight_two(alpha, 30) for alpha in CATALOG_ALPHAS] == expected
 
