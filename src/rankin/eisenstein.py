@@ -149,7 +149,8 @@ def eisenstein_rows(spec: EisensteinSpec, prec: int):
 
 def divisor_table(spec: EisensteinSpec, prec: int, w: int = 1) -> dict:
     """w times the divisor sums c_1 .. c_prec of an F-family series, as the
-    table _f_table gives."""
+    table _f_table gives; siegel reads F's table only through here, so the
+    dlog check and eisenstein_rows read the same _f_table."""
     return _f_table(spec.conductor, spec.alpha.numerator, spec.k, prec, w)
 
 
