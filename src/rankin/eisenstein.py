@@ -6,7 +6,7 @@ Three families, indexed by a weight k and a cusp parameter alpha = a/N mod 1:
                 (zeta^(ad) + (-1)^k zeta^(-ad)), with an optional twist index
                 j in [0, k-1] coming from the weight-raising operator;
 * ``F``      -- the same with the divisor weights (n/d)^(k-1), kept as one
-                table of (b, e) -> x (_f_table) in the shape of a logarithmic
+                table of (b, e) -> x (f_table) in the shape of a logarithmic
                 derivative of binomials;
 * ``Etilde`` -- weight 2 only, sum_{d|n} d (zeta^(ad) + zeta^(-ad) - 2).
 
@@ -93,12 +93,14 @@ def sieve_rows(rows, pairs, L: int):
             row[j % L] += x
 
 
-def _f_table(N: int, a: int, k: int, prec: int, w: int = 1) -> dict:
+def f_table(N: int, a: int, k: int, prec: int, w: int = 1) -> dict:
     """w times the divisor sums c_1 .. c_prec of the weight-k F series at
     a/N, as {(b, e): x}: c_n = sum_{e|n} e^(k-1) (zeta^(a n/e) + (-1)^k
     zeta^(-a n/e)) is the sum of x zeta^(b n/e) over the entries with e | n,
     the sum sieve_rows adds.  The d-weight is 0, so x depends on e alone, as
-    in the logarithmic derivative of a product of binomials (1 - zeta^b q^e)."""
+    in the logarithmic derivative of a product of binomials (1 - zeta^b q^e).
+    Only the F family has such a table; eisenstein_rows and siegel's dlog
+    check both read it here."""
     table, s = {}, (-1) ** k
     for e in range(1, prec + 1):
         x = w * e ** (k - 1)
@@ -132,26 +134,19 @@ def _divisor_rows(N: int, a: int, sign: int, wd: int, wq: int, prec: int,
 
 def eisenstein_rows(spec: EisensteinSpec, prec: int):
     """(field, c_0, rows of c_1 .. c_prec) of the q-expansion: the F family's
-    rows sieved from its table (_f_table), the others' from _divisor_rows,
+    rows sieved from its table (f_table), the others' from _divisor_rows,
     whose d-weight varies along the stride."""
     N, k = spec.conductor, spec.k
     a = spec.alpha.numerator
     if spec.family == "F":
         rows = [[0] * N for _ in range(prec + 1)]
-        sieve_rows(rows, _f_table(N, a, k, prec).items(), N)
+        sieve_rows(rows, f_table(N, a, k, prec).items(), N)
     elif spec.family == "Etilde":
         rows = _divisor_rows(N, a, 1, 1, 0, prec, shift=-2)
     else:
         rows = _divisor_rows(N, a, (-1) ** k, k - 1 - spec.j, spec.j, prec)
     F = CyclotomicField(N)
     return F, eisenstein_constant(spec, F), rows
-
-
-def divisor_table(spec: EisensteinSpec, prec: int, w: int = 1) -> dict:
-    """w times the divisor sums c_1 .. c_prec of an F-family series, as the
-    table _f_table gives; siegel reads F's table only through here, so the
-    dlog check and eisenstein_rows read the same _f_table."""
-    return _f_table(spec.conductor, spec.alpha.numerator, spec.k, prec, w)
 
 
 def eisenstein_qexp(spec: EisensteinSpec, prec: int) -> QSeries:

@@ -29,14 +29,14 @@ exponents over one int denominator.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, prod
 from operator import add
 
 from .cyclo import (CycloElt, CyclotomicField, check_conductor, slot_bytes, truncate_slots,
                     unpack_slots)
-from .eisenstein import (EisensteinSpec, check_prec, check_rational, divisor_table,
-                         eisenstein_constant, eisenstein_qexp, sieve_rows)
+from . import eisenstein
+from .eisenstein import (EisensteinSpec, check_prec, check_rational, eisenstein_constant,
+                         eisenstein_qexp, sieve_rows)
 from .poly import QQ
 from .qseries import QSeries
 
@@ -45,8 +45,7 @@ def _num_den(x, name: str = "parameter") -> tuple:
     """(numerator, denominator) of the rational x in lowest terms, read off an
     int or a Fraction with no arithmetic; anything else raises TypeError
     naming the parameter (check_rational)."""
-    if not isinstance(x, (int, Fraction)):
-        check_rational(x, name)
+    check_rational(x, name)
     return x.numerator, x.denominator
 
 
@@ -202,10 +201,10 @@ def _dlog_mismatch(alpha, prec, sign=1):
     lead + theta + sign * F first is not 0.
 
     The constant term is compared first, as sign * lead + F_0.  Then
-    theta's entries, -e at each binomial (b, e) (_add_theta), are netted
-    into the table of sign * F (divisor_table); on a PASS every entry nets
-    to 0 and nothing is sieved, else the nonzero entries are sieved into
-    rows of L ints.
+    theta's entries, -e at each binomial (b, e), are netted into the table
+    of sign * F (eisenstein.f_table); on a PASS every entry nets to 0 and
+    nothing is sieved, else the nonzero entries are sieved into rows of L
+    ints.
     """
     check_rational(alpha, "alpha")
     alpha = QQ(alpha) % 1
@@ -214,7 +213,7 @@ def _dlog_mismatch(alpha, prec, sign=1):
     spec = EisensteinSpec("F", 2, alpha)
     if sign * lead + eisenstein_constant(spec, field):
         return 0
-    net = divisor_table(spec, prec, sign)
+    net = eisenstein.f_table(field.L, alpha.numerator, 2, prec, sign)
     for f in factors:
         net[f] = net.get(f, 0) - f[1]
     pairs = [(f, x) for f, x in net.items() if x]
@@ -224,21 +223,6 @@ def _dlog_mismatch(alpha, prec, sign=1):
     sieve_rows(rows, pairs, field.L)
     return next((n for n in range(1, prec + 1)
                  if any(rows[n]) and any(field.reduce_powers(rows[n]))), None)
-
-
-def _add_theta(rows, pairs, L):
-    """Add theta to rows (one row of L ints per power of q); theta = -sum w e
-    zeta^(bk) q^(ek), k >= 1, is dlog of prod (1 - zeta^b q^e)^w over the
-    pairs ((b, e), w), walked over the rows of the multiples of e with j = bk
-    a running sum read mod L.  This is sieve_rows on the entries ((b, e),
-    -w e), walked here with no generator between, which the distribution
-    relations would otherwise pay on each net exponent; the dlog identity
-    nets the entries -e into F's table itself (_dlog_mismatch)."""
-    for (b, e), w in pairs:
-        x, j = w * e, 0
-        for row in rows[e::e]:
-            j += b
-            row[j % L] -= x
 
 
 _SUPPORTED_SHAPES = "diagonal matrices diag(u, v) with positive integer entries (including scalars)"
@@ -320,7 +304,9 @@ def _first_mismatch(field, prec, c, lhs, rhs):
     (_constants).  Over Q, n a_n = sum_(k=1..n) theta_k a_(n-k) for f = a_0
     + a_1 q + ... and theta = q d/dq log f.  So, with equal a_0, a_n is the
     first coefficient to differ exactly when theta_n is; theta is additive,
-    so each nonzero net exponent is sieved once into rows of L integers.
+    so each nonzero net exponent w at (b, e) is sieved once into rows of L
+    integers, as the entry -w e of theta = -sum_(k>=1) w e zeta^(bk) q^(ek),
+    dlog of (1 - zeta^b q^e)^w.
     """
     net, consts = {}, {}
     lead_lhs = _side(field, prec, c, lhs, net, consts, 1)
@@ -331,7 +317,7 @@ def _first_mismatch(field, prec, c, lhs, rhs):
     if num != den:
         return 0, lead_lhs, lead_rhs
     rows = [[0] * field.L for _ in range(prec + 1)]
-    _add_theta(rows, ((f, w) for f, w in net.items() if w), field.L)
+    sieve_rows(rows, ((f, -w * f[1]) for f, w in net.items() if w), field.L)
     index = next((i for i in range(1, prec + 1)
                   if any(rows[i]) and any(field.reduce_powers(rows[i]))), None)
     return index, lead_lhs, lead_rhs
@@ -350,7 +336,7 @@ def _coefficient(field, prec, c, units, n):
     L, net, consts = field.L, {}, {}
     _side(field, prec, c, units, net, consts, 1)
     rows = [[0] * L for _ in range(n + 1)]
-    _add_theta(rows, ((f, w) for f, w in net.items() if w), L)
+    sieve_rows(rows, ((f, -w * f[1]) for f, w in net.items() if w), L)
     num, den = _constants(field, consts)
     theta = [[(j, t) for j, t in enumerate(r) if t] for r in rows]
     bm = [1] + [0] * (field.phi - 1)

@@ -208,6 +208,6 @@ def f_table_sign_flipped(N, a, k, prec, w=1):
 DLOG_MUTANTS = {
     "binomial-moved": (rankin.siegel, "unit_factors", moved_binomial(0)),
     "last-binomial-moved": (rankin.siegel, "unit_factors", moved_binomial(-1)),
-    "zeta-minus-ad-sign": (rankin.eisenstein, "_f_table", f_table_sign_flipped),
+    "zeta-minus-ad-sign": (rankin.eisenstein, "f_table", f_table_sign_flipped),
     "lead-plus-one": (rankin.siegel, "unit_factors", lead_plus_one),
 }

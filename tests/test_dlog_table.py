@@ -2,7 +2,7 @@
 series.
 
 _dlog_mismatch nets the binomials of the Siegel unit against the table of
-F's divisor sums (eisenstein._f_table) and sieves only what is left.  The
+F's divisor sums (eisenstein.f_table) and sieves only what is left.  The
 route it replaced, F's full rows with theta added to them binomial by
 binomial, is the oracle (conftest.dlog_mismatch_by_rows): both must name the
 same first mismatch, on the plain identity, with the sign of F dropped, and
@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankin import eisenstein, siegel
-from rankin.eisenstein import (EisensteinSpec, _divisor_rows, _f_table, check_prec,
+from rankin.eisenstein import (EisensteinSpec, _divisor_rows, check_prec, f_table,
                                eisenstein_rows, sieve_rows, two_param_eisenstein)
 from rankin.siegel import (_dlog_mismatch, distribution_check, dlog_matches_weight_two,
                            siegel_unit_qexp)
@@ -57,10 +57,10 @@ class TestNetTable:
         a %= N
         want = _divisor_rows(N, a, (-1) ** k, 0, k - 1, prec)
         got = [[0] * N for _ in range(prec + 1)]
-        sieve_rows(got, _f_table(N, a, k, prec).items(), N)
+        sieve_rows(got, f_table(N, a, k, prec).items(), N)
         assert [typed(r) for r in got] == [typed(r) for r in want]
         negated = [[0] * N for _ in range(prec + 1)]
-        sieve_rows(negated, _f_table(N, a, k, prec, -1).items(), N)
+        sieve_rows(negated, f_table(N, a, k, prec, -1).items(), N)
         assert negated == [[-x for x in r] for r in want]
         if k != 2 or a:
             spec = EisensteinSpec("F", k, F(a, N))
@@ -72,8 +72,8 @@ class TestNetTable:
     def test_pass_sieves_nothing(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a row was sieved")
-        for module, name in ((siegel, "_add_theta"), (siegel, "sieve_rows"),
-                             (eisenstein, "sieve_rows"), (eisenstein, "_divisor_rows")):
+        for module, name in ((siegel, "sieve_rows"), (eisenstein, "sieve_rows"),
+                             (eisenstein, "_divisor_rows")):
             monkeypatch.setattr(module, name, refuse)
         for alpha in CATALOG_ALPHAS:
             assert dlog_matches_weight_two(alpha, 100) == (True, None)

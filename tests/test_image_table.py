@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from rankin import siegel
 from rankin.cyclo import (CycloElt, CyclotomicField, pack_slots, slot_bytes, truncate_slots,
                           unpack_slots)
-from rankin.eisenstein import _divisor_rows
+from rankin.eisenstein import _divisor_rows, sieve_rows
 from rankin.otsuki import CycloCover, project_to_field
 from rankin.poly import PolyRing
-from rankin.siegel import (_add_theta, _binomial_product, _dist_shapes, distribution_check,
+from rankin.siegel import (_binomial_product, _dist_shapes, distribution_check,
                            dlog_matches_weight_two, unit_factors)
 from conftest import CATALOG_ALPHAS, DLOG_MUTANTS, dlog_by_series
 
@@ -251,10 +251,11 @@ class TestSieves:
     @given(unit_data(), st.sampled_from([1, -1, 49, -25, 3]))
     @settings(max_examples=60, deadline=None)
     def test_add_theta(self, unit, w):
+        # theta of (1 - zeta^b q^e)^w is sieve_rows's entry ((b, e), -w e)
         field, prec, factors = unit
         got = [[0] * field.L for _ in range(prec + 1)]
         want = [[0] * field.L for _ in range(prec + 1)]
-        _add_theta(got, [(f, w) for f in factors], field.L)
+        sieve_rows(got, [(f, -w * f[1]) for f in factors], field.L)
         add_theta_dense(want, factors, w, field.L)
         assert got == want
         assert all(type(c) is int for r in got for c in r)
@@ -269,7 +270,7 @@ class TestSieves:
         # exponents b outside [0, L) and multiplicities e past the last row
         got = [[0] * L for _ in range(prec + 1)]
         want = [[0] * L for _ in range(prec + 1)]
-        _add_theta(got, [(f, w) for f in factors], L)
+        sieve_rows(got, [(f, -w * f[1]) for f in factors], L)
         add_theta_dense(want, factors, w, L)
         assert got == want
 
@@ -296,15 +297,6 @@ class TestSieves:
 
 
 # -- a sieve that drops a multiple must fail the checks --------------------------
-
-def add_theta_without_last_multiple(rows, pairs, L):
-    """_add_theta with the last multiple of each e dropped."""
-    for (b, e), w in pairs:
-        x, j = w * e, 0
-        for row in rows[e::e][:-1]:
-            j = (j + b) % L
-            row[j] -= x
-
 
 def sieve_without_last_multiple(rows, pairs, L):
     """sieve_rows with the last multiple of each e dropped."""
@@ -336,7 +328,7 @@ class TestSieveMutant:
     def test_distribution_fails_at_a_coefficient(self, monkeypatch):
         args = (0, F(1, 3), ((2, 0), (0, 1)), 7, 30)
         assert distribution_check(*args)[0]
-        monkeypatch.setattr(siegel, "_add_theta", add_theta_without_last_multiple)
+        monkeypatch.setattr(siegel, "sieve_rows", sieve_without_last_multiple)
         ok, witness = distribution_check(*args)
         assert not ok
         mismatch = witness["mismatch"]
@@ -347,7 +339,7 @@ class TestSieveMutant:
         # the mutant's theta need not be the dlog of a series over Z[zeta]:
         # the witness names the index, and each side whose coefficient is
         # not integral says so, in place of a coefficient
-        monkeypatch.setattr(siegel, "_add_theta", add_theta_without_last_multiple)
+        monkeypatch.setattr(siegel, "sieve_rows", sieve_without_last_multiple)
         grid = [(N, M, c, prec) for N in (3, 4, 5) for m in (2, 3)
                 for M in _dist_shapes(m).values() for c in (5, 7) if c != N
                 for prec in (10, 20, 30, 60)]

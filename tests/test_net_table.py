@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 from rankin import siegel
 from rankin.cyclo import CycloElt, CyclotomicField
 from rankin.poly import QQ
-from rankin.siegel import (_add_theta, _coefficient, _dist_shapes, _first_mismatch, _side,
-                           distribution_args, distribution_check)
+from rankin.eisenstein import sieve_rows
+from rankin.siegel import (_coefficient, _dist_shapes, _first_mismatch, _side, distribution_args,
+                           distribution_check)
 
 
 # -- the oracle: the per-unit bodies -------------------------------------------
@@ -201,7 +202,7 @@ class TestAgainstPerUnitOracle:
             _side(field, prec, c, lhs, net, consts, 1)
             _side(field, prec, c, rhs, net, consts, -1)
             got = [[0] * field.L for _ in range(prec + 1)]
-            _add_theta(got, ((f, w) for f, w in net.items() if w), field.L)
+            sieve_rows(got, ((f, -w * f[1]) for f, w in net.items() if w), field.L)
             want = [[0] * field.L for _ in range(prec + 1)]
             side_by_units(field, prec, c, lhs, want, 1)
             side_by_units(field, prec, c, rhs, want, -1)
