@@ -29,6 +29,7 @@ exponents over one int denominator.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, prod
 from operator import add
 
@@ -41,7 +42,7 @@ from .poly import QQ
 from .qseries import QSeries
 
 
-def _num_den(x, name: str = "parameter") -> tuple:
+def _num_den(x: int | Fraction, name: str = "parameter") -> tuple:
     """(numerator, denominator) of the rational x in lowest terms, read off an
     int or a Fraction with no arithmetic; anything else raises TypeError
     naming the parameter (check_rational)."""
