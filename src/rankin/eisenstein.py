@@ -33,6 +33,8 @@ class EisensteinSpec(Record):
     __slots__ = ("family", "k", "alpha", "j")
 
     def __init__(self, family: str, k: int, alpha: Fraction, j: int = 0):
+        check_int(k, "k")
+        check_int(j, "j")
         self.family = family
         self.k = k
         check_rational(alpha, "alpha")
@@ -69,9 +71,14 @@ def validate_spec(spec: EisensteinSpec):
     check_conductor(spec.conductor)
 
 
+def check_int(x, name: str):
+    """Raise TypeError naming the parameter unless x is an int (a bool is not)."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"{name} must be an int, got {x!r}")
+
+
 def check_prec(prec: int):
-    if not isinstance(prec, int) or isinstance(prec, bool):
-        raise TypeError(f"prec must be an int, got {prec!r}")
+    check_int(prec, "prec")
     if prec < 0:
         raise ValueError(f"prec must be >= 0, got {prec}")
 

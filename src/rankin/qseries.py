@@ -4,15 +4,16 @@ The leading exponent e is an exact rational; the tail is indexed by integers.
 Coefficients live in any exact ring (Fractions, cyclotomic elements, quotient
 ring elements, group-ring elements).  All operations track the order of
 truncation: a series knows coefficients of q^x for e <= x < e + prec.
+Over every ring a product is the schoolbook convolution and an inverse the
+coefficient recurrence; the Siegel units are not built with them (siegel
+reads their coefficients off integer rows).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .arith import inverse, power
-from .cyclo import CyclotomicField
 from .poly import QQ
 
 
@@ -133,11 +134,8 @@ class QSeries:
             self._check_ring(getattr(other, "ring", None))
             return QSeries(self.ring, self.lead, [c * other for c in self.coeffs])
         self._check_ring(other.ring)
-        n = min(self.prec, other.prec)
-        if type(self.ring) is CyclotomicField and other.ring is self.ring:
-            out = _packed_mul(self.ring, self.coeffs, other.coeffs, n)
-        else:
-            out = _schoolbook_mul(self.ring, self.coeffs, other.coeffs, n)
+        out = _schoolbook_mul(self.ring, self.coeffs, other.coeffs,
+                              min(self.prec, other.prec))
         return QSeries(self.ring, self.lead + other.lead, out,
                        unit=self.unit and other.unit)
 
@@ -152,11 +150,8 @@ class QSeries:
     def inverse(self) -> "QSeries":
         if not self.coeffs or not self.coeffs[0]:
             raise ValueError("inverse requires a unit series (nonzero lead coefficient)")
-        if type(self.ring) is CyclotomicField:
-            out = _newton_inverse(self.ring, self.coeffs)
-        else:
-            out = _recurrence_inverse(self.ring, self.coeffs)
-        return QSeries(self.ring, -self.lead, out, unit=True, normalize=False)
+        return QSeries(self.ring, -self.lead, _recurrence_inverse(self.ring, self.coeffs),
+                       unit=True, normalize=False)
 
     def __truediv__(self, other):
         if isinstance(other, QSeries):
@@ -258,14 +253,6 @@ def _schoolbook_mul(ring, a, b, n: int) -> list:
     return out
 
 
-def _packed_mul(field, a, b, n: int) -> list:
-    """The first n coefficients of the product over Q(zeta_L), as one
-    Kronecker-packed integer product with the denominators cleared."""
-    da, ra = field.rows(a[:n])
-    db, rb = (da, ra) if b is a else field.rows(b[:n])
-    return field.elements(field.mul_rows(ra, rb, n), da * db)
-
-
 def _normalized(s):
     """s with its leading zero coefficients stripped, as by the constructor."""
     if not s.coeffs or s.coeffs[0]:
@@ -294,40 +281,3 @@ def _recurrence_inverse(ring, coeffs) -> list:
                 s = s + coeffs[j] * out[k - j]
         out[k] = -(c0inv * s)
     return out
-
-
-def _lowest_terms(d: int, rows: list) -> tuple:
-    """(d, rows) for the rows / d, with the gcd of d and every entry removed."""
-    g = gcd(d, *(c for r in rows for c in r)) if d > 1 else 1
-    if g > 1:
-        return d // g, [[c // g for c in r] for r in rows]
-    return d, rows
-
-
-def _newton_inverse(field, coeffs) -> list:
-    """Inverse of a unit series over Q(zeta_L).
-
-    The series is scaled to constant term 1, so that a Siegel product
-    c_0 (1 + q Z[zeta][[q]]) inverts over Z[zeta].  Newton's iteration
-    y <- y - y (x y - 1) then doubles the number of known coefficients with
-    two packed products per step; rows are integers over a common
-    denominator.
-    """
-    n = len(coeffs)
-    # one-row products scale by c_0^-1 on the way in and out
-    d0, inv0 = field.rows([inverse(coeffs[0])])
-    dx, x = field.rows(coeffs)
-    dx, x = _lowest_terms(dx * d0, field.mul_rows(inv0, x, n))
-    dy, y = 1, [[1] + [0] * (field.phi - 1)]
-    m = 1
-    while m < n:
-        k = min(2 * m, n)
-        # x y = 1 + O(q^m): its rows m..k-1 are those of x y - 1
-        e = field.mul_rows(x, y, k)[m:]
-        t = field.mul_rows(y, e, k - m)
-        # y has denominator dy, t (rows m..k-1 of y (x y - 1)) dx dy^2
-        dy, y = _lowest_terms(dx * dy * dy, [[c * dx * dy for c in r] for r in y]
-                              + [[-c for c in r] for r in t])
-        m = k
-    return field.elements(field.mul_rows(inv0, y, n), d0 * dy)
-

@@ -21,6 +21,11 @@ their leading exponents, constants and logarithmic derivatives do.  The
 witness of a failing check comes from the same data, and no check
 multiplies, divides or raises a series to a power.
 
+Where coefficients are wanted (siegel_scaled, siegel_scaled_c, the
+coefficient a failing check names), they are the integer rows of a product
+of binomials (b, e)^w, by the recursion m b_m = sum theta_k b_(m-k) of its
+logarithmic derivative theta (_product_rows).
+
 Parameters are read as int numerators and denominators, with no Fraction
 arithmetic: unit_factors builds one Fraction, its leading exponent, and
 none per binomial, and a side of a distribution relation sums its leading
@@ -29,15 +34,14 @@ exponents over one int denominator.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
-from operator import add
 
-from .cyclo import (CycloElt, CyclotomicField, check_conductor, slot_bytes, truncate_slots,
-                    unpack_slots)
+from .cyclo import CycloElt, CyclotomicField, check_conductor, ints
 from . import eisenstein
-from .eisenstein import (EisensteinSpec, check_prec, check_rational, eisenstein_constant,
-                         eisenstein_qexp, sieve_rows)
+from .eisenstein import (EisensteinSpec, check_int, check_prec, check_rational,
+                         eisenstein_constant, eisenstein_qexp, sieve_rows)
 from .poly import QQ
 from .qseries import QSeries
 
@@ -94,54 +98,63 @@ def siegel_scaled(alpha, beta, field: CyclotomicField, prec: int,
     """q-expansion of the Siegel unit with parameters (alpha, beta), evaluated
     at scale*z, to O(q^(lead + prec + 1)); see unit_factors."""
     check_prec(prec)
-    return _unit_series(field, prec, *unit_factors(alpha, beta, field, prec, scale))
+    lead, a0, factors = unit_factors(alpha, beta, field, prec, scale)
+    return _product_series(field, lead, a0, Counter(factors), prec)
 
 
-def _unit_series(field, prec, lead, a0, factors) -> QSeries:
-    s = QSeries(field, 0, field.elements(
-        _binomial_product(field, factors, prec + 1)), normalize=False)
-    if a0 != 1:
-        s = s * a0
-    return QSeries(field, lead, s.coeffs, unit=True, normalize=False)
+def _product_series(field, lead, a0, net, n: int) -> QSeries:
+    """q^lead * a0 * prod (1 - zeta^b q^e)^w over the entries (b, e): w of
+    net, to O(q^(lead + n + 1))."""
+    rows = _product_rows(field, net, n)
+    return QSeries(field, lead, [a0 * CycloElt(field, tuple(r)) for r in rows],
+                   unit=True, normalize=False)
 
 
-def _binomial_product(field: CyclotomicField, factors, n: int) -> list:
-    """Integer coefficient rows of prod (1 - zeta^c q^e) over the pairs
-    (c, e) in factors (1 <= e < n), to n terms.
+def _product_rows(field, net, n: int) -> list:
+    """The integer coordinate rows b_0 .. b_n of b = prod (1 - zeta^b q^e)^w
+    over the entries (b, e): w of net, in the integral basis 1, zeta, ..,
+    zeta^(phi-1).
 
-    The product is kept as phi packed ints S_0 .. S_(phi-1), S_j holding the
-    coefficients of zeta^j with one q-power per slot.  Multiplying by zeta^c
-    sends zeta^j to the reduced vector of zeta^(j+c), a fixed integer map,
-    so a binomial costs about phi^2 bigint additions and shifts.
-
-    Slot width: every partial product, and zeta^c times one, has as
-    coefficient of q^i a signed sum of at most P_i = [q^i] prod (1 + q^e)
-    powers of zeta, each reducing to a vector with entries of absolute value
-    at most C; so no coordinate exceeds C * max P_i.
+    b_0 = 1, and m b_m = sum_(k=1..m) theta_k b_(m-k) for the logarithmic
+    derivative theta of b, sieved from net as the entries ((b, e), -w e).
+    When b lies in Z[zeta][[q]], as it does for integral w, every step
+    divides exactly by m; otherwise ArithmeticError is raised.
     """
-    L, phi, images = field.L, field.phi, field._images
-    count = [1] + [0] * (n - 1)
-    for _, e in factors:
-        count[e:] = map(add, count[e:], count[:n - e])
-    wb = slot_bytes(max(abs(v) for _, value in images for v in value) * max(count))
-    width = 8 * wb
-    S = [1] + [0] * (phi - 1)
-    for c, e in factors:
-        T = [0] * phi
-        for j, s in enumerate(S):
-            if s:
-                for k, v in zip(*images[(j + c) % L]):
-                    T[k] += v * s
-        for k, t in enumerate(T):
-            if t:
-                S[k] -= truncate_slots(t, n - e, wb) << (width * e)
-    return [list(r) for r in zip(*(unpack_slots(s, n, wb) for s in S))]
+    L = field.L
+    rows = [[0] * L for _ in range(n + 1)]
+    sieve_rows(rows, ((f, -w * f[1]) for f, w in net.items() if w), L)
+    theta = [[(j, t) for j, t in enumerate(r) if t] for r in rows]
+    out = [[1] + [0] * (field.phi - 1)]
+    b = [[(0, 1)]]  # the nonzero coordinates (i, x) of each b_m
+    for m in range(1, n + 1):
+        # sum_k theta_k b_(m-k) with zeta^L = 1, then in the integral basis
+        s = [0] * L
+        for k in range(1, m + 1):
+            for j, t in theta[k]:
+                for i, x in b[m - k]:
+                    s[(i + j) % L] += t * x
+        s = field.reduce_powers(s)
+        if any(x % m for x in s):
+            raise ArithmeticError(f"coefficient {m} of a Siegel product is not integral")
+        out.append([x // m for x in s])
+        b.append([(i, x) for i, x in enumerate(out[m]) if x])
+    return out
+
+
+def _check_c(c):
+    """Raise TypeError unless c is an int, ValueError unless c > 1: with c = 1
+    or -1 the c-modified unit is a constant, and no relation of them fails."""
+    check_int(c, "c")
+    if c <= 1:
+        raise ValueError(f"c must be > 1, got {c}")
 
 
 def modified_unit_factors(alpha, beta, field, prec, scale, c: int):
     """The c-modified unit g(alpha,beta)^(c^2) / g(c*alpha, c*beta) at scale*z
     as [(c^2, g), (-1, g_c)]: each unit with its exponent, given by
-    unit_factors."""
+    unit_factors.  c must be an int > 1 (_check_c) coprime to 6 and the
+    parameter orders."""
+    _check_c(c)
     a, d = _num_den(alpha, "alpha")
     bn, bd = _num_den(beta, "beta")
     if gcd(c, 6 * d * bd) != 1:
@@ -151,10 +164,14 @@ def modified_unit_factors(alpha, beta, field, prec, scale, c: int):
 
 
 def siegel_scaled_c(alpha, beta, field, prec, scale, c: int) -> QSeries:
-    """The integral modification: g(alpha,beta)^(c^2) / g(c*alpha, c*beta)."""
+    """The integral modification g(alpha,beta)^(c^2) / g(c*alpha, c*beta),
+    read off its net table of binomials and its constant (_side), with no
+    series power or inverse."""
     check_prec(prec)
-    (w, g), (_, gc) = modified_unit_factors(alpha, beta, field, prec, scale, c)
-    return _unit_series(field, prec, *g) ** w / _unit_series(field, prec, *gc)
+    net, consts = {}, {}
+    lead = _side(field, prec, c, [(alpha, beta, scale)], net, consts, 1)
+    num, den = _constants(field, consts)
+    return _product_series(field, lead, CycloElt(field, ints((num / den).coeffs)), net, prec)
 
 
 def siegel_unit_qexp(alpha, c: int | None = None, prec: int = 50) -> QSeries:
@@ -181,15 +198,18 @@ def dlog_matches_weight_two(alpha, prec: int = 200):
     against F's divisor sums, with no series built; on a PASS nothing is
     sieved.  At the first mismatch n the witness gives both sides'
     coefficients of q^(lead + n), (lead + n) g_n and -sum_(k=0..n) F_k
-    g_(n-k), with g_0 .. g_n read from the binomial product of g.
+    g_(n-k), with g_0 .. g_n the rows 0 .. n of the binomial product of g.
     """
     check_prec(prec)
     n = _dlog_mismatch(alpha, prec)
     if n is None:
         return True, None
-    g = siegel_unit_qexp(alpha, None, prec)
+    alpha = QQ(alpha) % 1
+    field = CyclotomicField(alpha.denominator)
+    lead, a0, factors = unit_factors(0, alpha, field, prec)
+    g = _product_series(field, lead, a0, Counter(factors), n)
     f = eisenstein_qexp(EisensteinSpec("F", 2, alpha), n).coeffs
-    rhs = -sum((f[k] * g.coeffs[n - k] for k in range(n + 1)), g.ring.zero())
+    rhs = -sum((f[k] * g.coeffs[n - k] for k in range(n + 1)), field.zero())
     return False, {"exponent": n, "lhs": str(g.coeffs[n] * (g.lead + n)), "rhs": str(rhs)}
 
 
@@ -328,33 +348,14 @@ def _coefficient(field, prec, c, units, n):
     """The coefficient of q^(lead + n) in the product of the c-modified
     units, each (alpha, beta, scale), built to O(q^(lead + prec + 1)).
 
-    With its constant num / den divided out, the product is b = 1 + b_1 q +
-    ... over Z[zeta], and m b_m = sum_(k=1..m) theta_k b_(m-k) for its
-    logarithmic derivative theta, sieved from the product's table (_side).
-    Each b_m is kept in the integral basis 1, zeta, .., zeta^(phi-1), so
-    every step divides exactly by m, or raises ArithmeticError.
+    With its constant num / den divided out, the product is 1 + b_1 q + ...
+    over Z[zeta], and b_n is row n of the product of its table (_side,
+    _product_rows); a b_m that is not integral raises ArithmeticError.
     """
-    L, net, consts = field.L, {}, {}
+    net, consts = {}, {}
     _side(field, prec, c, units, net, consts, 1)
-    rows = [[0] * L for _ in range(n + 1)]
-    sieve_rows(rows, ((f, -w * f[1]) for f, w in net.items() if w), L)
     num, den = _constants(field, consts)
-    theta = [[(j, t) for j, t in enumerate(r) if t] for r in rows]
-    bm = [1] + [0] * (field.phi - 1)
-    b = [[(0, 1)]]  # the nonzero coordinates (i, x) of each b_m
-    for m in range(1, n + 1):
-        # sum_k theta_k b_(m-k) with zeta^L = 1, then in the integral basis
-        s = [0] * L
-        for k in range(1, m + 1):
-            for j, t in theta[k]:
-                for i, x in b[m - k]:
-                    s[(i + j) % L] += t * x
-        s = field.reduce_powers(s)
-        if any(x % m for x in s):
-            raise ArithmeticError(f"coefficient {m} of a Siegel product is not integral")
-        bm = [x // m for x in s]
-        b.append([(i, x) for i, x in enumerate(bm) if x])
-    return num * CycloElt(field, tuple(bm)) / den
+    return num * CycloElt(field, tuple(_product_rows(field, net, n)[n])) / den
 
 
 def _dist_shapes(m):
@@ -366,7 +367,8 @@ def _dist_shapes(m):
 def distribution_args(alpha, beta, M, c: int, prec: int = 0):
     """(u, v, N, b) for M = diag(u, v) and beta = b/N in lowest terms, after
     checking that distribution_check supports its arguments; raises
-    ValueError when it does not."""
+    TypeError for a parameter of the wrong type (c must be an int) and
+    ValueError for one out of range (c must be > 1)."""
     check_prec(prec)
     a, d = _num_den(alpha, "alpha")
     b, N = _num_den(beta, "beta")
@@ -375,6 +377,7 @@ def distribution_args(alpha, beta, M, c: int, prec: int = 0):
         raise ValueError("only alpha = 0 is supported in the q-expansion model")
     if b % N == 0:
         raise ValueError("Siegel unit undefined at zero parameter")
+    _check_c(c)
     if gcd(c, 6 * u * v * N) != 1:
         raise ValueError(f"c = {c} must be coprime to 6 and the orders involved")
     check_conductor(u * N)

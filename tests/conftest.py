@@ -16,7 +16,7 @@ from rankin.euler import SYM_RING, _dual_form_sides, interpolation_factors
 from rankin.poly import QQ, RatFunc, poly_divmod
 from rankin.siegel import siegel_unit_qexp, unit_factors
 
-SERIES_KERNELS = ("_packed_mul", "_schoolbook_mul", "_newton_inverse", "_recurrence_inverse")
+SERIES_KERNELS = ("_schoolbook_mul", "_recurrence_inverse")
 
 
 @pytest.fixture

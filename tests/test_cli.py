@@ -234,6 +234,9 @@ def test_example_subcommand(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["dist-check", "--m", "2", "--N", "5", "--c", "5"],
+    ["dist-check", "--m", "2", "--N", "5", "--c", "1"],
+    ["dist-check", "--m", "2", "--N", "5", "--c", "-1"],
+    ["dist-check", "--m", "2", "--N", "5", "--c", "0", "--shape", "dist3"],
     ["dist-check", "--m", "0", "--N", "5", "--c", "7"],
     ["dist-check", "--m", "2", "--N", "0", "--c", "7"],
     ["dist-check", "--m", "2", "--N", "5", "--c", "7", "--prec", "-2"],

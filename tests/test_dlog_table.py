@@ -1,5 +1,5 @@
 """The dlog identity decided on one net table, and the parameter types of the
-series.
+series and the units.
 
 _dlog_mismatch nets the binomials of the Siegel unit against the table of
 F's divisor sums (eisenstein.f_table) and sieves only what is left.  The
@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 from rankin import eisenstein, siegel
 from rankin.eisenstein import (EisensteinSpec, _divisor_rows, check_prec, f_table,
                                eisenstein_rows, sieve_rows, two_param_eisenstein)
-from rankin.siegel import (_dlog_mismatch, distribution_check, dlog_matches_weight_two,
-                           siegel_unit_qexp)
+from rankin.cyclo import CyclotomicField
+from rankin.siegel import (_dlog_mismatch, distribution_args, distribution_check,
+                           dlog_matches_weight_two, modified_unit_factors, siegel_unit_qexp)
 from conftest import CATALOG_ALPHAS, DLOG_MUTANTS, dlog_mismatch_by_rows
 
 
@@ -94,10 +95,30 @@ class TestParameterTypes:
         (lambda: two_param_eisenstein(0.2, 1, 1, 2, 5), "alpha"),
         (lambda: check_prec(True), "prec"),
         (lambda: check_prec(2.0), "prec"),
+        (lambda: EisensteinSpec("E", 2.0, F(1, 5)), "k"),
+        (lambda: EisensteinSpec("F", True, F(1, 5)), "k"),
+        (lambda: EisensteinSpec("F", 3, F(1, 5), j=0.0), "j"),
+        (lambda: EisensteinSpec("E", 3, F(1, 5), j=False), "j"),
+        (lambda: distribution_check(0, F(1, 3), ((2, 0), (0, 1)), 7.0, 10), "c"),
+        (lambda: distribution_check(0, F(1, 3), ((2, 0), (0, 1)), True, 10), "c"),
+        (lambda: distribution_args(0, F(1, 3), ((2, 0), (0, 1)), F(7)), "c"),
+        (lambda: siegel_unit_qexp(F(1, 5), 7.0, 5), "c"),
     ])
     def test_not_an_int_or_a_fraction(self, call, name):
         with pytest.raises(TypeError, match=f"^{name} must be an int"):
             call()
+
+    @pytest.mark.parametrize("c", [1, 0, -1, -5])
+    def test_c_must_exceed_one(self, c):
+        # with c = 1 or -1 the c-modified unit is a constant, so a relation
+        # of such units could not fail
+        M = ((2, 0), (0, 1))
+        for call in (lambda: distribution_check(0, F(1, 5), M, c, 10),
+                     lambda: distribution_args(0, F(1, 5), M, c),
+                     lambda: siegel_unit_qexp(F(1, 5), c, 6),
+                     lambda: modified_unit_factors(0, F(1, 5), CyclotomicField(5), 6, 1, c)):
+            with pytest.raises(ValueError, match=f"^c must be > 1, got {c}$"):
+                call()
 
     def test_ints_and_fractions_are_read(self):
         check_prec(0)

@@ -13,13 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankin import siegel
-from rankin.cyclo import (CycloElt, CyclotomicField, pack_slots, slot_bytes, truncate_slots,
-                          unpack_slots)
+from rankin.cyclo import CycloElt, CyclotomicField
 from rankin.eisenstein import _divisor_rows, sieve_rows
 from rankin.otsuki import CycloCover, project_to_field
 from rankin.poly import PolyRing
-from rankin.siegel import (_binomial_product, _dist_shapes, distribution_check,
-                           dlog_matches_weight_two, unit_factors)
+from rankin.qseries import QSeries
+from rankin.siegel import (_dist_shapes, distribution_check, dlog_matches_weight_two,
+                           siegel_scaled, unit_factors)
 from conftest import CATALOG_ALPHAS, DLOG_MUTANTS, dlog_by_series
 
 
@@ -59,56 +59,6 @@ def mul_dense(x, y):
                 if r:
                     out[i] += c * r
     return out
-
-
-def mul_rows_dense(K, a, b, n):
-    if n <= 0:
-        return []
-    phi = K.phi
-    stride = 2 * phi - 1
-    square = b is a
-    a, b = a[:n], b[:n]
-    ma = max((abs(c) for r in a for c in r), default=0)
-    mb = ma if square else max((abs(c) for r in b for c in r), default=0)
-    wb = slot_bytes(max(n * phi * ma * mb, ma, mb))
-    gap = [0] * (phi - 1)
-    x = pack_slots([c for r in a for c in r + gap], wb)
-    y = x if square else pack_slots([c for r in b for c in r + gap], wb)
-    slots = unpack_slots(x * y, n * stride, wb)
-    rows = redrows(K)
-    reducers = [(k, [(j, r) for j, r in enumerate(rows[k]) if r])
-                for k in range(phi, stride)]
-    out = []
-    for i in range(0, n * stride, stride):
-        row = slots[i:i + phi]
-        for k, red in reducers:
-            c = slots[i + k]
-            if c:
-                for j, r in red:
-                    row[j] += c * r
-        out.append(row)
-    return out
-
-
-def binomial_product_dense(field, factors, n):
-    L, phi, powers = field.L, field.phi, field._powers
-    count = [1] + [0] * (n - 1)
-    for _, e in factors:
-        count[e:] = [x + y for x, y in zip(count[e:], count[:n - e])]
-    wb = slot_bytes(max(abs(x) for row in powers for x in row) * max(count))
-    width = 8 * wb
-    images = [[(k, v) for k, v in enumerate(row) if v] for row in powers]
-    S = [1] + [0] * (phi - 1)
-    for c, e in factors:
-        T = [0] * phi
-        for j, s in enumerate(S):
-            if s:
-                for k, v in images[(j + c) % L]:
-                    T[k] += v * s
-        for k, t in enumerate(T):
-            if t:
-                S[k] -= truncate_slots(t, n - e, wb) << (width * e)
-    return [list(r) for r in zip(*(unpack_slots(s, n, wb) for s in S))]
 
 
 def project_to_field_dense(cover, vec):
@@ -167,10 +117,10 @@ def rational(rng):
 
 
 @st.composite
-def unit_data(draw, prec=st.integers(0, 150)):
-    """(field, prec, factors) of a Siegel unit from unit_factors, with
-    <alpha> = a/d, scale a multiple of d (so t = scale a / d may be > 0) and
-    beta of order dividing L."""
+def unit_args(draw, prec=st.integers(0, 150)):
+    """(alpha, beta, field, prec, scale) of a Siegel unit, with <alpha> =
+    a/d, scale a multiple of d (so t = scale a / d may be > 0) and beta of
+    order dividing L."""
     bd = draw(st.integers(1, 8))
     L = bd * draw(st.integers(1, 40 // bd))
     d = draw(st.integers(1, 4))
@@ -179,8 +129,12 @@ def unit_data(draw, prec=st.integers(0, 150)):
     if bn is None:          # (0, 0) is no unit: take alpha = 1/2 instead
         a, d, bn = 1, 2, 0
     scale = d * draw(st.integers(1, 3))
-    field, p = CyclotomicField(L), draw(prec)
-    return field, p, unit_factors(F(a, d), F(bn, bd), field, p, scale)[2]
+    return F(a, d), F(bn, bd), CyclotomicField(L), draw(prec), scale
+
+
+def unit_data(prec=st.integers(0, 150)):
+    """(field, prec, factors) of a Siegel unit from unit_factors."""
+    return unit_args(prec).map(lambda args: (args[2], args[3], unit_factors(*args)[2]))
 
 
 # -- the table's readers -------------------------------------------------------
@@ -209,28 +163,6 @@ class TestReaders:
                     for _ in range(2))
         assert typed((x * y).coeffs) == typed(mul_dense(x, y))
 
-    @given(conductors, st.integers(0, 150), st.booleans(), seeds)
-    @settings(max_examples=40, deadline=None)
-    def test_mul_rows(self, L, prec, square, seed):
-        # rows from a seeded generator: drawing 151 rows of phi ints each
-        # through hypothesis costs more than the products
-        K, rng = CyclotomicField(L), random.Random(seed)
-        n = rng.randint(0, prec + 1)
-        a, b = ([[rng.randint(-50, 50) for _ in range(K.phi)] for _ in range(n + 1)]
-                for _ in range(2))
-        b = a if square else b
-        got = K.mul_rows(a, b, n)
-        assert got == mul_rows_dense(K, a, b, n)
-        assert all(type(c) is int for r in got for c in r)
-
-    @given(unit_data(st.integers(0, 60)))
-    @settings(max_examples=40, deadline=None)
-    def test_binomial_product(self, unit):
-        field, prec, factors = unit
-        got = _binomial_product(field, factors, prec + 1)
-        assert got == binomial_product_dense(field, factors, prec + 1)
-        assert all(type(c) is int for r in got for c in r)
-
     @given(conductors, seeds)
     @settings(max_examples=30, deadline=None)
     def test_project_to_field(self, M, seed):
@@ -243,6 +175,28 @@ class TestReaders:
                                  for f in (project_to_field, project_to_field_dense))
         assert gd.terms == wd.terms
         assert [(type(x), x.terms) for x in got] == [(type(x), x.terms) for x in want]
+
+
+# -- the product of a net table ------------------------------------------------
+
+class TestProductRows:
+    @given(unit_args(st.integers(0, 80)))
+    @settings(max_examples=40, deadline=None)
+    @example((F(1, 3), F(1, 2), CyclotomicField(6), 80, 6))   # scale > 1, 2b = 0 mod L
+    @example((F(0), F(1, 2), CyclotomicField(2), 80, 1))      # each binomial twice
+    @example((F(1, 2), F(0), CyclotomicField(1), 0, 2))
+    def test_siegel_scaled_is_the_binomial_product(self, args):
+        # the oracle multiplies by one binomial (1 - zeta^b q^e) at a time
+        field, prec = args[2], args[3]
+        lead, a0, factors = unit_factors(*args)
+        s = QSeries.one(field, prec + 1)
+        for b, e in factors:
+            s = s.mul_one_minus(field.zeta(b), e)
+        got = siegel_scaled(*args)
+        assert (got.lead, got.prec, got.unit) == (lead, prec + 1, True)
+        assert ([typed(c.coeffs) for c in got.coeffs]
+                == [typed((a0 * c).coeffs) for c in s.coeffs])
+        assert all(type(x) is int for c in got.coeffs for x in c.coeffs)
 
 
 # -- the sieves ----------------------------------------------------------------

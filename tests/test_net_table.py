@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankin import siegel
-from rankin.cyclo import CycloElt, CyclotomicField
+from rankin.cyclo import CycloElt, CyclotomicField, ints
 from rankin.poly import QQ
 from rankin.eisenstein import sieve_rows
 from rankin.siegel import (_coefficient, _dist_shapes, _first_mismatch, _side, distribution_args,
@@ -144,12 +144,15 @@ def typed(x):
 
 
 def coefficient_view(f, *args):
-    """f(*args) as its coordinates, each nonzero one with its type, or the
-    error text.  A zero coordinate is an int 0 or a Fraction 0 according to
-    which products reached it, and the two tables multiply the constants in
-    different groupings; str() shows neither."""
+    """f(*args) as its coordinates, each nonzero one with its type once a
+    denominator of 1 is read as an int (cyclo.ints), or the error text.  An
+    integral coordinate is an int or a Fraction, and a zero one an int 0 or
+    a Fraction 0, according to which products reached it: the two tables
+    multiply the constants in different groupings, so the constant that one
+    divides by may be a unit of Z[zeta] (whose inverse has int coordinates)
+    where the other's is not.  str() shows neither."""
     try:
-        return [typed(x) if x else x for x in f(*args).coeffs]
+        return [typed(x) if x else x for x in ints(f(*args).coeffs)]
     except ArithmeticError as e:
         return "raises", str(e)
 

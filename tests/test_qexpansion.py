@@ -336,7 +336,10 @@ def unit_factors_by_fractions(alpha, beta, field, prec, scale=1):
 
 
 def modified_unit_factors_by_fractions(alpha, beta, field, prec, scale, c):
-    """The oracle of modified_unit_factors, on Fraction parameters."""
+    """The oracle of modified_unit_factors, on Fraction parameters; c must
+    be an int > 1."""
+    if c <= 1:
+        raise ValueError(f"c must be > 1, got {c}")
     orders = (F(alpha) % 1).denominator, (F(beta) % 1).denominator
     if gcd(c, 6 * orders[0] * orders[1]) != 1:
         raise ValueError(f"c = {c} must be coprime to 6 and the parameter orders")
@@ -511,13 +514,28 @@ def install_mutant(monkeypatch, multiplier, g_c_scale, moved):
         monkeypatch.setattr(rankin.siegel, "unit_factors", moved_binomial(moved))
 
 
-def scaled_c_by_series(multiplier, g_c_scale):
+# the oracle's series powers and inverses, shared by the cases of
+# test_matches_product_path; a key names the mutant's moved binomial, the only
+# patch that changes a unit built from the same arguments
+_ORACLE_SERIES = {}
+
+
+def _oracle_series(key, build):
+    if key not in _ORACLE_SERIES:
+        _ORACLE_SERIES[key] = build()
+    return _ORACLE_SERIES[key]
+
+
+def scaled_c_by_series(multiplier, g_c_scale, moved):
     """The (mutated) c-modified unit as a series power over a series."""
     def unit_c(alpha, beta, field, prec, scale, c):
         m = multiplier(c)
-        g = siegel_scaled(alpha, beta, field, prec, scale)
-        g_c = siegel_scaled(m * F(alpha), m * F(beta), field, prec, g_c_scale(scale))
-        return g ** (c * c) / g_c
+        g = alpha, beta, field, prec, scale
+        g_c = m * F(alpha), m * F(beta), field, prec, g_c_scale(scale)
+        def build():
+            power = _oracle_series((moved, g, c), lambda: siegel_scaled(*g) ** (c * c))
+            return power * _oracle_series((moved, g_c), lambda: siegel_scaled(*g_c).inverse())
+        return _oracle_series((moved, g, g_c, c), build)
     return unit_c
 
 
@@ -610,7 +628,7 @@ class TestDistribution:
         spec = MUTANTS[mutant] if mutant else (lambda c: c, lambda s: s, None)
         install_mutant(monkeypatch, *spec)
         sides = record_sides(monkeypatch)
-        unit_c = scaled_c_by_series(*spec[:2])
+        unit_c = scaled_c_by_series(*spec)
         for prec in (0, 1, 2, 30):
             must_fail = mutant is not None and (prec > 0 or spec[2] is None)
             failed = False

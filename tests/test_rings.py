@@ -125,6 +125,27 @@ class TestCyclotomic:
         assert z.inverse() == K.zeta(3)
         assert z.inverse().inverse() == z
 
+    @pytest.mark.parametrize("L", [1, 2, 4, 5, 6, 12, 15, 35])
+    def test_inverse_coordinate_types(self, L):
+        # a coordinate of denominator 1 is an int, so the inverse of a unit
+        # of Z[zeta] is all ints; the values and the text are those of the
+        # Fraction vector of the Bezout cofactor
+        K = CyclotomicField(L)
+        for b in range(1, L):
+            x = K.one() - K.zeta(b)
+            if not x:
+                continue
+            inv = x.inverse()
+            oracle = K.from_coeffs(poly_xgcd(list(x.coeffs), K.modulus)[1])
+            assert inv == oracle and str(inv) == str(oracle) and x * inv == 1
+            order = L // gcd(b, L)
+            unit = len(factor(order)) > 1
+            assert all(type(c) is int for c in inv.coeffs) == unit
+            assert all(type(c) is int or c.denominator > 1 for c in inv.coeffs)
+        y = K.coerce(F(2, 3)) + K.zeta(1) * 4 if K.phi > 1 else K.coerce(F(2, 3))
+        assert all(type(c) is int or c.denominator > 1 for c in y.inverse().coeffs)
+        assert y * y.inverse() == 1
+
     def test_embedding_consistency(self):
         K = CyclotomicField(12)
         x = (K.zeta(5) + 3) * (K.zeta(7) - F(1, 2))
